@@ -452,17 +452,24 @@ func BenchmarkAblationDoubleLink(b *testing.B) {
 func BenchmarkAblationIndexVsScan(b *testing.B) {
 	build := func(withIndex bool) *relational.DB {
 		db := relational.NewDB()
-		if _, err := db.Exec("CREATE TABLE ann (page TEXT, property TEXT, value TEXT)"); err != nil {
+		err := db.CreateTable("ann", []relational.Column{
+			{Name: "page", Type: relational.TypeText},
+			{Name: "property", Type: relational.TypeText},
+			{Name: "value", Type: relational.TypeText},
+		})
+		if err != nil {
 			b.Fatal(err)
 		}
 		if withIndex {
-			if _, err := db.Exec("CREATE INDEX idx_prop ON ann (property)"); err != nil {
+			ann, _ := db.Table("ann")
+			if err := ann.AddIndex("property"); err != nil {
 				b.Fatal(err)
 			}
 		}
 		for i := 0; i < 5000; i++ {
-			sql := fmt.Sprintf("INSERT INTO ann VALUES ('P%d', 'prop%d', 'v%d')", i, i%50, i%7)
-			if _, err := db.Exec(sql); err != nil {
+			row := relational.Row{relational.Text(fmt.Sprintf("P%d", i)),
+				relational.Text(fmt.Sprintf("prop%d", i%50)), relational.Text(fmt.Sprintf("v%d", i%7))}
+			if _, err := db.Insert("ann", row); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,61 +1,5 @@
 package relational
 
-// Statement is any parsed SQL statement.
-type Statement interface{ stmt() }
-
-// CreateTableStmt is CREATE TABLE [IF NOT EXISTS] name (cols...).
-type CreateTableStmt struct {
-	Name        string
-	Columns     []Column
-	IfNotExists bool
-}
-
-// CreateIndexStmt is CREATE INDEX name ON table (column).
-type CreateIndexStmt struct {
-	Name   string
-	Table  string
-	Column string
-}
-
-// DropTableStmt is DROP TABLE [IF EXISTS] name.
-type DropTableStmt struct {
-	Name     string
-	IfExists bool
-}
-
-// AlterTableStmt is ALTER TABLE name ADD [COLUMN] coldef. New columns fill
-// with NULL in existing rows, so they cannot be NOT NULL or PRIMARY KEY.
-type AlterTableStmt struct {
-	Table  string
-	Column Column
-}
-
-// InsertStmt is INSERT INTO table [(cols)] VALUES (...), (...).
-type InsertStmt struct {
-	Table   string
-	Columns []string // empty means schema order
-	Rows    [][]Expr
-}
-
-// UpdateStmt is UPDATE table SET col = expr, ... [WHERE ...].
-type UpdateStmt struct {
-	Table string
-	Set   []Assignment
-	Where Expr
-}
-
-// Assignment is one SET clause.
-type Assignment struct {
-	Column string
-	Value  Expr
-}
-
-// DeleteStmt is DELETE FROM table [WHERE ...].
-type DeleteStmt struct {
-	Table string
-	Where Expr
-}
-
 // SelectStmt is the SELECT shape supported by the engine.
 type SelectStmt struct {
 	Distinct  bool
@@ -105,15 +49,6 @@ type OrderKey struct {
 	Expr Expr
 	Desc bool
 }
-
-func (*CreateTableStmt) stmt() {}
-func (*CreateIndexStmt) stmt() {}
-func (*DropTableStmt) stmt()   {}
-func (*AlterTableStmt) stmt()  {}
-func (*InsertStmt) stmt()      {}
-func (*UpdateStmt) stmt()      {}
-func (*DeleteStmt) stmt()      {}
-func (*SelectStmt) stmt()      {}
 
 // Expr is any SQL expression node.
 type Expr interface{ expr() }

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -10,8 +11,9 @@ import (
 )
 
 // DB is an embedded relational database: a set of named tables guarded by a
-// single readers–writer lock. All SQL enters through Exec/Query; programmatic
-// accessors exist for the hot loading paths of the SMR.
+// single readers–writer lock. SQL is read-only and enters through Query,
+// QueryWith, Explain and EstimateSelect; rows are written through the typed
+// calls Insert and ReplaceRows.
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
@@ -29,15 +31,12 @@ func NewDB() *DB {
 func (db *DB) CreateTable(name string, cols []Column) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.createTableLocked(name, cols, false)
+	return db.createTableLocked(name, cols)
 }
 
-func (db *DB) createTableLocked(name string, cols []Column, ifNotExists bool) error {
+func (db *DB) createTableLocked(name string, cols []Column) error {
 	key := strings.ToLower(name)
 	if _, dup := db.tables[key]; dup {
-		if ifNotExists {
-			return nil
-		}
 		return fmt.Errorf("relational: table %q already exists", name)
 	}
 	schema, err := NewSchema(cols)
@@ -79,75 +78,63 @@ func (db *DB) Insert(table string, row Row) (int64, error) {
 	return t.Insert(row)
 }
 
-// Exec parses and runs any SQL statement.
-func (db *DB) Exec(sql string) (*ResultSet, error) {
-	stmt, err := Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	switch s := stmt.(type) {
-	case *SelectStmt:
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		return db.execSelect(s)
-	case *CreateTableStmt:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		if err := db.createTableLocked(s.Name, s.Columns, s.IfNotExists); err != nil {
-			return nil, err
-		}
-		return &ResultSet{}, nil
-	case *CreateIndexStmt:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		t, ok := db.tables[strings.ToLower(s.Table)]
-		if !ok {
-			return nil, fmt.Errorf("relational: no table %q", s.Table)
-		}
-		if err := t.AddIndex(s.Column); err != nil {
-			return nil, err
-		}
-		return &ResultSet{}, nil
-	case *DropTableStmt:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		key := strings.ToLower(s.Name)
-		if _, ok := db.tables[key]; !ok {
-			if s.IfExists {
-				return &ResultSet{}, nil
-			}
-			return nil, fmt.Errorf("relational: no table %q", s.Name)
-		}
-		delete(db.tables, key)
-		return &ResultSet{}, nil
-	case *AlterTableStmt:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		t, ok := db.tables[strings.ToLower(s.Table)]
-		if !ok {
-			return nil, fmt.Errorf("relational: no table %q", s.Table)
-		}
-		if err := t.AddColumn(s.Column); err != nil {
-			return nil, err
-		}
-		return &ResultSet{}, nil
-	case *InsertStmt:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return db.execInsert(s)
-	case *UpdateStmt:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return db.execUpdate(s)
-	case *DeleteStmt:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return db.execDelete(s)
-	}
-	return nil, fmt.Errorf("relational: unsupported statement %T", stmt)
+// RowSet is one table's part of a ReplaceRows call: the rows whose Column
+// equals the key are replaced by Rows (values in schema order).
+type RowSet struct {
+	Table, Column string
+	Rows          []Row
 }
 
-// Query is Exec restricted to SELECT; it exists for call-site clarity.
+// ReplaceRows is the typed write path for keyed rows, such as all rows a
+// page projects. Under one write-lock hold it validates and coerces every
+// new row of every set, then per set deletes the rows whose Column equals
+// key, in ascending row-id order, and inserts Rows in the order given.
+// Readers never see a key half replaced, and a call that fails changes
+// nothing. Column must be indexed — a missing index is an error, never a
+// scan — and each table may appear in only one set.
+func (db *DB) ReplaceRows(key Value, sets ...RowSet) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	type step struct {
+		t      *Table
+		doomed []int64
+		rows   []Row
+	}
+	steps := make([]step, len(sets))
+	for i, set := range sets {
+		t, ok := db.tables[strings.ToLower(set.Table)]
+		if !ok {
+			return fmt.Errorf("relational: no table %q", set.Table)
+		}
+		for _, prev := range steps[:i] {
+			if prev.t == t {
+				return fmt.Errorf("relational: table %s appears twice in one ReplaceRows", t.Name)
+			}
+		}
+		idx, ok := t.Index(set.Column)
+		if !ok {
+			return fmt.Errorf("relational: ReplaceRows needs an index on %s.%s", t.Name, set.Column)
+		}
+		doomed := idx.Lookup(key)
+		slices.Sort(doomed)
+		rows, err := t.validateReplacement(doomed, set.Rows)
+		if err != nil {
+			return err
+		}
+		steps[i] = step{t: t, doomed: doomed, rows: rows}
+	}
+	for _, s := range steps {
+		for _, id := range s.doomed {
+			s.t.Delete(id)
+		}
+		for _, row := range s.rows {
+			s.t.insertRow(row)
+		}
+	}
+	return nil
+}
+
+// Query runs a SELECT and returns its rows.
 func (db *DB) Query(sql string) (*ResultSet, error) {
 	rs, _, err := db.QueryWith(sql, QueryOptions{})
 	return rs, err
@@ -168,13 +155,9 @@ type QueryOptions struct {
 // QueryWith runs a SELECT with explicit planner options. The returned plan
 // tree is nil unless opts.Explain is set.
 func (db *DB) QueryWith(sql string, opts QueryOptions) (*ResultSet, *explain.Node, error) {
-	stmt, err := Parse(sql)
+	sel, err := Parse(sql)
 	if err != nil {
 		return nil, nil, err
-	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, nil, fmt.Errorf("relational: Query requires SELECT, got %T", stmt)
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -203,13 +186,9 @@ func (db *DB) Explain(sql string) (*explain.Node, error) {
 // planner's estimated output row count. The combined-query layer uses it to
 // pick the cheapest driving side.
 func (db *DB) EstimateSelect(sql string) (int, error) {
-	stmt, err := Parse(sql)
+	sel, err := Parse(sql)
 	if err != nil {
 		return 0, err
-	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return 0, fmt.Errorf("relational: EstimateSelect requires SELECT, got %T", stmt)
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -227,155 +206,4 @@ func (db *DB) EstimateSelect(sql string) (int, error) {
 // quantiles.
 func (db *DB) PlannerStats() PlannerStats {
 	return db.planner.snapshot()
-}
-
-func (db *DB) execInsert(s *InsertStmt) (*ResultSet, error) {
-	t, ok := db.tables[strings.ToLower(s.Table)]
-	if !ok {
-		return nil, fmt.Errorf("relational: no table %q", s.Table)
-	}
-	cols := s.Columns
-	if len(cols) == 0 {
-		cols = make([]string, len(t.Schema.Columns))
-		for i, c := range t.Schema.Columns {
-			cols[i] = c.Name
-		}
-	}
-	positions := make([]int, len(cols))
-	for i, c := range cols {
-		pos, ok := t.Schema.ColumnIndex(c)
-		if !ok {
-			return nil, fmt.Errorf("relational: no column %q in %s", c, s.Table)
-		}
-		positions[i] = pos
-	}
-	ctx := &evalContext{}
-	n := 0
-	for _, exprRow := range s.Rows {
-		if len(exprRow) != len(cols) {
-			return nil, fmt.Errorf("relational: INSERT expects %d values, got %d", len(cols), len(exprRow))
-		}
-		row := make(Row, len(t.Schema.Columns))
-		for i := range row {
-			row[i] = Null()
-		}
-		for i, e := range exprRow {
-			v, err := eval(ctx, e)
-			if err != nil {
-				return nil, err
-			}
-			row[positions[i]] = v
-		}
-		if _, err := t.Insert(row); err != nil {
-			return nil, err
-		}
-		n++
-	}
-	return &ResultSet{RowsAffected: n}, nil
-}
-
-func (db *DB) execUpdate(s *UpdateStmt) (*ResultSet, error) {
-	t, ok := db.tables[strings.ToLower(s.Table)]
-	if !ok {
-		return nil, fmt.Errorf("relational: no table %q", s.Table)
-	}
-	type change struct {
-		id  int64
-		row Row
-	}
-	var changes []change
-	var evalErr error
-	scanCandidates(t, s.Where, func(id int64, row Row) bool {
-		ctx := &evalContext{bindings: []binding{{name: t.Name, schema: t.Schema, row: row}}}
-		if s.Where != nil {
-			v, err := eval(ctx, s.Where)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if v.IsNull() || !truthy(v) {
-				return true
-			}
-		}
-		updated := row.Clone()
-		for _, a := range s.Set {
-			pos, ok := t.Schema.ColumnIndex(a.Column)
-			if !ok {
-				evalErr = fmt.Errorf("relational: no column %q in %s", a.Column, s.Table)
-				return false
-			}
-			v, err := eval(ctx, a.Value)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			updated[pos] = v
-		}
-		changes = append(changes, change{id: id, row: updated})
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	for _, ch := range changes {
-		if err := t.Update(ch.id, ch.row); err != nil {
-			return nil, err
-		}
-	}
-	return &ResultSet{RowsAffected: len(changes)}, nil
-}
-
-func (db *DB) execDelete(s *DeleteStmt) (*ResultSet, error) {
-	t, ok := db.tables[strings.ToLower(s.Table)]
-	if !ok {
-		return nil, fmt.Errorf("relational: no table %q", s.Table)
-	}
-	var ids []int64
-	var evalErr error
-	scanCandidates(t, s.Where, func(id int64, row Row) bool {
-		if s.Where != nil {
-			ctx := &evalContext{bindings: []binding{{name: t.Name, schema: t.Schema, row: row}}}
-			v, err := eval(ctx, s.Where)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if v.IsNull() || !truthy(v) {
-				return true
-			}
-		}
-		ids = append(ids, id)
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	for _, id := range ids {
-		t.Delete(id)
-	}
-	return &ResultSet{RowsAffected: len(ids)}, nil
-}
-
-// scanCandidates feeds fn the rows a WHERE clause could match, narrowing
-// through an index when the clause has an indexable conjunct (the same
-// planning SELECT uses). The caller still re-checks the full predicate per
-// row, so over-matching is harmless. This is what keeps the repository's
-// per-page reprojection (DELETE ... WHERE page = 'x' on every PutPage) at
-// O(rows of that page) instead of a full-table scan.
-func scanCandidates(t *Table, where Expr, fn func(id int64, row Row) bool) {
-	if where != nil {
-		if ids, ok := indexLookupIDs(t, t.Name, where); ok {
-			// Sort for the same deterministic visit order Scan gives.
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, id := range ids {
-				if row, live := t.Get(id); live {
-					if !fn(id, row) {
-						return
-					}
-				}
-			}
-			return
-		}
-	}
-	t.Scan(fn)
 }

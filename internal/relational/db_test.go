@@ -7,51 +7,76 @@ import (
 	"testing"
 )
 
-// newSensorDB builds the small fixture used across the SQL tests: a sensors
-// table with a primary key and a deployments table for joins.
-func newSensorDB(t *testing.T) *DB {
+// pkCol is a PRIMARY KEY column (which implies NOT NULL).
+func pkCol(name string, typ Type) Column {
+	return Column{Name: name, Type: typ, PrimaryKey: true, NotNull: true}
+}
+
+// mustCreate creates a table plus a secondary index on each named column.
+func mustCreate(t testing.TB, db *DB, name string, cols []Column, indexes ...string) {
 	t.Helper()
-	db := NewDB()
-	mustExec := func(sql string) {
-		t.Helper()
-		if _, err := db.Exec(sql); err != nil {
-			t.Fatalf("Exec(%q): %v", sql, err)
+	if err := db.CreateTable(name, cols); err != nil {
+		t.Fatalf("CreateTable(%s): %v", name, err)
+	}
+	tab, _ := db.Table(name)
+	for _, col := range indexes {
+		if err := tab.AddIndex(col); err != nil {
+			t.Fatalf("AddIndex(%s.%s): %v", name, col, err)
 		}
 	}
-	mustExec(`CREATE TABLE sensors (
-		id INT PRIMARY KEY,
-		name TEXT NOT NULL,
-		deployment TEXT,
-		altitude FLOAT,
-		active BOOL
-	)`)
-	mustExec(`CREATE TABLE deployments (name TEXT PRIMARY KEY, site TEXT NOT NULL)`)
-	mustExec(`INSERT INTO sensors (id, name, deployment, altitude, active) VALUES
-		(1, 'wind-01', 'wannengrat', 2440.5, TRUE),
-		(2, 'temp-01', 'wannengrat', 2440.5, TRUE),
-		(3, 'snow-07', 'davos', 1560.0, FALSE),
-		(4, 'temp-02', 'davos', 1560.0, TRUE),
-		(5, 'orphan', NULL, NULL, FALSE)`)
-	mustExec(`INSERT INTO deployments VALUES ('wannengrat', 'Wannengrat Ridge'), ('davos', 'Davos Valley')`)
+}
+
+// mustInsert inserts rows (values in schema order) into a table.
+func mustInsert(t testing.TB, db *DB, table string, rows ...Row) {
+	t.Helper()
+	for _, row := range rows {
+		if _, err := db.Insert(table, row); err != nil {
+			t.Fatalf("Insert(%s, %v): %v", table, row, err)
+		}
+	}
+}
+
+// newSensorDB builds the small fixture used across the SQL tests: a sensors
+// table with a primary key and a deployments table for joins.
+func newSensorDB(t testing.TB) *DB {
+	t.Helper()
+	db := NewDB()
+	mustCreate(t, db, "sensors", []Column{
+		pkCol("id", TypeInt),
+		{Name: "name", Type: TypeText, NotNull: true},
+		{Name: "deployment", Type: TypeText},
+		{Name: "altitude", Type: TypeFloat},
+		{Name: "active", Type: TypeBool},
+	})
+	mustCreate(t, db, "deployments", []Column{pkCol("name", TypeText), {Name: "site", Type: TypeText, NotNull: true}})
+	mustInsert(t, db, "sensors",
+		Row{Int(1), Text("wind-01"), Text("wannengrat"), Float(2440.5), Bool(true)},
+		Row{Int(2), Text("temp-01"), Text("wannengrat"), Float(2440.5), Bool(true)},
+		Row{Int(3), Text("snow-07"), Text("davos"), Float(1560.0), Bool(false)},
+		Row{Int(4), Text("temp-02"), Text("davos"), Float(1560.0), Bool(true)},
+		Row{Int(5), Text("orphan"), Null(), Null(), Bool(false)})
+	mustInsert(t, db, "deployments",
+		Row{Text("wannengrat"), Text("Wannengrat Ridge")},
+		Row{Text("davos"), Text("Davos Valley")})
 	return db
 }
 
 func TestCreateTableErrors(t *testing.T) {
 	db := NewDB()
-	if _, err := db.Exec(`CREATE TABLE t (a INT)`); err != nil {
+	if err := db.CreateTable("t", []Column{{Name: "a", Type: TypeInt}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec(`CREATE TABLE t (a INT)`); err == nil {
+	if err := db.CreateTable("T", []Column{{Name: "a", Type: TypeInt}}); err == nil {
 		t.Error("duplicate table accepted")
 	}
-	if _, err := db.Exec(`CREATE TABLE IF NOT EXISTS t (a INT)`); err != nil {
-		t.Errorf("IF NOT EXISTS should be a no-op: %v", err)
-	}
-	if _, err := db.Exec(`CREATE TABLE u (a INT, a TEXT)`); err == nil {
+	if err := db.CreateTable("u", []Column{{Name: "a", Type: TypeInt}, {Name: "A", Type: TypeText}}); err == nil {
 		t.Error("duplicate column accepted")
 	}
-	if _, err := db.Exec(`CREATE TABLE v (a INT PRIMARY KEY, b INT PRIMARY KEY)`); err == nil {
+	if err := db.CreateTable("v", []Column{pkCol("a", TypeInt), pkCol("b", TypeInt)}); err == nil {
 		t.Error("two primary keys accepted")
+	}
+	if err := db.CreateTable("w", []Column{{Name: "", Type: TypeInt}}); err == nil {
+		t.Error("empty column name accepted")
 	}
 }
 
@@ -248,74 +273,44 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	db := newSensorDB(t)
-	rs, err := db.Exec(`UPDATE sensors SET active = FALSE WHERE deployment = 'wannengrat'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.RowsAffected != 2 {
-		t.Errorf("RowsAffected = %d, want 2", rs.RowsAffected)
-	}
-	check, _ := db.Query(`SELECT COUNT(*) FROM sensors WHERE active`)
-	if check.Rows[0][0].Int64() != 1 {
-		t.Errorf("active count after update = %v", check.Rows[0][0])
-	}
-}
-
-func TestUpdateWithExpression(t *testing.T) {
-	db := newSensorDB(t)
-	if _, err := db.Exec(`UPDATE sensors SET altitude = altitude + 10 WHERE id = 1`); err != nil {
-		t.Fatal(err)
-	}
-	rs, _ := db.Query(`SELECT altitude FROM sensors WHERE id = 1`)
-	if rs.Rows[0][0].Float64() != 2450.5 {
-		t.Errorf("altitude = %v", rs.Rows[0][0])
-	}
-}
-
-func TestDelete(t *testing.T) {
-	db := newSensorDB(t)
-	rs, err := db.Exec(`DELETE FROM sensors WHERE active = FALSE`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.RowsAffected != 2 {
-		t.Errorf("RowsAffected = %d, want 2", rs.RowsAffected)
-	}
-	left, _ := db.Query(`SELECT COUNT(*) FROM sensors`)
-	if left.Rows[0][0].Int64() != 3 {
-		t.Errorf("remaining = %v", left.Rows[0][0])
-	}
-}
-
 func TestPrimaryKeyUniqueness(t *testing.T) {
 	db := newSensorDB(t)
-	if _, err := db.Exec(`INSERT INTO sensors (id, name) VALUES (1, 'dup')`); err == nil {
+	if _, err := db.Insert("sensors", Row{Int(1), Text("dup"), Null(), Null(), Null()}); err == nil {
 		t.Error("duplicate primary key accepted")
 	}
-	if _, err := db.Exec(`INSERT INTO sensors (name) VALUES ('no-id')`); err == nil {
+	if _, err := db.Insert("sensors", Row{Null(), Text("no-id"), Null(), Null(), Null()}); err == nil {
 		t.Error("NULL primary key accepted")
 	}
-	if _, err := db.Exec(`INSERT INTO sensors (id) VALUES (99)`); err == nil {
+	if _, err := db.Insert("sensors", Row{Int(99), Null(), Null(), Null(), Null()}); err == nil {
 		t.Error("NULL in NOT NULL name accepted")
+	}
+	if rs, _ := db.Query(`SELECT COUNT(*) FROM sensors`); rs.Rows[0][0].Int64() != 5 {
+		t.Errorf("rejected inserts left rows behind: %v", rs.Rows[0][0])
 	}
 }
 
 func TestTypeChecking(t *testing.T) {
 	db := newSensorDB(t)
-	if _, err := db.Exec(`INSERT INTO sensors (id, name, altitude) VALUES (10, 'x', 'high')`); err == nil {
+	if _, err := db.Insert("sensors", Row{Int(10), Text("x"), Null(), Text("high"), Null()}); err == nil {
 		t.Error("text in float column accepted")
 	}
+	if _, err := db.Insert("sensors", Row{Int(10), Text("x"), Null()}); err == nil {
+		t.Error("short row accepted")
+	}
 	// int into float column is fine
-	if _, err := db.Exec(`INSERT INTO sensors (id, name, altitude) VALUES (11, 'y', 1000)`); err != nil {
+	if _, err := db.Insert("sensors", Row{Int(11), Text("y"), Null(), Int(1000), Null()}); err != nil {
 		t.Errorf("int→float insert rejected: %v", err)
+	}
+	rs, _ := db.Query(`SELECT altitude FROM sensors WHERE id = 11`)
+	if v := rs.Rows[0][0]; v.Type() != TypeFloat || v.Float64() != 1000 {
+		t.Errorf("coerced altitude = %v (%v)", v, v.Type())
 	}
 }
 
 func TestCreateIndexAndLookup(t *testing.T) {
 	db := newSensorDB(t)
-	if _, err := db.Exec(`CREATE INDEX idx_dep ON sensors (deployment)`); err != nil {
+	sensors, _ := db.Table("sensors")
+	if err := sensors.AddIndex("deployment"); err != nil {
 		t.Fatal(err)
 	}
 	// Index path and scan path must agree.
@@ -334,10 +329,10 @@ func TestCreateIndexAndLookup(t *testing.T) {
 	if rs.Rows[0][0].Int64() != 2 {
 		t.Errorf("range count = %v", rs.Rows[0][0])
 	}
-	if _, err := db.Exec(`CREATE INDEX idx_dep2 ON sensors (deployment)`); err == nil {
+	if err := sensors.AddIndex("Deployment"); err == nil {
 		t.Error("duplicate index accepted")
 	}
-	if _, err := db.Exec(`CREATE INDEX idx_bad ON sensors (nope)`); err == nil {
+	if err := sensors.AddIndex("nope"); err == nil {
 		t.Error("index on unknown column accepted")
 	}
 }
@@ -395,8 +390,23 @@ func TestDivisionByZeroIsNull(t *testing.T) {
 
 func TestQueryRejectsNonSelect(t *testing.T) {
 	db := newSensorDB(t)
-	if _, err := db.Query(`DELETE FROM sensors`); err == nil {
-		t.Error("Query accepted DELETE")
+	for _, sql := range []string{
+		`DELETE FROM sensors`,
+		`UPDATE sensors SET active = FALSE`,
+		`INSERT INTO sensors VALUES (9, 'x', NULL, NULL, NULL)`,
+		`DROP TABLE sensors`,
+		`CREATE TABLE t (a INT)`,
+		`ALTER TABLE sensors ADD COLUMN v TEXT`,
+	} {
+		if _, err := db.Query(sql); err == nil {
+			t.Errorf("Query accepted %q", sql)
+		}
+		if _, err := db.EstimateSelect(sql); err == nil {
+			t.Errorf("EstimateSelect accepted %q", sql)
+		}
+	}
+	if rs, _ := db.Query(`SELECT COUNT(*) FROM sensors`); rs.Rows[0][0].Int64() != 5 {
+		t.Errorf("sensors changed: %v rows", rs.Rows[0][0])
 	}
 }
 
@@ -406,14 +416,17 @@ func TestUnknownTableAndColumnErrors(t *testing.T) {
 		`SELECT * FROM nope`,
 		`SELECT nope FROM sensors`,
 		`SELECT s.nope FROM sensors s`,
-		`INSERT INTO nope VALUES (1)`,
-		`INSERT INTO sensors (nope) VALUES (1)`,
-		`UPDATE nope SET a = 1`,
-		`DELETE FROM nope`,
+		`SELECT * FROM sensors JOIN nope ON sensors.id = nope.id`,
 	} {
-		if _, err := db.Exec(sql); err == nil {
+		if _, err := db.Query(sql); err == nil {
 			t.Errorf("no error for %q", sql)
 		}
+	}
+	if _, err := db.Insert("nope", Row{Int(1)}); err == nil {
+		t.Error("insert into unknown table accepted")
+	}
+	if err := db.ReplaceRows(Int(1), RowSet{Table: "nope", Column: "id"}); err == nil {
+		t.Error("ReplaceRows on unknown table accepted")
 	}
 }
 
@@ -446,7 +459,8 @@ func TestParseErrors(t *testing.T) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	db := newSensorDB(t)
-	if _, err := db.Exec(`CREATE INDEX idx_dep ON sensors (deployment)`); err != nil {
+	sensors, _ := db.Table("sensors")
+	if err := sensors.AddIndex("deployment"); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -524,7 +538,7 @@ func TestProgrammaticAPI(t *testing.T) {
 	}
 }
 
-func TestTableUpdateDeleteByID(t *testing.T) {
+func TestTableDeleteByID(t *testing.T) {
 	db := NewDB()
 	if err := db.CreateTable("t", []Column{{Name: "v", Type: TypeInt, Unique: true}}); err != nil {
 		t.Fatal(err)
@@ -535,21 +549,22 @@ func TestTableUpdateDeleteByID(t *testing.T) {
 		t.Fatal(err)
 	}
 	id2, _ := tab.Insert(Row{Int(2)})
-	if err := tab.Update(id, Row{Int(3)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Update(id, Row{Int(2)}); err == nil {
-		t.Error("unique violation on update accepted")
-	}
-	if err := tab.Update(999, Row{Int(9)}); err == nil {
-		t.Error("update of missing row accepted")
+	if _, err := tab.Insert(Row{Int(2)}); err == nil {
+		t.Error("unique violation on insert accepted")
 	}
 	if !tab.Delete(id2) || tab.Delete(id2) {
 		t.Error("delete semantics wrong")
 	}
+	// The deleted value is free again.
+	if _, err := tab.Insert(Row{Int(2)}); err != nil {
+		t.Errorf("reinsert after delete: %v", err)
+	}
 	r, ok := tab.Get(id)
-	if !ok || r[0].Int64() != 3 {
+	if !ok || r[0].Int64() != 1 {
 		t.Errorf("Get = %v %v", r, ok)
+	}
+	if _, ok := tab.Get(id2); ok {
+		t.Error("deleted row still readable")
 	}
 }
 
@@ -623,62 +638,114 @@ func TestOrderByAlias(t *testing.T) {
 	}
 }
 
-// TestIndexedDeleteUpdate pins the index-planned write path: DELETE and
-// UPDATE with an equality/range conjunct on an indexed column must behave
-// exactly like the full-scan path, including when the indexable conjunct
-// over-matches and the residual predicate filters further.
+// TestIndexedDeleteUpdate pins the keyed write path: ReplaceRows finds
+// the rows to replace through the key column's index, deletes exactly
+// those, inserts the new rows in the order given (fresh ascending row ids,
+// so unordered scans see them last and in order), and touches no other
+// key's rows.
 func TestIndexedDeleteUpdate(t *testing.T) {
 	db := NewDB()
-	if _, err := db.Exec(`CREATE TABLE ann (page TEXT, property TEXT, value TEXT)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec(`CREATE INDEX idx_page ON ann (page)`); err != nil {
-		t.Fatal(err)
-	}
+	mustCreate(t, db, "ann", []Column{
+		{Name: "page", Type: TypeText, NotNull: true},
+		{Name: "property", Type: TypeText},
+		{Name: "value", Type: TypeText},
+	}, "page")
+	mustCreate(t, db, "pages", []Column{pkCol("title", TypeText), {Name: "revs", Type: TypeInt}})
 	for i := 0; i < 30; i++ {
-		sql := fmt.Sprintf(`INSERT INTO ann VALUES ('P%d', 'prop%d', 'v%d')`, i%3, i%5, i)
-		if _, err := db.Exec(sql); err != nil {
+		mustInsert(t, db, "ann", Row{Text(fmt.Sprintf("P%d", i%3)), Text(fmt.Sprintf("prop%d", i%5)), Text(fmt.Sprintf("v%d", i))})
+	}
+	mustInsert(t, db, "pages", Row{Text("P1"), Int(1)}, Row{Text("P2"), Int(1)})
+
+	err := db.ReplaceRows(Text("P1"),
+		RowSet{Table: "pages", Column: "title", Rows: []Row{{Text("P1"), Int(2)}}},
+		RowSet{Table: "ann", Column: "page", Rows: []Row{
+			{Text("P1"), Text("b"), Text("new1")},
+			{Text("P1"), Text("a"), Text("new2")},
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string]string{
+		`SELECT property, value FROM ann WHERE page = 'P1'`:             "property,value\nTEXT:b,TEXT:new1\nTEXT:a,TEXT:new2\n",
+		`SELECT COUNT(*) FROM ann WHERE page = 'P2'`:                    "count(*)\nINT:10\n",
+		`SELECT title, revs FROM pages`:                                 "title,revs\nTEXT:P2,INT:1\nTEXT:P1,INT:2\n",
+		`SELECT COUNT(*) FROM ann WHERE value = 'v1' OR value = 'new1'`: "count(*)\nINT:1\n",
+	} {
+		rs, err := db.Query(q)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if got := renderResult(rs); got != want {
+			t.Errorf("%s:\n got %q\nwant %q", q, got, want)
+		}
 	}
-	// Indexed equality + residual predicate on an unindexed column.
-	rs, err := db.Exec(`DELETE FROM ann WHERE page = 'P1' AND property = 'prop2'`)
-	if err != nil {
+	ann, _ := db.Table("ann")
+	var ids []int64
+	ann.Scan(func(id int64, row Row) bool {
+		if row[0].Text0() == "P1" {
+			ids = append(ids, id)
+		}
+		return true
+	})
+	if fmt.Sprint(ids) != "[30 31]" {
+		t.Errorf("replacement row ids = %v, want [30 31]", ids)
+	}
+	// Replacing with no rows deletes; an absent key only inserts.
+	if err := db.ReplaceRows(Text("P0"), RowSet{Table: "ann", Column: "page"}); err != nil {
 		t.Fatal(err)
 	}
-	if rs.RowsAffected != 2 {
-		t.Errorf("indexed delete RowsAffected = %d, want 2", rs.RowsAffected)
-	}
-	left, _ := db.Query(`SELECT COUNT(*) FROM ann WHERE page = 'P1'`)
-	if left.Rows[0][0].Int64() != 8 {
-		t.Errorf("remaining P1 rows = %v", left.Rows[0][0])
-	}
-	// Indexed update.
-	rs, err = db.Exec(`UPDATE ann SET value = 'x' WHERE page = 'P2'`)
-	if err != nil {
+	if err := db.ReplaceRows(Text("P9"), RowSet{Table: "ann", Column: "page", Rows: []Row{{Text("P9"), Null(), Null()}}}); err != nil {
 		t.Fatal(err)
 	}
-	if rs.RowsAffected != 10 {
-		t.Errorf("indexed update RowsAffected = %d, want 10", rs.RowsAffected)
+	rs, _ := db.Query(`SELECT page, COUNT(*) FROM ann GROUP BY page ORDER BY page`)
+	if got, want := renderResult(rs), "page,count(*)\nTEXT:P1,INT:2\nTEXT:P2,INT:10\nTEXT:P9,INT:1\n"; got != want {
+		t.Errorf("after delete/insert-only replacements:\n got %q\nwant %q", got, want)
 	}
-	check, _ := db.Query(`SELECT COUNT(*) FROM ann WHERE value = 'x'`)
-	if check.Rows[0][0].Int64() != 10 {
-		t.Errorf("updated rows = %v", check.Rows[0][0])
+}
+
+// TestReplaceRowsIsAllOrNothing: a key column without an index, a table
+// named twice, a row that fails validation or a unique violation — in any
+// set — rejects the whole call before anything changes.
+func TestReplaceRowsIsAllOrNothing(t *testing.T) {
+	db := newSensorDB(t)
+	before := func() string {
+		var b strings.Builder
+		if err := db.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
 	}
-	// Unindexed predicate still works (full scan fallback).
-	rs, err = db.Exec(`DELETE FROM ann WHERE property = 'prop0'`)
-	if err != nil {
-		t.Fatal(err)
+	want := before()
+	// good is valid on its own: key 3 matches no deployment name, so it
+	// only inserts.
+	good := RowSet{Table: "deployments", Column: "name", Rows: []Row{{Text("zermatt"), Text("Zermatt")}}}
+	for name, sets := range map[string][]RowSet{
+		"unindexed key":      {good, {Table: "sensors", Column: "deployment"}},
+		"table twice":        {good, good},
+		"unknown column key": {good, {Table: "sensors", Column: "nope"}},
+		"NOT NULL":           {good, {Table: "sensors", Column: "id", Rows: []Row{{Int(3), Null(), Null(), Null(), Null()}}}},
+		"type mismatch":      {good, {Table: "sensors", Column: "id", Rows: []Row{{Int(3), Text("x"), Null(), Text("high"), Null()}}}},
+		"short row":          {good, {Table: "sensors", Column: "id", Rows: []Row{{Int(3)}}}},
+		// id 1 survives the replacement of key 3, so reusing it collides.
+		"unique vs survivor": {good, {Table: "sensors", Column: "id", Rows: []Row{{Int(1), Text("x"), Null(), Null(), Null()}}}},
+		"unique within rows": {good, {Table: "sensors", Column: "id", Rows: []Row{
+			{Int(3), Text("x"), Null(), Null(), Null()},
+			{Int(3), Text("y"), Null(), Null(), Null()},
+		}}},
+	} {
+		if err := db.ReplaceRows(Int(3), sets...); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if got := before(); got != want {
+			t.Fatalf("%s: rejected call changed the database", name)
+		}
 	}
-	if rs.RowsAffected != 6 {
-		t.Errorf("scan delete RowsAffected = %d, want 6", rs.RowsAffected)
+	// The replaced key's own unique value may be reused: its old row goes.
+	if err := db.ReplaceRows(Int(3), good, RowSet{Table: "sensors", Column: "id", Rows: []Row{{Int(3), Text("snow-08"), Null(), Null(), Null()}}}); err != nil {
+		t.Fatalf("replacing a primary-key row in place: %v", err)
 	}
-	// Delete everything matched by an index with no residual.
-	if _, err := db.Exec(`DELETE FROM ann WHERE page = 'P0'`); err != nil {
-		t.Fatal(err)
-	}
-	left, _ = db.Query(`SELECT COUNT(*) FROM ann WHERE page = 'P0'`)
-	if left.Rows[0][0].Int64() != 0 {
-		t.Errorf("P0 rows survive indexed delete: %v", left.Rows[0][0])
+	rs, _ := db.Query(`SELECT name FROM sensors WHERE id = 3`)
+	if len(rs.Rows) != 1 || rs.Rows[0][0].Text0() != "snow-08" {
+		t.Errorf("replaced row = %v", rs.Rows)
 	}
 }

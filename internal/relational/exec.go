@@ -6,12 +6,10 @@ import (
 	"strings"
 )
 
-// ResultSet is the outcome of a query: column labels plus rows. Mutating
-// statements report RowsAffected instead.
+// ResultSet is the outcome of a query: column labels plus rows.
 type ResultSet struct {
-	Columns      []string
-	Rows         []Row
-	RowsAffected int
+	Columns []string
+	Rows    []Row
 }
 
 // binding associates a table alias with a schema and the current row; a nil
@@ -272,44 +270,33 @@ func evalBinary(ctx *evalContext, x *Binary) (Value, error) {
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any single byte),
-// case-insensitive as in MySQL's default collation.
+// case-insensitive as in MySQL's default collation. It is the greedy
+// wildcard matcher: on a mismatch it only retries from the most recent %,
+// one byte further on, so a match costs O(len(s)·len(pattern)) even for
+// patterns such as '%a%a%a%b' that make naive backtracking exponential.
 func likeMatch(s, pattern string) bool {
 	s, pattern = strings.ToLower(s), strings.ToLower(pattern)
-	var match func(si, pi int) bool
-	match = func(si, pi int) bool {
-		for pi < len(pattern) {
-			switch pattern[pi] {
-			case '%':
-				// collapse consecutive %
-				for pi < len(pattern) && pattern[pi] == '%' {
-					pi++
-				}
-				if pi == len(pattern) {
-					return true
-				}
-				for k := si; k <= len(s); k++ {
-					if match(k, pi) {
-						return true
-					}
-				}
-				return false
-			case '_':
-				if si >= len(s) {
-					return false
-				}
-				si++
-				pi++
-			default:
-				if si >= len(s) || s[si] != pattern[pi] {
-					return false
-				}
-				si++
-				pi++
-			}
+	si, pi := 0, 0
+	star, retry := -1, 0 // position of the last % and where its run would end next
+	for si < len(s) {
+		switch {
+		case pi < len(pattern) && pattern[pi] == '%':
+			star, retry = pi, si
+			pi++
+		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
+			si++
+			pi++
+		case star >= 0:
+			retry++
+			si, pi = retry, star+1
+		default:
+			return false
 		}
-		return si == len(s)
 	}
-	return match(0, 0)
+	for pi < len(pattern) && pattern[pi] == '%' {
+		pi++
+	}
+	return pi == len(pattern)
 }
 
 func evalScalarCall(ctx *evalContext, x *Call) (Value, error) {

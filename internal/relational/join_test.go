@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// createParentChild creates parent(pid INT PRIMARY KEY, label TEXT) and
+// child(cid INT PRIMARY KEY, pid INT).
+func createParentChild(t testing.TB, db *DB) {
+	t.Helper()
+	mustCreate(t, db, "parent", []Column{pkCol("pid", TypeInt), {Name: "label", Type: TypeText}})
+	mustCreate(t, db, "child", []Column{pkCol("cid", TypeInt), {Name: "pid", Type: TypeInt}})
+}
+
 // TestHashJoinMatchesNestedLoop builds random parent/child tables and
 // compares the hash-joinable equality form against a semantically equal
 // condition the optimizer cannot hash (forcing the nested-loop path).
@@ -13,27 +21,18 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
 		db := NewDB()
-		if _, err := db.Exec(`CREATE TABLE parent (pid INT PRIMARY KEY, label TEXT)`); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.Exec(`CREATE TABLE child (cid INT PRIMARY KEY, pid INT)`); err != nil {
-			t.Fatal(err)
-		}
+		createParentChild(t, db)
 		nP, nC := 5+rng.Intn(10), 20+rng.Intn(30)
 		for i := 0; i < nP; i++ {
-			if _, err := db.Exec(fmt.Sprintf("INSERT INTO parent VALUES (%d, 'p%d')", i, i)); err != nil {
-				t.Fatal(err)
-			}
+			mustInsert(t, db, "parent", Row{Int(int64(i)), Text(fmt.Sprintf("p%d", i))})
 		}
 		for i := 0; i < nC; i++ {
 			// Some children reference missing parents; some have NULL.
-			ref := "NULL"
+			ref := Null()
 			if rng.Intn(5) > 0 {
-				ref = fmt.Sprintf("%d", rng.Intn(nP+3))
+				ref = Int(int64(rng.Intn(nP + 3)))
 			}
-			if _, err := db.Exec(fmt.Sprintf("INSERT INTO child VALUES (%d, %s)", i, ref)); err != nil {
-				t.Fatal(err)
-			}
+			mustInsert(t, db, "child", Row{Int(int64(i)), ref})
 		}
 
 		// Hash path: plain equality.
@@ -80,18 +79,10 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 
 func TestHashJoinCrossTypeNumericKeys(t *testing.T) {
 	db := NewDB()
-	if _, err := db.Exec(`CREATE TABLE a (k FLOAT)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec(`CREATE TABLE b (k INT, tag TEXT)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec(`INSERT INTO a VALUES (2.0), (3.5)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec(`INSERT INTO b VALUES (2, 'two'), (3, 'three')`); err != nil {
-		t.Fatal(err)
-	}
+	mustCreate(t, db, "a", []Column{{Name: "k", Type: TypeFloat}})
+	mustCreate(t, db, "b", []Column{{Name: "k", Type: TypeInt}, {Name: "tag", Type: TypeText}})
+	mustInsert(t, db, "a", Row{Float(2.0)}, Row{Float(3.5)})
+	mustInsert(t, db, "b", Row{Int(2), Text("two")}, Row{Int(3), Text("three")})
 	// 2.0 (float) must join with 2 (int).
 	rs, err := db.Query(`SELECT b.tag FROM a JOIN b ON a.k = b.k`)
 	if err != nil {
@@ -104,18 +95,12 @@ func TestHashJoinCrossTypeNumericKeys(t *testing.T) {
 
 func TestThreeWayJoin(t *testing.T) {
 	db := NewDB()
-	for _, sql := range []string{
-		`CREATE TABLE site (s TEXT PRIMARY KEY)`,
-		`CREATE TABLE dep (d TEXT PRIMARY KEY, s TEXT)`,
-		`CREATE TABLE sen (n TEXT PRIMARY KEY, d TEXT)`,
-		`INSERT INTO site VALUES ('davos'), ('zermatt')`,
-		`INSERT INTO dep VALUES ('d1', 'davos'), ('d2', 'zermatt')`,
-		`INSERT INTO sen VALUES ('s1', 'd1'), ('s2', 'd1'), ('s3', 'd2')`,
-	} {
-		if _, err := db.Exec(sql); err != nil {
-			t.Fatal(err)
-		}
-	}
+	mustCreate(t, db, "site", []Column{pkCol("s", TypeText)})
+	mustCreate(t, db, "dep", []Column{pkCol("d", TypeText), {Name: "s", Type: TypeText}})
+	mustCreate(t, db, "sen", []Column{pkCol("n", TypeText), {Name: "d", Type: TypeText}})
+	mustInsert(t, db, "site", Row{Text("davos")}, Row{Text("zermatt")})
+	mustInsert(t, db, "dep", Row{Text("d1"), Text("davos")}, Row{Text("d2"), Text("zermatt")})
+	mustInsert(t, db, "sen", Row{Text("s1"), Text("d1")}, Row{Text("s2"), Text("d1")}, Row{Text("s3"), Text("d2")})
 	rs, err := db.Query(`SELECT sen.n, site.s FROM sen
 		JOIN dep ON sen.d = dep.d
 		JOIN site ON dep.s = site.s
@@ -130,21 +115,12 @@ func TestThreeWayJoin(t *testing.T) {
 
 func BenchmarkJoinHashVsNestedLoop(b *testing.B) {
 	db := NewDB()
-	if _, err := db.Exec(`CREATE TABLE parent (pid INT PRIMARY KEY, label TEXT)`); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := db.Exec(`CREATE TABLE child (cid INT PRIMARY KEY, pid INT)`); err != nil {
-		b.Fatal(err)
-	}
+	createParentChild(b, db)
 	for i := 0; i < 200; i++ {
-		if _, err := db.Exec(fmt.Sprintf("INSERT INTO parent VALUES (%d, 'p%d')", i, i)); err != nil {
-			b.Fatal(err)
-		}
+		mustInsert(b, db, "parent", Row{Int(int64(i)), Text(fmt.Sprintf("p%d", i))})
 	}
 	for i := 0; i < 1000; i++ {
-		if _, err := db.Exec(fmt.Sprintf("INSERT INTO child VALUES (%d, %d)", i, i%200)); err != nil {
-			b.Fatal(err)
-		}
+		mustInsert(b, db, "child", Row{Int(int64(i)), Int(int64(i % 200))})
 	}
 	b.Run("hash", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -6,14 +6,18 @@ import (
 	"strings"
 )
 
-// Parse parses one SQL statement.
-func Parse(src string) (Statement, error) {
+// Parse parses one SQL statement. Only SELECT exists: the database is
+// written through typed calls (Insert, ReplaceRows), never through SQL.
+func Parse(src string) (*SelectStmt, error) {
 	toks, err := lexSQL(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks, src: src}
-	stmt, err := p.parseStatement()
+	if !p.isKeyword("SELECT") {
+		return nil, p.errorf("expected SELECT, found %q (SQL is read-only)", p.cur().text)
+	}
+	stmt, err := p.parseSelect()
 	if err != nil {
 		return nil, err
 	}
@@ -86,283 +90,7 @@ func (p *parser) ident() (string, error) {
 	return t.text, nil
 }
 
-func (p *parser) parseStatement() (Statement, error) {
-	switch {
-	case p.isKeyword("CREATE"):
-		return p.parseCreate()
-	case p.isKeyword("DROP"):
-		return p.parseDrop()
-	case p.isKeyword("ALTER"):
-		return p.parseAlter()
-	case p.isKeyword("INSERT"):
-		return p.parseInsert()
-	case p.isKeyword("SELECT"):
-		return p.parseSelect()
-	case p.isKeyword("UPDATE"):
-		return p.parseUpdate()
-	case p.isKeyword("DELETE"):
-		return p.parseDelete()
-	default:
-		return nil, p.errorf("expected statement, found %q", p.cur().text)
-	}
-}
-
-func (p *parser) parseDrop() (Statement, error) {
-	p.i++ // DROP
-	if err := p.expectKeyword("TABLE"); err != nil {
-		return nil, err
-	}
-	stmt := &DropTableStmt{}
-	if p.acceptKeyword("IF") {
-		if err := p.expectKeyword("EXISTS"); err != nil {
-			return nil, err
-		}
-		stmt.IfExists = true
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	stmt.Name = name
-	return stmt, nil
-}
-
-func (p *parser) parseAlter() (Statement, error) {
-	p.i++ // ALTER
-	if err := p.expectKeyword("TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("ADD"); err != nil {
-		return nil, err
-	}
-	p.acceptKeyword("COLUMN")
-	col, err := p.parseColumnDef()
-	if err != nil {
-		return nil, err
-	}
-	return &AlterTableStmt{Table: name, Column: col}, nil
-}
-
-func (p *parser) parseCreate() (Statement, error) {
-	p.i++ // CREATE
-	switch {
-	case p.acceptKeyword("TABLE"):
-		stmt := &CreateTableStmt{}
-		if p.acceptKeyword("IF") {
-			if err := p.expectKeyword("NOT"); err != nil {
-				return nil, err
-			}
-			if err := p.expectKeyword("EXISTS"); err != nil {
-				return nil, err
-			}
-			stmt.IfNotExists = true
-		}
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Name = name
-		if err := p.expect("("); err != nil {
-			return nil, err
-		}
-		for {
-			col, err := p.parseColumnDef()
-			if err != nil {
-				return nil, err
-			}
-			stmt.Columns = append(stmt.Columns, col)
-			if p.accept(",") {
-				continue
-			}
-			break
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		return stmt, nil
-	case p.acceptKeyword("INDEX"):
-		stmt := &CreateIndexStmt{}
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Name = name
-		if err := p.expectKeyword("ON"); err != nil {
-			return nil, err
-		}
-		if stmt.Table, err = p.ident(); err != nil {
-			return nil, err
-		}
-		if err := p.expect("("); err != nil {
-			return nil, err
-		}
-		if stmt.Column, err = p.ident(); err != nil {
-			return nil, err
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		return stmt, nil
-	default:
-		return nil, p.errorf("expected TABLE or INDEX after CREATE")
-	}
-}
-
-func (p *parser) parseColumnDef() (Column, error) {
-	var col Column
-	name, err := p.ident()
-	if err != nil {
-		return col, err
-	}
-	col.Name = name
-	typName, err := p.ident()
-	if err != nil {
-		return col, err
-	}
-	col.Type, err = ParseType(typName)
-	if err != nil {
-		return col, p.errorf("%v", err)
-	}
-	for {
-		switch {
-		case p.acceptKeyword("PRIMARY"):
-			if err := p.expectKeyword("KEY"); err != nil {
-				return col, err
-			}
-			col.PrimaryKey = true
-			col.NotNull = true
-		case p.acceptKeyword("NOT"):
-			if err := p.expectKeyword("NULL"); err != nil {
-				return col, err
-			}
-			col.NotNull = true
-		case p.acceptKeyword("UNIQUE"):
-			col.Unique = true
-		default:
-			return col, nil
-		}
-	}
-}
-
-func (p *parser) parseInsert() (Statement, error) {
-	p.i++ // INSERT
-	if err := p.expectKeyword("INTO"); err != nil {
-		return nil, err
-	}
-	stmt := &InsertStmt{}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	stmt.Table = name
-	if p.accept("(") {
-		for {
-			c, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			stmt.Columns = append(stmt.Columns, c)
-			if p.accept(",") {
-				continue
-			}
-			break
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-	}
-	if err := p.expectKeyword("VALUES"); err != nil {
-		return nil, err
-	}
-	for {
-		if err := p.expect("("); err != nil {
-			return nil, err
-		}
-		var row []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if p.accept(",") {
-				continue
-			}
-			break
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		stmt.Rows = append(stmt.Rows, row)
-		if p.accept(",") {
-			continue
-		}
-		break
-	}
-	return stmt, nil
-}
-
-func (p *parser) parseUpdate() (Statement, error) {
-	p.i++ // UPDATE
-	stmt := &UpdateStmt{}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	stmt.Table = name
-	if err := p.expectKeyword("SET"); err != nil {
-		return nil, err
-	}
-	for {
-		col, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("="); err != nil {
-			return nil, err
-		}
-		val, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Set = append(stmt.Set, Assignment{Column: col, Value: val})
-		if p.accept(",") {
-			continue
-		}
-		break
-	}
-	if p.acceptKeyword("WHERE") {
-		if stmt.Where, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
-	}
-	return stmt, nil
-}
-
-func (p *parser) parseDelete() (Statement, error) {
-	p.i++ // DELETE
-	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
-	}
-	stmt := &DeleteStmt{}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	stmt.Table = name
-	if p.acceptKeyword("WHERE") {
-		if stmt.Where, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
-	}
-	return stmt, nil
-}
-
-func (p *parser) parseSelect() (Statement, error) {
+func (p *parser) parseSelect() (*SelectStmt, error) {
 	p.i++ // SELECT
 	stmt := &SelectStmt{}
 	stmt.Distinct = p.acceptKeyword("DISTINCT")

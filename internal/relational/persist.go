@@ -157,7 +157,7 @@ func (db *DB) Load(r io.Reader) error {
 			}
 			cols[i] = Column{Name: sc.Name, Type: typ, NotNull: sc.NotNull, Unique: sc.Unique, PrimaryKey: sc.PrimaryKey}
 		}
-		if err := db.createTableLocked(st.Name, cols, false); err != nil {
+		if err := db.createTableLocked(st.Name, cols); err != nil {
 			return err
 		}
 		t := db.tables[lowered(st.Name)]

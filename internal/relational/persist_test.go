@@ -19,13 +19,9 @@ func TestSaveDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Several secondary indexes so iteration order has room to differ.
-	for _, stmt := range []string{
-		"CREATE INDEX idx_a ON annotations (page)",
-		"CREATE INDEX idx_b ON annotations (property)",
-		"CREATE INDEX idx_c ON annotations (value)",
-		"CREATE INDEX idx_d ON annotations (numeric)",
-	} {
-		if _, err := db.Exec(stmt); err != nil {
+	annotations, _ := db.Table("annotations")
+	for _, col := range []string{"page", "property", "value", "numeric"} {
+		if err := annotations.AddIndex(col); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -36,20 +36,24 @@ func renderResult(rs *ResultSet) string {
 func seedEquivalenceDB(t *testing.T, rng *rand.Rand) *DB {
 	t.Helper()
 	db := NewDB()
-	mustExec := func(sql string) {
-		t.Helper()
-		if _, err := db.Exec(sql); err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-	}
-	mustExec(`CREATE TABLE sensors (id INT PRIMARY KEY, site TEXT, kind TEXT, temp FLOAT, active BOOL)`)
-	mustExec(`CREATE INDEX idx_sensors_kind ON sensors (kind)`)
-	mustExec(`CREATE INDEX idx_sensors_temp ON sensors (temp)`)
-	mustExec(`CREATE TABLE readings (id INT PRIMARY KEY, sensor_id INT, val FLOAT, page TEXT)`)
-	mustExec(`CREATE INDEX idx_readings_sensor ON readings (sensor_id)`)
-	mustExec(`CREATE INDEX idx_readings_val ON readings (val)`)
-	mustExec(`CREATE TABLE tags (id INT PRIMARY KEY, sensor_id INT, label TEXT)`)
-	mustExec(`CREATE INDEX idx_tags_label ON tags (label)`)
+	mustCreate(t, db, "sensors", []Column{
+		pkCol("id", TypeInt),
+		{Name: "site", Type: TypeText},
+		{Name: "kind", Type: TypeText},
+		{Name: "temp", Type: TypeFloat},
+		{Name: "active", Type: TypeBool},
+	}, "kind", "temp")
+	mustCreate(t, db, "readings", []Column{
+		pkCol("id", TypeInt),
+		{Name: "sensor_id", Type: TypeInt},
+		{Name: "val", Type: TypeFloat},
+		{Name: "page", Type: TypeText},
+	}, "sensor_id", "val")
+	mustCreate(t, db, "tags", []Column{
+		pkCol("id", TypeInt),
+		{Name: "sensor_id", Type: TypeInt},
+		{Name: "label", Type: TypeText},
+	}, "label")
 
 	kinds := []string{"temp", "hum", "co2"}
 	sites := []string{"roof", "lab", "yard", "hall"}
@@ -57,27 +61,27 @@ func seedEquivalenceDB(t *testing.T, rng *rand.Rand) *DB {
 
 	ns := 5 + rng.Intn(35)
 	for i := 0; i < ns; i++ {
-		temp := fmt.Sprintf("%g", float64(rng.Intn(40)))
+		temp := Float(float64(rng.Intn(40)))
 		if rng.Intn(6) == 0 {
-			temp = "NULL"
+			temp = Null()
 		}
-		mustExec(fmt.Sprintf("INSERT INTO sensors VALUES (%d, '%s', '%s', %s, %v)",
-			i, sites[rng.Intn(len(sites))], kinds[rng.Intn(len(kinds))], temp, rng.Intn(2) == 0))
+		mustInsert(t, db, "sensors", Row{Int(int64(i)),
+			Text(sites[rng.Intn(len(sites))]), Text(kinds[rng.Intn(len(kinds))]), temp, Bool(rng.Intn(2) == 0)})
 	}
 	nr := 10 + rng.Intn(110)
 	for i := 0; i < nr; i++ {
-		val := fmt.Sprintf("%g", float64(rng.Intn(100)))
+		val := Float(float64(rng.Intn(100)))
 		if rng.Intn(8) == 0 {
-			val = "NULL"
+			val = Null()
 		}
 		// sensor_id occasionally dangles past the sensor range.
-		mustExec(fmt.Sprintf("INSERT INTO readings VALUES (%d, %d, %s, 'p%d')",
-			i, rng.Intn(ns+3), val, rng.Intn(5)))
+		mustInsert(t, db, "readings", Row{Int(int64(i)),
+			Int(int64(rng.Intn(ns + 3))), val, Text(fmt.Sprintf("p%d", rng.Intn(5)))})
 	}
 	nt := rng.Intn(40)
 	for i := 0; i < nt; i++ {
-		mustExec(fmt.Sprintf("INSERT INTO tags VALUES (%d, %d, '%s')",
-			i, rng.Intn(ns+2), labels[rng.Intn(len(labels))]))
+		mustInsert(t, db, "tags", Row{Int(int64(i)),
+			Int(int64(rng.Intn(ns + 2))), Text(labels[rng.Intn(len(labels))])})
 	}
 	return db
 }
@@ -250,24 +254,19 @@ func TestPlannerFallbackEquivalence(t *testing.T) {
 func seedExplainDB(t *testing.T) *DB {
 	t.Helper()
 	db := NewDB()
-	mustExec := func(sql string) {
-		t.Helper()
-		if _, err := db.Exec(sql); err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-	}
-	mustExec(`CREATE TABLE pages (id INT PRIMARY KEY, title TEXT, author TEXT)`)
-	mustExec(`CREATE TABLE annotations (id INT PRIMARY KEY, page_id INT, property TEXT, value TEXT)`)
-	mustExec(`CREATE INDEX idx_ann_page ON annotations (page_id)`)
-	mustExec(`CREATE INDEX idx_ann_prop ON annotations (property)`)
-	mustExec(`CREATE TABLE tags (id INT PRIMARY KEY, page_id INT, label TEXT)`)
-	mustExec(`CREATE INDEX idx_tags_label ON tags (label)`)
+	mustCreate(t, db, "pages", []Column{pkCol("id", TypeInt), {Name: "title", Type: TypeText}, {Name: "author", Type: TypeText}})
+	mustCreate(t, db, "annotations", []Column{
+		pkCol("id", TypeInt),
+		{Name: "page_id", Type: TypeInt},
+		{Name: "property", Type: TypeText},
+		{Name: "value", Type: TypeText},
+	}, "page_id", "property")
+	mustCreate(t, db, "tags", []Column{pkCol("id", TypeInt), {Name: "page_id", Type: TypeInt}, {Name: "label", Type: TypeText}}, "label")
 	props := []string{"measures", "locatedIn", "hasUnit", "partOf"}
 	for i := 0; i < 50; i++ {
-		mustExec(fmt.Sprintf("INSERT INTO pages VALUES (%d, 'Sensor %d', 'author%d')", i, i, i%5))
+		mustInsert(t, db, "pages", Row{Int(int64(i)), Text(fmt.Sprintf("Sensor %d", i)), Text(fmt.Sprintf("author%d", i%5))})
 		for j := 0; j < 4; j++ {
-			mustExec(fmt.Sprintf("INSERT INTO annotations VALUES (%d, %d, '%s', 'v%d')",
-				i*4+j, i, props[j], j))
+			mustInsert(t, db, "annotations", Row{Int(int64(i*4 + j)), Int(int64(i)), Text(props[j]), Text(fmt.Sprintf("v%d", j))})
 		}
 	}
 	for i := 0; i < 25; i++ {
@@ -275,7 +274,7 @@ func seedExplainDB(t *testing.T) *DB {
 		if i%5 == 0 {
 			label = "urgent"
 		}
-		mustExec(fmt.Sprintf("INSERT INTO tags VALUES (%d, %d, '%s')", i, i*2, label))
+		mustInsert(t, db, "tags", Row{Int(int64(i)), Int(int64(i * 2)), Text(label)})
 	}
 	return db
 }
@@ -426,16 +425,9 @@ func TestPlannerStatsCounters(t *testing.T) {
 func benchJoinDB(b *testing.B) *DB {
 	b.Helper()
 	db := NewDB()
-	mustExec := func(sql string) {
-		b.Helper()
-		if _, err := db.Exec(sql); err != nil {
-			b.Fatalf("%s: %v", sql, err)
-		}
-	}
-	mustExec(`CREATE TABLE r1 (id INT PRIMARY KEY, x INT)`)
-	mustExec(`CREATE TABLE r2 (id INT PRIMARY KEY, x INT, y INT)`)
-	mustExec(`CREATE TABLE s (id INT PRIMARY KEY, y INT, z INT)`)
-	mustExec(`CREATE INDEX idx_s_z ON s (z)`)
+	mustCreate(b, db, "r1", []Column{pkCol("id", TypeInt), {Name: "x", Type: TypeInt}})
+	mustCreate(b, db, "r2", []Column{pkCol("id", TypeInt), {Name: "x", Type: TypeInt}, {Name: "y", Type: TypeInt}})
+	mustCreate(b, db, "s", []Column{pkCol("id", TypeInt), {Name: "y", Type: TypeInt}, {Name: "z", Type: TypeInt}}, "z")
 	for i := 0; i < 2000; i++ {
 		if _, err := db.Insert("r1", Row{Int(int64(i)), Int(int64(i % 20))}); err != nil {
 			b.Fatal(err)
@@ -485,12 +477,7 @@ func BenchmarkJoinPlanner(b *testing.B) {
 // at 10k rows against the sort-after-materialize baseline.
 func BenchmarkOrderByIndex(b *testing.B) {
 	db := NewDB()
-	if _, err := db.Exec(`CREATE TABLE t (id INT PRIMARY KEY, val FLOAT, page TEXT)`); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := db.Exec(`CREATE INDEX idx_t_val ON t (val)`); err != nil {
-		b.Fatal(err)
-	}
+	mustCreate(b, db, "t", []Column{pkCol("id", TypeInt), {Name: "val", Type: TypeFloat}, {Name: "page", Type: TypeText}}, "val")
 	for i := 0; i < 10000; i++ {
 		row := Row{Int(int64(i)), Float(float64((i * 7919) % 10007)), Text(fmt.Sprintf("p%d", i%7))}
 		if _, err := db.Insert("t", row); err != nil {

@@ -23,14 +23,16 @@ func TestSelectAgainstReferenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {
 		db := NewDB()
-		if _, err := db.Exec(`CREATE TABLE t (id INT PRIMARY KEY, name TEXT, val FLOAT, flag BOOL)`); err != nil {
-			t.Fatal(err)
-		}
+		var indexes []string
 		if rng.Intn(2) == 0 {
-			if _, err := db.Exec(`CREATE INDEX idx_val ON t (val)`); err != nil {
-				t.Fatal(err)
-			}
+			indexes = append(indexes, "val")
 		}
+		mustCreate(t, db, "t", []Column{
+			pkCol("id", TypeInt),
+			{Name: "name", Type: TypeText},
+			{Name: "val", Type: TypeFloat},
+			{Name: "flag", Type: TypeBool},
+		}, indexes...)
 		n := 20 + rng.Intn(60)
 		rows := make([]refRow, n)
 		names := []string{"alpha", "beta", "gamma", "delta"}
@@ -41,12 +43,7 @@ func TestSelectAgainstReferenceProperty(t *testing.T) {
 				val:  float64(rng.Intn(100)),
 				flag: rng.Intn(2) == 0,
 			}
-			_, err := db.Exec(fmt.Sprintf(
-				"INSERT INTO t VALUES (%d, '%s', %g, %v)",
-				rows[i].id, rows[i].name, rows[i].val, rows[i].flag))
-			if err != nil {
-				t.Fatal(err)
-			}
+			mustInsert(t, db, "t", Row{Int(rows[i].id), Text(rows[i].name), Float(rows[i].val), Bool(rows[i].flag)})
 		}
 
 		// Random predicate.
@@ -134,9 +131,7 @@ func TestAggregateAgainstReferenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 20; trial++ {
 		db := NewDB()
-		if _, err := db.Exec(`CREATE TABLE t (grp TEXT, val INT)`); err != nil {
-			t.Fatal(err)
-		}
+		mustCreate(t, db, "t", []Column{{Name: "grp", Type: TypeText}, {Name: "val", Type: TypeInt}})
 		groups := []string{"a", "b", "c"}
 		sums := map[string]int64{}
 		counts := map[string]int64{}
@@ -146,9 +141,7 @@ func TestAggregateAgainstReferenceProperty(t *testing.T) {
 			v := int64(rng.Intn(20))
 			sums[g] += v
 			counts[g]++
-			if _, err := db.Exec(fmt.Sprintf("INSERT INTO t VALUES ('%s', %d)", g, v)); err != nil {
-				t.Fatal(err)
-			}
+			mustInsert(t, db, "t", Row{Text(g), Int(v)})
 		}
 		rs, err := db.Query("SELECT grp, SUM(val), COUNT(*) FROM t GROUP BY grp ORDER BY grp")
 		if err != nil {

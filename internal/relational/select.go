@@ -15,16 +15,6 @@ import (
 // and the ORDER BY strategy are chosen here from table/index cardinality
 // stats; no row is touched during compilation.
 
-// execSelect runs a SELECT through the cost-based planner. Callers hold at
-// least a read lock.
-func (db *DB) execSelect(s *SelectStmt) (*ResultSet, error) {
-	p, err := db.compileSelect(s, false)
-	if err != nil {
-		return nil, err
-	}
-	return db.runPlan(p)
-}
-
 // selSource is one resolved FROM/JOIN table, in written order.
 type selSource struct {
 	ref   TableRef
@@ -802,8 +792,8 @@ func safePushdown(e Expr) bool {
 }
 
 // indexCondFor matches `col op literal` (either side) against the source's
-// indexes, the same shapes indexLookupIDs accepts, and prices the lookup
-// exactly via the index's O(log n) count methods.
+// indexes and prices the lookup exactly via the index's O(log n) count
+// methods.
 func indexCondFor(e Expr, src selSource) (indexCond, bool) {
 	b, ok := e.(*Binary)
 	if !ok {
@@ -1048,86 +1038,4 @@ func selectLabel(se SelectExpr) string {
 		return strings.ToLower(e.Name)
 	}
 	return "expr"
-}
-
-// indexLookupIDs walks the top-level AND conjuncts of a WHERE expression
-// looking for `col = literal` or a range bound on an indexed column of the
-// table. It returns candidate row ids and whether an index was usable; the
-// full predicate is still re-checked per row afterwards, so over-matching
-// is harmless. UPDATE/DELETE narrow their scans through it; SELECT uses
-// the richer planner above.
-func indexLookupIDs(t *Table, tableName string, where Expr) ([]int64, bool) {
-	var conjuncts []Expr
-	var collect func(e Expr)
-	collect = func(e Expr) {
-		if b, ok := e.(*Binary); ok && b.Op == "AND" {
-			collect(b.L)
-			collect(b.R)
-			return
-		}
-		conjuncts = append(conjuncts, e)
-	}
-	collect(where)
-
-	colOf := func(e Expr) (string, bool) {
-		ref, ok := e.(*ColumnRef)
-		if !ok {
-			return "", false
-		}
-		if ref.Table != "" && !strings.EqualFold(ref.Table, tableName) {
-			return "", false
-		}
-		return ref.Name, true
-	}
-	litOf := func(e Expr) (Value, bool) {
-		l, ok := e.(*Literal)
-		if !ok {
-			return Value{}, false
-		}
-		return l.Val, true
-	}
-
-	for _, e := range conjuncts {
-		b, ok := e.(*Binary)
-		if !ok {
-			continue
-		}
-		col, lit, op := "", Value{}, b.Op
-		if c, okc := colOf(b.L); okc {
-			if v, okl := litOf(b.R); okl {
-				col, lit = c, v
-			}
-		} else if c, okc := colOf(b.R); okc {
-			if v, okl := litOf(b.L); okl {
-				col, lit = c, v
-				// flip the operator for literal-on-left ranges
-				switch op {
-				case "<":
-					op = ">"
-				case "<=":
-					op = ">="
-				case ">":
-					op = "<"
-				case ">=":
-					op = "<="
-				}
-			}
-		}
-		if col == "" {
-			continue
-		}
-		idx, ok := t.Index(col)
-		if !ok {
-			continue
-		}
-		switch op {
-		case "=":
-			return idx.Lookup(lit), true
-		case "<", "<=":
-			return idx.Range(Null(), false, lit, true), true
-		case ">", ">=":
-			return idx.Range(lit, true, Null(), false), true
-		}
-	}
-	return nil, false
 }

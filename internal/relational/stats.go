@@ -8,7 +8,7 @@ import (
 
 // plannerStats tracks what the cost-based planner chose and how good its
 // cardinality estimates turned out to be. It has its own mutex because
-// execSelect runs under the database's read lock: many queries plan and
+// queries run under the database's read lock: many queries plan and
 // record concurrently, and the counters are the only cross-query state.
 type plannerStats struct {
 	mu            sync.Mutex

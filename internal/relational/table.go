@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -53,13 +54,6 @@ func (s *Schema) ColumnIndex(name string) (int, bool) {
 
 // Row is one tuple, positionally matching the schema.
 type Row []Value
-
-// Clone returns an independent copy of the row.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
 
 // Table is a heap of rows plus secondary indexes. Rows are addressed by a
 // stable insertion id; deleted ids leave tombstones so index entries can be
@@ -124,31 +118,6 @@ func (t *Table) AddIndex(col string) error {
 	return nil
 }
 
-// AddColumn appends a column to the schema; existing rows get NULL in the
-// new position. NOT NULL and PRIMARY KEY are rejected (existing rows could
-// not satisfy them); UNIQUE is fine since NULLs are exempt.
-func (t *Table) AddColumn(col Column) error {
-	if col.NotNull || col.PrimaryKey {
-		return fmt.Errorf("relational: cannot add NOT NULL/PRIMARY KEY column %q to non-empty schema", col.Name)
-	}
-	name := strings.ToLower(col.Name)
-	if name == "" {
-		return fmt.Errorf("relational: empty column name")
-	}
-	if _, dup := t.Schema.ColumnIndex(name); dup {
-		return fmt.Errorf("relational: column %q already exists in %s", col.Name, t.Name)
-	}
-	t.Schema.Columns = append(t.Schema.Columns, col)
-	t.Schema.byName[name] = len(t.Schema.Columns) - 1
-	for id, row := range t.rows {
-		t.rows[id] = append(row, Null())
-	}
-	if col.Unique {
-		t.ensureIndex(col.Name, true)
-	}
-	return nil
-}
-
 // Index returns the index on col, if any.
 func (t *Table) Index(col string) (*Index, bool) {
 	idx, ok := t.indexes[strings.ToLower(col)]
@@ -180,28 +149,61 @@ func (t *Table) validate(row Row) (Row, error) {
 
 // Insert appends a row, maintaining all indexes. It returns the new row id.
 func (t *Table) Insert(row Row) (int64, error) {
-	row, err := t.validate(row)
+	rows, err := t.validateReplacement(nil, []Row{row})
 	if err != nil {
 		return 0, err
 	}
+	return t.insertRow(rows[0]), nil
+}
+
+// validateReplacement validates rows as they would stand once the rows
+// with ids in doomed are deleted: every row is coerced and checked by
+// validate, and no non-NULL value of a unique column may repeat among the
+// new rows or appear in a surviving row. Nothing is modified, so a caller
+// that checks first and then applies cannot fail half way.
+func (t *Table) validateReplacement(doomed []int64, rows []Row) ([]Row, error) {
+	out := make([]Row, len(rows))
+	for i, row := range rows {
+		v, err := t.validate(row)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
 	for _, idx := range t.indexes {
-		if idx.Unique && !row[idx.Pos].IsNull() {
-			if ids := idx.Lookup(row[idx.Pos]); len(ids) > 0 {
-				return 0, fmt.Errorf("relational: duplicate value %s for unique column %s.%s",
-					row[idx.Pos], t.Name, idx.Column)
+		if !idx.Unique {
+			continue
+		}
+		for i, row := range out {
+			v := row[idx.Pos]
+			if v.IsNull() {
+				continue
+			}
+			clash := slices.ContainsFunc(out[:i], func(prev Row) bool { return Compare(prev[idx.Pos], v) == 0 })
+			for _, id := range idx.Lookup(v) {
+				clash = clash || !slices.Contains(doomed, id)
+			}
+			if clash {
+				return nil, fmt.Errorf("relational: duplicate value %s for unique column %s.%s",
+					v, t.Name, idx.Column)
 			}
 		}
 	}
+	return out, nil
+}
+
+// insertRow appends a row that validateReplacement accepted and indexes
+// it under a fresh id, which it returns.
+func (t *Table) insertRow(row Row) int64 {
 	id := t.nextID
 	t.nextID++
 	t.rows[id] = row
 	for _, idx := range t.indexes {
-		if err := idx.Insert(row[idx.Pos], id); err != nil {
-			delete(t.rows, id)
-			return 0, err
-		}
+		// Cannot fail: the only Insert error is a unique violation,
+		// which validateReplacement has ruled out.
+		_ = idx.Insert(row[idx.Pos], id)
 	}
-	return id, nil
+	return id
 }
 
 // loadRows bulk-inserts many rows — the snapshot restore path. Every row
@@ -248,34 +250,6 @@ func (t *Table) Delete(id int64) bool {
 	}
 	delete(t.rows, id)
 	return true
-}
-
-// Update replaces the row with the given id, maintaining indexes.
-func (t *Table) Update(id int64, row Row) error {
-	old, ok := t.rows[id]
-	if !ok {
-		return fmt.Errorf("relational: update of missing row %d in %s", id, t.Name)
-	}
-	row, err := t.validate(row)
-	if err != nil {
-		return err
-	}
-	for _, idx := range t.indexes {
-		if idx.Unique && !row[idx.Pos].IsNull() && !Equal(old[idx.Pos], row[idx.Pos]) {
-			if ids := idx.Lookup(row[idx.Pos]); len(ids) > 0 {
-				return fmt.Errorf("relational: duplicate value %s for unique column %s.%s",
-					row[idx.Pos], t.Name, idx.Column)
-			}
-		}
-	}
-	for _, idx := range t.indexes {
-		idx.Delete(old[idx.Pos], id)
-		if err := idx.Insert(row[idx.Pos], id); err != nil {
-			return err
-		}
-	}
-	t.rows[id] = row
-	return nil
 }
 
 // Get returns the row with the given id.

@@ -1,10 +1,12 @@
 // Package relational implements the embedded relational database that backs
 // the Sensor Metadata Repository, standing in for the MySQL instance under
 // Semantic MediaWiki in the original deployment. It provides typed tables
-// with ordered secondary indexes and a SQL subset (CREATE TABLE/INDEX,
-// INSERT, UPDATE, DELETE, SELECT with WHERE, JOIN, GROUP BY, aggregates,
-// ORDER BY, LIMIT/OFFSET) — every query shape the metadata search interface
-// issues.
+// with ordered secondary indexes, a read-only SQL subset (SELECT with
+// WHERE, JOIN, GROUP BY, aggregates, ORDER BY, LIMIT/OFFSET — every query
+// shape the metadata search interface issues) and typed writes: schemas
+// and indexes are built with CreateTable and Table.AddIndex, rows arrive
+// through Insert and ReplaceRows, which swaps all rows of one key across
+// several tables under one lock hold.
 package relational
 
 import (

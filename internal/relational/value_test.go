@@ -2,6 +2,8 @@ package relational
 
 import (
 	"math/rand"
+	"regexp"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -180,5 +182,30 @@ func TestLikePatterns(t *testing.T) {
 		if got := likeMatch(c.s, c.p); got != c.want {
 			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.s, c.p, got, c.want)
 		}
+	}
+}
+
+// TestLikeAgainstRegexpOracle compares LIKE with the equivalent anchored
+// regular expression on random short strings and patterns, and checks that
+// patterns which make naive backtracking exponential still finish.
+func TestLikeAgainstRegexpOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	gen := func(alphabet string, n int) string {
+		b := make([]byte, rng.Intn(n+1))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	for i := 0; i < 20000; i++ {
+		s, p := gen("abA", 8), gen("ab%_", 6)
+		re := "(?is)^" + strings.NewReplacer("%", ".*", "_", ".").Replace(p) + "$"
+		if want := regexp.MustCompile(re).MatchString(s); likeMatch(s, p) != want {
+			t.Fatalf("likeMatch(%q, %q) = %v, want %v", s, p, !want, want)
+		}
+	}
+	s := strings.Repeat("a", 4000)
+	if likeMatch(s, strings.Repeat("%a", 300)+"b") || !likeMatch(s, strings.Repeat("%a", 300)+"%") {
+		t.Error("long wildcard patterns answered wrongly")
 	}
 }

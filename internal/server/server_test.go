@@ -573,3 +573,44 @@ func TestAutoRefreshDebounce(t *testing.T) {
 		t.Errorf("burst of 5 writes caused %d refreshes", n)
 	}
 }
+
+// TestSQLEndpointIsReadOnly pins the /api/sql contract: only SELECT
+// parses, so a write or DDL statement — with or without explain=1 — is a
+// 400 bad_request envelope and leaves every table as it was.
+func TestSQLEndpointIsReadOnly(t *testing.T) {
+	_, ts := newTestServer(t)
+	counts := func() string {
+		var out []string
+		for _, table := range []string{"pages", "annotations", "links", "tags"} {
+			var rs struct{ Rows [][]string }
+			getJSON(t, ts.URL+"/api/sql?q="+urlQ("SELECT COUNT(*) FROM "+table), &rs)
+			out = append(out, table+"="+rs.Rows[0][0])
+		}
+		return strings.Join(out, " ")
+	}
+	before := counts()
+	for _, q := range []string{
+		"DELETE FROM pages",
+		"DROP TABLE pages",
+		"INSERT INTO tags VALUES ('Sensor:X', 'evil', 'mallory', '2011-04-11T00:00:00Z')",
+		"UPDATE pages SET revisions = 0",
+		"CREATE TABLE extra (a INT)",
+		"ALTER TABLE pages ADD COLUMN owner TEXT",
+	} {
+		for _, suffix := range []string{"", "&explain=1"} {
+			code, body := get(t, ts.URL+"/api/sql?q="+urlQ(q)+suffix)
+			var env struct {
+				Error struct{ Code, Message string }
+			}
+			if err := json.Unmarshal([]byte(body), &env); err != nil {
+				t.Fatalf("%s%s: bad JSON %q", q, suffix, body)
+			}
+			if code != http.StatusBadRequest || env.Error.Code != "bad_request" || env.Error.Message == "" {
+				t.Errorf("%s%s: status %d, envelope %+v", q, suffix, code, env.Error)
+			}
+		}
+	}
+	if after := counts(); after != before {
+		t.Errorf("row counts changed: %s -> %s", before, after)
+	}
+}

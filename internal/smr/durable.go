@@ -179,8 +179,8 @@ func Open(dir string, opts DurableOptions) (*Repository, error) {
 				_, err := r.PutPage(op.Title, op.Author, op.Text, op.Comment)
 				return err
 			case walOpDelete:
-				r.DeletePage(op.Title)
-				return nil
+				_, err := r.DeletePage(op.Title)
+				return err
 			case walOpTag:
 				return r.addTagAt(op.Title, op.Tag, op.Author, op.At)
 			}

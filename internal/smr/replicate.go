@@ -111,10 +111,11 @@ func (r *Repository) ApplyReplicated(rec wal.Record) error {
 		_, err := r.PutPage(op.Title, op.Author, op.Text, op.Comment)
 		return err
 	case walOpDelete:
-		if !r.DeletePage(op.Title) {
-			return fmt.Errorf("smr: replicated delete of unknown page %q at seq %d (follower diverged)", op.Title, rec.Seq)
+		existed, err := r.DeletePage(op.Title)
+		if err == nil && !existed {
+			err = fmt.Errorf("smr: replicated delete of unknown page %q at seq %d (follower diverged)", op.Title, rec.Seq)
 		}
-		return nil
+		return err
 	case walOpTag:
 		return r.addTagAt(op.Title, op.Tag, op.Author, op.At)
 	}

@@ -25,6 +25,7 @@ package smr
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -156,13 +157,14 @@ func New() (*Repository, error) {
 			return nil, err
 		}
 	}
-	for _, idx := range []string{
-		"CREATE INDEX idx_ann_page ON annotations (page)",
-		"CREATE INDEX idx_ann_prop ON annotations (property)",
-		"CREATE INDEX idx_links_source ON links (source)",
-		"CREATE INDEX idx_tags_page ON tags (page)",
+	for _, idx := range [][2]string{
+		{"annotations", "page"},
+		{"annotations", "property"},
+		{"links", "source"},
+		{"tags", "page"},
 	} {
-		if _, err := db.Exec(idx); err != nil {
+		t, _ := db.Table(idx[0])
+		if err := t.AddIndex(idx[1]); err != nil {
 			return nil, err
 		}
 	}
@@ -322,65 +324,52 @@ func (r *Repository) PutPages(writes []PageWrite) ([]*wiki.Page, error) {
 	return pages, nil
 }
 
-func sqlQuote(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
-
+// reprojectRelational replaces the page's rows in pages, annotations and
+// links in one ReplaceRows call, so SQL readers see either the previous
+// revision's rows or the new ones, never a mix.
 func (r *Repository) reprojectRelational(page *wiki.Page, author string) error {
-	title := page.Title.String()
-	qt := sqlQuote(title)
-	// Replace the page row.
-	if _, err := r.DB.Exec("DELETE FROM pages WHERE title = " + qt); err != nil {
-		return err
-	}
-	_, err := r.DB.Exec(fmt.Sprintf(
-		"INSERT INTO pages (title, namespace, author, revisions) VALUES (%s, %s, %s, %d)",
-		qt, sqlQuote(string(page.Title.Namespace)), sqlQuote(author), len(page.Revisions)))
-	if err != nil {
-		return err
-	}
-	// Replace annotations and links.
-	if _, err := r.DB.Exec("DELETE FROM annotations WHERE page = " + qt); err != nil {
-		return err
-	}
+	title := relational.Text(page.Title.String())
+	anns := make([]relational.Row, 0, len(page.Annotations))
 	for _, a := range page.Annotations {
-		numeric := "NULL"
-		if f, err := strconv.ParseFloat(a.Value, 64); err == nil {
-			numeric = strconv.FormatFloat(f, 'g', -1, 64)
-		}
-		_, err := r.DB.Exec(fmt.Sprintf(
-			"INSERT INTO annotations (page, property, value, numeric) VALUES (%s, %s, %s, %s)",
-			qt, sqlQuote(strings.ToLower(a.Property)), sqlQuote(a.Value), numeric))
-		if err != nil {
-			return err
-		}
+		anns = append(anns, relational.Row{title,
+			relational.Text(strings.ToLower(a.Property)), relational.Text(a.Value), numericValue(a.Value)})
 	}
-	if _, err := r.DB.Exec("DELETE FROM links WHERE source = " + qt); err != nil {
-		return err
-	}
+	var links []relational.Row
 	seen := map[string]bool{}
-	insertLink := func(target, kind string) error {
+	addLink := func(target, kind string) {
 		key := target + "\x00" + kind
-		if seen[key] {
-			return nil
+		if !seen[key] {
+			seen[key] = true
+			links = append(links, relational.Row{title, relational.Text(target), relational.Text(kind)})
 		}
-		seen[key] = true
-		_, err := r.DB.Exec(fmt.Sprintf(
-			"INSERT INTO links (source, target, kind) VALUES (%s, %s, %s)",
-			qt, sqlQuote(target), sqlQuote(kind)))
-		return err
 	}
 	for _, l := range page.Links {
-		if err := insertLink(l.String(), "page"); err != nil {
-			return err
-		}
+		addLink(l.String(), "page")
 	}
 	for _, a := range page.Annotations {
 		if looksLikeTitle(a.Value) {
-			if err := insertLink(wiki.ParseTitle(a.Value).String(), "semantic"); err != nil {
-				return err
-			}
+			addLink(wiki.ParseTitle(a.Value).String(), "semantic")
 		}
 	}
-	return nil
+	return r.DB.ReplaceRows(title,
+		relational.RowSet{Table: "pages", Column: "title", Rows: []relational.Row{{title,
+			relational.Text(string(page.Title.Namespace)), relational.Text(author),
+			relational.Int(int64(len(page.Revisions)))}}},
+		relational.RowSet{Table: "annotations", Column: "page", Rows: anns},
+		relational.RowSet{Table: "links", Column: "source", Rows: links})
+}
+
+// numericValue is the annotations.numeric projection of a value: the
+// number it spells, or NULL when it spells no finite number. ParseFloat
+// accepts NaN and ±Inf, but a NaN would break the total order the numeric
+// index relies on, and no SQL literal can be compared against either.
+func numericValue(v string) relational.Value {
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+		return relational.Null()
+	}
+	// Adding 0 stores -0 as 0, so each number has one snapshot encoding.
+	return relational.Float(f + 0)
 }
 
 // looksLikeTitle reports whether an annotation value references a page
@@ -429,34 +418,40 @@ func (r *Repository) reprojectRDF(page *wiki.Page) {
 	}
 }
 
-// DeletePage removes a page from all three projections.
-func (r *Repository) DeletePage(title string) bool {
+// DeletePage removes a page from all three projections and reports
+// whether it existed. The relational rows go first, in one ReplaceRows
+// call, so an error there leaves the page fully in place. The durability
+// contract matches PutPage: a WAL append failure is returned as an error
+// with the page already gone.
+func (r *Repository) DeletePage(title string) (bool, error) {
 	r.mu.Lock()
 	canonical := wiki.ParseTitle(title).String()
-	if !r.Wiki.Delete(canonical) {
+	if _, ok := r.Wiki.Get(canonical); !ok {
 		r.mu.Unlock()
-		return false
+		return false, nil
 	}
-	qt := sqlQuote(canonical)
-	r.DB.Exec("DELETE FROM pages WHERE title = " + qt)
-	r.DB.Exec("DELETE FROM annotations WHERE page = " + qt)
-	r.DB.Exec("DELETE FROM links WHERE source = " + qt)
-	r.DB.Exec("DELETE FROM tags WHERE page = " + qt)
+	err := r.DB.ReplaceRows(relational.Text(canonical),
+		relational.RowSet{Table: "pages", Column: "title"},
+		relational.RowSet{Table: "annotations", Column: "page"},
+		relational.RowSet{Table: "links", Column: "source"},
+		relational.RowSet{Table: "tags", Column: "page"})
+	if err != nil {
+		r.mu.Unlock()
+		return false, fmt.Errorf("smr: relational projection of %s: %w", canonical, err)
+	}
+	r.Wiki.Delete(canonical)
 	subj := PageIRI(canonical)
 	for _, t := range r.RDF.Match(&subj, nil, nil) {
 		r.RDF.Remove(t)
 	}
 	// Removing a node always changes the link graph.
 	seq := r.journal.Append(ChangeDelete, canonical, true)
-	// A failed WAL append or commit cannot be reported through the boolean
-	// return; the page is gone in memory either way, so it is surfaced in
-	// WALStats.AppendErrs rather than pretending the delete did not happen.
 	commit, err := r.stageMutation(seq, WALOp{Op: walOpDelete, Title: canonical, At: r.Wiki.Now()})
 	r.mu.Unlock()
-	if err == nil {
-		r.commitStaged(commit)
+	if err != nil {
+		return true, err
 	}
-	return true
+	return true, r.commitStaged(commit)
 }
 
 // QuerySQL runs a SQL query against the relational projection.
@@ -505,6 +500,10 @@ func (r *Repository) Properties() ([]string, error) {
 	return out, nil
 }
 
+// sqlQuote renders s as a SQL string literal for the read-only queries
+// below.
+func sqlQuote(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
+
 // PropertyValues lists the distinct values of one property, sorted — the
 // second-level dynamic drop-down.
 func (r *Repository) PropertyValues(property string) ([]string, error) {
@@ -549,10 +548,8 @@ func (r *Repository) addTagLocked(page, tag, author string, created time.Time) (
 	}
 	canonical := wiki.ParseTitle(page).String()
 	normalized := strings.ToLower(strings.TrimSpace(tag))
-	_, err := r.DB.Exec(fmt.Sprintf(
-		"INSERT INTO tags (page, tag, author, created) VALUES (%s, %s, %s, %s)",
-		sqlQuote(canonical), sqlQuote(normalized), sqlQuote(author),
-		sqlQuote(created.UTC().Format(time.RFC3339Nano))))
+	_, err := r.DB.Insert("tags", relational.Row{relational.Text(canonical), relational.Text(normalized),
+		relational.Text(author), relational.Text(created.UTC().Format(time.RFC3339Nano))})
 	if err != nil {
 		return nil, err
 	}

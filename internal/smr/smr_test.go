@@ -138,11 +138,11 @@ func TestRevisionUpdateReplacesProjections(t *testing.T) {
 
 func TestDeletePage(t *testing.T) {
 	r := seedRepo(t)
-	if !r.DeletePage("Sensor:Wind-01") {
-		t.Fatal("delete failed")
+	if ok, err := r.DeletePage("Sensor:Wind-01"); !ok || err != nil {
+		t.Fatalf("delete = %v, %v", ok, err)
 	}
-	if r.DeletePage("Sensor:Wind-01") {
-		t.Error("double delete succeeded")
+	if ok, err := r.DeletePage("Sensor:Wind-01"); ok || err != nil {
+		t.Errorf("double delete = %v, %v", ok, err)
 	}
 	rs, _ := r.QuerySQL("SELECT COUNT(*) FROM annotations WHERE page = 'Sensor:Wind-01'")
 	if rs.Rows[0][0].Int64() != 0 {

@@ -161,8 +161,8 @@ func TestLoadSnapshotSeqContinuity(t *testing.T) {
 	r := newRepo(t)
 	put(t, r, "Sensor:Keep", "[[measures::wind speed]]")
 	put(t, r, "Sensor:Gone", "[[measures::temperature]]")
-	if !r.DeletePage("Sensor:Gone") {
-		t.Fatal("delete failed")
+	if ok, err := r.DeletePage("Sensor:Gone"); !ok || err != nil {
+		t.Fatalf("delete = %v, %v", ok, err)
 	}
 	if r.LastSeq() != 3 {
 		t.Fatalf("live seq = %d, want 3", r.LastSeq())

@@ -147,8 +147,8 @@ func TestTagEntryBeforeDeleteRecreateInOneRun(t *testing.T) {
 	if err := repo.AddTag("Sensor:X", "pressure", "t"); err != nil {
 		t.Fatal(err)
 	}
-	if !repo.DeletePage("Sensor:X") {
-		t.Fatal("delete failed")
+	if ok, err := repo.DeletePage("Sensor:X"); !ok || err != nil {
+		t.Fatalf("delete = %v, %v", ok, err)
 	}
 	if _, err := repo.PutPage("Sensor:X", "t", "relocated, no annotations", ""); err != nil {
 		t.Fatal(err)

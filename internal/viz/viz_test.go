@@ -220,10 +220,11 @@ func TestHTMLTable(t *testing.T) {
 
 func TestResultSetTable(t *testing.T) {
 	db := relational.NewDB()
-	if _, err := db.Exec("CREATE TABLE t (a INT, b TEXT)"); err != nil {
+	err := db.CreateTable("t", []relational.Column{{Name: "a", Type: relational.TypeInt}, {Name: "b", Type: relational.TypeText}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec("INSERT INTO t VALUES (1, 'x')"); err != nil {
+	if _, err := db.Insert("t", relational.Row{relational.Int(1), relational.Text("x")}); err != nil {
 		t.Fatal(err)
 	}
 	rs, err := db.Query("SELECT * FROM t")
