@@ -13,7 +13,7 @@ import (
 // DB is an embedded relational database: a set of named tables guarded by a
 // single readers–writer lock. SQL is read-only and enters through Query,
 // QueryWith, Explain and EstimateSelect; rows are written through the typed
-// calls Insert and ReplaceRows.
+// calls Insert, ReplaceRows and LoadRows.
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
@@ -76,6 +76,20 @@ func (db *DB) Insert(table string, row Row) (int64, error) {
 		return 0, fmt.Errorf("relational: no table %q", table)
 	}
 	return t.Insert(row)
+}
+
+// LoadRows bulk-appends rows to a table under the write lock — the
+// snapshot restore path. Each index is rebuilt once from the full table
+// instead of being maintained per row, so a restore is O(rows log rows).
+// On any error, including a unique violation, the table is left as it was.
+func (db *DB) LoadRows(table string, rows []Row) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	t, ok := db.tables[strings.ToLower(table)]
+	if !ok {
+		return fmt.Errorf("relational: no table %q", table)
+	}
+	return t.loadRows(rows)
 }
 
 // RowSet is one table's part of a ReplaceRows call: the rows whose Column

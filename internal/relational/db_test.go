@@ -1,7 +1,6 @@
 package relational
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -457,63 +456,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	db := newSensorDB(t)
-	sensors, _ := db.Table("sensors")
-	if err := sensors.AddIndex("deployment"); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	restored := NewDB()
-	if err := restored.Load(strings.NewReader(buf.String())); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{
-		`SELECT COUNT(*) FROM sensors`,
-		`SELECT COUNT(*) FROM deployments`,
-		`SELECT name FROM sensors WHERE deployment = 'davos' ORDER BY name`,
-	} {
-		a, err := db.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := restored.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a.Rows) != len(b.Rows) {
-			t.Fatalf("%q: %d vs %d rows after restore", q, len(a.Rows), len(b.Rows))
-		}
-		for i := range a.Rows {
-			for j := range a.Rows[i] {
-				if a.Rows[i][j].String() != b.Rows[i][j].String() {
-					t.Errorf("%q row %d col %d: %v vs %v", q, i, j, a.Rows[i][j], b.Rows[i][j])
-				}
-			}
-		}
-	}
-	// NULL survives the round trip.
-	rs, _ := restored.Query(`SELECT deployment FROM sensors WHERE id = 5`)
-	if !rs.Rows[0][0].IsNull() {
-		t.Error("NULL did not survive snapshot round trip")
-	}
-}
-
-func TestLoadRejectsNonEmptyDB(t *testing.T) {
-	db := newSensorDB(t)
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Load(&buf); err == nil {
-		t.Error("Load into non-empty database accepted")
-	}
-}
-
 func TestProgrammaticAPI(t *testing.T) {
 	db := NewDB()
 	err := db.CreateTable("t", []Column{
@@ -708,13 +650,7 @@ func TestIndexedDeleteUpdate(t *testing.T) {
 // set — rejects the whole call before anything changes.
 func TestReplaceRowsIsAllOrNothing(t *testing.T) {
 	db := newSensorDB(t)
-	before := func() string {
-		var b strings.Builder
-		if err := db.Save(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
+	before := func() string { return dumpTables(db) }
 	want := before()
 	// good is valid on its own: key 3 matches no deployment name, so it
 	// only inserts.
@@ -747,5 +683,75 @@ func TestReplaceRowsIsAllOrNothing(t *testing.T) {
 	rs, _ := db.Query(`SELECT name FROM sensors WHERE id = 3`)
 	if len(rs.Rows) != 1 || rs.Rows[0][0].Text0() != "snow-08" {
 		t.Errorf("replaced row = %v", rs.Rows)
+	}
+}
+
+// dumpTables renders every table's live rows with their ids, in scan
+// order: two databases with equal dumps answer every query identically.
+func dumpTables(db *DB) string {
+	var b strings.Builder
+	for _, name := range db.TableNames() {
+		tab, _ := db.Table(name)
+		fmt.Fprintf(&b, "%s:\n", name)
+		tab.Scan(func(id int64, row Row) bool {
+			fmt.Fprintf(&b, "%d", id)
+			for _, v := range row {
+				if v.IsNull() {
+					b.WriteString(" NULL")
+				} else {
+					fmt.Fprintf(&b, " %s:%q", v.Type(), v.String())
+				}
+			}
+			b.WriteByte('\n')
+			return true
+		})
+	}
+	return b.String()
+}
+
+// TestLoadRejectsUniqueViolation covers the bulk-load error path: rows
+// with a duplicate primary key — among themselves or against a row already
+// present — fail cleanly and leave the table as it was, rows and indexes
+// in agreement.
+func TestLoadRejectsUniqueViolation(t *testing.T) {
+	db := NewDB()
+	if err := db.CreateTable("pages", []Column{
+		{Name: "title", Type: TypeText, PrimaryKey: true},
+		{Name: "namespace", Type: TypeText},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Insert("pages", Row{Text("A"), Text("")}); err != nil {
+		t.Fatal(err)
+	}
+	want := dumpTables(db)
+	for name, rows := range map[string][]Row{
+		"duplicate of a present row": {{Text("B"), Null()}, {Text("A"), Null()}},
+		"duplicate within the load":  {{Text("B"), Null()}, {Text("B"), Null()}},
+		"NULL primary key":           {{Text("B"), Null()}, {Null(), Null()}},
+	} {
+		if err := db.LoadRows("pages", rows); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if got := dumpTables(db); got != want {
+			t.Fatalf("%s: rejected load changed the table:\n%s\nwant\n%s", name, got, want)
+		}
+	}
+	if err := db.LoadRows("missing", nil); err == nil {
+		t.Error("load into a missing table accepted")
+	}
+	// The failed loads rolled back: a clean load appends after the
+	// present row, and the index agrees with the rows.
+	if err := db.LoadRows("pages", []Row{{Text("B"), Text("x")}, {Text("C"), Null()}}); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table("pages")
+	idx, ok := tbl.Index("title")
+	if !ok || tbl.NumRows() != 3 || idx.Len() != tbl.NumRows() {
+		t.Fatalf("after clean load: %d rows, index holds %d", tbl.NumRows(), idx.Len())
+	}
+	rs, _ := db.Query(`SELECT title FROM pages`)
+	if got, want := renderResult(rs), "title\nTEXT:A\nTEXT:B\nTEXT:C\n"; got != want {
+		t.Errorf("scan order after load:\n got %q\nwant %q", got, want)
 	}
 }

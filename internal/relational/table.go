@@ -206,7 +206,7 @@ func (t *Table) insertRow(row Row) int64 {
 	return id
 }
 
-// loadRows bulk-inserts many rows — the snapshot restore path. Every row
+// loadRows bulk-inserts many rows (DB.LoadRows). Every row
 // is validated and appended, then each index is rebuilt once from the full
 // row map instead of being maintained per insert. On any error (including
 // a unique violation) the table is restored to its prior state.

@@ -5,8 +5,9 @@
 // WHERE, JOIN, GROUP BY, aggregates, ORDER BY, LIMIT/OFFSET — every query
 // shape the metadata search interface issues) and typed writes: schemas
 // and indexes are built with CreateTable and Table.AddIndex, rows arrive
-// through Insert and ReplaceRows, which swaps all rows of one key across
-// several tables under one lock hold.
+// through Insert, through ReplaceRows, which swaps all rows of one key
+// across several tables under one lock hold, and through LoadRows, which
+// bulk-appends a restored table.
 package relational
 
 import (
@@ -42,23 +43,6 @@ func (t Type) String() string {
 		return "BOOL"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
-	}
-}
-
-// ParseType maps a SQL type name to a Type. It accepts the common aliases
-// (INTEGER, BIGINT, REAL, DOUBLE, VARCHAR, STRING, BOOLEAN).
-func ParseType(s string) (Type, error) {
-	switch strings.ToUpper(s) {
-	case "INT", "INTEGER", "BIGINT":
-		return TypeInt, nil
-	case "FLOAT", "REAL", "DOUBLE":
-		return TypeFloat, nil
-	case "TEXT", "VARCHAR", "STRING", "CHAR":
-		return TypeText, nil
-	case "BOOL", "BOOLEAN":
-		return TypeBool, nil
-	default:
-		return 0, fmt.Errorf("relational: unknown type %q", s)
 	}
 }
 

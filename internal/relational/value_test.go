@@ -96,23 +96,6 @@ func TestCoerce(t *testing.T) {
 	}
 }
 
-func TestParseType(t *testing.T) {
-	for in, want := range map[string]Type{
-		"int": TypeInt, "INTEGER": TypeInt, "BigInt": TypeInt,
-		"float": TypeFloat, "REAL": TypeFloat, "double": TypeFloat,
-		"text": TypeText, "VARCHAR": TypeText, "string": TypeText,
-		"bool": TypeBool, "BOOLEAN": TypeBool,
-	} {
-		got, err := ParseType(in)
-		if err != nil || got != want {
-			t.Errorf("ParseType(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseType("BLOB"); err == nil {
-		t.Error("unknown type accepted")
-	}
-}
-
 func randomValue(rng *rand.Rand) Value {
 	switch rng.Intn(5) {
 	case 0:

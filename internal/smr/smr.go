@@ -259,7 +259,7 @@ func (r *Repository) putPageLocked(title, author, text, comment string) (*wiki.P
 		return nil, nil, err
 	}
 	canonical := page.Title.String()
-	if err := r.reprojectRelational(page, author); err != nil {
+	if err := r.reprojectRelational(page); err != nil {
 		return nil, nil, fmt.Errorf("smr: relational projection of %s: %w", canonical, err)
 	}
 	r.reprojectRDF(page)
@@ -327,14 +327,29 @@ func (r *Repository) PutPages(writes []PageWrite) ([]*wiki.Page, error) {
 // reprojectRelational replaces the page's rows in pages, annotations and
 // links in one ReplaceRows call, so SQL readers see either the previous
 // revision's rows or the new ones, never a mix.
-func (r *Repository) reprojectRelational(page *wiki.Page, author string) error {
+func (r *Repository) reprojectRelational(page *wiki.Page) error {
+	pageRow, anns, links := relationalRows(page)
+	return r.DB.ReplaceRows(pageRow[0],
+		relational.RowSet{Table: "pages", Column: "title", Rows: []relational.Row{pageRow}},
+		relational.RowSet{Table: "annotations", Column: "page", Rows: anns},
+		relational.RowSet{Table: "links", Column: "source", Rows: links})
+}
+
+// relationalRows builds the rows a page projects into pages, annotations
+// and links. The pages row records the latest revision's author and the
+// revision count. The write path replaces a page's rows with them, and
+// snapshot restore bulk-loads them, so both produce the same rows in the
+// same order.
+func relationalRows(page *wiki.Page) (pageRow relational.Row, anns, links []relational.Row) {
 	title := relational.Text(page.Title.String())
-	anns := make([]relational.Row, 0, len(page.Annotations))
+	pageRow = relational.Row{title, relational.Text(string(page.Title.Namespace)),
+		relational.Text(page.Revisions[len(page.Revisions)-1].Author),
+		relational.Int(int64(len(page.Revisions)))}
+	anns = make([]relational.Row, 0, len(page.Annotations))
 	for _, a := range page.Annotations {
 		anns = append(anns, relational.Row{title,
 			relational.Text(strings.ToLower(a.Property)), relational.Text(a.Value), numericValue(a.Value)})
 	}
-	var links []relational.Row
 	seen := map[string]bool{}
 	addLink := func(target, kind string) {
 		key := target + "\x00" + kind
@@ -351,12 +366,7 @@ func (r *Repository) reprojectRelational(page *wiki.Page, author string) error {
 			addLink(wiki.ParseTitle(a.Value).String(), "semantic")
 		}
 	}
-	return r.DB.ReplaceRows(title,
-		relational.RowSet{Table: "pages", Column: "title", Rows: []relational.Row{{title,
-			relational.Text(string(page.Title.Namespace)), relational.Text(author),
-			relational.Int(int64(len(page.Revisions)))}}},
-		relational.RowSet{Table: "annotations", Column: "page", Rows: anns},
-		relational.RowSet{Table: "links", Column: "source", Rows: links})
+	return pageRow, anns, links
 }
 
 // numericValue is the annotations.numeric projection of a value: the
@@ -368,7 +378,7 @@ func numericValue(v string) relational.Value {
 	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 		return relational.Null()
 	}
-	// Adding 0 stores -0 as 0, so each number has one snapshot encoding.
+	// Adding 0 stores -0 as 0, so each number has one stored form.
 	return relational.Float(f + 0)
 }
 
@@ -538,25 +548,31 @@ func (r *Repository) AddTag(page, tag, author string) error {
 	return r.commitStaged(commit)
 }
 
-// addTagLocked is AddTag with an explicit timestamp — the restore paths
-// (snapshot tag replay, WAL tail replay) pass the original creation time
-// instead of the live clock. Caller holds mu and must pass the returned
-// commit to commitStaged after releasing it.
+// addTagLocked is AddTag with an explicit timestamp — WAL tail replay and
+// replication pass the original creation time instead of the live clock.
+// Caller holds mu and must pass the returned commit to commitStaged after
+// releasing it.
 func (r *Repository) addTagLocked(page, tag, author string, created time.Time) (func() error, error) {
 	if _, ok := r.Wiki.Get(page); !ok {
 		return nil, fmt.Errorf("smr: tagging unknown page %q", page)
 	}
-	canonical := wiki.ParseTitle(page).String()
-	normalized := strings.ToLower(strings.TrimSpace(tag))
-	_, err := r.DB.Insert("tags", relational.Row{relational.Text(canonical), relational.Text(normalized),
-		relational.Text(author), relational.Text(created.UTC().Format(time.RFC3339Nano))})
-	if err != nil {
+	row := tagRow(page, tag, author, created)
+	if _, err := r.DB.Insert("tags", row); err != nil {
 		return nil, err
 	}
+	canonical, normalized := row[0].Text0(), row[1].Text0()
 	seq := r.journal.AppendTag(canonical, normalized)
 	return r.stageMutation(seq, WALOp{
 		Op: walOpTag, Title: canonical, Tag: normalized, Author: author, At: created,
 	})
+}
+
+// tagRow builds the tags row of one assignment: the canonical page title,
+// the tag lower-cased and trimmed, and the creation time as RFC 3339 text.
+func tagRow(page, tag, author string, created time.Time) relational.Row {
+	return relational.Row{relational.Text(wiki.ParseTitle(page).String()),
+		relational.Text(strings.ToLower(strings.TrimSpace(tag))), relational.Text(author),
+		relational.Text(created.UTC().Format(time.RFC3339Nano))}
 }
 
 // TagCounts returns tag -> frequency over all pages. Values of metadata

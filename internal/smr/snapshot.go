@@ -1,7 +1,6 @@
 package smr
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,25 +14,29 @@ import (
 // Snapshotting persists the authoritative state — wiki pages with their
 // full revision history plus user tags — under one consistent view (the
 // repository mutation lock), so a snapshot taken during a write burst can
-// never hold tags whose pages are missing from its own page list.
+// never hold tags whose pages are missing from its own page list. The
+// relational and RDF projections are not stored: restore rebuilds them
+// from the pages with the write path's own row builder (relationalRows)
+// and reprojectRDF, so a snapshot cannot carry a projection that disagrees
+// with its pages.
 //
-// Format version 2 additionally embeds:
+// Format version 2 adds to version 1:
 //
 //   - the journal sequence number the snapshot captures, so a restore
 //     continues the durable numbering instead of restarting from 1 (the
 //     WAL tail and every consumer position depend on it);
-//   - per-tag creation timestamps (version 1 lost them);
-//   - the relational projection (internal/relational's own snapshot
-//     format), so restore installs rows directly instead of re-executing
-//     SQL for every replayed revision — the difference between a cold
-//     start bounded by JSON decoding and one bounded by the write path.
+//   - per-tag creation timestamps (version 1 lost them; restore stamps
+//     such tags with the repository clock).
 //
-// Version 1 snapshots are still read, via the original replay-through-
-// PutPage path. Either way the restored repository answers queries
-// identically to the original (revision ids are renumbered on load;
-// authors, texts, comments and timestamps are preserved), and the
-// in-memory journal ends up with one entry per restored page and tag so
-// derived consumers can catch up incrementally rather than rebuilding.
+// Pages are listed in pages-table order and tags in tags-table order, and
+// restore loads the rows in list order, so SQL without ORDER BY returns
+// the restored rows in the order the original returned them. Version 2
+// files written before the projections were dropped also embed a "db"
+// section; it is ignored. Both versions restore through the same path:
+// revision ids are renumbered on load; authors, texts, comments and
+// timestamps are preserved, and the in-memory journal ends up with one
+// entry per restored page and tag so derived consumers can catch up
+// incrementally rather than rebuilding.
 
 type revisionSnapshot struct {
 	Author    string    `json:"author"`
@@ -62,14 +65,11 @@ type repoSnapshot struct {
 	Seq   uint64         `json:"seq,omitempty"`
 	Pages []pageSnapshot `json:"pages"`
 	Tags  []tagSnapshot  `json:"tags"`
-	// DB embeds the relational projection (version >= 2) for the direct
-	// restore path; absent, restore falls back to replaying revisions.
-	DB json.RawMessage `json:"db,omitempty"`
 }
 
-// SaveSnapshot writes the whole repository (pages, revisions, tags, the
-// relational projection) as JSON. The capture holds the repository's
-// mutation lock, so concurrent writes see a clean point-in-time cut.
+// SaveSnapshot writes the whole repository (pages, revisions, tags) as
+// JSON. The capture holds the repository's mutation lock, so concurrent
+// writes see a clean point-in-time cut.
 func (r *Repository) SaveSnapshot(w io.Writer) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -81,7 +81,15 @@ func (r *Repository) SaveSnapshot(w io.Writer) error {
 // reports the journal sequence number it embeds.
 func (r *Repository) saveSnapshotLocked(w io.Writer) (uint64, error) {
 	snap := repoSnapshot{Version: 2, Seq: r.journal.LastSeq()}
-	r.Wiki.Each(func(p *wiki.Page) {
+	rs, err := r.DB.Query("SELECT title FROM pages")
+	if err != nil {
+		return 0, fmt.Errorf("smr: snapshotting pages: %w", err)
+	}
+	for _, row := range rs.Rows {
+		p, ok := r.Wiki.Get(row[0].Text0())
+		if !ok {
+			return 0, fmt.Errorf("smr: snapshotting pages: %q has a pages row but no page", row[0].Text0())
+		}
 		ps := pageSnapshot{Title: p.Title.String()}
 		for _, rev := range p.Revisions {
 			ps.Revisions = append(ps.Revisions, revisionSnapshot{
@@ -92,8 +100,11 @@ func (r *Repository) saveSnapshotLocked(w io.Writer) (uint64, error) {
 			})
 		}
 		snap.Pages = append(snap.Pages, ps)
-	})
-	rs, err := r.DB.Query("SELECT page, tag, author, created FROM tags ORDER BY page, tag")
+	}
+	if n := r.Wiki.Len(); n != len(snap.Pages) {
+		return 0, fmt.Errorf("smr: snapshotting pages: %d pages but %d pages rows", n, len(snap.Pages))
+	}
+	rs, err = r.DB.Query("SELECT page, tag, author, created FROM tags")
 	if err != nil {
 		return 0, fmt.Errorf("smr: snapshotting tags: %w", err)
 	}
@@ -108,24 +119,19 @@ func (r *Repository) saveSnapshotLocked(w io.Writer) (uint64, error) {
 		}
 		snap.Tags = append(snap.Tags, ts)
 	}
-	var db bytes.Buffer
-	if err := r.DB.Save(&db); err != nil {
-		return 0, fmt.Errorf("smr: snapshotting relational projection: %w", err)
-	}
-	snap.DB = bytes.TrimSpace(db.Bytes())
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return snap.Seq, enc.Encode(snap)
 }
 
-// LoadSnapshot restores a snapshot into an empty repository. Version 2
-// snapshots install state directly (pages into the wiki store, rows into a
-// fresh relational database, RDF reprojected from the parsed pages);
-// version 1 falls back to replaying every revision and tag through the
-// normal write paths. Both leave the journal holding one change entry per
-// restored page and tag — numbered from 1, for consumers starting cold —
-// and then advance the sequence counter to the snapshot's embedded
-// position so later mutations continue the durable numbering.
+// LoadSnapshot restores a snapshot into an empty repository: pages go into
+// the wiki store, their relational rows and RDF triples are reprojected
+// from the parsed pages, and the tag rows are rebuilt from the tag list. A
+// tag on a page the snapshot does not hold is an error. The journal ends
+// up holding one change entry per restored page and tag — numbered from
+// 1, for consumers starting cold — and then advances the sequence counter
+// to the snapshot's embedded position so later mutations continue the
+// durable numbering.
 func (r *Repository) LoadSnapshot(rd io.Reader) error {
 	if r.Wiki.Len() > 0 {
 		return fmt.Errorf("smr: LoadSnapshot requires an empty repository (%d pages present)", r.Wiki.Len())
@@ -142,40 +148,7 @@ func (r *Repository) LoadSnapshot(rd io.Reader) error {
 	default:
 		return fmt.Errorf("smr: unsupported snapshot version %d", snap.Version)
 	}
-	var err error
-	if snap.Version >= 2 && len(snap.DB) > 0 {
-		err = r.restoreDirect(&snap)
-	} else {
-		err = r.restoreByReplay(&snap)
-	}
-	if err != nil {
-		return err
-	}
-	// Continue the durable numbering (no-op for version-1 snapshots).
-	r.journal.AdvanceTo(snap.Seq)
-	return nil
-}
-
-// restoreDirect installs the captured state without replaying writes: wiki
-// pages (parsing only each latest revision), the embedded relational rows,
-// and the RDF projection recomputed from the parsed pages.
-func (r *Repository) restoreDirect(snap *repoSnapshot) error {
-	db := relational.NewDB()
-	if err := db.Load(bytes.NewReader(snap.DB)); err != nil {
-		return fmt.Errorf("smr: restoring relational projection: %w", err)
-	}
-	// Sanity: the embedded projection must agree with the page and tag
-	// lists it was captured with.
-	for table, want := range map[string]int{"pages": len(snap.Pages), "tags": len(snap.Tags)} {
-		t, ok := db.Table(table)
-		if !ok {
-			return fmt.Errorf("smr: snapshot relational projection lacks table %q", table)
-		}
-		if t.NumRows() != want {
-			return fmt.Errorf("smr: snapshot %s rows (%d) disagree with snapshot list (%d)",
-				table, t.NumRows(), want)
-		}
-	}
+	var pages, anns, links, tags []relational.Row
 	for _, ps := range snap.Pages {
 		revs := make([]wiki.Revision, len(ps.Revisions))
 		for i, rev := range ps.Revisions {
@@ -191,48 +164,43 @@ func (r *Repository) restoreDirect(snap *repoSnapshot) error {
 			return fmt.Errorf("smr: restoring %s: %w", ps.Title, err)
 		}
 		r.reprojectRDF(page)
+		pageRow, a, l := relationalRows(page)
+		pages = append(pages, pageRow)
+		anns = append(anns, a...)
+		links = append(links, l...)
 	}
-	r.DB = db
+	for _, ts := range snap.Tags {
+		if _, ok := r.Wiki.Get(ts.Page); !ok {
+			return fmt.Errorf("smr: restoring tag %q: unknown page %q", ts.Tag, ts.Page)
+		}
+		created := ts.Created
+		if created.IsZero() {
+			created = r.Wiki.Now() // version 1 stored no creation times
+		} else if y := created.UTC().Year(); y < 0 || y > 9999 {
+			// The created column holds RFC 3339 text: four-digit years only.
+			return fmt.Errorf("smr: restoring tag %q on %q: creation time %s has no RFC 3339 form",
+				ts.Tag, ts.Page, created)
+		}
+		tags = append(tags, tagRow(ts.Page, ts.Tag, ts.Author, created))
+	}
+	for _, load := range []struct {
+		table string
+		rows  []relational.Row
+	}{{"pages", pages}, {"annotations", anns}, {"links", links}, {"tags", tags}} {
+		if err := r.DB.LoadRows(load.table, load.rows); err != nil {
+			return fmt.Errorf("smr: restoring %s rows: %w", load.table, err)
+		}
+	}
 	// Journal the restored corpus so consumers starting at position 0
 	// build incrementally instead of falling back to a corpus rebuild.
 	r.Wiki.Each(func(p *wiki.Page) {
 		r.journal.Append(ChangeUpsert, p.Title.String(), true)
 	})
-	for _, ts := range snap.Tags {
-		r.journal.AppendTag(wiki.ParseTitle(ts.Page).String(), ts.Tag)
+	for _, row := range tags {
+		r.journal.AppendTag(row[0].Text0(), row[1].Text0())
 	}
-	return nil
-}
-
-// restoreByReplay rebuilds the repository by replaying every revision and
-// tag through the normal write paths (the version-1 format's only option).
-func (r *Repository) restoreByReplay(snap *repoSnapshot) error {
-	// Replay revisions with their original timestamps via a swapped clock.
-	prevClock := r.Wiki.Clock()
-	var replayTime time.Time
-	r.Wiki.SetClock(func() time.Time { return replayTime })
-	defer r.Wiki.SetClock(prevClock)
-	for _, ps := range snap.Pages {
-		for _, rev := range ps.Revisions {
-			replayTime = rev.Timestamp
-			if _, err := r.PutPage(ps.Title, rev.Author, rev.Text, rev.Comment); err != nil {
-				return fmt.Errorf("smr: replaying %s: %w", ps.Title, err)
-			}
-		}
-	}
-	// Put the real clock back BEFORE tag replay: tags carry their own
-	// creation times (or get the live clock for version-1 snapshots that
-	// never stored any) — not the last replayed revision's timestamp.
-	r.Wiki.SetClock(prevClock)
-	for _, ts := range snap.Tags {
-		created := ts.Created
-		if created.IsZero() {
-			created = r.Wiki.Now()
-		}
-		if err := r.addTagAt(ts.Page, ts.Tag, ts.Author, created); err != nil {
-			return fmt.Errorf("smr: replaying tag %s on %s: %w", ts.Tag, ts.Page, err)
-		}
-	}
+	// Continue the durable numbering.
+	r.journal.AdvanceTo(snap.Seq)
 	return nil
 }
 

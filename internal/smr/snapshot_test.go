@@ -233,10 +233,9 @@ func TestSnapshotPreservesTagTimestamps(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotV1ReplayClock loads a version-1 snapshot (replay path,
-// no stored tag times) and checks the replay clock is put back before tag
-// replay: tags must be stamped with the live clock, not the last replayed
-// revision's timestamp leaking out of the swapped clock.
+// TestLoadSnapshotV1ReplayClock loads a version-1 snapshot (no stored tag
+// times) and checks its tags are stamped with the live clock, not the last
+// restored revision's timestamp, and that the clock is left as it was.
 func TestLoadSnapshotV1ReplayClock(t *testing.T) {
 	oldRev := time.Date(2009, 9, 9, 9, 9, 9, 0, time.UTC)
 	v1 := map[string]interface{}{
@@ -319,5 +318,78 @@ func TestSnapshotFileHelpers(t *testing.T) {
 	}
 	if err := restored.LoadSnapshotFile("/no/such/file"); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// legacySnapshot is a version-2 snapshot in the older layout that also
+// embeds a "db" section: a serialized copy of the relational projection.
+// Its one page's text projects two annotations and one semantic link, but
+// the embedded annotations and links tables are empty. tags is the tag
+// list and tagRows the embedded tags table's rows.
+func legacySnapshot(tags, tagRows string) string {
+	return fmt.Sprintf(`{"version":2,"seq":3,
+ "pages":[{"title":"Sensor:S1","revisions":[{"author":"amy","timestamp":"2011-04-11T00:00:00Z",
+  "text":"[[measures::wind speed]] [[partOf::Deployment:D1]]"}]}],
+ "tags":[%s],
+ "db":{"version":1,"tables":[
+  {"name":"annotations","columns":[{"name":"page","type":"TEXT","not_null":true},
+   {"name":"property","type":"TEXT","not_null":true},{"name":"value","type":"TEXT","not_null":true},
+   {"name":"numeric","type":"FLOAT"}],"indexes":["page","property"],"rows":[]},
+  {"name":"links","columns":[{"name":"source","type":"TEXT","not_null":true},
+   {"name":"target","type":"TEXT","not_null":true},{"name":"kind","type":"TEXT","not_null":true}],
+   "indexes":["source"],"rows":[]},
+  {"name":"pages","columns":[{"name":"title","type":"TEXT","primary_key":true},
+   {"name":"namespace","type":"TEXT","not_null":true},{"name":"author","type":"TEXT"},
+   {"name":"revisions","type":"INT","not_null":true}],"indexes":[],
+   "rows":[[{"t":"text","s":"Sensor:S1"},{"t":"text","s":"Sensor"},{"t":"text","s":"amy"},{"t":"int","i":1}]]},
+  {"name":"tags","columns":[{"name":"page","type":"TEXT","not_null":true},
+   {"name":"tag","type":"TEXT","not_null":true},{"name":"author","type":"TEXT"},
+   {"name":"created","type":"TEXT"}],"indexes":["page"],"rows":[%s]}]}}`, tags, tagRows)
+}
+
+// TestLoadSnapshotReprojectsRelationalRows: the relational projection is
+// rebuilt from the snapshot's pages, never taken from an embedded copy. A
+// snapshot whose embedded annotations and links are missing must still
+// answer SQL with the rows its page text projects.
+func TestLoadSnapshotReprojectsRelationalRows(t *testing.T) {
+	r := newRepo(t)
+	if err := r.LoadSnapshot(strings.NewReader(legacySnapshot("", ""))); err != nil {
+		t.Fatal(err)
+	}
+	for sql, want := range map[string]int64{
+		"SELECT COUNT(*) FROM pages":                                        1,
+		"SELECT COUNT(*) FROM annotations WHERE page = 'Sensor:S1'":         2,
+		"SELECT COUNT(*) FROM links WHERE source = 'Sensor:S1'":             1,
+		"SELECT COUNT(*) FROM annotations WHERE property = 'measures'":      1,
+		"SELECT COUNT(*) FROM links WHERE target = 'Deployment:D1'":         1,
+		"SELECT COUNT(*) FROM pages WHERE author = 'amy' AND revisions = 1": 1,
+	} {
+		rs, err := r.QuerySQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rs.Rows[0][0].Int64(); got != want {
+			t.Errorf("%s = %d, want %d", sql, got, want)
+		}
+	}
+}
+
+// TestLoadSnapshotRejectsTagOnMissingPage: a tag naming a page the
+// snapshot does not hold is refused, whether or not the snapshot embeds
+// a relational copy that agrees with it.
+func TestLoadSnapshotRejectsTagOnMissingPage(t *testing.T) {
+	orphan := `{"page":"Sensor:Gone","tag":"stale","author":"amy","created":"2011-04-11T00:00:01Z"}`
+	row := `[{"t":"text","s":"Sensor:Gone"},{"t":"text","s":"stale"},{"t":"text","s":"amy"},` +
+		`{"t":"text","s":"2011-04-11T00:00:01Z"}]`
+	for name, snap := range map[string]string{
+		"with embedded rows": legacySnapshot(orphan, row),
+		"version 1": `{"version":1,"pages":[{"title":"Sensor:S1","revisions":[{"author":"amy",` +
+			`"timestamp":"2011-04-11T00:00:00Z","text":"x"}]}],"tags":[` + orphan + `]}`,
+	} {
+		r := newRepo(t)
+		if err := r.LoadSnapshot(strings.NewReader(snap)); err == nil {
+			tags, _ := r.PageTags("Sensor:Gone")
+			t.Errorf("%s: snapshot tagging a page it does not hold loaded (PageTags = %v)", name, tags)
+		}
 	}
 }

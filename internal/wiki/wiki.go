@@ -40,9 +40,16 @@ type Title struct {
 }
 
 // ParseTitle splits "Namespace:Name" (no colon means the main namespace).
+// An empty namespace before the first colon also means the main namespace
+// and the rest is parsed again, so every parsed title's canonical form
+// (String) parses back to the same title.
 func ParseTitle(s string) Title {
 	if i := strings.IndexByte(s, ':'); i >= 0 {
-		return Title{Namespace: Namespace(strings.TrimSpace(s[:i])), Name: strings.TrimSpace(s[i+1:])}
+		ns := strings.TrimSpace(s[:i])
+		if ns == "" {
+			return ParseTitle(s[i+1:])
+		}
+		return Title{Namespace: Namespace(ns), Name: strings.TrimSpace(s[i+1:])}
 	}
 	return Title{Name: strings.TrimSpace(s)}
 }

@@ -16,10 +16,19 @@ func TestParseTitle(t *testing.T) {
 		{"Plain", Title{Name: "Plain"}},
 		{"Sensor:Wind-01", Title{Namespace: "Sensor", Name: "Wind-01"}},
 		{"  Fieldsite : Davos ", Title{Namespace: "Fieldsite", Name: "Davos"}},
+		{":Plain", Title{Name: "Plain"}},
+		{"::Plain", Title{Name: "Plain"}},
+		{" :Sensor:Wind-01", Title{Namespace: "Sensor", Name: "Wind-01"}},
+		{"Sensor:a:b", Title{Namespace: "Sensor", Name: "a:b"}},
 	}
 	for _, c := range cases {
-		if got := ParseTitle(c.in); got != c.want {
+		got := ParseTitle(c.in)
+		if got != c.want {
 			t.Errorf("ParseTitle(%q) = %+v, want %+v", c.in, got, c.want)
+		}
+		// The canonical form names the same page.
+		if again := ParseTitle(got.String()); again != got {
+			t.Errorf("ParseTitle(%q) = %+v, but its canonical form %q parses to %+v", c.in, got, got.String(), again)
 		}
 	}
 	if ParseTitle("Sensor:X").String() != "Sensor:X" {
