@@ -32,7 +32,6 @@ import (
 	"repro/internal/tagging"
 	"repro/internal/viz"
 	"repro/internal/wal"
-	"repro/internal/wiki"
 	"repro/internal/workload"
 )
 
@@ -159,13 +158,14 @@ func benchShardCounts() []int {
 // k-way merged; results are identical at every count).
 func BenchmarkFig2Search(b *testing.B) {
 	sys := benchSystemShared(b, 600)
-	q := search.Query{Keywords: "temperature", SortBy: search.SortRank, Limit: 20}
+	expr := query.Keyword{Text: "temperature"}
+	opts := search.ExecOptions{SortBy: search.SortRank, Limit: 20}
 	for _, shards := range benchShardCounts() {
 		eng := search.NewEngineShards(sys.Repo, shards)
 		eng.SetRanks(sys.Ranker.Scores())
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Search(q); err != nil {
+				if _, err := eng.Execute(expr, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -176,12 +176,12 @@ func BenchmarkFig2Search(b *testing.B) {
 // BenchmarkFig2Charts measures the bar/pie renderers over live facets.
 func BenchmarkFig2Charts(b *testing.B) {
 	sys := benchSystemShared(b, 600)
-	rs, err := sys.Search(search.Query{Namespace: "Sensor"})
+	res, err := sys.Query(query.Namespace{Name: "Sensor"},
+		search.ExecOptions{CountOnly: true, Facets: []string{"measures"}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	facets := sys.Engine.Facets(rs, []string{"measures"})
-	data := viz.DataFromCounts(facets["measures"])
+	data := viz.DataFromCounts(res.Facets["measures"])
 	b.Run("bar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			viz.BarChart("bench", data, 720, 400)
@@ -295,32 +295,6 @@ func BenchmarkAblationBronKerbosch(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSOROmega sweeps the SOR relaxation factor around the
-// Gauss–Seidel point (ω = 1), an extension beyond the paper's solver set.
-func BenchmarkAblationSOROmega(b *testing.B) {
-	g, err := workload.BuildWebGraph(workload.DefaultWebGraph(5000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := pagerank.NewMatrix(g, pagerank.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, omega := range []float64{0.9, 1.0, 1.1, 1.2} {
-		b.Run(fmt.Sprintf("omega=%.1f", omega), func(b *testing.B) {
-			var iters int
-			for i := 0; i < b.N; i++ {
-				res := pagerank.SOROmega(m, pagerank.Options{}, omega)
-				if !res.Converged {
-					b.Fatalf("SOR(%v) did not converge", omega)
-				}
-				iters = res.Iterations
-			}
-			b.ReportMetric(float64(iters), "iters")
-		})
-	}
-}
-
 // BenchmarkAblationWarmStart compares cold and warm-started Gauss–Seidel
 // after a small graph change (the incremental-update path for the paper's
 // "scores need to be updated regularly" requirement).
@@ -355,39 +329,6 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 		}
 		b.ReportMetric(float64(iters), "iters")
 	})
-}
-
-// BenchmarkExtensionSolvers measures the beyond-the-paper solvers against
-// their baselines.
-func BenchmarkExtensionSolvers(b *testing.B) {
-	g, err := workload.BuildWebGraph(workload.DefaultWebGraph(5000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := pagerank.NewMatrix(g, pagerank.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	solvers := map[string]pagerank.Solver{
-		"Power":        pagerank.Power,
-		"Power+Aitken": pagerank.PowerExtrapolated,
-		"Gauss-Seidel": pagerank.GaussSeidel,
-		"SOR":          pagerank.SOR,
-	}
-	for _, name := range []string{"Power", "Power+Aitken", "Gauss-Seidel", "SOR"} {
-		solver := solvers[name]
-		b.Run(name, func(b *testing.B) {
-			var iters int
-			for i := 0; i < b.N; i++ {
-				res := solver(m, pagerank.Options{})
-				if !res.Converged {
-					b.Fatal("no convergence")
-				}
-				iters = res.Iterations
-			}
-			b.ReportMetric(float64(iters), "iters")
-		})
-	}
 }
 
 // BenchmarkAblationTagCache compares the tagging pipeline with and without
@@ -717,25 +658,15 @@ func BenchmarkIncrementalTagging(b *testing.B) {
 	})
 }
 
-// BenchmarkFacetCounts compares the materialize-then-count facet path
-// (Search building a full []Result, then Facets) against the streaming
-// FacetCounts accumulation, on the chart-endpoint query shape.
+// BenchmarkFacetCounts measures the count-only facet execution behind the
+// chart endpoints, on the chart-endpoint query shape.
 func BenchmarkFacetCounts(b *testing.B) {
 	sys := benchSystemShared(b, 5000)
-	q := search.Query{Namespace: "Sensor"}
-	props := []string{"measures", "status"}
-	b.Run("materialize", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rs, err := sys.Search(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sys.Engine.Facets(rs, props)
-		}
-	})
+	expr := query.Namespace{Name: "Sensor"}
+	opts := search.ExecOptions{CountOnly: true, Facets: []string{"measures", "status"}}
 	b.Run("streaming", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sys.Engine.FacetCounts(q, props); err != nil {
+			if _, err := sys.Query(expr, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -796,10 +727,8 @@ func BenchmarkFacetIndexVsStream(b *testing.B) {
 
 // BenchmarkAlphaFusion measures the relevance/PageRank fusion on the
 // query shape the interface serves (20 fused results of a keyword query):
-// the legacy path materializes and fully sorts every match, then re-sorts
-// the whole set under the fused score (System.Fuse) and truncates; the
-// in-executor path buffers the matching set once and heap-selects the
-// fused top 20 — O(n log k) instead of two O(n log n) sorts.
+// the executor buffers the matching set once and heap-selects the fused
+// top 20 — O(n log k), no full sort.
 func BenchmarkAlphaFusion(b *testing.B) {
 	sys := benchSystemShared(b, 5000)
 	expr := query.Keyword{Text: "sensor temperature", Any: true}
@@ -811,21 +740,6 @@ func BenchmarkAlphaFusion(b *testing.B) {
 	if len(fused.Results) != 20 {
 		b.Fatalf("fused page has %d results", len(fused.Results))
 	}
-	b.Run("legacy-resort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := sys.Engine.Execute(expr, search.ExecOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rs := sys.Fuse(res.Results, alpha)
-			if len(rs) > 20 {
-				rs = rs[:20]
-			}
-			if rs[0].Title != fused.Results[0].Title {
-				b.Fatalf("orderings diverge: %s vs %s", rs[0].Title, fused.Results[0].Title)
-			}
-		}
-	})
 	b.Run("in-executor", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := sys.Engine.Execute(expr, search.ExecOptions{Alpha: &alpha, Limit: 20})
@@ -925,8 +839,7 @@ func BenchmarkRecommendIndexVsScan(b *testing.B) {
 
 // BenchmarkTopKSearch compares materialize-and-fully-sort result execution
 // against the bounded-heap Limit pushdown, on the query shape the paper's
-// interface actually serves (20 results per page), at both the engine and
-// the raw index level.
+// interface actually serves (20 results per page).
 func BenchmarkTopKSearch(b *testing.B) {
 	sys := benchSystemShared(b, 5000)
 	kw := "temperature sensor"
@@ -948,20 +861,6 @@ func BenchmarkTopKSearch(b *testing.B) {
 			}
 		})
 	}
-	ix := search.NewIndex()
-	sys.Repo.Wiki.Each(func(p *wiki.Page) {
-		ix.Add(p.Title.String(), p.Title.String()+"\n"+p.Text())
-	})
-	b.Run("index/full-sort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ix.Search(kw, search.ModeAny)
-		}
-	})
-	b.Run("index/top-20", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ix.SearchTopK(kw, search.ModeAny, 20)
-		}
-	})
 }
 
 // benchDurableSystem opens a throwaway durable system in a fresh tempdir.

@@ -23,6 +23,7 @@ import (
 	sensormeta "repro"
 	"repro/internal/geo"
 	"repro/internal/pagerank"
+	"repro/internal/query"
 	"repro/internal/search"
 	"repro/internal/tagging"
 	"repro/internal/viz"
@@ -231,11 +232,12 @@ func fig2(outDir string) {
 	write("fig2_table.html", viz.HTMLTable([]string{"page", "relevance", "rank"}, rows))
 
 	// Bar and pie diagrams over facets.
-	all, err := sys.Search(search.Query{Namespace: "Sensor"})
+	all, err := sys.Query(query.Namespace{Name: "Sensor"},
+		search.ExecOptions{CountOnly: true, Facets: []string{"measures", "status"}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	facets := sys.Engine.Facets(all, []string{"measures", "status"})
+	facets := all.Facets
 	write("fig2_bar.svg", viz.BarChart("sensors per measurand", viz.DataFromCounts(facets["measures"]), 720, 400))
 	write("fig2_pie.svg", viz.PieChart("sensor status", viz.DataFromCounts(facets["status"]), 400))
 

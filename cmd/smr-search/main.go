@@ -119,34 +119,24 @@ func main() {
 		}
 	}
 
-	var results []search.Result
-	if *explainPlan {
-		// Explain mode routes the legacy flags through the shared executor
-		// (the same translation the legacy API endpoints use), which is the
-		// layer that can report its plan. Results are identical either way.
-		e, lerr := search.LegacyExpr(q)
-		if lerr != nil {
-			log.Fatal(lerr)
-		}
-		opts := search.ExecOptions{SortBy: q.SortBy, Limit: q.Limit, Explain: true}
-		if *alpha >= 0 {
-			opts.Alpha = alpha
-		}
-		res, qerr := sys.Query(e, opts)
-		if qerr != nil {
-			log.Fatal(qerr)
-		}
-		fmt.Println(res.Plan.String())
-		fmt.Println()
-		results = res.Results
-	} else if *alpha >= 0 {
-		results, err = sys.SearchFused(q, *alpha)
-	} else {
-		results, err = sys.Search(q)
+	if *alpha >= 0 {
+		q.Alpha = alpha
 	}
+	e, err := search.LegacyExpr(q)
 	if err != nil {
 		log.Fatal(err)
 	}
+	opts := search.LegacyOptions(q)
+	opts.Explain = *explainPlan
+	res, err := sys.Query(e, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if res.Plan != nil {
+		fmt.Println(res.Plan.String())
+		fmt.Println()
+	}
+	results := res.Results
 	if len(results) == 0 {
 		fmt.Println("no results")
 		return

@@ -13,6 +13,7 @@ import (
 
 	sensormeta "repro"
 	"repro/internal/geo"
+	"repro/internal/query"
 	"repro/internal/search"
 	"repro/internal/viz"
 	"repro/internal/workload"
@@ -41,6 +42,7 @@ func main() {
 
 	// A researcher's question: active wind sensors, most authoritative
 	// first (PageRank-fused ordering).
+	alpha := 0.5
 	q := search.Query{
 		Keywords: "wind",
 		Filters: []search.PropertyFilter{
@@ -48,8 +50,9 @@ func main() {
 		},
 		Namespace: "Sensor",
 		Limit:     15,
+		Alpha:     &alpha,
 	}
-	results, err := sys.SearchFused(q, 0.5)
+	results, err := sys.Search(q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,11 +84,12 @@ func main() {
 	write("map.svg", viz.MapSVG(clusters, 800, 500))
 
 	// Facet charts over every sensor: what is measured, who operates what.
-	allSensors, err := sys.Search(search.Query{Namespace: "Sensor"})
+	allSensors, err := sys.Query(query.Namespace{Name: "Sensor"},
+		search.ExecOptions{CountOnly: true, Facets: []string{"measures", "status"}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	facets := sys.Engine.Facets(allSensors, []string{"measures", "status"})
+	facets := allSensors.Facets
 	write("measurands.svg", viz.BarChart("sensors per measurand", viz.DataFromCounts(facets["measures"]), 720, 400))
 	write("status.svg", viz.PieChart("sensor status", viz.DataFromCounts(facets["status"]), 400))
 

@@ -278,12 +278,12 @@ func (m *Manager) Execute(q CombinedQuery) (*Result, error) {
 			}
 		}
 		if smallest < 0 || kwEst <= smallest {
-			hits, err := m.engine.Search(search.Query{Keywords: q.Keywords, User: q.User})
+			res, err := m.engine.Execute(query.Keyword{Text: q.Keywords}, search.ExecOptions{User: q.User})
 			if err != nil {
 				return nil, fmt.Errorf("core: keyword part: %w", err)
 			}
 			set := map[string]attrs{}
-			for _, h := range hits {
+			for _, h := range res.Results {
 				set[h.Title] = attrs{"relevance": strconv.FormatFloat(h.Relevance, 'f', 4, 64)}
 			}
 			sets = append(sets, set)

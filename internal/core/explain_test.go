@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/query"
 	"repro/internal/search"
 	"repro/internal/smr"
 )
@@ -69,12 +70,12 @@ func TestKeywordProbeMatchesDriving(t *testing.T) {
 	}
 
 	// Reference: the full keyword search's relevance per title.
-	hits, err := m.engine.Search(search.Query{Keywords: q.Keywords})
+	full, err := m.engine.Execute(query.Keyword{Text: q.Keywords}, search.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rel := map[string]float64{}
-	for _, h := range hits {
+	for _, h := range full.Results {
 		rel[h.Title] = h.Relevance
 	}
 	if len(res.Titles) != 10 {

@@ -388,3 +388,52 @@ func TestMethodNamesStable(t *testing.T) {
 		}
 	}
 }
+
+func TestGaussSeidelWarmStart(t *testing.T) {
+	// A warm start from the converged solution of a slightly perturbed
+	// graph must need far fewer sweeps than a cold start.
+	g := randomGraph(400, 2400, 40)
+	m, err := NewMatrix(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := GaussSeidel(m, Options{})
+	if !cold.Converged {
+		t.Fatal("cold start did not converge")
+	}
+
+	// Perturb: the same graph plus a few extra edges.
+	g.AddEdge("nA0a", "nB0a", 0)
+	g.AddEdge("nC0a", "nD0a", 0)
+	m2, err := NewMatrix(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := GaussSeidelFrom(m2, Options{}, cold.Scores)
+	if !warm.Converged {
+		t.Fatal("warm start did not converge")
+	}
+	if warm.Iterations >= cold.Iterations {
+		t.Errorf("warm start took %d sweeps, cold %d", warm.Iterations, cold.Iterations)
+	}
+	// Same answer as a cold solve of the perturbed system.
+	cold2 := GaussSeidel(m2, Options{})
+	if d := linalg.Diff1(warm.Scores, cold2.Scores); d > 1e-8 {
+		t.Errorf("warm and cold solutions differ by %v", d)
+	}
+}
+
+func TestGaussSeidelFromBadGuessFallsBack(t *testing.T) {
+	g := randomGraph(30, 120, 41)
+	m, err := NewMatrix(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wrong length and zero-sum guesses both fall back to the cold path.
+	for _, x0 := range []linalg.Vector{nil, linalg.NewVector(5), linalg.NewVector(30)} {
+		res := GaussSeidelFrom(m, Options{}, x0)
+		if !res.Converged {
+			t.Errorf("fallback start did not converge for guess of length %d", len(x0))
+		}
+	}
+}

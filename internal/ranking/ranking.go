@@ -1,8 +1,8 @@
 // Package ranking wires Section III into the search path: it computes
 // PageRank over the repository's double link graph (Gauss–Seidel, the
-// paper's production choice), installs the scores into the search engine,
-// and fuses keyword relevance with link-structure importance into the final
-// result order.
+// paper's production choice) and installs the scores into the search
+// engine, whose executor fuses keyword relevance with link-structure
+// importance into the final result order (search.ExecOptions.Alpha).
 package ranking
 
 import (
@@ -126,45 +126,4 @@ func (r *Ranker) TopPages(k int) []string {
 		out[i] = all[i].title
 	}
 	return out
-}
-
-// Fuse orders search results by a convex combination of normalized keyword
-// relevance and normalized PageRank: alpha·relevance + (1−alpha)·rank.
-// alpha outside [0,1] is clamped. Results are modified in place and
-// returned.
-func (r *Ranker) Fuse(results []search.Result, alpha float64) []search.Result {
-	if alpha < 0 {
-		alpha = 0
-	}
-	if alpha > 1 {
-		alpha = 1
-	}
-	var maxRel, maxRank float64
-	for i := range results {
-		results[i].Rank = r.scores[results[i].Title]
-		if results[i].Relevance > maxRel {
-			maxRel = results[i].Relevance
-		}
-		if results[i].Rank > maxRank {
-			maxRank = results[i].Rank
-		}
-	}
-	combined := func(res search.Result) float64 {
-		rel, rank := 0.0, 0.0
-		if maxRel > 0 {
-			rel = res.Relevance / maxRel
-		}
-		if maxRank > 0 {
-			rank = res.Rank / maxRank
-		}
-		return alpha*rel + (1-alpha)*rank
-	}
-	sort.SliceStable(results, func(i, j int) bool {
-		ci, cj := combined(results[i]), combined(results[j])
-		if ci != cj {
-			return ci > cj
-		}
-		return results[i].Title < results[j].Title
-	})
-	return results
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/pagerank"
+	"repro/internal/query"
 	"repro/internal/search"
 	"repro/internal/smr"
 )
@@ -95,48 +96,13 @@ func TestInstallAndSortRank(t *testing.T) {
 	}
 	e := search.NewEngine(repo)
 	r.Install(e)
-	rs, err := e.Search(search.Query{SortBy: search.SortRank})
+	res, err := e.Execute(query.All{}, search.ExecOptions{SortBy: search.SortRank})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs[0].Title != "Fieldsite:Davos" {
-		t.Errorf("rank-sorted first = %s", rs[0].Title)
+	if res.Results[0].Title != "Fieldsite:Davos" {
+		t.Errorf("rank-sorted first = %s", res.Results[0].Title)
 	}
-}
-
-func TestFuse(t *testing.T) {
-	repo := fixtureRepo(t)
-	r, err := New(repo, "", pagerank.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := search.NewEngine(repo)
-	// "wind" matches Deployment:A (low rank, high relevance among sensors)
-	// and the two sensors.
-	rs, err := e.Search(search.Query{Keywords: "wind"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) < 2 {
-		t.Fatalf("results = %+v", rs)
-	}
-	// Pure relevance (alpha=1) must equal the engine's own ordering.
-	byRel := r.Fuse(append([]search.Result(nil), rs...), 1)
-	for i := 1; i < len(byRel); i++ {
-		if byRel[i-1].Relevance < byRel[i].Relevance {
-			t.Error("alpha=1 did not sort by relevance")
-		}
-	}
-	// Pure rank (alpha=0) must sort by PageRank.
-	byRank := r.Fuse(append([]search.Result(nil), rs...), 0)
-	for i := 1; i < len(byRank); i++ {
-		if byRank[i-1].Rank < byRank[i].Rank {
-			t.Error("alpha=0 did not sort by rank")
-		}
-	}
-	// Out-of-range alpha clamps instead of corrupting.
-	r.Fuse(rs, 7)
-	r.Fuse(rs, -3)
 }
 
 func TestUpdateWarmStart(t *testing.T) {
@@ -203,15 +169,5 @@ func TestUpdateOnEmptyAndFromEmpty(t *testing.T) {
 	}
 	if len(u2.Scores()) != 2 {
 		t.Errorf("scores after growth = %v", u2.Scores())
-	}
-}
-
-func TestFuseFillsRanks(t *testing.T) {
-	repo := fixtureRepo(t)
-	r, _ := New(repo, "", pagerank.Options{})
-	in := []search.Result{{Title: "Fieldsite:Davos", Relevance: 1}}
-	out := r.Fuse(in, 0.5)
-	if out[0].Rank == 0 {
-		t.Error("Fuse did not backfill Rank from scores")
 	}
 }

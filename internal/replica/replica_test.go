@@ -17,6 +17,7 @@ import (
 	"time"
 
 	sensormeta "repro"
+	"repro/internal/query"
 	"repro/internal/replica/faultnet"
 	"repro/internal/search"
 	"repro/internal/server"
@@ -179,17 +180,18 @@ func assertConverged(t *testing.T, primary, follower *sensormeta.System) {
 	}
 
 	// Facet counts over the whole matching set: exact.
-	for _, q := range []search.Query{{}, {Keywords: "temperature"}} {
-		wantF, wm, err := primary.Engine.FacetCounts(q, []string{"measures", "partof"})
+	facetOpts := search.ExecOptions{Facets: []string{"measures", "partof"}, CountOnly: true}
+	for _, expr := range []query.Expr{query.All{}, query.Keyword{Text: "temperature"}} {
+		want, err := primary.Query(expr, facetOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotF, gm, err := follower.Engine.FacetCounts(q, []string{"measures", "partof"})
+		got, err := follower.Query(expr, facetOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gm != wm || !reflect.DeepEqual(gotF, wantF) {
-			t.Fatalf("facets diverge: %v/%d vs %v/%d", gotF, gm, wantF, wm)
+		if got.Matched != want.Matched || !reflect.DeepEqual(got.Facets, want.Facets) {
+			t.Fatalf("facets diverge: %v/%d vs %v/%d", got.Facets, got.Matched, want.Facets, want.Matched)
 		}
 	}
 
@@ -288,8 +290,16 @@ func TestFollowerConvergesUnderFaultInjection(t *testing.T) {
 	waitCaughtUp(t, f, primary, 60*time.Second)
 	assertConverged(t, primary, f.System())
 
+	// A faulted poll after convergence can leave the follower "retrying"
+	// until its next successful poll; wait for it to stream again.
 	st := f.ReplicaStats().(Stats)
-	if st.Bootstraps < 1 || !st.Synced || st.State != "streaming" {
+	for deadline := time.Now().Add(10 * time.Second); st.State != "streaming"; st = f.ReplicaStats().(Stats) {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower not streaming 10s after convergence: %+v", st)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if st.Bootstraps < 1 || !st.Synced {
 		t.Fatalf("follower stats after convergence: %+v", st)
 	}
 	if net.Drops.Load() == 0 && net.Stalls.Load() == 0 && net.Errors.Load() == 0 {

@@ -54,7 +54,8 @@ const (
 
 // Query is the advanced search input: free-text keywords plus structured
 // options, mirroring the paper's query interface (keyword, sort by, order
-// by, property conditions, namespace scope).
+// by, property conditions, namespace scope). It is the flat legacy form of
+// a search; LegacyExpr and LegacyOptions translate it for Engine.Execute.
 type Query struct {
 	Keywords  string
 	Mode      Mode
@@ -398,47 +399,6 @@ func (e *Engine) Autocomplete(prefix string, k int) []Completion {
 	return trie.Complete(prefix, k)
 }
 
-// Search runs an advanced query. The flat legacy Query is translated onto
-// the compositional AST (LegacyExpr) and executed by Execute, so the
-// legacy parameter surface and the /api/v1 expression surface share one
-// executor — candidate pruning included. When the query carries a Limit,
-// candidates stream through a bounded top-(Limit+Offset) selector instead
-// of being materialized and fully sorted.
-func (e *Engine) Search(q Query) ([]Result, error) {
-	rs, _, _, err := e.SearchWithFacets(q, nil)
-	return rs, err
-}
-
-// SearchWithFacets runs an advanced query and, in the same pass over the
-// matching set, accumulates per-property value counts for the given
-// properties (deduplicated case-insensitively) — the one-enumeration path
-// behind faceted search responses. The facets and matched count cover
-// every matching page regardless of Limit/Offset; with no properties it
-// behaves exactly like Search plus the matched total.
-func (e *Engine) SearchWithFacets(q Query, properties []string) ([]Result, map[string]map[string]int, int, error) {
-	expr, err := LegacyExpr(q)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	opts := ExecOptions{
-		SortBy: q.SortBy, Order: q.Order,
-		Limit: q.Limit, Offset: q.Offset,
-		User: q.User, Facets: properties,
-		Alpha: q.Alpha,
-	}
-	if q.Alpha != nil {
-		// Legacy surface: alpha always defined the final order, whatever
-		// sort/order said (the old path re-sorted after the fact). The
-		// executor enforces that pairing strictly, so drop them here.
-		opts.SortBy, opts.Order = SortRelevance, OrderDefault
-	}
-	res, err := e.Execute(expr, opts)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return res.Results, res.Facets, res.Matched, nil
-}
-
 // facetAccumulators prepares the count maps for a property list,
 // deduplicated case-insensitively so repeated or differently-cased
 // parameters cannot double-count.
@@ -497,11 +457,9 @@ func resultLessKeyed(key SortKey, order Order) func(a, b Result) bool {
 
 // fusedResultLess builds the comparator of the alpha-fused display order:
 // combined = alpha·(relevance/maxRel) + (1−alpha)·(rank/maxRank),
-// descending, ties broken by title — exactly the arithmetic of the legacy
-// ranking.Fuse re-sort (division by the matching set's maxima, zero when a
-// maximum is zero), so in-executor fusion reproduces the legacy ordering
-// bit for bit. An explicit ascending Order reverses the strict total
-// order.
+// descending, ties broken by title; each normalizer is the matching set's
+// maximum, and a zero maximum zeroes its term. An explicit ascending Order
+// reverses the strict total order.
 func fusedResultLess(alpha, maxRel, maxRank float64, order Order) func(a, b Result) bool {
 	combined := func(r Result) float64 {
 		rel, rank := 0.0, 0.0
@@ -524,47 +482,4 @@ func fusedResultLess(alpha, maxRel, maxRank float64, order Order) func(a, b Resu
 		return func(a, b Result) bool { return natural(b, a) }
 	}
 	return natural
-}
-
-// FacetCounts computes value counts per property over every page matching
-// the query, streaming counts directly from the candidate enumeration
-// without materializing a []Result — the O(matches) allocation-free path
-// behind the bar/pie charts and the dynamic drop-down drill-downs. The
-// query's Limit, Offset and sort options are ignored: facets describe the
-// whole matching set. It returns the counts (property names lowercased)
-// and the number of matching pages.
-func (e *Engine) FacetCounts(q Query, properties []string) (map[string]map[string]int, int, error) {
-	expr, err := LegacyExpr(q)
-	if err != nil {
-		return nil, 0, err
-	}
-	res, err := e.Execute(expr, ExecOptions{User: q.User, Facets: properties, CountOnly: true})
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Facets, res.Matched, nil
-}
-
-// Facets computes value counts per property over a result set — the data
-// behind the bar/pie charts when the caller has already materialized (and
-// possibly truncated) results. For counts over the full matching set
-// without building []Result, use FacetCounts.
-func (e *Engine) Facets(results []Result, properties []string) map[string]map[string]int {
-	out := make(map[string]map[string]int, len(properties))
-	for _, prop := range properties {
-		out[strings.ToLower(prop)] = make(map[string]int)
-	}
-	for _, r := range results {
-		page, ok := e.repo.Wiki.Get(r.Title)
-		if !ok {
-			continue
-		}
-		for _, prop := range properties {
-			key := strings.ToLower(prop)
-			for _, v := range page.PropertyValues(prop) {
-				out[key][v]++
-			}
-		}
-	}
-	return out
 }

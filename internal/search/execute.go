@@ -216,7 +216,7 @@ func decodeCursor(s string, sig uint64, key SortKey, order Order, epoch uint64) 
 // score-every-posting-then-filter gap: when the expression's structural
 // leaves yield posting sets, the most selective sets are intersected
 // first and keywords are scored only over the surviving candidates
-// (Index.DocScore), never over the full posting lists. When no structural
+// (DocMatcher.Score), never over the full posting lists. When no structural
 // candidates exist the executor falls back to driving enumeration from the
 // required keyword's postings (the legacy path), or a full corpus scan for
 // keyword-free queries.
@@ -233,7 +233,7 @@ func decodeCursor(s string, sig uint64, key SortKey, order Order, epoch uint64) 
 //     normalizers (max relevance, max rank over the matching set) are only
 //     known once enumeration finishes, so matches are buffered and then
 //     pushed through a bounded Limit-sized heap under the fused comparator
-//     — an O(n log k) selection, never the legacy materialize-and-re-sort.
+//     — an O(n log k) selection, never a materialize-and-re-sort.
 func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error) {
 	if expr == nil {
 		expr = query.All{}
@@ -846,6 +846,22 @@ func LegacyExpr(q Query) (query.Expr, error) {
 		return conj[0], nil
 	}
 	return query.And{Children: conj}, nil
+}
+
+// LegacyOptions translates the flat legacy query's sort, paging, ACL and
+// fusion parameters onto ExecOptions, the companion of LegacyExpr. The
+// legacy surface lets alpha override sort and order: a fused query is
+// ordered by the fusion alone, whatever SortBy and Order say.
+func LegacyOptions(q Query) ExecOptions {
+	opts := ExecOptions{
+		SortBy: q.SortBy, Order: q.Order,
+		Limit: q.Limit, Offset: q.Offset,
+		User: q.User, Alpha: q.Alpha,
+	}
+	if q.Alpha != nil {
+		opts.SortBy, opts.Order = SortRelevance, OrderDefault
+	}
+	return opts
 }
 
 // legacyOps maps the legacy filter operators onto the AST vocabulary.

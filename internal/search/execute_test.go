@@ -93,35 +93,46 @@ func TestExecutePrunedMatchesUnpruned(t *testing.T) {
 	}
 }
 
-// TestExecuteMatchesLegacySearch pins the translation: Query → LegacyExpr
-// → Execute returns exactly what SearchWithFacets reports.
+// TestExecuteMatchesLegacySearch pins the translation: Query →
+// LegacyExpr + LegacyOptions carries every flat parameter onto Execute,
+// and alpha overrides the query's sort and order.
 func TestExecuteMatchesLegacySearch(t *testing.T) {
 	_, e := executeFixture(t, 80)
 	e.SetRanks(map[string]float64{"Sensor:S-0001": 0.3, "Sensor:S-0002": 0.2})
-	queries := []Query{
-		{Keywords: "temperature sensor"},
-		{Keywords: "sensor", Mode: ModeAny, Limit: 7, Offset: 3, SortBy: SortTitle},
-		{Filters: []PropertyFilter{{Property: "measures", Op: OpEquals, Value: "humidity"}}, SortBy: SortRank},
-		{Namespace: "Sensor", Category: "Sensors", Limit: 5},
+	alpha := 0.4
+	queries := []struct {
+		q    Query
+		opts ExecOptions
+	}{
+		{Query{Keywords: "temperature sensor"}, ExecOptions{}},
+		{Query{Keywords: "sensor", Mode: ModeAny, Limit: 7, Offset: 3, SortBy: SortTitle},
+			ExecOptions{SortBy: SortTitle, Limit: 7, Offset: 3}},
+		{Query{Filters: []PropertyFilter{{Property: "measures", Op: OpEquals, Value: "humidity"}}, SortBy: SortRank},
+			ExecOptions{SortBy: SortRank}},
+		{Query{Namespace: "Sensor", Category: "Sensors", Limit: 5, Order: OrderAsc, User: "bob"},
+			ExecOptions{Limit: 5, Order: OrderAsc, User: "bob"}},
+		{Query{Keywords: "sensor", Mode: ModeAny, SortBy: SortTitle, Order: OrderAsc, Limit: 6, Alpha: &alpha},
+			ExecOptions{Limit: 6, Alpha: &alpha}},
 	}
-	for i, q := range queries {
-		rs, facets, matched, err := e.SearchWithFacets(q, []string{"measures"})
+	for i, c := range queries {
+		got, err := runLegacy(e, c.q, "measures")
 		if err != nil {
 			t.Fatal(err)
 		}
-		expr, err := LegacyExpr(q)
+		expr, err := LegacyExpr(c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Execute(expr, ExecOptions{
-			SortBy: q.SortBy, Order: q.Order, Limit: q.Limit, Offset: q.Offset,
-			User: q.User, Facets: []string{"measures"},
-		})
+		c.opts.Facets = []string{"measures"}
+		want, err := e.Execute(expr, c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(rs, res.Results) || !reflect.DeepEqual(facets, res.Facets) || matched != res.Matched {
-			t.Errorf("query %d: legacy and AST paths disagree", i)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("query %d: legacy translation and hand-built options disagree", i)
+		}
+		if len(want.Results) == 0 {
+			t.Errorf("query %d matched nothing; fixture too weak", i)
 		}
 	}
 }
@@ -329,7 +340,7 @@ func TestMatchedPairStableUnderReorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Update()
-	rs, err := e.Search(Query{Filters: []PropertyFilter{
+	rs, err := legacySearch(e, Query{Filters: []PropertyFilter{
 		{Property: "x", Op: OpGreatEq, Value: "10"}, // matches 20
 		{Property: "x", Op: OpEquals, Value: "5"},   // matches 5; last filter wins the display pair
 	}})
@@ -408,6 +419,9 @@ func TestExecuteOrKeywordUnion(t *testing.T) {
 	}
 }
 
+// TestDocScoreMatchesSearch checks the per-document scorer the pruned
+// executor uses against the reference scorer Index.Search: every hit
+// scores identically, and a phrase the document lacks does not match.
 func TestDocScoreMatchesSearch(t *testing.T) {
 	_, e := executeFixture(t, 50)
 	e.mu.RLock()
@@ -418,19 +432,20 @@ func TestDocScoreMatchesSearch(t *testing.T) {
 			total := 0
 			for _, sh := range shards {
 				ix := sh.index
+				dm := ix.CompileDocMatcher(q, mode)
 				hits := ix.Search(q, mode)
 				total += len(hits)
 				for _, h := range hits {
-					score, ok := ix.DocScore(h.ID, q, mode)
+					score, ok := dm.Score(h.ID)
 					if !ok {
-						t.Fatalf("DocScore(%s, %q) reports no match", h.ID, q)
+						t.Fatalf("Score(%s, %q) reports no match", h.ID, q)
 					}
 					if score != h.Score {
-						t.Errorf("DocScore(%s, %q) = %v, Search = %v", h.ID, q, score, h.Score)
+						t.Errorf("Score(%s, %q) = %v, Search = %v", h.ID, q, score, h.Score)
 					}
 				}
-				if _, ok := ix.DocScore("Deployment:D-00", `"wind speed"`, ModeAll); ok {
-					t.Error("DocScore matched a phrase the document lacks")
+				if _, ok := ix.CompileDocMatcher(`"wind speed"`, ModeAll).Score("Deployment:D-00"); ok {
+					t.Error("Score matched a phrase the document lacks")
 				}
 			}
 			if total == 0 {

@@ -102,7 +102,7 @@ func TestCompileScorerMatchesSearch(t *testing.T) {
 	_, e := executeFixture(t, 120)
 	for _, mode := range []Mode{ModeAll, ModeAny} {
 		kw := "temperature sensor"
-		rs, err := e.Search(Query{Keywords: kw, Mode: mode})
+		rs, err := legacySearch(e, Query{Keywords: kw, Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,9 +11,8 @@ import (
 	"repro/internal/smr"
 )
 
-// refFuse is the legacy post-hoc fusion (ranking.Ranker.Fuse's arithmetic,
-// reimplemented here to avoid the import cycle): normalize relevance and
-// rank by their maxima over the result set, order by
+// refFuse is the reference post-hoc fusion over a materialized result
+// set: normalize relevance and rank by their maxima over the set, order by
 // alpha·rel + (1−alpha)·rank descending, title tie-break. The in-executor
 // fusion must reproduce this ordering exactly.
 func refFuse(rs []Result, alpha float64) []Result {
@@ -67,7 +66,7 @@ func fusionFixture(t testing.TB, sensors int) *Engine {
 
 // TestAlphaFusionMatchesLegacyReSort pins the tentpole equivalence: for a
 // spread of alphas and expressions, the executor's in-heap fusion produces
-// exactly the ordering of the legacy materialize-then-re-sort path, and a
+// exactly the ordering of the reference materialize-then-re-sort, and a
 // Limit returns exactly the head of that ordering.
 func TestAlphaFusionMatchesLegacyReSort(t *testing.T) {
 	e := fusionFixture(t, 90)
@@ -93,7 +92,7 @@ func TestAlphaFusionMatchesLegacyReSort(t *testing.T) {
 				t.Fatalf("alpha %v expr %d fused: %v", alpha, i, err)
 			}
 			if !reflect.DeepEqual(fused.Results, want) {
-				t.Fatalf("alpha %v expr %d: in-executor fusion diverges from legacy re-sort\ngot  %v\nwant %v",
+				t.Fatalf("alpha %v expr %d: in-executor fusion diverges from reference re-sort\ngot  %v\nwant %v",
 					alpha, i, head(fused.Results, 5), head(want, 5))
 			}
 			limited, err := e.Execute(expr, ExecOptions{Alpha: &a, Limit: 7})

@@ -59,11 +59,11 @@ func checkEnginesAgree(t *testing.T, fresh, incr *Engine, step int) {
 		{Namespace: "Sensor", SortBy: SortTitle, Limit: 4},
 	}
 	for qi, q := range queries {
-		got, err := incr.Search(q)
+		got, err := legacySearch(incr, q)
 		if err != nil {
 			t.Fatalf("step %d query %d: %v", step, qi, err)
 		}
-		want, err := fresh.Search(q)
+		want, err := legacySearch(fresh, q)
 		if err != nil {
 			t.Fatalf("step %d query %d: %v", step, qi, err)
 		}
@@ -88,11 +88,11 @@ func checkEnginesAgree(t *testing.T, fresh, incr *Engine, step int) {
 		{},
 	}
 	for qi, q := range facetQueries {
-		gotF, gotN, err := incr.FacetCounts(q, []string{"samplingRate", "partOf"})
+		gotF, gotN, err := countFacets(incr, q, "samplingRate", "partOf")
 		if err != nil {
 			t.Fatalf("step %d facet query %d: %v", step, qi, err)
 		}
-		wantF, wantN, err := fresh.FacetCounts(q, []string{"samplingRate", "partOf"})
+		wantF, wantN, err := countFacets(fresh, q, "samplingRate", "partOf")
 		if err != nil {
 			t.Fatalf("step %d facet query %d: %v", step, qi, err)
 		}
@@ -198,7 +198,7 @@ func TestEngineUpdateStats(t *testing.T) {
 	if !st.Full || !st.LinksChanged {
 		t.Fatalf("post-trim update stats = %+v", st)
 	}
-	rs, err := e.Search(Query{Keywords: "Sensor U3", Mode: ModeAll})
+	rs, err := legacySearch(e, Query{Keywords: "Sensor U3", Mode: ModeAll})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,29 +230,6 @@ func TestIndexSlotReuse(t *testing.T) {
 	ix.Add("c", "alpha delta echo")
 	if hits = ix.Search(`"delta echo"`, ModeAll); len(hits) != 1 || hits[0].ID != "c" {
 		t.Fatalf("phrase hits = %v", hits)
-	}
-}
-
-// TestIndexTopKMatchesFullSort checks the heap-selected prefix equals the
-// fully sorted result.
-func TestIndexTopKMatchesFullSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ix := NewIndex()
-	for i := 0; i < 200; i++ {
-		ix.Add(fmt.Sprintf("doc%03d", i), randomPageText(rng))
-	}
-	for _, q := range []string{"wind", "snow ridge", "temperature station"} {
-		full := ix.Search(q, ModeAny)
-		for _, k := range []int{1, 3, 10, 500} {
-			got := ix.SearchTopK(q, ModeAny, k)
-			want := full
-			if k < len(want) {
-				want = want[:k]
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("SearchTopK(%q, %d) = %v, want %v", q, k, got, want)
-			}
-		}
 	}
 }
 
@@ -335,7 +312,7 @@ func TestEngineConcurrentSearchUpdate(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := e.Search(Query{Keywords: "wind", Limit: 5}); err != nil {
+				if _, err := legacySearch(e, Query{Keywords: "wind", Limit: 5}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -219,15 +219,6 @@ type Hit struct {
 	Score float64
 }
 
-// hitBefore is the canonical result order: descending score, ties broken by
-// ascending id.
-func hitBefore(a, b Hit) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	return a.ID < b.ID
-}
-
 // Mode selects the boolean semantics of multi-term queries.
 type Mode int
 
@@ -245,40 +236,26 @@ const (
 // An empty query returns nil.
 func (ix *Index) Search(query string, mode Mode) []Hit {
 	hits := ix.Hits(query, mode)
-	sort.Slice(hits, func(i, j int) bool { return hitBefore(hits[i], hits[j]) })
+	sort.Slice(hits, func(i, j int) bool {
+		if hits[i].Score != hits[j].Score {
+			return hits[i].Score > hits[j].Score
+		}
+		return hits[i].ID < hits[j].ID
+	})
 	return hits
-}
-
-// SearchTopK is Search restricted to the k best hits, selected with a
-// bounded heap so the full candidate set is never sorted. k <= 0 means no
-// bound (identical to Search).
-func (ix *Index) SearchTopK(query string, mode Mode, k int) []Hit {
-	if k <= 0 {
-		return ix.Search(query, mode)
-	}
-	sel := newTopK(k, hitBefore)
-	ix.collect(query, mode, sel.push)
-	return sel.sorted()
 }
 
 // Hits returns the scored matches in unspecified order. Callers that apply
 // their own post-filtering and selection (the engine) use this to avoid a
 // throwaway full sort.
 func (ix *Index) Hits(query string, mode Mode) []Hit {
-	var hits []Hit
-	ix.collect(query, mode, func(h Hit) { hits = append(hits, h) })
-	return hits
-}
-
-// collect runs the scoring loop and streams every matching hit to emit.
-func (ix *Index) collect(query string, mode Mode, emit func(Hit)) {
 	phrases, rest := extractPhrases(query)
 	terms := Tokenize(rest)
 	for _, p := range phrases {
 		terms = append(terms, Tokenize(p)...)
 	}
 	if len(terms) == 0 {
-		return
+		return nil
 	}
 	// dedupe query terms
 	uniq := make([]string, 0, len(terms))
@@ -294,10 +271,11 @@ func (ix *Index) collect(query string, mode Mode, emit func(Hit)) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if n == 0 || len(ix.docIdx) == 0 {
-		return
+		return nil
 	}
 	acc := ix.acquireAcc(len(ix.docs))
 	defer ix.releaseAcc(acc)
+	var hits []Hit
 	for ti, term := range uniq {
 		list := ix.postings[term]
 		if len(list) == 0 {
@@ -328,8 +306,9 @@ func (ix *Index) collect(query string, mode Mode, emit func(Hit)) {
 		if !ok {
 			continue
 		}
-		emit(Hit{ID: ix.docs[doc], Score: acc.scores[doc]})
+		hits = append(hits, Hit{ID: ix.docs[doc], Score: acc.scores[doc]})
 	}
+	return hits
 }
 
 // DocMatcher is a keyword query compiled (tokenized, phrases split, terms
@@ -405,12 +384,6 @@ func (dm *DocMatcher) Score(id string) (float64, bool) {
 		}
 	}
 	return score, true
-}
-
-// DocScore evaluates the query against one document — CompileDocMatcher +
-// Score for callers scoring a single document.
-func (ix *Index) DocScore(id, query string, mode Mode) (float64, bool) {
-	return ix.CompileDocMatcher(query, mode).Score(id)
 }
 
 // EstimateHits bounds the number of documents the query can match from the

@@ -25,13 +25,6 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestTermFreqs(t *testing.T) {
-	m := TermFreqs([]string{"a", "b", "a"})
-	if m["a"] != 2 || m["b"] != 1 {
-		t.Errorf("TermFreqs = %v", m)
-	}
-}
-
 func TestIndexSearchRanking(t *testing.T) {
 	ix := NewIndex()
 	ix.Add("doc-wind", "wind wind wind sensor")
@@ -255,7 +248,7 @@ func engineFixture(t *testing.T) (*smr.Repository, *Engine) {
 
 func TestEngineKeywordSearch(t *testing.T) {
 	_, e := engineFixture(t)
-	rs, err := e.Search(Query{Keywords: "wind"})
+	rs, err := legacySearch(e, Query{Keywords: "wind"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +264,7 @@ func TestEngineKeywordSearch(t *testing.T) {
 
 func TestEnginePropertyFilters(t *testing.T) {
 	_, e := engineFixture(t)
-	rs, err := e.Search(Query{Filters: []PropertyFilter{
+	rs, err := legacySearch(e, Query{Filters: []PropertyFilter{
 		{Property: "altitude", Op: OpGreater, Value: "2000"},
 	}})
 	if err != nil {
@@ -284,7 +277,7 @@ func TestEnginePropertyFilters(t *testing.T) {
 		t.Errorf("matched = %v", rs[0].Matched)
 	}
 	// Multiple filters AND together.
-	rs, err = e.Search(Query{Filters: []PropertyFilter{
+	rs, err = legacySearch(e, Query{Filters: []PropertyFilter{
 		{Property: "canton", Op: OpEquals, Value: "gr"},
 		{Property: "altitude", Op: OpLess, Value: "2000"},
 	}})
@@ -295,26 +288,26 @@ func TestEnginePropertyFilters(t *testing.T) {
 		t.Errorf("results = %+v", rs)
 	}
 	// Contains and not-equal.
-	rs, _ = e.Search(Query{Filters: []PropertyFilter{{Property: "measures", Op: OpContains, Value: "SPEED"}}})
+	rs, _ = legacySearch(e, Query{Filters: []PropertyFilter{{Property: "measures", Op: OpContains, Value: "SPEED"}}})
 	if len(rs) != 1 || rs[0].Title != "Sensor:Wind-01" {
 		t.Errorf("contains results = %+v", rs)
 	}
-	rs, _ = e.Search(Query{Filters: []PropertyFilter{{Property: "measures", Op: OpNotEqual, Value: "temperature"}}})
+	rs, _ = legacySearch(e, Query{Filters: []PropertyFilter{{Property: "measures", Op: OpNotEqual, Value: "temperature"}}})
 	if len(rs) != 1 || rs[0].Title != "Sensor:Wind-01" {
 		t.Errorf("not-equal results = %+v", rs)
 	}
-	if _, err := e.Search(Query{Filters: []PropertyFilter{{Property: "x", Op: "~", Value: "y"}}}); err == nil {
+	if _, err := legacySearch(e, Query{Filters: []PropertyFilter{{Property: "x", Op: "~", Value: "y"}}}); err == nil {
 		t.Error("unknown operator accepted")
 	}
 }
 
 func TestEngineNamespaceAndCategory(t *testing.T) {
 	_, e := engineFixture(t)
-	rs, _ := e.Search(Query{Namespace: "Sensor", SortBy: SortTitle})
+	rs, _ := legacySearch(e, Query{Namespace: "Sensor", SortBy: SortTitle})
 	if len(rs) != 2 || rs[0].Title != "Sensor:Temp-01" {
 		t.Errorf("namespace results = %+v", rs)
 	}
-	rs, _ = e.Search(Query{Category: "fieldsites", SortBy: SortTitle})
+	rs, _ = legacySearch(e, Query{Category: "fieldsites", SortBy: SortTitle})
 	if len(rs) != 2 {
 		t.Errorf("category results = %+v", rs)
 	}
@@ -325,18 +318,18 @@ func TestEngineSortAndOrder(t *testing.T) {
 	e.SetRanks(map[string]float64{
 		"Fieldsite:Davos": 0.5, "Sensor:Wind-01": 0.3, "Fieldsite:Wannengrat": 0.1,
 	})
-	rs, _ := e.Search(Query{SortBy: SortRank})
+	rs, _ := legacySearch(e, Query{SortBy: SortRank})
 	if rs[0].Title != "Fieldsite:Davos" {
 		t.Errorf("rank sort = %+v", rs)
 	}
 	if rs[0].Rank != 0.5 {
 		t.Errorf("rank carried = %v", rs[0].Rank)
 	}
-	rs, _ = e.Search(Query{SortBy: SortRank, Order: OrderAsc})
+	rs, _ = legacySearch(e, Query{SortBy: SortRank, Order: OrderAsc})
 	if rs[len(rs)-1].Title != "Fieldsite:Davos" {
 		t.Errorf("ascending rank sort = %+v", rs)
 	}
-	rs, _ = e.Search(Query{SortBy: SortTitle, Order: OrderDesc})
+	rs, _ = legacySearch(e, Query{SortBy: SortTitle, Order: OrderDesc})
 	if rs[0].Title != "Sensor:Wind-01" {
 		t.Errorf("descending title sort = %+v", rs)
 	}
@@ -344,15 +337,15 @@ func TestEngineSortAndOrder(t *testing.T) {
 
 func TestEngineLimitOffset(t *testing.T) {
 	_, e := engineFixture(t)
-	all, _ := e.Search(Query{SortBy: SortTitle})
+	all, _ := legacySearch(e, Query{SortBy: SortTitle})
 	if len(all) != 5 {
 		t.Fatalf("corpus = %d", len(all))
 	}
-	page, _ := e.Search(Query{SortBy: SortTitle, Limit: 2, Offset: 1})
+	page, _ := legacySearch(e, Query{SortBy: SortTitle, Limit: 2, Offset: 1})
 	if len(page) != 2 || page[0].Title != all[1].Title {
 		t.Errorf("pagination = %+v", page)
 	}
-	empty, _ := e.Search(Query{SortBy: SortTitle, Offset: 99})
+	empty, _ := legacySearch(e, Query{SortBy: SortTitle, Offset: 99})
 	if len(empty) != 0 {
 		t.Errorf("big offset = %+v", empty)
 	}
@@ -362,7 +355,7 @@ func TestEngineACLFiltering(t *testing.T) {
 	repo, e := engineFixture(t)
 	repo.ACL.SetAnonymousAccess(false)
 	repo.ACL.Grant("alice", wiki.NamespaceSensor)
-	rs, _ := e.Search(Query{User: "alice", SortBy: SortTitle})
+	rs, _ := legacySearch(e, Query{User: "alice", SortBy: SortTitle})
 	if len(rs) != 2 {
 		t.Fatalf("alice sees %d pages, want 2", len(rs))
 	}
@@ -371,7 +364,7 @@ func TestEngineACLFiltering(t *testing.T) {
 			t.Errorf("alice sees %s", r.Title)
 		}
 	}
-	anon, _ := e.Search(Query{SortBy: SortTitle})
+	anon, _ := legacySearch(e, Query{SortBy: SortTitle})
 	if len(anon) != 0 {
 		t.Errorf("anonymous sees %d pages under locked policy", len(anon))
 	}
@@ -392,8 +385,13 @@ func TestEngineAutocomplete(t *testing.T) {
 
 func TestEngineFacets(t *testing.T) {
 	_, e := engineFixture(t)
-	rs, _ := e.Search(Query{})
-	facets := e.Facets(rs, []string{"canton", "measures"})
+	facets, matched, err := countFacets(e, Query{}, "canton", "measures")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if matched != 5 {
+		t.Errorf("matched = %d, want 5", matched)
+	}
 	if facets["canton"]["GR"] != 2 {
 		t.Errorf("canton facet = %v", facets["canton"])
 	}
@@ -402,14 +400,14 @@ func TestEngineFacets(t *testing.T) {
 	}
 }
 
-// TestEngineFacetCounts checks the streaming facet path agrees with the
-// materialize-then-count path over the full matching set, honours query
-// constraints, and ignores Limit/Offset.
+// TestEngineFacetCounts checks the streaming facet path agrees with
+// counting over materialized results, honours query constraints, and
+// ignores Limit/Offset.
 func TestEngineFacetCounts(t *testing.T) {
-	_, e := engineFixture(t)
-	rs, _ := e.Search(Query{})
-	want := e.Facets(rs, []string{"canton", "measures"})
-	got, matched, err := e.FacetCounts(Query{}, []string{"canton", "measures"})
+	repo, e := engineFixture(t)
+	rs, _ := legacySearch(e, Query{})
+	want := pageFacets(repo, rs, "canton", "measures")
+	got, matched, err := countFacets(e, Query{}, "canton", "measures")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,19 +415,19 @@ func TestEngineFacetCounts(t *testing.T) {
 		t.Errorf("matched = %d, want %d", matched, len(rs))
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("FacetCounts = %v, want %v", got, want)
+		t.Errorf("facet counts = %v, want %v", got, want)
 	}
 	// Limit must not truncate the counted set.
-	limited, matchedLim, err := e.FacetCounts(Query{Limit: 1}, []string{"canton"})
+	limited, matchedLim, err := countFacets(e, Query{Limit: 1}, "canton")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if matchedLim != matched || !reflect.DeepEqual(limited["canton"], want["canton"]) {
-		t.Errorf("limited FacetCounts = %v (matched %d), want %v (matched %d)",
+		t.Errorf("limited facet counts = %v (matched %d), want %v (matched %d)",
 			limited["canton"], matchedLim, want["canton"], matched)
 	}
 	// Repeated or differently-cased properties must not double-count.
-	dup, _, err := e.FacetCounts(Query{}, []string{"canton", "CANTON", "canton"})
+	dup, _, err := countFacets(e, Query{}, "canton", "CANTON", "canton")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +435,7 @@ func TestEngineFacetCounts(t *testing.T) {
 		t.Errorf("duplicate properties double-counted: %v, want %v", dup["canton"], want["canton"])
 	}
 	// Constraints apply: keyword scope narrows the counts.
-	kw, _, err := e.FacetCounts(Query{Keywords: "anemometer"}, []string{"measures"})
+	kw, _, err := countFacets(e, Query{Keywords: "anemometer"}, "measures")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +443,7 @@ func TestEngineFacetCounts(t *testing.T) {
 		t.Errorf("keyword-scoped facet = %v", kw["measures"])
 	}
 	// Filter errors surface.
-	if _, _, err := e.FacetCounts(Query{Filters: []PropertyFilter{{Property: "x", Op: "zz", Value: "1"}}}, []string{"canton"}); err == nil {
+	if _, _, err := countFacets(e, Query{Filters: []PropertyFilter{{Property: "x", Op: "zz", Value: "1"}}}, "canton"); err == nil {
 		t.Error("invalid filter op accepted")
 	}
 }
@@ -456,13 +454,70 @@ func TestEngineRebuildPicksUpChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Before rebuild the new page is invisible to keyword search.
-	rs, _ := e.Search(Query{Keywords: "pyranometer"})
+	rs, _ := legacySearch(e, Query{Keywords: "pyranometer"})
 	if len(rs) != 0 {
 		t.Errorf("unexpected hit before rebuild: %+v", rs)
 	}
 	e.Rebuild()
-	rs, _ = e.Search(Query{Keywords: "pyranometer"})
+	rs, _ = legacySearch(e, Query{Keywords: "pyranometer"})
 	if len(rs) != 1 {
 		t.Errorf("hit missing after rebuild: %+v", rs)
 	}
+}
+
+// legacySearch runs a flat legacy query the way System.Search does:
+// LegacyExpr and LegacyOptions, then Execute.
+func legacySearch(e *Engine, q Query) ([]Result, error) {
+	res, err := runLegacy(e, q)
+	if err != nil {
+		return nil, err
+	}
+	return res.Results, nil
+}
+
+// runLegacy executes a flat legacy query, accumulating facet counts for
+// the given properties in the same pass.
+func runLegacy(e *Engine, q Query, facets ...string) (*ExecResult, error) {
+	expr, err := LegacyExpr(q)
+	if err != nil {
+		return nil, err
+	}
+	opts := LegacyOptions(q)
+	opts.Facets = facets
+	return e.Execute(expr, opts)
+}
+
+// countFacets is the count-only facet path behind the charts and the
+// drill-down counts: value counts over every page the query matches.
+func countFacets(e *Engine, q Query, props ...string) (map[string]map[string]int, int, error) {
+	expr, err := LegacyExpr(q)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := e.Execute(expr, ExecOptions{User: q.User, Facets: props, CountOnly: true})
+	if err != nil {
+		return nil, 0, err
+	}
+	return res.Facets, res.Matched, nil
+}
+
+// pageFacets is the reference facet count: read each result's page and
+// count its values per property (keys lowercased).
+func pageFacets(repo *smr.Repository, rs []Result, props ...string) map[string]map[string]int {
+	out := make(map[string]map[string]int, len(props))
+	for _, prop := range props {
+		out[strings.ToLower(prop)] = make(map[string]int)
+	}
+	for _, r := range rs {
+		page, ok := repo.Wiki.Get(r.Title)
+		if !ok {
+			continue
+		}
+		for _, prop := range props {
+			for _, v := range page.PropertyValues(prop) {
+				out[strings.ToLower(prop)][v]++
+			}
+		}
+	}
+	return out
 }

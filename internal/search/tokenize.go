@@ -47,12 +47,3 @@ func Tokenize(text string) []string {
 	flush()
 	return out
 }
-
-// TermFreqs folds tokens into a frequency map.
-func TermFreqs(tokens []string) map[string]int {
-	m := make(map[string]int, len(tokens))
-	for _, t := range tokens {
-		m[t]++
-	}
-	return m
-}

@@ -337,33 +337,58 @@ func parseQuery(r *http.Request) (search.Query, error) {
 }
 
 func (s *Server) runSearch(r *http.Request) ([]search.Result, search.Query, error) {
-	rs, _, _, q, err := s.runSearchFacets(r, nil)
-	return rs, q, err
+	res, q, err := s.runSearchFacets(r, nil)
+	if err != nil {
+		return nil, q, err
+	}
+	return res.Results, q, nil
 }
 
 // runSearchFacets executes the request's query, accumulating facet counts
 // for facetProps in the same pass over the matching set (no second
 // enumeration, no extra materialization).
-func (s *Server) runSearchFacets(r *http.Request, facetProps []string) (rs []search.Result, facets map[string]map[string]int, matched int, q search.Query, err error) {
-	q, err = parseQuery(r)
+func (s *Server) runSearchFacets(r *http.Request, facetProps []string) (*search.ExecResult, search.Query, error) {
+	q, err := parseQuery(r)
 	if err != nil {
-		return nil, nil, 0, q, err
+		return nil, q, err
 	}
 	// alpha rides along inside the query: the engine fuses relevance and
-	// PageRank inside its top-k selection (no post-hoc re-sort of a
-	// truncated page — the fusion now orders the whole matching set).
+	// PageRank inside its top-k selection, over the whole matching set.
 	if alphaStr := r.URL.Query().Get("alpha"); alphaStr != "" {
 		alpha, err := strconv.ParseFloat(alphaStr, 64)
 		if err != nil {
-			return nil, nil, 0, q, fmt.Errorf("bad alpha %q", alphaStr)
+			return nil, q, fmt.Errorf("bad alpha %q", alphaStr)
 		}
 		q.Alpha = &alpha
 	}
-	rs, facets, matched, err = s.sys.Engine.SearchWithFacets(q, facetProps)
+	expr, err := search.LegacyExpr(q)
 	if err != nil {
-		return nil, nil, 0, q, err
+		return nil, q, err
 	}
-	return rs, facets, matched, q, nil
+	opts := search.LegacyOptions(q)
+	opts.Facets = facetProps
+	res, err := s.sys.Engine.Execute(expr, opts)
+	return res, q, err
+}
+
+// countFacet streams one property's value counts over every page matching
+// the request's query, without materializing results, and returns them
+// with the number of matching pages. Sort, paging and alpha parameters do
+// not change the counts.
+func (s *Server) countFacet(r *http.Request, prop string) (map[string]int, int, error) {
+	q, err := parseQuery(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	expr, err := search.LegacyExpr(q)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := s.sys.Engine.Execute(expr, search.ExecOptions{User: q.User, Facets: []string{prop}, CountOnly: true})
+	if err != nil {
+		return nil, 0, err
+	}
+	return res.Facets[prop], res.Matched, nil
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -374,7 +399,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	for i := range facetProps {
 		facetProps[i] = normalizeProperty(facetProps[i])
 	}
-	rs, facets, matched, _, err := s.runSearchFacets(r, facetProps)
+	res, _, err := s.runSearchFacets(r, facetProps)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "search: %v", err)
 		return
@@ -384,9 +409,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Matched int                       `json:"matched,omitempty"`
 		Results []resultItem              `json:"results"`
 		Facets  map[string]map[string]int `json:"facets,omitempty"`
-	}{Count: len(rs), Results: s.resultItems(rs, r.URL.Query().Get("q"))}
+	}{Count: len(res.Results), Results: s.resultItems(res.Results, r.URL.Query().Get("q"))}
 	if len(facetProps) > 0 {
-		out.Facets, out.Matched = facets, matched
+		out.Facets, out.Matched = res.Facets, res.Matched
 	}
 	writeJSON(w, out)
 }
@@ -437,12 +462,7 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, vals)
 		return
 	}
-	q, err := parseQuery(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "values: %v", err)
-		return
-	}
-	facets, _, err := s.sys.Engine.FacetCounts(q, []string{prop})
+	counts, _, err := s.countFacet(r, prop)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "values: %v", err)
 		return
@@ -451,7 +471,6 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 		Value string `json:"value"`
 		Count int    `json:"count"`
 	}
-	counts := facets[prop]
 	out := make([]vc, 0, len(counts))
 	for v, c := range counts {
 		out = append(out, vc{Value: v, Count: c})
@@ -760,21 +779,15 @@ func (s *Server) facetChart(w http.ResponseWriter, r *http.Request, render func(
 		return
 	}
 	// Default path: stream counts over the whole matching set without
-	// materializing results. An explicit limit keeps the old behaviour of
-	// charting only the returned result page.
+	// materializing results. An explicit limit charts only the returned
+	// result page.
 	if r.URL.Query().Get("limit") == "" {
-		q, err := parseQuery(r)
+		counts, matched, err := s.countFacet(r, prop)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "chart: %v", err)
 			return
 		}
-		facets, matched, err := s.sys.Engine.FacetCounts(q, []string{prop})
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "chart: %v", err)
-			return
-		}
-		data := viz.DataFromCounts(facets[prop])
-		writeSVG(w, render(fmt.Sprintf("%s over %d result(s)", prop, matched), data))
+		writeSVG(w, render(fmt.Sprintf("%s over %d result(s)", prop, matched), viz.DataFromCounts(counts)))
 		return
 	}
 	rs, _, err := s.runSearch(r)
@@ -782,9 +795,15 @@ func (s *Server) facetChart(w http.ResponseWriter, r *http.Request, render func(
 		httpError(w, http.StatusBadRequest, "chart: %v", err)
 		return
 	}
-	facets := s.sys.Engine.Facets(rs, []string{prop})
-	data := viz.DataFromCounts(facets[prop])
-	writeSVG(w, render(fmt.Sprintf("%s over %d result(s)", prop, len(rs)), data))
+	counts := map[string]int{}
+	for _, res := range rs {
+		if page, ok := s.sys.Repo.Wiki.Get(res.Title); ok {
+			for _, v := range page.PropertyValues(prop) {
+				counts[v]++
+			}
+		}
+	}
+	writeSVG(w, render(fmt.Sprintf("%s over %d result(s)", prop, len(rs)), viz.DataFromCounts(counts)))
 }
 
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {

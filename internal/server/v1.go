@@ -16,8 +16,8 @@ import (
 // The /api/v1 surface: versioned JSON endpoints speaking the compositional
 // query AST (internal/query) with keyset-cursor pagination and a
 // structured error envelope. The legacy GET routes translate onto the same
-// AST and executor (search.LegacyExpr → Engine.Execute), so the two
-// surfaces cannot drift apart.
+// AST and executor (search.LegacyExpr and search.LegacyOptions →
+// Engine.Execute), so the two surfaces cannot drift apart.
 
 // v1Error is the structured error envelope every /api/v1 handler returns:
 //

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/query"
 	"repro/internal/recommend"
 	"repro/internal/search"
 	"repro/internal/smr"
@@ -139,17 +140,18 @@ func TestColdStartFromSnapshotAndTail(t *testing.T) {
 		}
 	}
 	// Facet counts over the whole matching set.
-	for _, q := range []search.Query{{}, {Keywords: "temperature"}} {
-		got, gm, err := cold.Engine.FacetCounts(q, []string{"measures", "partof"})
+	facetOpts := search.ExecOptions{Facets: []string{"measures", "partof"}, CountOnly: true}
+	for _, expr := range []query.Expr{query.All{}, query.Keyword{Text: "temperature"}} {
+		got, err := cold.Query(expr, facetOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wm, err := full.Engine.FacetCounts(q, []string{"measures", "partof"})
+		want, err := full.Query(expr, facetOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gm != wm || !reflect.DeepEqual(got, want) {
-			t.Fatalf("facets diverge: %v/%d vs %v/%d", got, gm, want, wm)
+		if got.Matched != want.Matched || !reflect.DeepEqual(got.Facets, want.Facets) {
+			t.Fatalf("facets diverge: %v/%d vs %v/%d", got.Facets, got.Matched, want.Facets, want.Matched)
 		}
 	}
 	// Autocomplete.

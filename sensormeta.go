@@ -433,10 +433,19 @@ func (s *System) installRankingLocked(rk *ranking.Ranker, rebuildRecommender boo
 }
 
 // Search runs an advanced query. The flat legacy Query is translated onto
-// the compositional AST and executed by the shared executor; Query is the
-// expression-level entry point.
+// the compositional AST (search.LegacyExpr, search.LegacyOptions) and
+// executed by Engine.Execute; Query is the expression-level entry point.
+// Setting q.Alpha orders the results by the relevance/PageRank fusion.
 func (s *System) Search(q search.Query) ([]search.Result, error) {
-	return s.Engine.Search(q)
+	expr, err := search.LegacyExpr(q)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.Engine.Execute(expr, search.LegacyOptions(q))
+	if err != nil {
+		return nil, err
+	}
+	return res.Results, nil
 }
 
 // Query executes a compositional query expression (internal/query's
@@ -462,24 +471,6 @@ func (s *System) recommender() *recommend.Recommender {
 	s.ptrMu.RLock()
 	defer s.ptrMu.RUnlock()
 	return s.Recommender
-}
-
-// SearchFused runs a query ordered by the PageRank/relevance fusion with
-// the given alpha (1 = pure relevance, 0 = pure PageRank). The fusion runs
-// inside the engine's top-k selection (search.ExecOptions.Alpha), so the
-// fused order covers the whole matching set — a Limit returns the best
-// fused page, not a re-sorted relevance page.
-func (s *System) SearchFused(q search.Query, alpha float64) ([]search.Result, error) {
-	q.Alpha = &alpha
-	return s.Engine.Search(q)
-}
-
-// Fuse re-orders already-materialized results by the PageRank/relevance
-// fusion — the legacy post-hoc re-sort (ranking.Ranker.Fuse), kept for
-// callers that produced the results elsewhere and as the baseline the
-// alpha-fusion benchmark compares the in-executor path against.
-func (s *System) Fuse(rs []search.Result, alpha float64) []search.Result {
-	return s.ranker().Fuse(rs, alpha)
 }
 
 // Autocomplete suggests query completions.

@@ -97,9 +97,13 @@ func TestEndToEndFlow(t *testing.T) {
 
 func TestSearchFused(t *testing.T) {
 	sys := seededSystem(t)
-	rs, err := sys.SearchFused(search.Query{Keywords: "sensor", Mode: search.ModeAny}, 0)
+	alpha := 0.0
+	rs, err := sys.Search(search.Query{Keywords: "sensor", Mode: search.ModeAny, Alpha: &alpha})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(rs) < 2 {
+		t.Fatalf("fixture too small: %d results", len(rs))
 	}
 	for i := 1; i < len(rs); i++ {
 		if rs[i].Rank > rs[i-1].Rank {
