@@ -459,6 +459,32 @@ func BenchmarkAutocomplete(b *testing.B) {
 	}
 }
 
+// BenchmarkSPARQLBGP measures the one- and two-pattern basic graph
+// patterns of the structured query traffic: every sensor measuring one
+// quantity, alone and joined with its sampling rate. Each pattern is a
+// store Match whose matches come back in N-Triples order, so the sort
+// shows up directly in ns/op and B/op.
+func BenchmarkSPARQLBGP(b *testing.B) {
+	sys := benchSystemShared(b, 600)
+	for _, c := range []struct{ name, q string }{
+		{"one-pattern", `SELECT ?s WHERE { ?s <smr://prop/measures> "temperature" }`},
+		{"two-pattern", `SELECT ?s ?r WHERE { ?s <smr://prop/measures> "wind speed" . ?s <smr://prop/samplingrate> ?r }`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				res, err := sys.QuerySPARQL(c.q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Rows) == 0 {
+					b.Fatal("no rows")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSPARQLJoin measures a three-pattern BGP join on the corpus RDF.
 func BenchmarkSPARQLJoin(b *testing.B) {
 	sys := benchSystemShared(b, 600)

@@ -1,7 +1,9 @@
 package rdf
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -75,31 +77,24 @@ func (st *Store) Add(t Triple) bool {
 	return true
 }
 
-// Remove deletes a triple and reports whether it existed.
-func (st *Store) Remove(t Triple) bool {
+// RemoveSubject deletes every triple with subject s under one lock and
+// returns how many it deleted.
+func (st *Store) RemoveSubject(s Term) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s, ok := st.lookup(t.S)
+	sid, ok := st.lookup(s)
 	if !ok {
-		return false
+		return 0
 	}
-	p, ok := st.lookup(t.P)
-	if !ok {
-		return false
+	set := st.spo[sid]
+	n := len(set)
+	for e := range set {
+		delete(st.triples, e)
+		delete(st.pos[e.p], e)
+		delete(st.osp[e.o], e)
 	}
-	o, ok := st.lookup(t.O)
-	if !ok {
-		return false
-	}
-	e := enc{s, p, o}
-	if _, exists := st.triples[e]; !exists {
-		return false
-	}
-	delete(st.triples, e)
-	delete(st.spo[e.s], e)
-	delete(st.pos[e.p], e)
-	delete(st.osp[e.o], e)
-	return true
+	clear(set)
+	return n
 }
 
 // Len returns the number of triples.
@@ -115,7 +110,8 @@ func (st *Store) decode(e enc) Triple {
 }
 
 // Match returns all triples matching the pattern; nil components are
-// wildcards. Results are sorted by N-Triples text for determinism.
+// wildcards. Results are in N-Triples text order (Triple.String), for
+// determinism; the order is computed without materializing that text.
 func (st *Store) Match(s, p, o *Term) []Triple {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -159,7 +155,7 @@ func (st *Store) Match(s, p, o *Term) []Triple {
 		candidates = st.triples
 	}
 
-	var out []Triple
+	hits := make([]enc, 0, len(candidates))
 	for e := range candidates {
 		if hasS && e.s != sid {
 			continue
@@ -170,10 +166,45 @@ func (st *Store) Match(s, p, o *Term) []Triple {
 		if hasO && e.o != oid {
 			continue
 		}
-		out = append(out, st.decode(e))
+		hits = append(hits, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	if len(hits) == 0 {
+		return nil
+	}
+	slices.SortFunc(hits, st.compare)
+	out := make([]Triple, len(hits))
+	for i, e := range hits {
+		out[i] = st.decode(e)
+	}
 	return out
+}
+
+// compare orders encoded triples by their N-Triples text (Triple.String)
+// without building it. Two different triples can share one text (an IRI
+// containing "> <", a literal with both a language and a datatype); those
+// are ordered term by term on their fields. Caller holds a read lock.
+func (st *Store) compare(x, y enc) int {
+	xs, ys := [3]termID{x.s, x.p, x.o}, [3]termID{y.s, y.p, y.o}
+	// Equal leading terms have equal text: start at the first that differs.
+	k := 0
+	for k < 3 && xs[k] == ys[k] {
+		k++
+	}
+	if k == 3 {
+		return 0
+	}
+	a := [3]*Term{&st.terms[x.s], &st.terms[x.p], &st.terms[x.o]}
+	b := [3]*Term{&st.terms[y.s], &st.terms[y.p], &st.terms[y.o]}
+	if c := compareNTriples(a, b, k); c != 0 {
+		return c
+	}
+	for ; k < 3; k++ {
+		if c := cmp.Or(cmp.Compare(a[k].Kind, b[k].Kind), strings.Compare(a[k].Value, b[k].Value),
+			strings.Compare(a[k].Lang, b[k].Lang), strings.Compare(a[k].Datatype, b[k].Datatype)); c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
 // Has reports whether the exact triple is present.
@@ -194,43 +225,4 @@ func (st *Store) Has(t Triple) bool {
 	}
 	_, exists := st.triples[enc{s, p, o}]
 	return exists
-}
-
-// Subjects returns the distinct subject terms of triples with the given
-// predicate (all subjects when p is nil), sorted.
-func (st *Store) Subjects(p *Term) []Term {
-	seen := make(map[string]Term)
-	for _, t := range st.Match(nil, p, nil) {
-		seen[t.S.Key()] = t.S
-	}
-	return sortTerms(seen)
-}
-
-// Predicates returns all distinct predicate terms, sorted. This powers the
-// dynamic drop-down menus of the advanced search interface.
-func (st *Store) Predicates() []Term {
-	seen := make(map[string]Term)
-	for _, t := range st.Match(nil, nil, nil) {
-		seen[t.P.Key()] = t.P
-	}
-	return sortTerms(seen)
-}
-
-// Objects returns the distinct objects for a given subject/predicate
-// pattern, sorted.
-func (st *Store) Objects(s, p *Term) []Term {
-	seen := make(map[string]Term)
-	for _, t := range st.Match(s, p, nil) {
-		seen[t.O.Key()] = t.O
-	}
-	return sortTerms(seen)
-}
-
-func sortTerms(m map[string]Term) []Term {
-	out := make([]Term, 0, len(m))
-	for _, t := range m {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
 }

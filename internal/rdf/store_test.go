@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -25,17 +27,17 @@ func TestAddRemoveHas(t *testing.T) {
 	if !st.Has(a) || st.Len() != 1 {
 		t.Error("Has/Len wrong after insert")
 	}
-	if !st.Remove(a) {
-		t.Error("Remove of present triple failed")
+	if st.RemoveSubject(a.S) != 1 {
+		t.Error("RemoveSubject of present triple failed")
 	}
-	if st.Remove(a) {
-		t.Error("double Remove succeeded")
+	if st.RemoveSubject(a.S) != 0 {
+		t.Error("double RemoveSubject succeeded")
 	}
 	if st.Has(a) || st.Len() != 0 {
 		t.Error("Has/Len wrong after delete")
 	}
-	if st.Remove(tr("nope", "p", "o")) {
-		t.Error("Remove of unknown subject succeeded")
+	if st.RemoveSubject(NewIRI("nope")) != 0 {
+		t.Error("RemoveSubject of unknown subject succeeded")
 	}
 }
 
@@ -98,25 +100,171 @@ func TestMatchDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestSubjectsPredicatesObjects(t *testing.T) {
-	st := NewStore()
-	st.Add(tr("a", "p1", "x"))
-	st.Add(tr("b", "p2", "y"))
-	st.Add(Triple{S: NewIRI("a"), P: NewIRI("p1"), O: NewLiteral("lit")})
+// ntriplesSorted sorts triples by their N-Triples text, built in full: the
+// reference for the order Match produces without building it.
+func ntriplesSorted(ts []Triple) {
+	sort.Slice(ts, func(i, j int) bool { return ts[i].String() < ts[j].String() })
+}
 
-	if got := st.Predicates(); len(got) != 2 {
-		t.Errorf("Predicates = %v", got)
+// adversarialTerm draws a term whose N-Triples text is hard to order
+// without building it: blank labels that are prefixes of one another,
+// values with escaped and control bytes, IRIs containing '>' and spaces,
+// and literals with a language, a datatype or both.
+func adversarialTerm(rng *rand.Rand) Term {
+	values := []string{"", "a", "ab", "a b", "a .", "a>", "a> <b", "a\\", "a\"", "a\nb", "a\tb",
+		"a\rb", "a\x00", "\x01", "\x1f", "\\n", "a\"b\\", " ", "@", "^", "~", "é"}
+	langs := []string{"en", "e", "en-GB", "x y"}
+	types := []string{"http://t", "http://t>", "x"}
+	v := values[rng.Intn(len(values))]
+	switch rng.Intn(6) {
+	case 0:
+		return NewIRI(v)
+	case 1:
+		return NewBlank(v)
+	case 2:
+		return NewLiteral(v)
+	case 3:
+		return NewLangLiteral(v, langs[rng.Intn(len(langs))])
+	case 4:
+		return NewTypedLiteral(v, types[rng.Intn(len(types))])
+	default:
+		return Term{Kind: Literal, Value: v, Lang: langs[rng.Intn(len(langs))], Datatype: types[rng.Intn(len(types))]}
 	}
-	p1 := NewIRI("p1")
-	if got := st.Subjects(&p1); len(got) != 1 || got[0].Value != "a" {
-		t.Errorf("Subjects(p1) = %v", got)
+}
+
+func TestCompareNTriplesMatchesStringCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 50000; i++ {
+		var a, b [3]*Term
+		for k := range a {
+			ta, tb := adversarialTerm(rng), adversarialTerm(rng)
+			a[k], b[k] = &ta, &tb
+		}
+		// Share leading terms now and then, as triples of one subject do.
+		from := rng.Intn(3)
+		for k := 0; k < from; k++ {
+			b[k] = a[k]
+		}
+		x, y := Triple{*a[0], *a[1], *a[2]}, Triple{*b[0], *b[1], *b[2]}
+		if got, want := compareNTriples(a, b, from), strings.Compare(x.String(), y.String()); got != want {
+			t.Fatalf("compareNTriples(%q, %q) = %d, want %d", x, y, got, want)
+		}
 	}
-	if got := st.Subjects(nil); len(got) != 2 {
-		t.Errorf("Subjects(nil) = %v", got)
+}
+
+func TestMatchOrderMatchesNTriplesSort(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var pool []Term
+		for i := 0; i < 12; i++ {
+			pool = append(pool, adversarialTerm(rng))
+		}
+		var all []Triple
+		st := NewStore()
+		for i := 0; i < 120; i++ {
+			tp := Triple{pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]}
+			if st.Add(tp) {
+				all = append(all, tp)
+			}
+		}
+		// The same triples added in reverse: ties between triples with
+		// one text must still come out in one order.
+		rev := NewStore()
+		for i := len(all) - 1; i >= 0; i-- {
+			rev.Add(all[i])
+		}
+		// Bound positions take pool terms (some absent from the store)
+		// and one term that is in no triple.
+		pick := func() Term {
+			if rng.Intn(20) == 0 {
+				return NewIRI("not in the store")
+			}
+			return pool[rng.Intn(len(pool))]
+		}
+		for q := 0; q < 100; q++ {
+			s, p, o := pick(), pick(), pick()
+			for mask := 0; mask < 8; mask++ {
+				if mask == 0 && q > 0 {
+					continue // the full scan does not depend on the pick
+				}
+				var sp, pp, op *Term
+				if mask&1 != 0 {
+					sp = &s
+				}
+				if mask&2 != 0 {
+					pp = &p
+				}
+				if mask&4 != 0 {
+					op = &o
+				}
+				var want []Triple
+				for _, tp := range all {
+					if (sp == nil || tp.S.Key() == sp.Key()) && (pp == nil || tp.P.Key() == pp.Key()) &&
+						(op == nil || tp.O.Key() == op.Key()) {
+						want = append(want, tp)
+					}
+				}
+				ntriplesSorted(want)
+				got := st.Match(sp, pp, op)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d Match(%v, %v, %v): %d triples, want %d", seed, sp, pp, op, len(got), len(want))
+				}
+				for i := range got {
+					if !st.Has(got[i]) || got[i].String() != want[i].String() {
+						t.Fatalf("seed %d Match(%v, %v, %v)[%d] = %q, want %q", seed, sp, pp, op, i, got[i], want[i])
+					}
+				}
+				if again := rev.Match(sp, pp, op); !slices.Equal(got, again) {
+					t.Fatalf("seed %d Match(%v, %v, %v) depends on insertion order", seed, sp, pp, op)
+				}
+			}
+		}
 	}
-	a := NewIRI("a")
-	if got := st.Objects(&a, &p1); len(got) != 2 {
-		t.Errorf("Objects(a, p1) = %v", got)
+}
+
+// TestMatchSortAllocatesNothing checks that ordering matches costs no
+// allocation per comparison: a Match allocates its two result slices, however
+// many matches it sorts and however many of their literals need escaping.
+func TestMatchSortAllocatesNothing(t *testing.T) {
+	st := NewStore()
+	for i := 0; i < 500; i++ {
+		st.Add(Triple{S: NewBlank(fmt.Sprint(i % 37)), P: NewIRI(fmt.Sprint("p", i%5)),
+			O: NewLangLiteral(fmt.Sprintf("line\t%d \"q\"\n", i), "en")})
+	}
+	if allocs := testing.AllocsPerRun(20, func() { st.Match(nil, nil, nil) }); allocs > 2 {
+		t.Errorf("Match of %d triples allocates %.0f times, want 2", st.Len(), allocs)
+	}
+}
+
+func TestRemoveSubject(t *testing.T) {
+	st, want := NewStore(), NewStore()
+	for i := 0; i < 40; i++ {
+		tp := tr(fmt.Sprintf("s%d", i%4), fmt.Sprintf("p%d", i%3), fmt.Sprintf("o%d", i%5))
+		st.Add(tp)
+		if tp.S.Value != "s1" {
+			want.Add(tp)
+		}
+	}
+	before := st.Len()
+	if n := st.RemoveSubject(NewIRI("s1")); n != before-want.Len() || n == 0 {
+		t.Fatalf("RemoveSubject removed %d of %d", n, before-want.Len())
+	}
+	// Every index agrees with a store that never held the subject.
+	for i := 0; i < 5; i++ {
+		p, o := NewIRI(fmt.Sprintf("p%d", i%3)), NewIRI(fmt.Sprintf("o%d", i))
+		for _, c := range [][2]*Term{{nil, nil}, {&p, nil}, {nil, &o}, {&p, &o}} {
+			if got, exp := st.Match(nil, c[0], c[1]), want.Match(nil, c[0], c[1]); !slices.Equal(got, exp) {
+				t.Errorf("Match(nil, %v, %v) = %v, want %v", c[0], c[1], got, exp)
+			}
+		}
+	}
+	s1 := NewIRI("s1")
+	if st.Len() != want.Len() || st.Match(&s1, nil, nil) != nil {
+		t.Errorf("subject still present: Len %d, want %d", st.Len(), want.Len())
+	}
+	st.Add(tr("s1", "p0", "o0"))
+	if got := st.Match(&s1, nil, nil); len(got) != 1 {
+		t.Errorf("re-added subject matches %v", got)
 	}
 }
 
@@ -214,7 +362,7 @@ func TestConcurrentAccess(t *testing.T) {
 				case 0:
 					st.Add(tr(s, "p", o))
 				case 1:
-					st.Remove(tr(s, "p", o))
+					st.RemoveSubject(NewIRI(s))
 				default:
 					st.Match(nil, nil, nil)
 				}

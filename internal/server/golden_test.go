@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,7 +27,7 @@ func TestLegacySearchGolden(t *testing.T) {
 	sys.Repo.ACL.DenyPage("fieldstaff", "Sensor:temperat-0003")
 	sys.Repo.ACL.DenyPage("auditor", "Deployment:Davos-01")
 
-	cases := []struct{ name, path, body string }{
+	cases := []goldenCase{
 		{"search_keywords", "/api/search?q=temperature", ""},
 		{"search_keywords_all", "/api/search?q=wind+speed&limit=6", ""},
 		{"search_mode_any", "/api/search?q=wind+snow&mode=any&limit=8", ""},
@@ -100,14 +101,58 @@ func TestLegacySearchGolden(t *testing.T) {
 		{"v1_combined_keyword_sparql", "/api/v1/combined",
 			`{"keywords":"sensor","sparql":"SELECT ?page WHERE { ?page <smr://prop/status> \"retired\" }","user":"fieldstaff"}`},
 	}
+	runGolden(t, ts.URL, cases)
+}
+
+// TestSPARQLGolden pins GET /api/sparql byte for byte. Rows without an
+// ORDER BY come out in the order the RDF store returns its matches
+// (N-Triples text order), so these responses pin that order too.
+// Regenerate with `go test ./internal/server -run TestSPARQLGolden -update`.
+func TestSPARQLGolden(t *testing.T) {
+	_, ts := newTestServer(t)
+	queries := []struct{ name, q string }{
+		{"bgp_one", `SELECT ?s WHERE { ?s <smr://prop/measures> "temperature" }`},
+		{"bgp_two", `SELECT ?s ?r WHERE { ?s <smr://prop/measures> "wind speed" . ?s <smr://prop/samplingrate> ?r }`},
+		{"bgp_three", `SELECT ?sensor ?site WHERE { ?sensor <smr://prop/partof> ?dep . ?dep <smr://prop/locatedin> ?site . ?sensor <smr://prop/status> "active" }`},
+		{"bgp_subject", `SELECT ?p ?o WHERE { <smr://page/Deployment:Davos-01> ?p ?o }`},
+		{"bgp_prefix", `PREFIX smr: <smr://prop/> SELECT ?s ?m WHERE { ?s smr:measures ?m . ?s smr:status "retired" }`},
+		{"optional", `SELECT ?s ?st WHERE { ?s <smr://prop/measures> "humidity" OPTIONAL { ?s <smr://prop/status> ?st } }`},
+		{"optional_unbound", `SELECT ?d ?x WHERE { ?d <smr://prop/locatedin> ?site OPTIONAL { ?d <smr://prop/nosuchprop> ?x } }`},
+		{"union", `SELECT ?s WHERE { { ?s <smr://prop/measures> "snow height" } UNION { ?s <smr://prop/status> "retired" } }`},
+		{"filter_compare", `SELECT ?s ?r WHERE { ?s <smr://prop/samplingrate> ?r FILTER (?r >= 60) }`},
+		{"filter_logical", `SELECT ?s ?r WHERE { ?s <smr://prop/samplingrate> ?r FILTER (?r < 30 || ?r = 300) }`},
+		{"filter_contains", `SELECT ?s ?m WHERE { ?s <smr://prop/measures> ?m FILTER (CONTAINS(?m, "wind")) }`},
+		{"filter_regex", `SELECT ?s ?m WHERE { ?s <smr://prop/measures> ?m FILTER (REGEX(?m, "^S", "i")) }`},
+		{"distinct", `SELECT DISTINCT ?m WHERE { ?s <smr://prop/measures> ?m }`},
+		{"order_by", `SELECT ?s ?r WHERE { ?s <smr://prop/samplingrate> ?r } ORDER BY DESC(?r) LIMIT 12`},
+		{"limit_offset", `SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 25 OFFSET 40`},
+		{"no_match", `SELECT ?s WHERE { ?s <smr://prop/measures> "no such quantity" }`},
+		{"parse_error", `SELECT ?s WHERE { ?s <smr://prop/measures> `},
+	}
+	cases := []goldenCase{{"sparql_missing_q", "/api/sparql", ""}}
+	for _, q := range queries {
+		cases = append(cases, goldenCase{"sparql_" + q.name, "/api/sparql?q=" + url.QueryEscape(q.q), ""})
+	}
+	runGolden(t, ts.URL, cases)
+}
+
+// goldenCase is one recorded request: a GET of path, or a POST of body
+// to path when body is set.
+type goldenCase struct{ name, path, body string }
+
+// runGolden issues each case against the server at base and compares the
+// status line, content type and body with testdata/golden/<name>.golden,
+// rewriting the file instead under -update.
+func runGolden(t *testing.T, base string, cases []goldenCase) {
+	t.Helper()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var resp *http.Response
 			var err error
 			if c.body != "" {
-				resp, err = http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+				resp, err = http.Post(base+c.path, "application/json", strings.NewReader(c.body))
 			} else {
-				resp, err = http.Get(ts.URL + c.path)
+				resp, err = http.Get(base + c.path)
 			}
 			if err != nil {
 				t.Fatal(err)

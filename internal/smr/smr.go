@@ -402,10 +402,7 @@ func looksLikeTitle(v string) bool {
 func (r *Repository) reprojectRDF(page *wiki.Page) {
 	title := page.Title.String()
 	subj := PageIRI(title)
-	// Remove previous triples with this subject.
-	for _, t := range r.RDF.Match(&subj, nil, nil) {
-		r.RDF.Remove(t)
-	}
+	r.RDF.RemoveSubject(subj)
 	for _, a := range page.Annotations {
 		var obj rdf.Term
 		switch {
@@ -450,10 +447,7 @@ func (r *Repository) DeletePage(title string) (bool, error) {
 		return false, fmt.Errorf("smr: relational projection of %s: %w", canonical, err)
 	}
 	r.Wiki.Delete(canonical)
-	subj := PageIRI(canonical)
-	for _, t := range r.RDF.Match(&subj, nil, nil) {
-		r.RDF.Remove(t)
-	}
+	r.RDF.RemoveSubject(PageIRI(canonical))
 	// Removing a node always changes the link graph.
 	seq := r.journal.Append(ChangeDelete, canonical, true)
 	commit, err := r.stageMutation(seq, WALOp{Op: walOpDelete, Title: canonical, At: r.Wiki.Now()})

@@ -5,7 +5,11 @@
 // SPARQL; internal/smr stitches the two result sets together.
 package sparql
 
-import "repro/internal/rdf"
+import (
+	"regexp"
+
+	"repro/internal/rdf"
+)
 
 // NodeKind says whether a pattern position is a variable or a constant term.
 type NodeKind uint8
@@ -96,11 +100,12 @@ type NotExpr struct{ X Expression }
 // BoundExpr is BOUND(?x).
 type BoundExpr struct{ Var string }
 
-// RegexExpr is REGEX(?x, "pattern") with optional "i" flag.
+// RegexExpr is REGEX(?x, "pattern") with optional "i" flag. The parser
+// compiles the pattern, the flag applied as a (?i) prefix, so an invalid
+// pattern is a parse error whatever the data.
 type RegexExpr struct {
-	X          Operand
-	Pattern    string
-	IgnoreCase bool
+	X  Operand
+	Re *regexp.Regexp
 }
 
 // ContainsExpr is CONTAINS(?x, "needle").

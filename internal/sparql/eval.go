@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"fmt"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -259,7 +258,7 @@ func matchPattern(store *rdf.Store, tp TriplePattern, b Binding) []Binding {
 			}
 			if prev, exists := nb[v]; exists {
 				// same variable twice in one pattern (e.g. ?x p ?x)
-				if prev.Key() != term.Key() {
+				if prev != term {
 					ok = false
 				}
 				return
@@ -329,15 +328,7 @@ func evalExpr(e Expression, b Binding) (bool, error) {
 		if !ok {
 			return false, nil
 		}
-		pat := x.Pattern
-		if x.IgnoreCase {
-			pat = "(?i)" + pat
-		}
-		re, err := regexp.Compile(pat)
-		if err != nil {
-			return false, fmt.Errorf("sparql: bad REGEX pattern %q: %v", x.Pattern, err)
-		}
-		return re.MatchString(t.Value), nil
+		return x.Re.MatchString(t.Value), nil
 	case *ContainsExpr:
 		t, ok := resolveOperand(x.X, b)
 		if !ok {

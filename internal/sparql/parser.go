@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"regexp"
 	"strconv"
 	"strings"
 	"unicode"
@@ -598,18 +599,24 @@ func (p *parser) parseUnaryExpr() (Expression, error) {
 		}
 		pat := p.cur().text
 		p.i++
-		ignoreCase := false
+		flags := ""
 		if p.punct(",") {
 			if p.cur().kind != tString {
 				return nil, p.errorf("REGEX flags must be a string")
 			}
-			ignoreCase = strings.Contains(p.cur().text, "i")
+			if strings.Contains(p.cur().text, "i") {
+				flags = "(?i)"
+			}
 			p.i++
 		}
 		if err := p.expectPunct(")"); err != nil {
 			return nil, err
 		}
-		return &RegexExpr{X: x, Pattern: pat, IgnoreCase: ignoreCase}, nil
+		re, err := regexp.Compile(flags + pat)
+		if err != nil {
+			return nil, p.errorf("bad REGEX pattern %q: %v", pat, err)
+		}
+		return &RegexExpr{X: x, Re: re}, nil
 	case p.keyword("CONTAINS"):
 		if err := p.expectPunct("("); err != nil {
 			return nil, err

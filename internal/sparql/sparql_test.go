@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/rdf"
@@ -260,10 +261,28 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestBadRegexErrors checks that an invalid REGEX pattern is a parse error,
+// whether the pattern it filters has zero rows, one row or more.
 func TestBadRegexErrors(t *testing.T) {
-	_, err := Exec(fixtureStore(), prefix+`SELECT ?s WHERE { ?s smr:measures ?m . FILTER (REGEX(?m, "(")) }`)
-	if err == nil {
-		t.Error("bad regex pattern accepted")
+	for _, where := range []string{
+		`?s smr:nomatch ?o`, // zero rows
+		`?s smr:measures "wind speed" . ?s smr:measures ?o`, // one row
+		`?s smr:measures ?o`, // three rows
+	} {
+		for _, filter := range []string{`REGEX(?o, "(")`, `REGEX(?o, "[", "i")`} {
+			q := prefix + `SELECT ?o WHERE { ` + where + ` FILTER (` + filter + `) }`
+			if _, err := Parse(q); err == nil || !strings.Contains(err.Error(), "parse error") {
+				t.Errorf("Parse(%q) error = %v, want a parse error", q, err)
+			}
+			if _, err := Exec(fixtureStore(), q); err == nil || !strings.Contains(err.Error(), "bad REGEX pattern") {
+				t.Errorf("Exec(%q) error = %v, want bad REGEX pattern", q, err)
+			}
+		}
+	}
+	// The "i" flag still applies.
+	res := mustExec(t, prefix+`SELECT ?o WHERE { ?s smr:measures ?o FILTER (REGEX(?o, "^WIND", "i")) }`)
+	if len(res.Rows) != 1 {
+		t.Errorf("case-insensitive regex rows = %d, want 1", len(res.Rows))
 	}
 }
 
