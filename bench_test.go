@@ -98,7 +98,14 @@ func BenchmarkFig3bSolverTime(b *testing.B) {
 // once per benchmark.
 func benchSystem(b *testing.B, sensors int) *System {
 	b.Helper()
-	sys, err := New()
+	return benchSystemShards(b, sensors, 0)
+}
+
+// benchSystemShards is benchSystem with a construction-time shard count
+// (0 selects the default).
+func benchSystemShards(b *testing.B, sensors, shards int) *System {
+	b.Helper()
+	sys, err := NewShards(shards)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -332,28 +339,33 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 }
 
 // BenchmarkAblationTagCache compares the tagging pipeline with and without
-// the cache module (paper Section IV-A).
+// the cache module (paper Section IV-A); the uncached baseline is the
+// from-scratch Parser → Matrix → Graph → Clique chain,
+// BuildCloud(FetchTagData()).
 func BenchmarkAblationTagCache(b *testing.B) {
 	sys := benchSystemShared(b, 300)
-	for _, disable := range []bool{false, true} {
-		name := "cached"
-		if disable {
-			name = "uncached"
+	opts := tagging.CloudOptions{UsePivot: true}
+	p := tagging.NewPipeline(sys.Repo, true)
+	b.Run("cached", func(b *testing.B) {
+		if _, err := p.Cloud(opts); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			p := tagging.NewPipeline(sys.Repo, true)
-			p.DisableCache = disable
-			if _, err := p.Cloud(tagging.CloudOptions{UsePivot: true}); err != nil {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := p.Cloud(opts); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Cloud(tagging.CloudOptions{UsePivot: true}); err != nil {
-					b.Fatal(err)
-				}
+		}
+	})
+	b.Run("uncached", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			td, err := p.FetchTagData()
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			tagging.BuildCloud(td, opts)
+		}
+	})
 }
 
 // BenchmarkAblationDoubleLink compares PageRank over the double-link
@@ -630,7 +642,8 @@ func BenchmarkIncrementalRecommend(b *testing.B) {
 
 // BenchmarkIncrementalTagging measures the tagging pipeline's refresh cost
 // at 10k pages with ~1% tag churn per round: the from-scratch Parser fetch
-// + full matrix/clique chain (DisableCache) against the journal delta path
+// + full matrix/clique chain (BuildCloud(FetchTagData())) against the
+// journal delta path
 // with per-component clique caching.
 func BenchmarkIncrementalTagging(b *testing.B) {
 	sys := benchSystem(b, 10000)
@@ -652,14 +665,15 @@ func BenchmarkIncrementalTagging(b *testing.B) {
 	opts := tagging.CloudOptions{UsePivot: true}
 	b.Run("full-rebuild", func(b *testing.B) {
 		p := tagging.NewPipeline(sys.Repo, false)
-		p.DisableCache = true
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			churnOnce(b)
 			b.StartTimer()
-			if _, err := p.Cloud(opts); err != nil {
+			td, err := p.FetchTagData()
+			if err != nil {
 				b.Fatal(err)
 			}
+			tagging.BuildCloud(td, opts)
 		}
 	})
 	b.Run("incremental", func(b *testing.B) {
@@ -699,58 +713,6 @@ func BenchmarkFacetCounts(b *testing.B) {
 	})
 }
 
-// BenchmarkFacetIndexVsStream measures filter-only facet counting: the
-// streaming baseline enumerates the pruned candidate set and evaluates
-// every page (fetch + query.Eval + PropertyValues accumulation), the index
-// path answers by posting-set arithmetic alone (exact match set ∩
-// per-raw-value postings, occurrence counts summed) — no page is fetched
-// or evaluated. Two query shapes: a broad namespace scope (counts over
-// most of the corpus) and a selective property filter.
-func BenchmarkFacetIndexVsStream(b *testing.B) {
-	sys := benchSystemShared(b, 5000)
-	sensors := sys.Repo.Wiki.PagesInNamespace("Sensor")
-	page, ok := sys.Repo.Wiki.Get(sensors[0])
-	if !ok {
-		b.Fatal("missing sensor page")
-	}
-	dep := page.PropertyValues("partOf")[0]
-	props := []string{"measures", "status"}
-	shapes := []struct {
-		name string
-		expr query.Expr
-	}{
-		{"broad", query.Namespace{Name: "Sensor"}},
-		{"selective", query.Property{Name: "partof", Op: query.OpEq, Value: dep}},
-	}
-	for _, shape := range shapes {
-		want, err := sys.Engine.Execute(shape.expr, search.ExecOptions{
-			CountOnly: true, Facets: props,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range []struct {
-			name    string
-			noIndex bool
-		}{{"stream", true}, {"indexed", false}} {
-			b.Run(shape.name+"/"+c.name, func(b *testing.B) {
-				b.ReportMetric(float64(want.Matched), "matches")
-				for i := 0; i < b.N; i++ {
-					res, err := sys.Engine.Execute(shape.expr, search.ExecOptions{
-						CountOnly: true, Facets: props, DisableFacetIndex: c.noIndex,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Matched != want.Matched {
-						b.Fatalf("matched %d, want %d", res.Matched, want.Matched)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkAlphaFusion measures the relevance/PageRank fusion on the
 // query shape the interface serves (20 fused results of a keyword query):
 // the executor buffers the matching set once and heap-selects the fused
@@ -777,55 +739,6 @@ func BenchmarkAlphaFusion(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkFilterPushdown measures the executor's candidate pruning on a
-// selective-filter keyword query (the filter matches well under 5% of the
-// corpus): the score-then-filter baseline scores every "sensor" posting
-// before filtering, the pruned path intersects the (property, value)
-// posting set first and scores keywords only over the survivors.
-func BenchmarkFilterPushdown(b *testing.B) {
-	sys := benchSystemShared(b, 5000)
-	sensors := sys.Repo.Wiki.PagesInNamespace("Sensor")
-	page, ok := sys.Repo.Wiki.Get(sensors[0])
-	if !ok {
-		b.Fatal("missing sensor page")
-	}
-	dep := page.PropertyValues("partOf")[0]
-	expr := query.And{Children: []query.Expr{
-		query.Keyword{Text: "sensor", Any: true},
-		query.Property{Name: "partof", Op: query.OpEq, Value: dep},
-	}}
-	sel, err := sys.Engine.Execute(expr, search.ExecOptions{CountOnly: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if hi := len(sensors) / 20; sel.Matched == 0 || sel.Matched > hi {
-		b.Fatalf("filter matches %d of %d sensors; want selective (<%d)", sel.Matched, len(sensors), hi)
-	}
-	for _, shards := range benchShardCounts() {
-		eng := search.NewEngineShards(sys.Repo, shards)
-		eng.SetRanks(sys.Ranker.Scores())
-		for _, c := range []struct {
-			name    string
-			noPrune bool
-		}{{"score-then-filter", true}, {"pruned", false}} {
-			b.Run(fmt.Sprintf("shards=%d/%s", shards, c.name), func(b *testing.B) {
-				b.ReportMetric(float64(sel.Matched), "matches")
-				for i := 0; i < b.N; i++ {
-					res, err := eng.Execute(expr, search.ExecOptions{
-						Limit: 20, DisablePruning: c.noPrune,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Matched != sel.Matched {
-						b.Fatalf("matched %d, want %d", res.Matched, sel.Matched)
-					}
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkRecommendIndexVsScan compares the recommendation paths at 5k
@@ -916,10 +829,8 @@ func benchWALMetrics(b *testing.B, before, after smr.WALStats, n int) {
 }
 
 // BenchmarkPutPageDurable measures single-page writes against a durable
-// repository: fsync policy × concurrent-writer count, with the group-commit
-// pipeline disabled as the ablation baseline (the pre-PR write path, one
-// fsync per acknowledged write). The throughput gap between writers=4 and
-// its nogroup twin is the group-commit win at equal durability semantics.
+// repository: fsync policy × concurrent-writer count. At fsync=always the
+// fsyncs/op metric shows how many writes one group commit acknowledges.
 func BenchmarkPutPageDurable(b *testing.B) {
 	cases := []struct {
 		name    string
@@ -928,7 +839,6 @@ func BenchmarkPutPageDurable(b *testing.B) {
 	}{
 		{"fsync=always/writers=1", smr.DurableOptions{Fsync: wal.SyncAlways}, 1},
 		{"fsync=always/writers=4", smr.DurableOptions{Fsync: wal.SyncAlways}, 4},
-		{"fsync=always/writers=4/nogroup", smr.DurableOptions{Fsync: wal.SyncAlways, DisableGroupCommit: true}, 4},
 		{"fsync=none/writers=1", smr.DurableOptions{Fsync: wal.SyncNever}, 1},
 	}
 	for _, c := range cases {

@@ -96,8 +96,6 @@ func main() {
 		}
 		log.Printf("following %s: %d pages at seq %d (fsync=%s) in %v",
 			*follow, sys.Repo.Wiki.Len(), sys.Repo.LastSeq(), policy, time.Since(start).Round(time.Millisecond))
-		opts.ReadOnly = true
-		opts.Primary = *follow
 		opts.Replica = follower
 		opts.MaxLagSeq = *maxLag
 	case *dataDir != "":

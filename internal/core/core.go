@@ -545,23 +545,3 @@ func (m *Manager) chooseHint(res *Result) Hint {
 	}
 	return HintTable
 }
-
-// FacetCounts aggregates one output column for the chart renderers.
-func (res *Result) FacetCounts(column string) map[string]int {
-	idx := -1
-	for i, c := range res.Columns {
-		if c.Name == column {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return nil
-	}
-	out := map[string]int{}
-	for _, row := range res.Rows {
-		if v := row[idx]; v != "" {
-			out[v]++
-		}
-	}
-	return out
-}

@@ -223,23 +223,6 @@ func TestHintChartAndTable(t *testing.T) {
 	}
 }
 
-func TestFacetCounts(t *testing.T) {
-	_, m := fixture(t)
-	res, err := m.Execute(CombinedQuery{
-		SQL: "SELECT page, value FROM annotations WHERE property = 'measures'",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := res.FacetCounts("sql.value")
-	if counts["wind speed"] != 2 || counts["temperature"] != 1 {
-		t.Errorf("counts = %v", counts)
-	}
-	if res.FacetCounts("nope") != nil {
-		t.Error("unknown column produced counts")
-	}
-}
-
 func TestKeywordOnlyQuery(t *testing.T) {
 	_, m := fixture(t)
 	res, err := m.Execute(CombinedQuery{Keywords: "anemometer"})

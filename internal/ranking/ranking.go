@@ -17,57 +17,43 @@ import (
 
 // Ranker holds the current PageRank state for a repository.
 type Ranker struct {
-	Method string
-	Opts   pagerank.Options
 	graph  *graph.Directed
 	result *pagerank.Result
 	scores map[string]float64
 }
 
-// New computes PageRank for the repository's link graph. An empty method
-// selects Gauss–Seidel. An empty repository yields a ranker with no scores
-// rather than an error, so a fresh system can still serve searches.
-func New(repo *smr.Repository, method string, opts pagerank.Options) (*Ranker, error) {
-	if method == "" {
-		method = "Gauss-Seidel"
-	}
-	r := &Ranker{Method: method, Opts: opts, scores: map[string]float64{}}
-	g := repo.LinkGraph()
-	r.graph = g
-	if g.NumNodes() == 0 {
-		return r, nil
-	}
-	res, err := pagerank.Solve(g, method, opts)
-	if err != nil {
-		return nil, fmt.Errorf("ranking: %w", err)
-	}
-	r.result = res
-	for i, id := range g.IDs() {
-		r.scores[id] = res.Scores[i]
-	}
-	return r, nil
+// New computes PageRank for the repository's link graph with the default
+// Gauss–Seidel solver (the other Fig.-3 solvers run through
+// pagerank.Solve/Compare). An empty repository yields a ranker with no
+// scores rather than an error, so a fresh system can still serve searches.
+func New(repo *smr.Repository) (*Ranker, error) {
+	return solve(repo.LinkGraph(), nil)
 }
 
 // Update recomputes PageRank for the repository's current link graph,
 // warm-starting Gauss–Seidel from this ranker's previous scores (pages that
 // survived keep their old score as the initial guess; new pages start from
-// the teleport mass). It returns a fresh Ranker and the number of sweeps the
-// warm-started solve needed — the incremental-update path for the paper's
-// "scores need to be updated regularly" requirement.
+// the teleport mass). It returns a fresh Ranker — the incremental-update
+// path for the paper's "scores need to be updated regularly" requirement.
 func (r *Ranker) Update(repo *smr.Repository) (*Ranker, error) {
-	g := repo.LinkGraph()
-	next := &Ranker{Method: "Gauss-Seidel", Opts: r.Opts, graph: g, scores: map[string]float64{}}
+	return solve(repo.LinkGraph(), r.scores)
+}
+
+// solve runs Gauss–Seidel over g, seeded from prev when any surviving page
+// has a positive previous score.
+func solve(g *graph.Directed, prev map[string]float64) (*Ranker, error) {
+	next := &Ranker{graph: g, scores: map[string]float64{}}
 	if g.NumNodes() == 0 {
 		return next, nil
 	}
-	m, err := pagerank.NewMatrix(g, r.Opts)
+	m, err := pagerank.NewMatrix(g, pagerank.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("ranking: %w", err)
 	}
 	x0 := make([]float64, g.NumNodes())
 	warm := false
 	for i, id := range g.IDs() {
-		if s, ok := r.scores[id]; ok && s > 0 {
+		if s, ok := prev[id]; ok && s > 0 {
 			x0[i] = s
 			warm = true
 		} else {
@@ -76,9 +62,9 @@ func (r *Ranker) Update(repo *smr.Repository) (*Ranker, error) {
 	}
 	var res *pagerank.Result
 	if warm {
-		res = pagerank.GaussSeidelFrom(m, r.Opts, x0)
+		res = pagerank.GaussSeidelFrom(m, pagerank.Options{}, x0)
 	} else {
-		res = pagerank.GaussSeidel(m, r.Opts)
+		res = pagerank.GaussSeidel(m, pagerank.Options{})
 	}
 	next.result = res
 	for i, id := range g.IDs() {

@@ -34,12 +34,12 @@ func fixtureRepo(t *testing.T) *smr.Repository {
 
 func TestNewRankerScores(t *testing.T) {
 	repo := fixtureRepo(t)
-	r, err := New(repo, "", pagerank.Options{})
+	r, err := New(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Method != "Gauss-Seidel" {
-		t.Errorf("default method = %s", r.Method)
+	if r.Result().Method != "Gauss-Seidel" {
+		t.Errorf("solver = %s, want Gauss-Seidel", r.Result().Method)
 	}
 	scores := r.Scores()
 	if len(scores) != 5 {
@@ -69,7 +69,7 @@ func TestEmptyRepositoryRanker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(repo, "", pagerank.Options{})
+	r, err := New(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,16 +81,19 @@ func TestEmptyRepositoryRanker(t *testing.T) {
 	}
 }
 
+// TestUnknownMethodErrors: the ranker always runs Gauss–Seidel; the other
+// Fig.-3 solvers are reached by name through pagerank.Solve, which rejects
+// a name outside its table.
 func TestUnknownMethodErrors(t *testing.T) {
 	repo := fixtureRepo(t)
-	if _, err := New(repo, "Cholesky", pagerank.Options{}); err == nil {
+	if _, err := pagerank.Solve(repo.LinkGraph(), "Cholesky", pagerank.Options{}); err == nil {
 		t.Error("unknown method accepted")
 	}
 }
 
 func TestInstallAndSortRank(t *testing.T) {
 	repo := fixtureRepo(t)
-	r, err := New(repo, "", pagerank.Options{})
+	r, err := New(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,7 @@ func TestInstallAndSortRank(t *testing.T) {
 
 func TestUpdateWarmStart(t *testing.T) {
 	repo := fixtureRepo(t)
-	r, err := New(repo, "", pagerank.Options{})
+	r, err := New(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +128,7 @@ func TestUpdateWarmStart(t *testing.T) {
 		t.Fatalf("scores = %d, want 6", len(updated.Scores()))
 	}
 	// Warm-started result must match a cold solve on the new graph.
-	fresh, err := New(repo, "", pagerank.Options{})
+	fresh, err := New(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +150,7 @@ func TestUpdateOnEmptyAndFromEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(repo, "", pagerank.Options{})
+	r, err := New(repo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/pagerank"
 	"repro/internal/ranking"
 	"repro/internal/smr"
 )
@@ -33,7 +32,7 @@ func churnRepo(t *testing.T, n int) *smr.Repository {
 // top properties, and recommendations.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	repo := churnRepo(t, 60)
-	rk, err := ranking.New(repo, "", pagerank.Options{})
+	rk, err := ranking.New(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 // a consumer whose position was trimmed away rebuilds from scratch.
 func TestUpdateFallsBackOnTrimmedJournal(t *testing.T) {
 	repo := churnRepo(t, 10)
-	rk, err := ranking.New(repo, "", pagerank.Options{})
+	rk, err := ranking.New(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestUpdateFallsBackOnTrimmedJournal(t *testing.T) {
 // vector reproduces a from-scratch build over the new scores.
 func TestSetRanksRescoresWithoutRescan(t *testing.T) {
 	repo := churnRepo(t, 20)
-	rk, err := ranking.New(repo, "", pagerank.Options{})
+	rk, err := ranking.New(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestSetRanksRescoresWithoutRescan(t *testing.T) {
 	if _, err := repo.PutPage("Sensor:C000", "t", "[[partOf::Deployment:D9]]", ""); err != nil {
 		t.Fatal(err)
 	}
-	rk2, err := ranking.New(repo, "", pagerank.Options{})
+	rk2, err := ranking.New(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +138,7 @@ func TestSetRanksRescoresWithoutRescan(t *testing.T) {
 // and that the incrementally maintained pair index matches a rebuild.
 func TestRecommendIndexMatchesScan(t *testing.T) {
 	repo := churnRepo(t, 80)
-	rk, err := ranking.New(repo, "", pagerank.Options{})
+	rk, err := ranking.New(repo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package recommend
 import (
 	"testing"
 
-	"repro/internal/pagerank"
 	"repro/internal/ranking"
 	"repro/internal/smr"
 	"repro/internal/wiki"
@@ -30,7 +29,7 @@ func fixture(t *testing.T) (*smr.Repository, *Recommender) {
 			t.Fatal(err)
 		}
 	}
-	rk, err := ranking.New(repo, "", pagerank.Options{})
+	rk, err := ranking.New(repo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/pagerank"
 	"repro/internal/ranking"
 )
 
@@ -19,7 +18,7 @@ import (
 // in the same sequence regardless of partitioning.
 func TestShardedRecommenderMatchesUnsharded(t *testing.T) {
 	repo := churnRepo(t, 70)
-	rk, err := ranking.New(repo, "", pagerank.Options{})
+	rk, err := ranking.New(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestShardedRecommenderMatchesUnsharded(t *testing.T) {
 	}
 
 	// A rank swap must rescore identically at every shard count.
-	rk2, err := ranking.New(repo, "", pagerank.Options{})
+	rk2, err := ranking.New(repo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,14 +156,16 @@ func (db *DB) Query(sql string) (*ResultSet, error) {
 
 // QueryOptions tunes how a SELECT is planned and reported.
 type QueryOptions struct {
-	// ForceFallback compiles the written-order scan-everything baseline:
-	// no index access, no pushdown, no join reordering, always
-	// sort-after-materialize. It exists for planner ablation (benchmarks and
-	// the equivalence property test) and must return byte-identical results.
-	ForceFallback bool
 	// Explain attaches the executed plan tree (with actual row counts) to
 	// the result.
 	Explain bool
+
+	// fallback compiles the written-order scan-everything baseline: no
+	// index access, no pushdown, no join reordering, always
+	// sort-after-materialize. It is the planner's reference for in-package
+	// equivalence tests and benchmarks and must return byte-identical
+	// results.
+	fallback bool
 }
 
 // QueryWith runs a SELECT with explicit planner options. The returned plan
@@ -175,7 +177,7 @@ func (db *DB) QueryWith(sql string, opts QueryOptions) (*ResultSet, *explain.Nod
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	p, err := db.compileSelect(sel, opts.ForceFallback)
+	p, err := db.compileSelect(sel, opts.fallback)
 	if err != nil {
 		return nil, nil, err
 	}

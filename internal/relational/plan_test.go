@@ -234,7 +234,7 @@ func TestPlannerFallbackEquivalence(t *testing.T) {
 		for q := 0; q < 8; q++ {
 			sql := randomSelect(rng)
 			planned, _, errP := db.QueryWith(sql, QueryOptions{})
-			fallback, _, errF := db.QueryWith(sql, QueryOptions{ForceFallback: true})
+			fallback, _, errF := db.QueryWith(sql, QueryOptions{fallback: true})
 			if (errP != nil) != (errF != nil) {
 				t.Fatalf("trial %d: %q: planner err=%v fallback err=%v", trial, sql, errP, errF)
 			}
@@ -456,7 +456,7 @@ func BenchmarkJoinPlanner(b *testing.B) {
 		opts QueryOptions
 	}{
 		{"planned", QueryOptions{}},
-		{"fallback", QueryOptions{ForceFallback: true}},
+		{"fallback", QueryOptions{fallback: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -490,7 +490,7 @@ func BenchmarkOrderByIndex(b *testing.B) {
 		opts QueryOptions
 	}{
 		{"planned", QueryOptions{}},
-		{"fallback", QueryOptions{ForceFallback: true}},
+		{"fallback", QueryOptions{fallback: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -50,8 +50,9 @@ type conjInfo struct {
 
 // compileSelect plans a SELECT. With fallback=true it compiles the
 // written-order scan-everything baseline (no index access, no pushdown, no
-// reordering, sort-after-materialize) — the ablation plan benchmarks and
-// the planner-equivalence property test compare against.
+// reordering, sort-after-materialize) — the reference the in-package
+// planner benchmarks and equivalence property test compare against
+// (QueryOptions.fallback).
 func (db *DB) compileSelect(s *SelectStmt, fallback bool) (*selectPlan, error) {
 	sources, err := db.resolveSources(s)
 	if err != nil {

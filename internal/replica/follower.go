@@ -57,8 +57,8 @@ type Config struct {
 	// BatchMax caps records per fetch (default 1024).
 	BatchMax int
 	// Shards partitions the local search engine at construction time
-	// (<= 0 selects the default), keeping the shard epoch at zero just
-	// like a fresh primary started with the same count.
+	// (<= 0 selects the default); results and cursors are identical to a
+	// primary's whatever the count.
 	Shards int
 	// Clock supplies wall time for lag accounting (ReplicaLag,
 	// ReplicaStats). Defaults to time.Now; tests inject a fake clock so
@@ -279,6 +279,10 @@ func (f *Follower) ReplicaLag() (seqLag uint64, wall time.Duration, synced bool)
 	}
 	return seqLag, wall, synced
 }
+
+// PrimaryURL implements the server's ReplicaSource: the primary that
+// writes rejected by this follower must go to.
+func (f *Follower) PrimaryURL() string { return f.cfg.PrimaryURL }
 
 // Stats is the replication block surfaced by /api/admin/stats.
 type Stats struct {

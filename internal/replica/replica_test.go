@@ -7,6 +7,7 @@ package replica
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -383,8 +384,6 @@ func TestFollowerServesThroughServer(t *testing.T) {
 	waitCaughtUp(t, f, primary, 30*time.Second)
 
 	fsrv := server.NewWithOptions(f.System(), server.Options{
-		ReadOnly:  true,
-		Primary:   ts.URL,
 		Replica:   f,
 		MaxLagSeq: 1000, // effectively: must have synced at least once
 	})
@@ -405,15 +404,26 @@ func TestFollowerServesThroughServer(t *testing.T) {
 		t.Fatal("follower read missing X-Replica-Lag-Seq")
 	}
 
-	// Writes bounce with the structured read-only envelope.
+	// Writes bounce with the structured read-only envelope, which names
+	// the primary the follower streams from.
 	wresp, err := http.Post(fts.URL+"/api/pages", "application/json",
 		nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var envelope struct {
+		Error struct {
+			Code    string `json:"code"`
+			Primary string `json:"primary"`
+		} `json:"error"`
+	}
+	derr := json.NewDecoder(wresp.Body).Decode(&envelope)
 	wresp.Body.Close()
 	if wresp.StatusCode != http.StatusForbidden {
 		t.Fatalf("follower write: %d, want 403", wresp.StatusCode)
+	}
+	if derr != nil || envelope.Error.Code != "read_only" || envelope.Error.Primary != ts.URL {
+		t.Fatalf("follower write envelope %+v (%v), want read_only naming %s", envelope, derr, ts.URL)
 	}
 
 	// A write on the primary shows up on the follower's read API.

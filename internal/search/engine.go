@@ -109,9 +109,8 @@ type Engine struct {
 	stats  *TermStats
 	ranks  map[string]float64
 	seq    uint64 // journal position the index reflects
-	epoch  uint64 // bumped by SetShards; keyset cursors bind to it
 
-	// writeMu serializes Rebuild/Update/SetShards against each other.
+	// writeMu serializes Rebuild and Update against each other.
 	// Applying one journal run is idempotent, but two interleaved runs
 	// would each see the pre-apply state (e.g. both observe a page as new)
 	// and double-count trie references.
@@ -127,7 +126,8 @@ func NewEngine(repo *smr.Repository) *Engine {
 // NewEngineShards builds an engine partitioned into the given number of
 // shards (<= 0 selects the default) and indexes the current repository
 // content. Results are byte-identical whatever the shard count; the count
-// only chooses how much of the machine a query or refresh can use.
+// only chooses how much of the machine a query or refresh can use, and it
+// is fixed for the engine's lifetime.
 func NewEngineShards(repo *smr.Repository, shards int) *Engine {
 	if shards <= 0 {
 		shards = DefaultShardCount()
@@ -142,41 +142,6 @@ func (e *Engine) ShardCount() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return len(e.shards)
-}
-
-// ShardEpoch returns the current shard epoch. Keyset cursors are minted
-// under an epoch and rejected (code "stale_cursor") once SetShards moves
-// it, since per-shard walk state does not survive repartitioning. Ordinary
-// Update/Rebuild churn does NOT move the epoch — cursors deliberately
-// survive refreshes.
-func (e *Engine) ShardEpoch() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.epoch
-}
-
-// SetShards repartitions the engine into n shards (<= 0 selects the
-// default), rebuilding the derived structures and bumping the shard epoch
-// so outstanding cursors are invalidated cleanly instead of silently
-// paging a differently-partitioned index. A no-op when n already matches.
-func (e *Engine) SetShards(n int) {
-	if n <= 0 {
-		n = DefaultShardCount()
-	}
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	e.mu.RLock()
-	cur := len(e.shards)
-	e.mu.RUnlock()
-	if n == cur {
-		return
-	}
-	// rebuildShards swaps fully-built shards in atomically; queries racing
-	// the repartition keep the old snapshot until then.
-	e.rebuildShards(n)
-	e.mu.Lock()
-	e.epoch++
-	e.mu.Unlock()
 }
 
 // buildDocText renders the indexable text of a page: title, wikitext and
@@ -243,17 +208,10 @@ func (e *Engine) Rebuild() {
 	e.rebuildLocked()
 }
 
-// rebuildLocked is Rebuild's body; the caller holds writeMu.
+// rebuildLocked is Rebuild's body; the caller holds writeMu (the only
+// writer of e.shards, so its length is read without mu).
 func (e *Engine) rebuildLocked() {
-	e.mu.RLock()
 	n := len(e.shards)
-	e.mu.RUnlock()
-	e.rebuildShards(n)
-}
-
-// rebuildShards rebuilds into n fresh shards and swaps them in. Caller
-// holds writeMu.
-func (e *Engine) rebuildShards(n int) {
 	// Capture the journal position first: changes racing with the scan may
 	// be double-applied by a later Update, which is idempotent.
 	seq := e.repo.LastSeq()

@@ -36,7 +36,7 @@ func TestFilterOnlyEvalSkipEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("expr %d fast: %v", i, err)
 				}
-				opts.DisableFacetIndex = true
+				opts.noFacetIndex = true
 				slow, err := e.Execute(expr, opts)
 				if err != nil {
 					t.Fatalf("expr %d baseline: %v", i, err)
@@ -105,7 +105,7 @@ func BenchmarkFilterOnlyMaterialize(b *testing.B) {
 		disable bool
 	}{{"evalskip", false}, {"baseline", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			opts := ExecOptions{SortBy: SortTitle, Limit: 20, DisableFacetIndex: mode.disable}
+			opts := ExecOptions{SortBy: SortTitle, Limit: 20, noFacetIndex: mode.disable}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := e.Execute(expr, opts)

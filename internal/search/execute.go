@@ -38,18 +38,17 @@ type ExecOptions struct {
 	// CountOnly skips result materialization: only Matched and Facets are
 	// computed (the streaming facet path).
 	CountOnly bool
-	// DisablePruning skips candidate-set pruning and runs the legacy
-	// score-then-filter enumeration — the ablation baseline the pushdown
-	// benchmark compares against. It also disables the index-served facet
-	// fast path, which is built on the same candidate derivation.
-	DisablePruning bool
-	// DisableFacetIndex forces the streaming facet path even when the
-	// expression's match set is exactly index-derivable — the ablation
-	// baseline BenchmarkFacetIndexVsStream compares against.
-	DisableFacetIndex bool
 	// Explain attaches a plan tree to the result: per-shard enumeration
 	// strategy with the index's match estimate against the actual counts.
 	Explain bool
+
+	// noPrune skips candidate-set pruning and runs the score-then-filter
+	// enumeration; it also disables the index-served facet path, which is
+	// built on the same candidate derivation. noFacetIndex forces the
+	// streaming facet path even when the match set is exactly
+	// index-derivable. Both are reference constructions for in-package
+	// equivalence tests and benchmarks only.
+	noPrune, noFacetIndex bool
 }
 
 // ExecResult is the outcome of executing a query expression.
@@ -154,18 +153,15 @@ func (es estimator) EstimateLeaf(leaf query.Expr) int {
 
 // cursorPayload is the decoded keyset cursor: the sort key values of the
 // last item served, plus a signature binding the cursor to the query,
-// sort and fusion parameters it was minted for, and the shard epoch it
-// was minted under (Epoch): resharding repartitions the index, so cursors
-// from before a SetShards are rejected as stale instead of silently
-// paging a differently-partitioned engine. Ordinary refresh churn keeps
-// the epoch, so cursors survive index updates as before.
+// sort and fusion parameters it was minted for. It names no shard state,
+// so cursors survive index updates. Tokens from older releases carry an
+// extra "e" field, which decoding ignores.
 type cursorPayload struct {
 	Sort  string  `json:"s"`
 	Order string  `json:"o"`
 	Rel   float64 `json:"r"`
 	Rank  float64 `json:"k"`
 	Title string  `json:"t"`
-	Epoch uint64  `json:"e"`
 	Sig   uint64  `json:"g"`
 }
 
@@ -191,7 +187,7 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-func decodeCursor(s string, sig uint64, key SortKey, order Order, epoch uint64) (*cursorPayload, error) {
+func decodeCursor(s string, sig uint64, key SortKey, order Order) (*cursorPayload, error) {
 	var p cursorPayload
 	if err := DecodeCursorToken(s, &p); err != nil {
 		return nil, err
@@ -199,10 +195,6 @@ func decodeCursor(s string, sig uint64, key SortKey, order Order, epoch uint64) 
 	if p.Sig != sig || p.Sort != string(key) || p.Order != string(order) {
 		return nil, &query.Error{Code: "bad_cursor", Field: "cursor",
 			Message: "cursor was issued for a different query or sort order"}
-	}
-	if p.Epoch != epoch {
-		return nil, &query.Error{Code: "stale_cursor", Field: "cursor",
-			Message: "cursor predates a reshard of the index; restart the walk from the first page"}
 	}
 	return &p, nil
 }
@@ -256,7 +248,7 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 	}
 
 	e.mu.RLock()
-	shards, ranks, epoch := e.shards, e.ranks, e.epoch
+	shards, ranks := e.shards, e.ranks
 	e.mu.RUnlock()
 
 	// norm is what gets evaluated per page: deterministic for a given
@@ -299,7 +291,7 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 		sig = execCursorSignature(canonical, key, order, opts.Alpha)
 	}
 	if opts.Cursor != "" {
-		p, err := decodeCursor(opts.Cursor, sig, key, order, epoch)
+		p, err := decodeCursor(opts.Cursor, sig, key, order)
 		if err != nil {
 			return nil, err
 		}
@@ -359,7 +351,7 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 		// Exactness is decided by the expression's shape, so every shard
 		// takes the same branch here.
 		var exact []string
-		if !opts.DisablePruning && !opts.DisableFacetIndex {
+		if !opts.noPrune && !opts.noFacetIndex {
 			if s, isExact, ok := sh.meta.candidates(norm, titles); ok && isExact {
 				kept := s[:0]
 				for _, t := range s {
@@ -462,7 +454,7 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 			}
 			attachPlan("ExactSet", "index-derived match set", len(exact))
 		} else {
-			op, detail, scanned := e.enumerate(sh, planned, titles, driver, hasDriverLeaf, opts.DisablePruning, visit)
+			op, detail, scanned := e.enumerate(sh, planned, titles, driver, hasDriverLeaf, opts.noPrune, visit)
 			attachPlan(op, detail, scanned)
 		}
 		if sel != nil {
@@ -622,7 +614,7 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 		res.NextCursor = EncodeCursorToken(cursorPayload{
 			Sort: string(key), Order: string(order),
 			Rel: last.Relevance, Rank: last.Rank, Title: last.Title,
-			Epoch: epoch, Sig: sig,
+			Sig: sig,
 		})
 	}
 	return res, nil

@@ -77,7 +77,7 @@ func TestExecutePrunedMatchesUnpruned(t *testing.T) {
 			if err != nil {
 				t.Fatalf("expr %d pruned: %v", i, err)
 			}
-			opts.DisablePruning = true
+			opts.noPrune = true
 			full, err := e.Execute(expr, opts)
 			if err != nil {
 				t.Fatalf("expr %d unpruned: %v", i, err)
@@ -275,7 +275,7 @@ func TestExecuteFoldEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := e.Execute(expr, ExecOptions{DisablePruning: true})
+		full, err := e.Execute(expr, ExecOptions{noPrune: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,6 +329,15 @@ func TestCursorSurvivesSelectivityChurn(t *testing.T) {
 			t.Errorf("page 2 regressed before the cursor position: %s <= %s", r.Title, last)
 		}
 	}
+	// A from-scratch Rebuild is churn too: the cursor resumes identically.
+	e.Rebuild()
+	again, err := e.Execute(expr, ExecOptions{SortBy: SortTitle, Limit: 3, Cursor: first.NextCursor})
+	if err != nil {
+		t.Fatalf("cursor rejected after Rebuild: %v", err)
+	}
+	if !reflect.DeepEqual(again.Results, next.Results) {
+		t.Errorf("page 2 after Rebuild = %v, want %v", again.Results, next.Results)
+	}
 }
 
 // TestMatchedPairStableUnderReorder pins the display pair of duplicate
@@ -374,7 +383,7 @@ func TestExecuteTwoKeywordConjuncts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.Execute(expr, ExecOptions{SortBy: SortTitle, DisablePruning: true})
+	want, err := e.Execute(expr, ExecOptions{SortBy: SortTitle, noPrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +415,7 @@ func TestExecuteOrKeywordUnion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := e.Execute(expr, ExecOptions{SortBy: SortTitle, DisablePruning: true})
+		want, err := e.Execute(expr, ExecOptions{SortBy: SortTitle, noPrune: true})
 		if err != nil {
 			t.Fatal(err)
 		}

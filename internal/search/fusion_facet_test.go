@@ -288,7 +288,7 @@ func TestFacetIndexMatchesStreaming(t *testing.T) {
 		props := []string{"status", "measures", "samplingRate"}
 		for i, expr := range exprs {
 			stream, err := e.Execute(expr, ExecOptions{
-				CountOnly: true, Facets: props, DisableFacetIndex: true,
+				CountOnly: true, Facets: props, noFacetIndex: true,
 			})
 			if err != nil {
 				t.Fatalf("trial %d expr %d stream: %v", trial, i, err)
@@ -331,7 +331,7 @@ func TestFacetIndexHonoursACL(t *testing.T) {
 	expr := query.HasProperty{Name: "status"}
 	for _, user := range []string{"", "restricted"} {
 		stream, err := e.Execute(expr, ExecOptions{
-			CountOnly: true, User: user, Facets: []string{"status"}, DisableFacetIndex: true,
+			CountOnly: true, User: user, Facets: []string{"status"}, noFacetIndex: true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -20,7 +20,8 @@ import (
 // stamps responses with its replication lag, and degrades to 503 instead
 // of serving arbitrarily stale reads.
 
-// ReplicaSource reports a follower's replication position. Implemented by
+// ReplicaSource reports a follower's replication position and names its
+// primary; a server given one is a read-only follower. Implemented by
 // replica.Follower; the server package stays independent of the replica
 // package (which imports the root package, which the server serves).
 type ReplicaSource interface {
@@ -31,6 +32,9 @@ type ReplicaSource interface {
 	// ReplicaStats returns the JSON-serializable stats block surfaced by
 	// /api/admin/stats.
 	ReplicaStats() any
+	// PrimaryURL names the primary, where the read-only envelope sends
+	// clients' writes.
+	PrimaryURL() string
 }
 
 // Bounds for the wal feed endpoint.
@@ -41,8 +45,8 @@ const (
 	walMaxWait      = 60 * time.Second
 )
 
-// writeRoutes are the endpoints that mutate the repository; a read-only
-// follower rejects them with the structured 403 envelope.
+// writeRoutes are the endpoints that mutate the repository; a follower
+// rejects them with the structured 403 envelope.
 var writeRoutes = map[string]bool{
 	"/api/pages":          true,
 	"/api/tags":           true,
@@ -56,9 +60,13 @@ var writeRoutes = map[string]bool{
 // a follower lagging past it (or never synced) return 503 rather than
 // arbitrarily stale data. Admin endpoints stay reachable throughout so
 // lag is observable on an unhealthy follower. Reports whether the
-// request was terminated.
+// request was terminated. A server without a Replica is a primary and
+// passes every request through.
 func (s *Server) gateReplica(w http.ResponseWriter, r *http.Request) bool {
-	if s.opts.ReadOnly && writeRoutes[r.URL.Path] {
+	if s.opts.Replica == nil {
+		return false
+	}
+	if writeRoutes[r.URL.Path] {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusForbidden)
 		json.NewEncoder(w).Encode(struct {
@@ -74,11 +82,11 @@ func (s *Server) gateReplica(w http.ResponseWriter, r *http.Request) bool {
 		}{
 			Code:    "read_only",
 			Message: "this server is a read replica; send writes to the primary",
-			Primary: s.opts.Primary,
+			Primary: s.opts.Replica.PrimaryURL(),
 		}})
 		return true
 	}
-	if s.opts.Replica == nil || strings.HasPrefix(r.URL.Path, "/api/admin/") {
+	if strings.HasPrefix(r.URL.Path, "/api/admin/") {
 		return false
 	}
 	seqLag, _, synced := s.opts.Replica.ReplicaLag()

@@ -195,7 +195,7 @@ func TestAdminSnapshotLatest(t *testing.T) {
 }
 
 func TestReadOnlyModeRejectsWrites(t *testing.T) {
-	_, ts := newDurableTestServer(t, Options{ReadOnly: true, Primary: "http://primary:8080"})
+	_, ts := newDurableTestServer(t, Options{Replica: &fakeReplica{synced: true, primary: "http://primary:8080"}})
 	for _, route := range []string{"/api/pages", "/api/tags", "/api/v1/pages:batch", "/bulkload"} {
 		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader("{}"))
 		if err != nil {
@@ -227,9 +227,10 @@ func TestReadOnlyModeRejectsWrites(t *testing.T) {
 
 // fakeReplica is a scriptable ReplicaSource for the gating tests.
 type fakeReplica struct {
-	seqLag uint64
-	wall   time.Duration
-	synced bool
+	seqLag  uint64
+	wall    time.Duration
+	synced  bool
+	primary string
 }
 
 func (f *fakeReplica) ReplicaLag() (uint64, time.Duration, bool) {
@@ -240,9 +241,11 @@ func (f *fakeReplica) ReplicaStats() any {
 	return map[string]any{"seqLag": f.seqLag, "synced": f.synced}
 }
 
+func (f *fakeReplica) PrimaryURL() string { return f.primary }
+
 func TestReplicaLagHeaderAndDegradation(t *testing.T) {
 	rep := &fakeReplica{seqLag: 2, synced: true}
-	_, ts := newDurableTestServer(t, Options{ReadOnly: true, Replica: rep, MaxLagSeq: 5})
+	_, ts := newDurableTestServer(t, Options{Replica: rep, MaxLagSeq: 5})
 
 	// Within threshold: served, with the lag header.
 	resp, err := http.Get(ts.URL + "/api/search?q=station")
@@ -290,7 +293,7 @@ func TestReplicaLagHeaderAndDegradation(t *testing.T) {
 
 	// No MaxLagSeq: header still present, no degradation.
 	rep2 := &fakeReplica{seqLag: 1000, synced: false}
-	_, ts2 := newDurableTestServer(t, Options{ReadOnly: true, Replica: rep2})
+	_, ts2 := newDurableTestServer(t, Options{Replica: rep2})
 	resp, err = http.Get(ts2.URL + "/api/search?q=station")
 	if err != nil {
 		t.Fatal(err)

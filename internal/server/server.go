@@ -38,16 +38,11 @@ type Options struct {
 	// the last write of the burst. Zero disables (writes require an
 	// explicit POST /api/refresh, as before).
 	AutoRefresh time.Duration
-	// ReadOnly rejects the write endpoints (/api/pages, /api/tags,
-	// /bulkload) with a structured 403 pointing at Primary — the follower
-	// mode of a read replica.
-	ReadOnly bool
-	// Primary is the primary server's URL, included in the read-only error
-	// envelope so clients know where to send writes.
-	Primary string
-	// Replica, when set, marks this server as a follower: read responses
-	// carry an X-Replica-Lag-Seq header and /api/admin/stats gains a
-	// replication block.
+	// Replica, when set, marks this server as a follower: the write
+	// endpoints (/api/pages, /api/tags, /api/v1/pages:batch, /bulkload)
+	// are rejected with a structured 403 naming Replica.PrimaryURL(), read
+	// responses carry an X-Replica-Lag-Seq header and /api/admin/stats
+	// gains a replication block.
 	Replica ReplicaSource
 	// MaxLagSeq, when positive (and Replica is set), degrades reads to 503
 	// once the follower lags more than this many sequence numbers behind

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -155,6 +156,47 @@ func TestV1GoldenEquivalence(t *testing.T) {
 // TestV1CursorPaginationHTTP walks the full matching set page by page and
 // checks the concatenation equals one unpaginated request — the cursor
 // acceptance criterion, end to end over HTTP.
+// TestV1CursorFromOlderReleaseResumes pins cursor compatibility across the
+// removal of the shard epoch from the cursor payload: olderToken was
+// minted for the first page below by the previous release and carries
+// "e":0, a field today's payload no longer has. encoding/json ignores it,
+// so the token must still resume to exactly the page the current cursor
+// resumes to.
+func TestV1CursorFromOlderReleaseResumes(t *testing.T) {
+	const olderToken = "eyJzIjoicmVsZXZhbmNlIiwibyI6IiIsInIiOjAuMzEzNzUzNjQ4Njg0NDI0MDcsImsiOjAuMDA4MjE2OTI2ODY5MzUwODc0LCJ0IjoiU2Vuc29yOnRlbXBlcmF0LTAwMzYiLCJlIjowLCJnIjo4NzI1MDQ2NzI5NzY4NDQ3NTMyfQ"
+	if raw, err := base64.RawURLEncoding.DecodeString(olderToken); err != nil || !strings.Contains(string(raw), `"e":0,`) {
+		t.Fatalf("fixture token is not an epoch-carrying cursor: %q %v", raw, err)
+	}
+	_, ts := newTestServer(t)
+	req := map[string]interface{}{
+		"query": json.RawMessage(`{"keyword":{"text":"sensor temperature","mode":"any"}}`),
+		"limit": 5,
+	}
+	code, body := postJSON(t, ts.URL+"/api/v1/query", req)
+	if code != http.StatusOK {
+		t.Fatalf("first page: %d: %s", code, body)
+	}
+	var first struct {
+		NextCursor string `json:"nextCursor"`
+	}
+	if err := json.Unmarshal([]byte(body), &first); err != nil || first.NextCursor == "" {
+		t.Fatalf("first page has no cursor: %s", body)
+	}
+	req["cursor"] = first.NextCursor
+	code, want := postJSON(t, ts.URL+"/api/v1/query", req)
+	if code != http.StatusOK {
+		t.Fatalf("second page (current cursor): %d: %s", code, want)
+	}
+	req["cursor"] = olderToken
+	code, got := postJSON(t, ts.URL+"/api/v1/query", req)
+	if code != http.StatusOK {
+		t.Fatalf("second page (older cursor): %d: %s", code, got)
+	}
+	if got != want {
+		t.Fatalf("older cursor resumed elsewhere:\n  got  %s\n  want %s", got, want)
+	}
+}
+
 func TestV1CursorPaginationHTTP(t *testing.T) {
 	_, ts := newTestServer(t)
 	base := map[string]interface{}{

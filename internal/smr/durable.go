@@ -34,10 +34,6 @@ type DurableOptions struct {
 	// SegmentBytes overrides the WAL segment rotation threshold (0 keeps
 	// wal.DefaultSegmentBytes).
 	SegmentBytes int64
-	// DisableGroupCommit forces every WAL append to fsync individually —
-	// the pre-group-commit write path, kept as the throughput benchmarks'
-	// ablation baseline.
-	DisableGroupCommit bool
 	// AutoSnapshotBytes, when positive, triggers a background Snapshot
 	// once this many WAL bytes have accumulated since the last snapshot,
 	// bounding replay time without an operator in the loop. The
@@ -148,11 +144,7 @@ func Open(dir string, opts DurableOptions) (*Repository, error) {
 	prevClock := r.Wiki.Clock()
 	var replayAt time.Time
 	r.Wiki.SetClock(func() time.Time { return replayAt })
-	log, err := wal.Open(dir, wal.Options{
-		SegmentBytes:       opts.SegmentBytes,
-		Sync:               opts.Fsync,
-		DisableGroupCommit: opts.DisableGroupCommit,
-	},
+	log, err := wal.Open(dir, wal.Options{SegmentBytes: opts.SegmentBytes, Sync: opts.Fsync},
 		func(rec wal.Record) error {
 			// Count replayed records per format so the stats block reflects
 			// the whole retained log, not just this process's appends.

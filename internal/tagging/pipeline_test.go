@@ -1,6 +1,7 @@
 package tagging
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/smr"
@@ -95,17 +96,30 @@ func TestPipelineCache(t *testing.T) {
 	}
 }
 
+// TestPipelineCacheDisabled checks the cached pipeline against its
+// cache-disabled reference, BuildCloud(FetchTagData()), which recomputes
+// the full Parser → Matrix → Graph → Clique chain on every call.
 func TestPipelineCacheDisabled(t *testing.T) {
-	_, p := pipelineFixture(t)
-	p.DisableCache = true
+	repo, p := pipelineFixture(t)
+	opts := CloudOptions{UsePivot: true}
 	for i := 0; i < 3; i++ {
-		if _, err := p.Cloud(CloudOptions{UsePivot: true}); err != nil {
+		if i == 2 {
+			if err := repo.AddTag("Sensor:S3", "alpine", "tester"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := p.Cloud(opts)
+		if err != nil {
 			t.Fatal(err)
 		}
+		td, err := p.FetchTagData()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cloudsEqual(t, fmt.Sprintf("call %d", i), got, BuildCloud(td, opts))
 	}
-	hits, misses := p.CacheStats()
-	if hits != 0 || misses != 3 {
-		t.Errorf("disabled cache stats = %d hits, %d misses", hits, misses)
+	if hits, misses := p.CacheStats(); hits != 1 || misses != 2 {
+		t.Errorf("cache stats = %d hits, %d misses; want 1, 2", hits, misses)
 	}
 }
 

@@ -2,9 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestGroupCommitSharesFsync stages several records before any commit is
@@ -90,24 +94,55 @@ func TestAppendBatchOneCommit(t *testing.T) {
 	}
 }
 
-// TestDisableGroupCommitSyncsInline is the ablation baseline: with group
-// commit off, every staged record under SyncAlways costs its own fsync
-// before the commit function is even constructed.
-func TestDisableGroupCommitSyncsInline(t *testing.T) {
-	l, _ := openCollect(t, t.TempDir(), Options{Sync: SyncAlways, DisableGroupCommit: true})
+// TestSyncErrorLatchesFailed pins the fsync-failure latch. The first
+// covering fsync fails; a retried fsync of the same handle would succeed,
+// which after a real EIO can mean the kernel dropped the dirty pages and
+// reported the handle clean (the fsyncgate bug class). So every commit of
+// a record that fsync covered, and of every record staged after it, must
+// return the error rather than be acknowledged by a later round, and the
+// log must refuse new appends.
+func TestSyncErrorLatchesFailed(t *testing.T) {
+	l, _ := openCollect(t, t.TempDir(), Options{Sync: SyncAlways})
 	defer l.Close()
-	const n = 7
-	for i := 1; i <= n; i++ {
-		if err := l.Append(uint64(i), []byte("inline")); err != nil {
+	eio := errors.New("injected EIO")
+	var calls atomic.Int32
+	l.sync = func(f *os.File) error {
+		if calls.Add(1) == 1 {
+			time.Sleep(10 * time.Millisecond) // let the other committers park
+			return eio
+		}
+		return f.Sync()
+	}
+
+	const n = 8
+	commits := make([]func() error, n)
+	for i := range commits {
+		c, err := l.AppendAsync(uint64(i+1), []byte(fmt.Sprintf("rec-%d", i)))
+		if err != nil {
 			t.Fatal(err)
 		}
+		commits[i] = c
 	}
-	st := l.Stats()
-	if st.Syncs != n {
-		t.Fatalf("ablation baseline synced %d times for %d appends, want one each", st.Syncs, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i, c := range commits {
+		wg.Add(1)
+		go func(i int, c func() error) {
+			defer wg.Done()
+			errs[i] = c()
+		}(i, c)
 	}
-	if st.GroupCommits != 0 {
-		t.Fatalf("group commits %d with pipeline disabled", st.GroupCommits)
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, eio) {
+			t.Errorf("commit of seq %d = %v, want the latched fsync error", i+1, err)
+		}
+	}
+	if err := l.Append(n+1, []byte("after")); err == nil {
+		t.Fatal("append accepted after a failed fsync")
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("fsync called %d times, want 1: no round may retry a failed handle", got)
 	}
 }
 

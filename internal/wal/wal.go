@@ -98,11 +98,6 @@ type Options struct {
 	SegmentBytes int64
 	// Sync is the fsync policy for appends.
 	Sync SyncPolicy
-	// DisableGroupCommit makes every append under SyncAlways fsync
-	// individually instead of joining the commit pipeline — the
-	// pre-group-commit behaviour, kept as the ablation baseline for the
-	// write-throughput benchmarks.
-	DisableGroupCommit bool
 }
 
 // DefaultSegmentBytes is the rotation threshold when Options leaves it 0.
@@ -164,10 +159,20 @@ type Log struct {
 	syncs    uint64
 	torn     int
 	closed   bool
-	// failed latches after a partial write that could not be clawed back:
-	// appending past torn bytes would let the next Open silently drop
-	// every later record as part of the "tail", so the log fail-stops.
+	// failed latches after a partial write that could not be clawed back
+	// (appending past torn bytes would let the next Open silently drop
+	// every later record as part of the "tail") or after a failed fsync
+	// (syncErr): either way the log fail-stops.
 	failed bool
+	// syncErr is the first failed fsync of the active segment. After EIO
+	// the kernel may already have dropped the dirty pages, so a later
+	// fsync of the same handle can succeed without the records reaching
+	// disk (the fsyncgate bug class); every commit waiter not yet covered
+	// gets this error instead.
+	syncErr error
+	// sync fsyncs a segment file: (*os.File).Sync, replaced by tests to
+	// inject failures.
+	sync func(*os.File) error
 	// watch is closed (and replaced) on every successful append, waking
 	// long-poll readers blocked in WaitFor. Lazily allocated.
 	watch chan struct{}
@@ -203,7 +208,7 @@ func Open(dir string, opts Options, fn func(Record) error) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opts: opts}
+	l := &Log{dir: dir, opts: opts, sync: (*os.File).Sync}
 	for i, name := range names {
 		seg := segment{path: filepath.Join(dir, name), firstSeq: seqFromName(name)}
 		last := i == len(names)-1
@@ -330,8 +335,7 @@ func encodeRecord(seq uint64, data []byte) []byte {
 
 // Append writes one record. seq must be strictly greater than every
 // previously appended or replayed sequence number. Under SyncAlways the
-// record is fsynced (individually or as part of a group commit) before
-// Append returns.
+// record is fsynced (as part of a group commit) before Append returns.
 func (l *Log) Append(seq uint64, data []byte) error {
 	commit, err := l.AppendAsync(seq, data)
 	if err != nil {
@@ -347,11 +351,7 @@ func (l *Log) Append(seq uint64, data []byte) error {
 // commit — that is what lets concurrent writers share one fsync.
 func (l *Log) AppendAsync(seq uint64, data []byte) (commit func() error, err error) {
 	l.mu.Lock()
-	if err := l.appendLocked(seq, data); err != nil {
-		l.mu.Unlock()
-		return nil, err
-	}
-	err = l.maybeInlineSyncLocked()
+	err = l.appendLocked(seq, data)
 	l.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -375,12 +375,8 @@ func (l *Log) AppendBatch(recs []Record) (commit func() error, err error) {
 			return nil, err
 		}
 	}
-	err = l.maybeInlineSyncLocked()
 	last := recs[len(recs)-1].Seq
 	l.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
 	return func() error { return l.commitWait(last) }, nil
 }
 
@@ -430,30 +426,14 @@ func (l *Log) appendLocked(seq uint64, data []byte) error {
 	return nil
 }
 
-// maybeInlineSyncLocked performs the per-record fsync when group commit is
-// disabled, so every staged record is durable before its commit function
-// is even constructed. Caller holds mu.
-func (l *Log) maybeInlineSyncLocked() error {
-	if l.opts.Sync != SyncAlways || !l.opts.DisableGroupCommit {
-		return nil
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.syncs++
-	l.flushedSeq = l.lastSeq
-	l.unflushed = 0
-	l.wakeLocked()
-	return nil
-}
-
 // commitWait blocks until an fsync covers seq. The first waiter to find no
 // flush in flight becomes the leader: it captures the current head, syncs
 // the active segment outside mu, and acknowledges every append the sync
 // covered — the group commit. Followers park on the round's channel and
 // re-check; a round that leaves them uncovered makes one of them the next
-// leader. Under SyncNever (or when the record was already inline-synced)
-// it returns immediately.
+// leader. A failed fsync latches the log (latchSyncLocked), so no later
+// round can acknowledge the records it covered. Under SyncNever it returns
+// immediately.
 func (l *Log) commitWait(seq uint64) error {
 	if l.opts.Sync != SyncAlways {
 		return nil
@@ -463,6 +443,10 @@ func (l *Log) commitWait(seq uint64) error {
 		if l.flushedSeq >= seq {
 			l.mu.Unlock()
 			return nil
+		}
+		if l.syncErr != nil {
+			l.mu.Unlock()
+			return l.syncErr
 		}
 		if l.closed {
 			// Close syncs the active segment and advances flushedSeq, so
@@ -478,7 +462,7 @@ func (l *Log) commitWait(seq uint64) error {
 			l.unflushed = 0
 			f := l.f
 			l.mu.Unlock()
-			err := f.Sync()
+			err := l.sync(f)
 			l.mu.Lock()
 			l.flushing = false
 			if err == nil {
@@ -498,8 +482,9 @@ func (l *Log) commitWait(seq uint64) error {
 					// the records are durable through that path.
 					continue
 				}
+				err = l.latchSyncLocked(err)
 				l.mu.Unlock()
-				return fmt.Errorf("wal: %w", err)
+				return err
 			}
 			continue
 		}
@@ -511,6 +496,18 @@ func (l *Log) commitWait(seq uint64) error {
 		<-ch
 		l.mu.Lock()
 	}
+}
+
+// latchSyncLocked records a failed fsync of the active segment: the log
+// refuses further appends, and every commit waiter not yet covered by an
+// earlier fsync is woken to return the error. Caller holds mu.
+func (l *Log) latchSyncLocked(err error) error {
+	if l.syncErr == nil {
+		l.syncErr = fmt.Errorf("wal: %w", err)
+	}
+	l.failed = true
+	l.flushRoundDoneLocked()
+	return l.syncErr
 }
 
 // flushRoundDoneLocked wakes every commitWait follower parked on the
@@ -637,8 +634,8 @@ func (l *Log) ReadFrom(fromSeq uint64, maxRecords int, maxBytes int64) ([]Record
 // the size threshold. nextSeq names a freshly created segment.
 func (l *Log) ensureSegmentLocked(nextSeq uint64) error {
 	if l.f != nil && l.segments[len(l.segments)-1].size >= l.opts.SegmentBytes {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: %w", err)
+		if err := l.sync(l.f); err != nil {
+			return l.latchSyncLocked(err)
 		}
 		l.syncs++
 		// Everything written so far lives in now-synced segments: commit
@@ -709,8 +706,8 @@ func (l *Log) Sync() error {
 	if l.f == nil {
 		return nil
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	if err := l.sync(l.f); err != nil {
+		return l.latchSyncLocked(err)
 	}
 	l.syncs++
 	l.flushedSeq = l.lastSeq
@@ -788,7 +785,7 @@ func (l *Log) Close() error {
 		l.flushRoundDoneLocked() // commit waiters observe the close too
 		return nil
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.sync(l.f); err != nil {
 		l.f.Close()
 		l.flushRoundDoneLocked()
 		return fmt.Errorf("wal: %w", err)

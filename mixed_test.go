@@ -45,8 +45,7 @@ func BenchmarkWorkloadMixed(b *testing.B) {
 	}
 	for _, shards := range shardCounts {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sys := benchSystem(b, 600)
-			sys.SetShards(shards)
+			sys := benchSystemShards(b, 600, shards)
 			writes := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -74,7 +73,11 @@ func BenchmarkWorkloadMixed(b *testing.B) {
 // the last refresh, every final delete stays deleted) and that journal
 // and engine sequence numbers only ever move forward.
 func TestMixedWorkloadConcurrent(t *testing.T) {
-	sys, err := New()
+	shards := runtime.NumCPU()
+	if shards < 2 {
+		shards = 2 // even single-CPU runs should cross shard boundaries
+	}
+	sys, err := NewShards(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +90,6 @@ func TestMixedWorkloadConcurrent(t *testing.T) {
 	}
 	if err := sys.Refresh(); err != nil {
 		t.Fatal(err)
-	}
-	if runtime.NumCPU() > 1 {
-		sys.SetShards(runtime.NumCPU())
-	} else {
-		sys.SetShards(2) // even single-CPU runs should cross shard boundaries
 	}
 
 	const (

@@ -90,12 +90,6 @@ type System struct {
 	// Query Management module of the paper's Fig. 1).
 	QueryManager *core.Manager
 
-	// PageRankOptions is used on every Refresh. The zero value selects the
-	// paper's defaults (c = 0.85, tol 1e-10, Gauss–Seidel).
-	PageRankOptions pagerank.Options
-	// PageRankMethod selects the solver; empty means Gauss–Seidel.
-	PageRankMethod string
-
 	// refreshMu serializes Refresh/RefreshFull: concurrent refreshes (e.g.
 	// two POST /api/refresh) would race on Ranker/Recommender/rankingDirty.
 	refreshMu sync.Mutex
@@ -145,11 +139,9 @@ type RefreshStats struct {
 	PageRankWarm    int `json:"pagerankWarm"`
 	PageRankCold    int `json:"pagerankCold"`
 
-	// Sharding: how many hash shards the search engine (and recommender)
-	// partition their posting structures into, and the current shard
-	// epoch keyset cursors are bound to (bumped by SetShards).
-	Shards     int    `json:"shards"`
-	ShardEpoch uint64 `json:"shardEpoch"`
+	// Shards is how many hash shards the search engine (and recommender)
+	// partition their posting structures into, fixed at construction.
+	Shards int `json:"shards"`
 
 	Recommender recommend.Stats `json:"recommender"`
 	Tagging     tagging.Stats   `json:"tagging"`
@@ -175,7 +167,6 @@ func (s *System) Stats() RefreshStats {
 		PageRankWarm:    s.stats.PageRankWarm,
 		PageRankCold:    s.stats.PageRankCold,
 		Shards:          s.Engine.ShardCount(),
-		ShardEpoch:      s.Engine.ShardEpoch(),
 		WAL:             s.Repo.WALStats(),
 	}
 	if s.Tags != nil {
@@ -195,11 +186,9 @@ func New() (*System, error) {
 }
 
 // NewShards creates an empty system whose search engine (and, through it,
-// the recommender) is partitioned into n hash shards from the start
-// (n <= 0 selects the GOMAXPROCS-aware default). Unlike SetShards on a
-// live system, construction-time partitioning keeps the shard epoch at
-// zero — there are no outstanding cursors to invalidate — so two fresh
-// processes mint byte-identical cursor tokens whatever their shard count.
+// the recommender) is partitioned into n hash shards (n <= 0 selects the
+// GOMAXPROCS-aware default). The count is fixed for the system's lifetime;
+// results and cursor tokens are byte-identical whatever it is.
 func NewShards(n int) (*System, error) {
 	repo, err := smr.New()
 	if err != nil {
@@ -220,8 +209,7 @@ func Open(dir string, opts smr.DurableOptions) (*System, error) {
 }
 
 // OpenShards is Open with a construction-time shard count, as NewShards
-// is to New: the engine is born partitioned and the shard epoch stays
-// zero. n <= 0 selects the default.
+// is to New. n <= 0 selects the default.
 func OpenShards(dir string, opts smr.DurableOptions, n int) (*System, error) {
 	repo, err := smr.Open(dir, opts)
 	if err != nil {
@@ -353,7 +341,7 @@ func (s *System) RefreshFull() error {
 	// The rebuild consumed the journal; if the solve below fails, the next
 	// Refresh must not treat PageRank as current.
 	s.rankingDirty = true
-	rk, err := ranking.New(s.Repo, s.PageRankMethod, s.PageRankOptions)
+	rk, err := ranking.New(s.Repo)
 	if err != nil {
 		return fmt.Errorf("sensormeta: refresh: %w", err)
 	}
@@ -370,41 +358,15 @@ func (s *System) RefreshFull() error {
 	return nil
 }
 
-// SetShards repartitions the search engine (and the recommender's posting
-// indexes) into n hash shards; n <= 0 selects the GOMAXPROCS-aware
-// default. Queries and recommendations are byte-identical at every shard
-// count — the count only sets how many goroutines a query, refresh or
-// recommendation can fan out across. Outstanding keyset cursors are
-// invalidated (the shard epoch moves); everything else is transparent.
-func (s *System) SetShards(n int) {
-	s.refreshMu.Lock()
-	defer s.refreshMu.Unlock()
-	before := s.Engine.ShardCount()
-	s.Engine.SetShards(n)
-	if s.Engine.ShardCount() == before {
-		return // no-op repartition: keep the recommender (and its stats)
-	}
-	if rec := s.recommender(); rec != nil {
-		if rk := s.ranker(); rk != nil {
-			fresh := recommend.NewSharded(s.Repo, rk.Scores(), s.Engine.ShardCount())
-			s.ptrMu.Lock()
-			s.Recommender = fresh
-			s.ptrMu.Unlock()
-		}
-	}
-}
-
-// solveRanking recomputes PageRank, warm-starting Gauss–Seidel from the
-// previous score vector when the configured method permits it. warm reports
-// whether the previous scores seeded the solve.
+// solveRanking recomputes PageRank with Gauss–Seidel, warm-started from
+// the previous score vector when there is one. warm reports whether the
+// previous scores seeded the solve.
 func (s *System) solveRanking() (rk *ranking.Ranker, warm bool, err error) {
-	gaussSeidel := s.PageRankMethod == "" || s.PageRankMethod == "Gauss-Seidel"
-	if s.Ranker != nil && gaussSeidel {
-		s.Ranker.Opts = s.PageRankOptions
+	if s.Ranker != nil {
 		rk, err = s.Ranker.Update(s.Repo)
 		return rk, true, err
 	}
-	rk, err = ranking.New(s.Repo, s.PageRankMethod, s.PageRankOptions)
+	rk, err = ranking.New(s.Repo)
 	return rk, false, err
 }
 
