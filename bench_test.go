@@ -32,6 +32,7 @@ import (
 	"repro/internal/tagging"
 	"repro/internal/viz"
 	"repro/internal/wal"
+	"repro/internal/wiki"
 	"repro/internal/workload"
 )
 
@@ -917,6 +918,52 @@ func BenchmarkBatchIngest(b *testing.B) {
 			}
 			b.StopTimer()
 			benchWALMetrics(b, before, sys.Stats().WAL, b.N)
+		})
+	}
+}
+
+// BenchmarkPutPagesScaling measures one 16-page overwrite batch through
+// System.PutPages against corpora of growing size. Each write replaces the
+// page's rows in every relational index, so the per-batch cost shows how
+// index maintenance scales with table size: an index write shifts one
+// fixed-size leaf, so the cost should stay nearly flat from 2.5k to 40k
+// sensors.
+func BenchmarkPutPagesScaling(b *testing.B) {
+	const batch = 16
+	for _, sensors := range []int{2500, 10000, 40000} {
+		var (
+			sys          *System
+			titles, deps []string
+		)
+		b.Run(fmt.Sprintf("sensors=%d", sensors), func(b *testing.B) {
+			if sys == nil { // built once per size, not once per b.N round
+				var err error
+				if sys, err = New(); err != nil {
+					b.Fatal(err)
+				}
+				opts := workload.DefaultCorpus()
+				opts.Sensors, opts.Deployments = sensors, sensors/16
+				if _, err := workload.BuildCorpus(sys.Repo, opts); err != nil {
+					b.Fatal(err)
+				}
+				titles = sys.Repo.Wiki.PagesInNamespace(wiki.NamespaceSensor)
+				deps = sys.Repo.Wiki.PagesInNamespace(wiki.NamespaceDeployment)
+			}
+			rng := rand.New(rand.NewSource(1))
+			writes := make([]smr.PageWrite, batch)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range writes {
+					dep := deps[rng.Intn(len(deps))]
+					writes[j] = smr.PageWrite{Title: titles[rng.Intn(len(titles))], Author: "bench",
+						Text: fmt.Sprintf("A sensor of [[%s]].\n[[partOf::%s]]\n[[measures::temperature]]\n[[samplingRate::%d]]\n[[status::active]]\n[[Category:Sensors]]\n",
+							dep, dep, rng.Intn(600))}
+				}
+				if _, err := sys.PutPages(writes); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/batch")
 		})
 	}
 }

@@ -152,7 +152,7 @@ func (ix *Index) CountEq(v Value) int {
 	if v.IsNull() {
 		return 0
 	}
-	return ix.searchAfter(v) - ix.search(v)
+	return ix.searchAfter(v) - ix.pos(ix.search(v))
 }
 
 // CountRange returns the number of non-NULL entries with lo <= key <= hi
@@ -160,38 +160,33 @@ func (ix *Index) CountEq(v Value) int {
 func (ix *Index) CountRange(lo Value, hasLo bool, hi Value, hasHi bool) int {
 	start := ix.nullCount()
 	if hasLo {
-		if s := ix.search(lo); s > start {
-			start = s
-		}
+		start = max(start, ix.pos(ix.search(lo)))
 	}
-	end := len(ix.keys)
+	end := ix.n
 	if hasHi {
 		end = ix.searchAfter(hi)
 	}
-	if end < start {
-		return 0
-	}
-	return end - start
+	return max(end-start, 0)
 }
 
 // DistinctKeys estimates the number of distinct non-NULL keys by sampling
 // run boundaries; exact for small indexes, a probe-based estimate above the
 // sampling threshold so stats stay O(1)-ish per query.
 func (ix *Index) DistinctKeys() int {
-	n := len(ix.keys)
+	n := ix.n
 	if n == 0 {
 		return 0
 	}
 	if n <= 256 {
 		d := 0
-		for i := 0; i < n; i++ {
-			if ix.keys[i].IsNull() {
-				continue
-			}
-			if d == 0 || Compare(ix.keys[i-1], ix.keys[i]) != 0 {
+		var prev *entry
+		ix.scan(0, 0, func(e *entry) bool {
+			if !e.key.IsNull() && (prev == nil || Compare(prev.key, e.key) != 0) {
 				d++
 			}
-		}
+			prev = e
+			return true
+		})
 		return d
 	}
 	// Probe 64 evenly spaced positions and count boundary hits; scale.
@@ -199,65 +194,21 @@ func (ix *Index) DistinctKeys() int {
 	hits := 1
 	step := n / probes
 	for i := step; i < n; i += step {
-		if !ix.keys[i].IsNull() && Compare(ix.keys[i-1], ix.keys[i]) != 0 {
+		if k := ix.at(i).key; !k.IsNull() && Compare(ix.at(i-1).key, k) != 0 {
 			hits++
 		}
 	}
-	est := hits * step
-	if est > n {
-		est = n
-	}
-	return est
+	return min(hits*step, n)
 }
 
-// searchAfter returns the first position whose key is > v.
+// searchAfter returns the global position of the first entry whose key
+// is > v.
 func (ix *Index) searchAfter(v Value) int {
-	return sort.Search(len(ix.keys), func(i int) bool { return Compare(ix.keys[i], v) > 0 })
+	return ix.pos(ix.seek(func(e *entry) bool { return Compare(e.key, v) > 0 }))
 }
 
 // nullCount returns how many leading entries have NULL keys (NULL sorts
 // before every value, so they form a prefix).
 func (ix *Index) nullCount() int {
-	return sort.Search(len(ix.keys), func(i int) bool { return !ix.keys[i].IsNull() })
-}
-
-// Walk visits every entry in key order (reverse key order when desc),
-// including NULL keys, grouping equal keys into one call. The ids of a run
-// are always presented in ascending order regardless of direction, which is
-// exactly the tie order a stable ORDER BY sort over an ascending-id scan
-// produces. fn returning false stops the walk.
-func (ix *Index) Walk(desc bool, fn func(key Value, ids []int64) bool) {
-	n := len(ix.keys)
-	emit := func(start, end int) bool { // [start, end) is one equal-key run
-		ids := ix.ids[start:end]
-		if len(ids) > 1 {
-			asc := append([]int64(nil), ids...)
-			sort.Slice(asc, func(i, j int) bool { return asc[i] < asc[j] })
-			ids = asc
-		}
-		return fn(ix.keys[start], ids)
-	}
-	if !desc {
-		for start := 0; start < n; {
-			end := start + 1
-			for end < n && Compare(ix.keys[end-1], ix.keys[end]) == 0 {
-				end++
-			}
-			if !emit(start, end) {
-				return
-			}
-			start = end
-		}
-		return
-	}
-	for end := n; end > 0; {
-		start := end - 1
-		for start > 0 && Compare(ix.keys[start-1], ix.keys[start]) == 0 {
-			start--
-		}
-		if !emit(start, end) {
-			return
-		}
-		end = start
-	}
+	return ix.pos(ix.seek(func(e *entry) bool { return !e.key.IsNull() }))
 }

@@ -98,7 +98,8 @@ func (t *Table) ensureIndex(col string, unique bool) *Index {
 }
 
 // AddIndex creates a (non-unique) secondary index over an existing column
-// and backfills it from current rows.
+// and backfills it from current rows in one bulk build, which orders equal
+// keys by id as inserting the rows one by one in id order would.
 func (t *Table) AddIndex(col string) error {
 	pos, ok := t.Schema.ColumnIndex(col)
 	if !ok {
@@ -109,10 +110,8 @@ func (t *Table) AddIndex(col string) error {
 		return fmt.Errorf("relational: index on %s.%s already exists", t.Name, col)
 	}
 	idx := NewIndex(col, pos, false)
-	for id, row := range t.rows {
-		if err := idx.Insert(row[pos], id); err != nil {
-			return err
-		}
+	if err := idx.bulkBuild(t.rows); err != nil {
+		return err
 	}
 	t.indexes[key] = idx
 	return nil

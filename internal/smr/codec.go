@@ -87,6 +87,12 @@ func DecodeWALOp(data []byte) (WALOp, error) {
 		if err := json.Unmarshal(data, &op); err != nil {
 			return WALOp{}, fmt.Errorf("smr: decoding v1 wal record: %w", err)
 		}
+		// v2 keeps Unix nanoseconds, which span only 1677–2262, and a
+		// follower re-journals what it applies in v2, so a v1 time
+		// outside that span would come back as another instant.
+		if !op.At.IsZero() && !time.Unix(0, op.At.UnixNano()).Equal(op.At) {
+			return WALOp{}, fmt.Errorf("smr: v1 wal record timestamp %s out of range", op.At)
+		}
 		return op, nil
 	case walFormatV2:
 		return decodeWALOpV2(data)

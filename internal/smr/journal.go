@@ -98,9 +98,13 @@ func (j *Journal) append(c Change) uint64 {
 	c.Seq = j.seq
 	j.entries = append(j.entries, c)
 	if len(j.entries) > maxJournalEntries {
+		// Reslice rather than copy the retained entries, so an append at
+		// the bound stays amortized O(1): append moves the window to a
+		// fresh array when the old one runs out.
 		drop := len(j.entries) - maxJournalEntries
 		j.trimmed = j.entries[drop-1].Seq
-		j.entries = append([]Change(nil), j.entries[drop:]...)
+		clear(j.entries[:drop]) // release the dropped titles
+		j.entries = j.entries[drop:]
 	}
 	return j.seq
 }

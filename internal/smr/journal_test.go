@@ -123,6 +123,14 @@ func TestJournalRetentionBound(t *testing.T) {
 	if cs, ok := j.Since(j.LastSeq() - 1); !ok || len(cs) != 1 {
 		t.Errorf("tip read = %v, %v", cs, ok)
 	}
+	// At the bound an append drops one entry; copying the retained ones
+	// instead would make every write O(maxJournalEntries).
+	if allocs := testing.AllocsPerRun(100, func() { j.Append(ChangeUpsert, "P", false) }); allocs != 0 {
+		t.Errorf("append at the retention bound allocates %v times per call, want amortized 0", allocs)
+	}
+	if j.Len() != maxJournalEntries {
+		t.Fatalf("Len = %d after appends at the bound, want %d", j.Len(), maxJournalEntries)
+	}
 }
 
 func TestRepositoryJournalsWrites(t *testing.T) {
