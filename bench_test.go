@@ -967,3 +967,103 @@ func BenchmarkPutPagesScaling(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTagCloudAfterWrite measures one tag-cloud cache miss after a
+// page write, on corpora shaped like the ingest benchmark's: annotation
+// values are tags, and every 16-page overwrite carries a fresh per-write
+// token, so each write changes the tag vocabulary and invalidates the
+// cached cloud. The write and the refresh are untimed; only the cloud
+// that follows is. A miss should cost the changed similarity rows and
+// graph components, not the whole vocabulary, so ms/cloud should stay
+// nearly flat from 2.5k to 20k sensors.
+func BenchmarkTagCloudAfterWrite(b *testing.B) {
+	const batch = 16
+	opts := tagging.CloudOptions{UsePivot: true, MinFrequency: 20}
+	for _, sensors := range []int{2500, 5000, 20000} {
+		var (
+			sys   *System
+			ing   *ingestPool
+			round int
+		)
+		b.Run(fmt.Sprintf("sensors=%d", sensors), func(b *testing.B) {
+			if sys == nil { // built once per size, not once per b.N round
+				var err error
+				if sys, err = New(); err != nil {
+					b.Fatal(err)
+				}
+				copts := workload.CorpusOptions{Sites: 15, Deployments: sensors * 300 / 5000,
+					Sensors: sensors, Seed: 1, TagsPerSensor: 1}
+				if _, err := workload.BuildCorpus(sys.Repo, copts); err != nil {
+					b.Fatal(err)
+				}
+				ing = newIngestPool(128, sys.Repo.Wiki.PagesInNamespace(wiki.NamespaceDeployment))
+				if _, err := sys.PutPages(ing.writes(len(ing.titles), "r0", false)); err != nil {
+					b.Fatal(err)
+				}
+				if err := sys.Refresh(); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sys.TagCloud(opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				round++
+				// One batch in four moves its pages to other deployments.
+				if _, err := sys.PutPages(ing.writes(batch, fmt.Sprintf("c%d", round), round%4 == 0)); err != nil {
+					b.Fatal(err)
+				}
+				if err := sys.Refresh(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := sys.TagCloud(opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/cloud")
+		})
+	}
+}
+
+// ingestPool is a bounded set of sensor pages rewritten over and over, each
+// revision with a fresh annotation token — the ingest benchmark's write
+// shape.
+type ingestPool struct {
+	rng    *rand.Rand
+	titles []string
+	deps   []string          // deployment titles to move pages between
+	dep    map[string]string // title -> current deployment
+}
+
+func newIngestPool(n int, deps []string) *ingestPool {
+	p := &ingestPool{rng: rand.New(rand.NewSource(1)), deps: deps, dep: map[string]string{}}
+	for i := 0; i < n; i++ {
+		title := fmt.Sprintf("Sensor:ingest-%03d", i)
+		p.titles = append(p.titles, title)
+		p.dep[title] = deps[p.rng.Intn(len(deps))]
+	}
+	return p
+}
+
+// writes returns one revision each of n random pool pages, tokened
+// "rev-k"; with move set, each page first moves to a random deployment.
+func (p *ingestPool) writes(n int, rev string, move bool) []smr.PageWrite {
+	measurands := []string{"temperature", "wind speed", "humidity", "snow height", "pressure"}
+	statuses := []string{"active", "maintenance", "retired"}
+	out := make([]smr.PageWrite, n)
+	for k, pi := range p.rng.Perm(len(p.titles))[:n] {
+		title := p.titles[pi]
+		if move {
+			p.dep[title] = p.deps[p.rng.Intn(len(p.deps))]
+		}
+		dep, m := p.dep[title], measurands[p.rng.Intn(len(measurands))]
+		out[k] = smr.PageWrite{Title: title, Author: "bench", Text: fmt.Sprintf(
+			"An ingested %s sensor of [[%s]].\n[[partOf::%s]]\n[[measures::%s]]\n[[samplingRate::%d]]\n[[status::%s]]\n[[ingestrev::%s-%d]]\n[[Category:Sensors]]\n",
+			m, dep, dep, m, []int{1, 10, 60, 600}[p.rng.Intn(4)], statuses[p.rng.Intn(len(statuses))], rev, k)}
+	}
+	return out
+}

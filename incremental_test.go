@@ -1,16 +1,22 @@
 package sensormeta
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/recommend"
 	"repro/internal/search"
 	"repro/internal/tagging"
+	"repro/internal/wiki"
 	"repro/internal/workload"
 )
 
@@ -277,5 +283,123 @@ func TestRefreshTrimsJournal(t *testing.T) {
 	}
 	if n := sys.Repo.Journal().Len(); n != 0 {
 		t.Fatalf("journal retains %d entries after refresh", n)
+	}
+}
+
+// TestServedCloudsImmutableUnderWrites checks that a tag cloud, once
+// returned, never changes: readers JSON-encode every cloud TagCloud hands
+// them and re-encode the clouds they hold while a writer overwrites pages
+// with fresh annotation tokens, a refresher applies the journal, and the
+// readers' alternating option sets force cache misses that re-derive
+// components and splice the kept clique list. Run it under -race.
+func TestServedCloudsImmutableUnderWrites(t *testing.T) {
+	sys, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	copts := workload.CorpusOptions{Sites: 4, Deployments: 12, Sensors: 150, Seed: 3, TagsPerSensor: 1}
+	if _, err := workload.BuildCorpus(sys.Repo, copts); err != nil {
+		t.Fatal(err)
+	}
+	ing := newIngestPool(24, sys.Repo.Wiki.PagesInNamespace(wiki.NamespaceDeployment))
+	if _, err := sys.PutPages(ing.writes(len(ing.titles), "r0", false)); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 40
+	var wg sync.WaitGroup
+	var clouds atomic.Int64 // clouds served to readers so far
+	done := make(chan struct{})
+	errs := make(chan error, 4) // one send at most per goroutine
+	wg.Add(2)
+	go func() { // writer: one batch per few served clouds
+		defer wg.Done()
+		defer close(done)
+		for r := 1; r <= rounds; r++ {
+			if _, err := sys.PutPages(ing.writes(4, fmt.Sprintf("c%d", r), r%3 == 0)); err != nil {
+				errs <- err
+				return
+			}
+			for seen := clouds.Load(); clouds.Load() < seen+3 && len(errs) == 0; {
+				runtime.Gosched()
+			}
+		}
+	}()
+	go func() { // refresher
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := sys.Refresh(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	optSets := []tagging.CloudOptions{
+		{UsePivot: true, MinFrequency: 20},
+		{UsePivot: true},
+		{UsePivot: false, Threshold: 0.3},
+	}
+	type served struct {
+		cloud *tagging.Cloud
+		enc   []byte
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) { // reader
+			defer wg.Done()
+			var held []served
+			check := func() bool {
+				for _, h := range held {
+					enc, err := json.Marshal(h.cloud)
+					if err != nil {
+						errs <- err
+						return false
+					}
+					if !bytes.Equal(enc, h.enc) {
+						errs <- fmt.Errorf("served cloud changed after it was returned")
+						return false
+					}
+				}
+				return true
+			}
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					check()
+					return
+				default:
+				}
+				cloud, err := sys.TagCloud(optSets[(i+r)%len(optSets)])
+				if err != nil {
+					errs <- err
+					return
+				}
+				enc, err := json.Marshal(cloud)
+				if err != nil {
+					errs <- err
+					return
+				}
+				clouds.Add(1)
+				held = append(held, served{cloud, enc})
+				if len(held) > 12 {
+					held = held[1:]
+				}
+				if !check() {
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := sys.Tags.Stats(); st.CacheMisses < rounds/2 || st.CliquesReused == 0 {
+		t.Fatalf("too few cloud misses or no kept components reused: %+v", st)
 	}
 }

@@ -11,8 +11,9 @@ type CloudOptions struct {
 	Threshold float64
 	// MaxFontSize is f_max in Eq. 6; zero means 7 (seven CSS size steps).
 	MaxFontSize int
-	// UsePivot selects the pivoting Bron–Kerbosch variant (the default);
-	// the basic variant exists for the ablation benchmark.
+	// UsePivot selects the pivoting Bron–Kerbosch variant; the zero value
+	// selects the basic variant, which exists for the ablation benchmark.
+	// Both find the same cliques and differ only in RecursionSteps.
 	UsePivot bool
 	// MinFrequency drops tags used fewer times (0 keeps everything).
 	MinFrequency int

@@ -1,8 +1,9 @@
 package tagging
 
 import (
-	"hash/fnv"
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -12,24 +13,60 @@ import (
 )
 
 // tagStore is the journal-maintained mirror of the Parser module's output:
-// tag → sorted page set and page → sorted tag set (internal/sortedset),
-// kept current against the repository's change journal so a refresh costs
-// O(changed pages) instead of a full SQL scan plus a corpus walk.
+// tag → page set and page → tag set, kept current against the repository's
+// change journal so a refresh costs O(changed pages) instead of a full SQL
+// scan plus a corpus walk. Tag names and page titles are interned to dense
+// int32 ids, so a similarity row counts co-occurrence by indexing slices
+// instead of hashing strings.
 type tagStore struct {
 	repo               *smr.Repository
 	includeAnnotations bool
 	seq                uint64
-	byPage             map[string][]string // page -> sorted distinct tags
-	pages              map[string][]string // tag -> sorted page titles
-	tags               []string            // sorted tag names
+	tags               interner // live tags, each with its pages
+	pages              interner // pages carrying a tag, each with its tags
+	order              []int32  // live tag ids in tag-name order
+}
+
+// interner maps names to dense int32 ids, each with an ascending list of
+// ids of the other kind: a tag's pages or a page's tags. A released id is
+// reused by the next new name, so the id space stays as large as the live
+// set ever was.
+type interner struct {
+	ids   map[string]int32
+	names []string  // id -> name; "" for a free id
+	lists [][]int32 // id -> ascending ids of the other kind
+	free  []int32
+}
+
+func (in *interner) intern(name string) int32 {
+	if id, ok := in.ids[name]; ok {
+		return id
+	}
+	var id int32
+	if n := len(in.free); n > 0 {
+		id, in.free = in.free[n-1], in.free[:n-1]
+	} else {
+		id = int32(len(in.names))
+		in.names = append(in.names, "")
+		in.lists = append(in.lists, nil)
+	}
+	in.names[id] = name
+	in.ids[name] = id
+	return id
+}
+
+func (in *interner) release(id int32) {
+	delete(in.ids, in.names[id])
+	in.names[id], in.lists[id] = "", nil
+	in.free = append(in.free, id)
 }
 
 func newTagStore(repo *smr.Repository, includeAnnotations bool) *tagStore {
 	return &tagStore{
 		repo:               repo,
 		includeAnnotations: includeAnnotations,
-		byPage:             map[string][]string{},
-		pages:              map[string][]string{},
+		tags:               interner{ids: map[string]int32{}},
+		pages:              interner{ids: map[string]int32{}},
 	}
 }
 
@@ -68,53 +105,76 @@ func (s *tagStore) tagsForPage(title string) ([]string, error) {
 	return out, nil
 }
 
-// setPageTags replaces one page's tag set and returns the tags whose page
-// sets changed (the dirty set for similarity maintenance), via a
-// merge-diff of the two sorted snapshots.
-func (s *tagStore) setPageTags(title string, next []string) []string {
-	var dirty []string
-	sortedset.DiffWalk(s.byPage[title], next,
-		func(tag string) {
-			s.removePage(tag, title)
-			dirty = append(dirty, tag)
+// setPageTags replaces one page's tag set and returns the ids of the tags
+// whose page sets changed (the dirty rows for similarity maintenance), via
+// a merge-diff of the two sorted snapshots. Every name is interned before
+// any removal can release an id, so one diff never sees an id twice.
+func (s *tagStore) setPageTags(title string, next []string) []int32 {
+	pid, ok := s.pages.ids[title]
+	if !ok {
+		if len(next) == 0 {
+			return nil
+		}
+		pid = s.pages.intern(title)
+	}
+	ids := make([]int32, len(next))
+	for i, t := range next {
+		ids[i] = s.tags.intern(t)
+	}
+	slices.Sort(ids)
+	var dirty []int32
+	sortedset.DiffWalkFunc(s.pages.lists[pid], ids, cmp.Compare[int32],
+		func(id int32) {
+			s.removePage(id, pid)
+			dirty = append(dirty, id)
 		},
-		func(tag string) {
-			s.addPage(tag, title)
-			dirty = append(dirty, tag)
+		func(id int32) {
+			s.addPage(id, pid)
+			dirty = append(dirty, id)
 		},
 		nil)
-	if len(next) == 0 {
-		delete(s.byPage, title)
+	if len(ids) == 0 {
+		s.pages.release(pid)
 	} else {
-		s.byPage[title] = next
+		s.pages.lists[pid] = ids
 	}
 	return dirty
 }
 
-func (s *tagStore) addPage(tag, title string) {
-	if len(s.pages[tag]) == 0 {
-		s.tags, _ = sortedset.Insert(s.tags, tag)
+// addPage adds one page to a tag; a tag's first page puts it in the
+// vocabulary.
+func (s *tagStore) addPage(id, pid int32) {
+	if len(s.tags.lists[id]) == 0 {
+		name := s.tags.names[id]
+		i := sort.Search(len(s.order), func(i int) bool { return s.tags.names[s.order[i]] >= name })
+		s.order = slices.Insert(s.order, i, id)
 	}
-	s.pages[tag], _ = sortedset.Insert(s.pages[tag], title)
+	s.tags.lists[id], _ = sortedset.InsertFunc(s.tags.lists[id], pid, cmp.Compare[int32])
 }
 
-func (s *tagStore) removePage(tag, title string) {
-	list, ok := sortedset.Remove(s.pages[tag], title)
+// removePage drops one page from a tag; a tag left without pages leaves
+// the vocabulary and its id is released.
+func (s *tagStore) removePage(id, pid int32) {
+	list, ok := sortedset.RemoveFunc(s.tags.lists[id], pid, cmp.Compare[int32])
 	if !ok {
 		return
 	}
-	if len(list) == 0 {
-		delete(s.pages, tag)
-		s.tags, _ = sortedset.Remove(s.tags, tag)
-	} else {
-		s.pages[tag] = list
+	if len(list) > 0 {
+		s.tags.lists[id] = list
+		return
 	}
+	name := s.tags.names[id]
+	i := sort.Search(len(s.order), func(i int) bool { return s.tags.names[s.order[i]] >= name })
+	s.order = slices.Delete(s.order, i, i+1)
+	s.tags.release(id)
 }
 
 // rebuild reloads the store from scratch via the Parser module's full
 // fetch — the fallback when the journal window has been trimmed past the
-// store's position. On a fetch error the store is left untouched (old
-// mirror, old position), so a later retry still sees the lag and rebuilds.
+// store's position. Ids are assigned afresh, so every structure keyed by
+// them must be dropped too. On a fetch error the store is left untouched
+// (old mirror, old position), so a later retry still sees the lag and
+// rebuilds.
 func (s *tagStore) rebuild(fetch func() (*TagData, error)) error {
 	// Capture the position before the scan; replaying a racing change is
 	// idempotent. It is only installed once the fetch succeeds.
@@ -123,49 +183,50 @@ func (s *tagStore) rebuild(fetch func() (*TagData, error)) error {
 	if err != nil {
 		return err
 	}
-	s.seq = seq
-	s.tags = append([]string(nil), td.Tags...)
-	s.pages = make(map[string][]string, len(td.Pages))
-	s.byPage = map[string][]string{}
-	for tag, ps := range td.Pages {
-		s.pages[tag] = append([]string(nil), ps...)
-		for _, p := range ps {
-			s.byPage[p] = append(s.byPage[p], tag)
+	fresh := newTagStore(s.repo, s.includeAnnotations)
+	fresh.seq = seq
+	for _, tag := range td.Tags { // sorted, so ids ascend in name order
+		id := fresh.tags.intern(tag)
+		fresh.order = append(fresh.order, id)
+		for _, title := range td.Pages[tag] {
+			pid := fresh.pages.intern(title)
+			fresh.tags.lists[id] = append(fresh.tags.lists[id], pid)
+			fresh.pages.lists[pid] = append(fresh.pages.lists[pid], id) // ascending: ids go up
 		}
+		slices.Sort(fresh.tags.lists[id])
 	}
-	for p := range s.byPage {
-		sort.Strings(s.byPage[p])
-	}
+	*s = *fresh
 	return nil
 }
 
 // addTagAssignment applies one journalled tag assignment directly — no
-// SQL round-trip — and reports whether the page's tag set actually grew
-// (repeat assignments are idempotent).
-func (s *tagStore) addTagAssignment(title, tag string) bool {
+// SQL round-trip — and returns the tag's id and whether the page's tag set
+// actually grew (repeat assignments are idempotent).
+func (s *tagStore) addTagAssignment(title, tag string) (int32, bool) {
 	if tag == "" {
-		return false
+		return 0, false
 	}
-	list, fresh := sortedset.Insert(s.byPage[title], tag)
+	pid, id := s.pages.intern(title), s.tags.intern(tag)
+	list, fresh := sortedset.InsertFunc(s.pages.lists[pid], id, cmp.Compare[int32])
 	if !fresh {
-		return false
+		return id, false
 	}
-	s.byPage[title] = list
-	s.addPage(tag, title)
-	return true
+	s.pages.lists[pid] = list
+	s.addPage(id, pid)
+	return id, true
 }
 
 // apply consumes the journal since the store's position, in order: tag
 // assignments carry their tag and apply directly; page upserts/deletes
 // re-read the page's full tag set (once per title — the re-read sees the
-// repository's current state, so it is idempotent). It returns the tags
-// whose page sets changed, the number of changes applied, and whether a
-// full rebuild was forced by a journal window overrun. On a mid-run error
-// the position is NOT advanced (the retry reprocesses the run, which is
-// idempotent) but the dirty set accumulated so far IS returned: the store
-// already absorbed those diffs, so a retry cannot re-derive them and the
-// caller must invalidate similarity rows now.
-func (s *tagStore) apply(fetch func() (*TagData, error)) (dirty []string, applied int, full bool, err error) {
+// repository's current state, so it is idempotent). It returns the ids of
+// the tags whose page sets changed, the number of changes applied, and
+// whether a full rebuild was forced by a journal window overrun. On a
+// mid-run error the position is NOT advanced (the retry reprocesses the
+// run, which is idempotent) but the dirty set accumulated so far IS
+// returned: the store already absorbed those diffs, so a retry cannot
+// re-derive them and the caller must invalidate similarity rows now.
+func (s *tagStore) apply(fetch func() (*TagData, error)) (dirty []int32, applied int, full bool, err error) {
 	changes, ok := s.repo.Changes(s.seq)
 	if !ok {
 		if err := s.rebuild(fetch); err != nil {
@@ -192,7 +253,7 @@ func (s *tagStore) apply(fetch func() (*TagData, error)) (dirty []string, applie
 			pageChanged[c.Title] = true
 		}
 	}
-	dirtySet := map[string]bool{}
+	dirtySet := map[int32]bool{}
 	for _, c := range changes {
 		if c.Kind == smr.ChangeTag {
 			// The existence check guards the tag-only path: the page may
@@ -200,8 +261,8 @@ func (s *tagStore) apply(fetch func() (*TagData, error)) (dirty []string, applie
 			// was journalled.
 			if !pageChanged[c.Title] {
 				if _, ok := s.repo.Wiki.Get(c.Title); ok {
-					if s.addTagAssignment(c.Title, c.Tag) {
-						dirtySet[c.Tag] = true
+					if id, grew := s.addTagAssignment(c.Title, c.Tag); grew {
+						dirtySet[id] = true
 					}
 				}
 			}
@@ -217,233 +278,229 @@ func (s *tagStore) apply(fetch func() (*TagData, error)) (dirty []string, applie
 			err = tagsErr
 			break
 		}
-		for _, t := range s.setPageTags(c.Title, next) {
-			dirtySet[t] = true
+		for _, id := range s.setPageTags(c.Title, next) {
+			dirtySet[id] = true
 		}
 		applied++
 	}
 	if err == nil {
 		s.seq = changes[len(changes)-1].Seq
 	}
-	for t := range dirtySet {
-		dirty = append(dirty, t)
+	for id := range dirtySet {
+		dirty = append(dirty, id)
 	}
-	sort.Strings(dirty)
+	slices.Sort(dirty)
 	return dirty, applied, false, err
 }
 
-// simGraph is the incrementally maintained Matrix Transformation + Graph
-// module output for one similarity threshold: an adjacency map over tag
-// names. Only rows of dirty tags are recomputed, and only against tags they
-// co-occur with (cosine similarity is zero without a shared page).
+// simGraph is the incrementally maintained Matrix Transformation + Graph +
+// Max Clique module output for one similarity threshold. Only rows of
+// dirty tags are recomputed, and only against tags they co-occur with
+// (cosine similarity is zero without a shared page). The graph's
+// connected components are kept with their maximal cliques; a cloud miss
+// re-derives only the components around tags whose edges changed or that
+// appeared or vanished, and splices their cliques into the kept global
+// clique list.
 type simGraph struct {
 	threshold float64
-	neighbors map[string]map[string]bool // only tags with >= 1 edge appear
-	dirty     map[string]bool
-	dirtyAll  bool
-	// cliques caches Bron–Kerbosch results per connected component,
-	// keyed by a content hash of the component's adjacency (see
-	// componentSignature); untouched components are reused across refreshes.
-	cliques map[uint64]cachedCliques
+	fresh     bool           // nothing derived yet: the first settle computes every row
+	adj       [][]int32      // tag id -> neighbour ids, ascending; nil when isolated
+	dirty     map[int32]bool // rows whose page sets changed since the last settle
+	changed   map[int32]bool // tags whose components must be re-derived
+	known     []string       // tag id -> name its component was derived for; "" if none
+	comp      []*component   // tag id -> its component
+	pos       []int32        // tag id -> its index in comp[id].members
+	cliques   [][]string     // every component's cliques, canonical order; replaced, never mutated
+	multi     int            // components with two or more tags
+	count     []int32        // recomputeRow scratch: shared pages per co-occurring tag
+	touched   []int32        // recomputeRow scratch: ids with a non-zero count
 }
 
-type cachedCliques struct {
+// component is one connected component of the tag graph with its maximal
+// cliques. Members are in tag-name order, so Bron–Kerbosch vertex i is
+// members[i] and the solver's canonical clique order is the name order.
+type component struct {
+	members []int32
 	cliques [][]string
-	steps   int
+	of      [][]int32 // of[i]: indices into cliques of those containing members[i]
 }
 
 func newSimGraph(threshold float64) *simGraph {
 	return &simGraph{
 		threshold: threshold,
-		neighbors: map[string]map[string]bool{},
-		dirty:     map[string]bool{},
-		dirtyAll:  true, // a fresh graph computes every row on first use
-		cliques:   map[uint64]cachedCliques{},
+		fresh:     true,
+		dirty:     map[int32]bool{},
+		changed:   map[int32]bool{},
 	}
 }
 
-func (g *simGraph) markDirty(tags []string) {
-	if g.dirtyAll {
+func (g *simGraph) markDirty(ids []int32) {
+	if g.fresh {
 		return
 	}
-	for _, t := range tags {
-		g.dirty[t] = true
+	for _, id := range ids {
+		g.dirty[id] = true
 	}
 }
 
-func (g *simGraph) markAllDirty() {
-	g.dirtyAll = true
-	g.dirty = map[string]bool{}
-}
-
-// settle brings the adjacency up to date with the store.
+// settle brings the adjacency up to date with the store and records in
+// g.changed every tag whose edge set changed or whose id now names a
+// different tag (it appeared, vanished, or was reused).
 func (g *simGraph) settle(s *tagStore) {
-	if g.dirtyAll {
-		g.neighbors = map[string]map[string]bool{}
-		for _, t := range s.tags {
-			g.recomputeRow(s, t)
+	n := len(s.tags.names)
+	g.adj, g.known, g.comp = grow(g.adj, n), grow(g.known, n), grow(g.comp, n)
+	g.pos, g.count = grow(g.pos, n), grow(g.count, n)
+	if g.fresh {
+		for _, id := range s.order {
+			g.dirty[id] = true
 		}
-		g.dirtyAll = false
-		g.dirty = map[string]bool{}
-		return
+		g.fresh = false
 	}
-	if len(g.dirty) == 0 {
-		return
+	for id := range g.dirty {
+		if g.known[id] != s.tags.names[id] {
+			g.changed[id] = true
+		}
+		g.recomputeRow(s, id)
 	}
-	rows := make([]string, 0, len(g.dirty))
-	for t := range g.dirty {
-		rows = append(rows, t)
+	clear(g.dirty)
+}
+
+// grow extends an id-indexed slice with zero values to length n.
+func grow[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
 	}
-	sort.Strings(rows)
-	for _, t := range rows {
-		g.recomputeRow(s, t)
-	}
-	g.dirty = map[string]bool{}
+	return append(s, make([]T, n-len(s))...)
 }
 
 // recomputeRow rebuilds tag t's edge set from its co-occurring tags,
 // adjusting the reverse entries of gained and lost neighbours. Instead of
 // intersecting page lists pairwise, one walk over t's pages counts the
 // shared-page overlap with every co-occurring tag — O(Σ |tags(p)|) for
-// p ∈ pages(t) — and the cosine is derived from the counts with the exact
+// p ∈ pages(t) — in a reused counter slice cleared through the touched
+// list, and the cosine is derived from the counts with the exact
 // arithmetic of TagData.CosineSimilarity (tags sharing no page have
 // similarity 0 and never form an edge).
-func (g *simGraph) recomputeRow(s *tagStore, t string) {
-	old := g.neighbors[t]
-	pages, exists := s.pages[t]
-	var next map[string]bool
-	if exists {
-		inter := map[string]int{}
+func (g *simGraph) recomputeRow(s *tagStore, t int32) {
+	var next []int32
+	if pages := s.tags.lists[t]; len(pages) > 0 {
 		for _, p := range pages {
-			for _, u := range s.byPage[p] {
+			for _, u := range s.pages.lists[p] {
 				if u != t {
-					inter[u]++
+					if g.count[u] == 0 {
+						g.touched = append(g.touched, u)
+					}
+					g.count[u]++
 				}
 			}
 		}
-		for u, shared := range inter {
-			sim := float64(shared) / math.Sqrt(float64(len(pages))*float64(len(s.pages[u])))
+		for _, u := range g.touched {
+			shared := g.count[u]
+			g.count[u] = 0
+			sim := float64(shared) / math.Sqrt(float64(len(pages))*float64(len(s.tags.lists[u])))
 			if sim > g.threshold {
-				if next == nil {
-					next = map[string]bool{}
+				next = append(next, u)
+			}
+		}
+		g.touched = g.touched[:0]
+		slices.Sort(next)
+	}
+	old := g.adj[t]
+	if slices.Equal(old, next) {
+		return
+	}
+	g.changed[t] = true
+	sortedset.DiffWalkFunc(old, next, cmp.Compare[int32],
+		func(u int32) { // u shares t's old component, re-derived anyway
+			g.adj[u], _ = sortedset.RemoveFunc(g.adj[u], t, cmp.Compare[int32])
+		},
+		func(u int32) {
+			g.adj[u], _ = sortedset.InsertFunc(g.adj[u], t, cmp.Compare[int32])
+			g.changed[u] = true
+		},
+		nil)
+	g.adj[t] = next
+}
+
+// rederive replaces the components of every changed tag. The affected set
+// is the changed tags plus all members of their old components; a BFS over
+// the new adjacency from it never leaves it (an edge into an untouched
+// component would have marked that component's endpoint changed), so
+// untouched components are not visited. The old components' cliques leave
+// the global list and the new ones enter it at their canonical positions.
+// It returns the multi-tag components solved and the solver's steps.
+func (g *simGraph) rederive(s *tagStore, usePivot bool) (computed, steps int) {
+	if len(g.changed) == 0 {
+		return 0, 0
+	}
+	var affected []int32
+	var removed [][]string
+	for t := range g.changed {
+		if c := g.comp[t]; c != nil {
+			for _, m := range c.members {
+				g.comp[m] = nil
+				affected = append(affected, m)
+			}
+			removed = append(removed, c.cliques...)
+			if len(c.members) > 1 {
+				g.multi--
+			}
+		} else {
+			affected = append(affected, t)
+		}
+	}
+	clear(g.changed)
+	// Solving in name order allocates the cliques in roughly their
+	// canonical order, which keeps a cloud's clique list compact to read.
+	slices.SortFunc(affected, func(a, b int32) int { return strings.Compare(s.tags.names[a], s.tags.names[b]) })
+	var added [][]string
+	for _, t := range affected {
+		g.known[t] = s.tags.names[t]
+		if s.tags.names[t] == "" || g.comp[t] != nil {
+			continue // vanished, or already placed by an earlier BFS
+		}
+		members := []int32{t}
+		g.comp[t] = &component{}
+		for i := 0; i < len(members); i++ {
+			for _, u := range g.adj[members[i]] {
+				if g.comp[u] == nil {
+					g.comp[u] = g.comp[t]
+					members = append(members, u)
 				}
-				next[u] = true
 			}
 		}
-	}
-	for u := range old {
-		if !next[u] {
-			delete(g.neighbors[u], t)
-			if len(g.neighbors[u]) == 0 {
-				delete(g.neighbors, u)
-			}
+		c := g.comp[t]
+		st := g.solve(s, c, members, usePivot)
+		if len(members) > 1 {
+			g.multi++
+			computed++
+			steps += st
 		}
+		added = append(added, c.cliques...)
 	}
-	for u := range next {
-		if !old[u] {
-			nu := g.neighbors[u]
-			if nu == nil {
-				nu = map[string]bool{}
-				g.neighbors[u] = nu
-			}
-			nu[t] = true
-		}
-	}
-	if len(next) == 0 {
-		delete(g.neighbors, t)
-	} else {
-		g.neighbors[t] = next
-	}
+	slices.SortFunc(removed, compareStrings)
+	slices.SortFunc(added, compareStrings)
+	g.cliques = spliceCliques(g.cliques, removed, added)
+	return computed, steps
 }
 
-// components returns the connected components of the tag graph as sorted
-// name lists, ordered by first member — singletons included.
-func (g *simGraph) components(s *tagStore) [][]string {
-	visited := map[string]bool{}
-	var comps [][]string
-	for _, t := range s.tags { // sorted, so components come out ordered
-		if visited[t] {
-			continue
-		}
-		comp := []string{t}
-		visited[t] = true
-		stack := []string{t}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for u := range g.neighbors[v] {
-				if !visited[u] {
-					visited[u] = true
-					comp = append(comp, u)
-					stack = append(stack, u)
-				}
-			}
-		}
-		sort.Strings(comp)
-		comps = append(comps, comp)
+// solve fills component c with its members (in name order) and their
+// maximal cliques, and returns the solver's recursion steps.
+func (g *simGraph) solve(s *tagStore, c *component, members []int32, usePivot bool) int {
+	slices.SortFunc(members, func(a, b int32) int { return strings.Compare(s.tags.names[a], s.tags.names[b]) })
+	c.members = members
+	for i, m := range members {
+		g.pos[m] = int32(i)
 	}
-	return comps
-}
-
-// componentSignature hashes a component's full adjacency (member tags plus
-// each member's sorted neighbour list) and the solver choice, so a cached
-// clique set is reused exactly when nothing inside the component changed.
-func (g *simGraph) componentSignature(comp []string, usePivot bool) uint64 {
-	h := fnv.New64a()
-	if usePivot {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
+	if len(members) == 1 {
+		c.cliques = [][]string{{s.tags.names[members[0]]}}
+		c.of = [][]int32{{0}}
+		return 0
 	}
-	for _, t := range comp {
-		h.Write([]byte(t))
-		h.Write([]byte{0})
-		ns := make([]string, 0, len(g.neighbors[t]))
-		for u := range g.neighbors[t] {
-			ns = append(ns, u)
-		}
-		sort.Strings(ns)
-		for _, u := range ns {
-			h.Write([]byte(u))
-			h.Write([]byte{1})
-		}
-		h.Write([]byte{2})
-	}
-	return h.Sum64()
-}
-
-// compSingleton/compReused/compComputed classify how one component's
-// cliques were obtained, for the reuse counters in Stats.
-const (
-	compSingleton = iota
-	compReused
-	compComputed
-)
-
-// componentCliques returns the maximal cliques of one component, from the
-// cache when its signature is unchanged. The live map collects the
-// signatures still in use so stale entries can be dropped afterwards.
-func (g *simGraph) componentCliques(comp []string, usePivot bool, live map[uint64]bool) (cliques [][]string, steps, kind int) {
-	if len(comp) == 1 && len(g.neighbors[comp[0]]) == 0 {
-		// Isolated tag: its only maximal clique is itself; not worth
-		// caching or counting as clique work.
-		return [][]string{{comp[0]}}, 0, compSingleton
-	}
-	sig := g.componentSignature(comp, usePivot)
-	live[sig] = true
-	if c, ok := g.cliques[sig]; ok {
-		return c.cliques, 0, compReused
-	}
-	// Build the dense subgraph. comp is sorted, so vertex order matches
-	// name order and the solver's canonical clique order carries over.
-	idx := make(map[string]int, len(comp))
-	for i, t := range comp {
-		idx[t] = i
-	}
-	sub := graph.NewUndirected(len(comp))
-	for i, t := range comp {
-		for u := range g.neighbors[t] {
-			if j, ok := idx[u]; ok && i < j {
+	sub := graph.NewUndirected(len(members))
+	for i, m := range members {
+		for _, u := range g.adj[m] {
+			if j := int(g.pos[u]); i < j {
 				sub.AddEdge(i, j)
 			}
 		}
@@ -454,126 +511,108 @@ func (g *simGraph) componentCliques(comp []string, usePivot bool, live map[uint6
 	} else {
 		cr = BronKerboschBasic(sub)
 	}
-	named := make([][]string, len(cr.Cliques))
-	for ci, c := range cr.Cliques {
-		names := make([]string, len(c))
-		for k, v := range c {
-			names[k] = comp[v]
+	c.cliques = make([][]string, len(cr.Cliques))
+	c.of = make([][]int32, len(members))
+	for ci, cl := range cr.Cliques {
+		names := make([]string, len(cl))
+		for k, v := range cl {
+			names[k] = s.tags.names[members[v]]
+			c.of[v] = append(c.of[v], int32(ci))
 		}
-		named[ci] = names
+		c.cliques[ci] = names
 	}
-	g.cliques[sig] = cachedCliques{cliques: named, steps: cr.RecursionSteps}
-	return named, cr.RecursionSteps, compComputed
+	return cr.RecursionSteps
 }
 
-// pruneCliqueCache drops cached components whose signature was not used in
-// the latest assembly, bounding the cache to the live component set.
-func (g *simGraph) pruneCliqueCache(live map[uint64]bool) {
-	for sig := range g.cliques {
-		if !live[sig] {
-			delete(g.cliques, sig)
-		}
-	}
-}
-
-// lessStrings orders string slices lexicographically (prefix first), the
-// name-space image of sortCliques' vertex order.
-func lessStrings(a, b []string) bool {
+// compareStrings orders string slices lexicographically (prefix first),
+// the name-space image of sortCliques' vertex order.
+func compareStrings(a, b []string) int {
 	for k := 0; k < len(a) && k < len(b); k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
+		if c := strings.Compare(a[k], b[k]); c != 0 {
+			return c
 		}
 	}
-	return len(a) < len(b)
+	return cmp.Compare(len(a), len(b))
 }
 
-// mergeSortedCliques k-way-merges per-component clique lists — each
-// already in the canonical lexicographic order the solver emits — into the
-// global canonical order, replacing the old full re-sort of every clique
-// on every recomputation. Components partition the tag vocabulary, so
-// cliques from different lists never compare equal and the merge order is
-// strict; sortedset.Merge's heap over the list heads keeps the cost at
-// O(total cliques · log components) instead of O(n log n) comparisons over
-// re-sorted cached data.
-func mergeSortedCliques(lists [][][]string) [][]string {
-	return sortedset.Merge(lists, lessStrings)
+// spliceCliques returns a new canonical clique list: list without the
+// cliques in removed, plus those in added. removed and added are sorted;
+// every clique in removed is in list. Components partition the
+// vocabulary, so list holds no two equal cliques, and a clique equal to a
+// removed one is the same component's clique. Each edit is located by
+// binary search and the runs between edits are copied whole. An empty
+// result is nil, as BuildCloud reports no cliques.
+func spliceCliques(list, removed, added [][]string) [][]string {
+	n := len(list) - len(removed) + len(added)
+	if n == 0 {
+		return nil
+	}
+	out := make([][]string, 0, n)
+	i := 0 // next element of list to copy
+	for len(removed) > 0 || len(added) > 0 {
+		drop := len(added) == 0 || (len(removed) > 0 && compareStrings(removed[0], added[0]) <= 0)
+		c := added
+		if drop {
+			c = removed
+		}
+		k := i + sort.Search(len(list)-i, func(x int) bool { return compareStrings(list[i+x], c[0]) >= 0 })
+		out = append(out, list[i:k]...)
+		i = k
+		if drop {
+			i++
+			removed = removed[1:]
+		} else {
+			out = append(out, added[0])
+			added = added[1:]
+		}
+	}
+	return append(out, list[i:]...)
 }
 
 // assembleCloud builds a Cloud from the store and a settled similarity
-// graph: per-component cliques (cached where possible) merged into the
-// canonical global clique order, then the Eq.-6 font sizes — exactly the
-// output BuildCloud produces on the same data, except that RecursionSteps
-// counts only the clique work actually performed on this call.
+// graph: the changed components are re-derived, then the Eq.-6 entries
+// are built for the tags that pass MinFrequency — exactly the output
+// BuildCloud produces on the same data, except that RecursionSteps counts
+// only the clique work performed on this call. The cloud's Cliques is the
+// graph's current list, which a later change replaces but never mutates.
 func assembleCloud(s *tagStore, g *simGraph, opts CloudOptions) (cloud *Cloud, reusedComps, computedComps int) {
 	opts = opts.withDefaults()
-	live := map[uint64]bool{}
-	var lists [][][]string
-	steps := 0
-	for _, comp := range g.components(s) {
-		cliques, st, kind := g.componentCliques(comp, opts.UsePivot, live)
-		switch kind {
-		case compReused:
-			reusedComps++
-		case compComputed:
-			computedComps++
-		}
-		steps += st
-		if len(cliques) > 0 {
-			lists = append(lists, cliques)
-		}
-	}
-	g.pruneCliqueCache(live)
-	all := mergeSortedCliques(lists)
-
-	member := map[string][]int{}
-	for ci, c := range all {
-		for _, t := range c {
-			member[t] = append(member[t], ci)
-		}
-	}
-
-	tmin, tmax := maxInt32, 0
-	for _, tag := range s.tags {
-		f := len(s.pages[tag])
-		if f < opts.MinFrequency {
-			continue
-		}
-		if f < tmin {
-			tmin = f
-		}
-		if f > tmax {
-			tmax = f
-		}
-	}
-
+	computedComps, steps := g.rederive(s, opts.UsePivot)
+	all := g.cliques
 	cloud = &Cloud{Cliques: all, RecursionSteps: steps}
-	totalCliques := len(all)
-	if totalCliques < 1 {
-		totalCliques = 1 // Eq. 6: C is "always ≥ 1"
-	}
-	for _, tag := range s.tags {
-		f := len(s.pages[tag])
+
+	var kept []int32
+	tmin, tmax := maxInt32, 0
+	for _, id := range s.order {
+		f := len(s.tags.lists[id])
 		if f < opts.MinFrequency {
 			continue
 		}
-		cliques := member[tag]
+		kept = append(kept, id)
+		tmin, tmax = min(tmin, f), max(tmax, f)
+	}
+	totalCliques := max(len(all), 1) // Eq. 6: C is "always ≥ 1"
+	for _, id := range kept {
+		c := g.comp[id]
+		local := c.of[g.pos[id]]
+		ids := make([]int, len(local))
 		maxOrder := 0
-		for _, ci := range cliques {
-			if n := len(all[ci]); n > maxOrder {
-				maxOrder = n
-			}
+		for k, ci := range local {
+			clique := c.cliques[ci]
+			ids[k] = sort.Search(len(all), func(i int) bool { return compareStrings(all[i], clique) >= 0 })
+			maxOrder = max(maxOrder, len(clique))
 		}
-		size := FontSize(f, tmin, tmax, len(cliques), maxOrder, totalCliques, opts.MaxFontSize)
+		f := len(s.tags.lists[id])
 		cloud.Entries = append(cloud.Entries, Entry{
-			Tag:            tag,
+			Tag:            s.tags.names[id],
 			Frequency:      f,
-			Cliques:        len(cliques),
+			Cliques:        len(ids),
 			MaxCliqueOrder: maxOrder,
-			CliqueIDs:      append([]int(nil), cliques...),
-			FontSize:       size,
+			CliqueIDs:      ids,
+			FontSize:       FontSize(f, tmin, tmax, len(ids), maxOrder, totalCliques, opts.MaxFontSize),
 		})
 	}
-	return cloud, reusedComps, computedComps
+	return cloud, g.multi - computedComps, computedComps
 }
 
 const maxInt32 = 1<<31 - 1

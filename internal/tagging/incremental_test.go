@@ -245,3 +245,142 @@ func TestComponentCliqueReuse(t *testing.T) {
 	}
 	cloudsEqual(t, "after edit", got, BuildCloud(td, CloudOptions{UsePivot: true}))
 }
+
+// componentOf maps every tag to a representative of its connected
+// component in the threshold graph of td, and lists the isolated tags.
+func componentOf(td *TagData, threshold float64) (rep map[string]string, isolated map[string]bool) {
+	rep, isolated = make(map[string]string, len(td.Tags)), map[string]bool{}
+	for _, comp := range td.Graph(threshold).ConnectedComponents() {
+		for _, v := range comp {
+			rep[td.Tags[v]] = td.Tags[comp[0]]
+		}
+		if len(comp) == 1 {
+			isolated[td.Tags[comp[0]]] = true
+		}
+	}
+	return rep, isolated
+}
+
+// TestLongIncrementalStreamMatchesRebuild runs a seeded stream of single-page
+// writes shaped like the ingest benchmark — annotation values as tags, a
+// fresh token per write, deployment moves, user tags, deletes followed by
+// re-creates and a journal trim — and after every write checks the served
+// cloud against BuildCloud over a fresh fetch, cycling through three option
+// sets (two thresholds, both Bron–Kerbosch variants, a MinFrequency). The
+// stream must exercise every way the kept components change: two
+// components merging, one splitting, and singleton tags appearing and
+// vanishing.
+func TestLongIncrementalStreamMatchesRebuild(t *testing.T) {
+	repo, err := smr.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPipeline(repo, true)
+	rng := rand.New(rand.NewSource(23))
+	const sensors, deployments, writes = 24, 8, 320
+	measurands := []string{"temperature", "wind speed", "humidity", "snow height"}
+	statuses := []string{"active", "maintenance", "retired"}
+	userTags := []string{"alpine", "glacier", "hydro", "epfl"}
+	dep := make([]int, sensors)
+	deleted := map[int]bool{}
+	// Even sensors carry a serial number: with the per-write token it forms
+	// a two-tag clique. On odd sensors the token is a singleton unless the
+	// page's deployment is small enough to be similar to it.
+	text := func(i, rev int) string {
+		serial := ""
+		if i%2 == 0 {
+			serial = fmt.Sprintf("[[serial::s-%d]]", i)
+		}
+		return fmt.Sprintf("[[partOf::Deployment:D%d]] %s [[measures::%s]] [[samplingRate::%d]] [[status::%s]] [[ingestrev::r%d]]",
+			dep[i], serial, measurands[rng.Intn(len(measurands))], []int{1, 10, 60}[rng.Intn(3)],
+			statuses[rng.Intn(len(statuses))], rev)
+	}
+	title := func(i int) string { return fmt.Sprintf("Sensor:S%02d", i) }
+	for i := 0; i < sensors; i++ {
+		dep[i] = rng.Intn(deployments)
+		if _, err := repo.PutPage(title(i), "load", text(i, -i-1), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	optSets := []CloudOptions{
+		{UsePivot: true},
+		{UsePivot: false, Threshold: 0.3},
+		{UsePivot: true, MinFrequency: 3, MaxFontSize: 5},
+	}
+	var merged, split, appeared, vanished bool
+	var prevComp map[string]string
+	var prevIsolated map[string]bool
+	for w := 0; w < writes; w++ {
+		i := rng.Intn(sensors)
+		switch r := rng.Intn(10); {
+		case deleted[i]: // re-create a deleted page
+			delete(deleted, i)
+			if _, err := repo.PutPage(title(i), "ingest", text(i, w), ""); err != nil {
+				t.Fatal(err)
+			}
+		case r == 0:
+			if ok, err := repo.DeletePage(title(i)); !ok || err != nil {
+				t.Fatalf("delete %s = %v, %v", title(i), ok, err)
+			}
+			deleted[i] = true
+		case r == 1:
+			if err := repo.AddTag(title(i), userTags[rng.Intn(len(userTags))], "ingest"); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if r <= 4 { // move to another deployment
+				dep[i] = rng.Intn(deployments)
+			}
+			if _, err := repo.PutPage(title(i), "ingest", text(i, w), ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if w == writes/2 {
+			repo.Journal().TrimTo(repo.LastSeq())
+		}
+		td, err := p.FetchTagData()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One option set per write, in turn: each threshold's graph then
+		// absorbs one to three writes between its clouds, so ids released
+		// and reused in between are exercised too.
+		opts := optSets[w%len(optSets)]
+		got, err := p.Cloud(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cloudsEqual(t, fmt.Sprintf("write %d opts %+v", w, opts), got, BuildCloud(td, opts))
+
+		comp, isolated := componentOf(td, DefaultSimilarityThreshold)
+		for a := range isolated {
+			if _, ok := prevComp[a]; !ok && prevComp != nil {
+				appeared = true
+			}
+		}
+		for a := range prevIsolated {
+			if _, ok := comp[a]; !ok {
+				vanished = true
+			}
+		}
+		for a, ra := range comp {
+			for b, rb := range comp {
+				pa, okA := prevComp[a]
+				pb, okB := prevComp[b]
+				if !okA || !okB {
+					continue
+				}
+				merged = merged || (ra == rb && pa != pb)
+				split = split || (ra != rb && pa == pb)
+			}
+		}
+		prevComp, prevIsolated = comp, isolated
+	}
+	if !merged || !split || !appeared || !vanished {
+		t.Fatalf("stream did not exercise every component change: merged=%v split=%v singleton appeared=%v vanished=%v",
+			merged, split, appeared, vanished)
+	}
+	if st := p.Stats(); st.FullRebuilds != 1 || st.CliquesReused == 0 || st.CliquesComputed == 0 {
+		t.Fatalf("want one trim-forced rebuild and both reused and computed components: %+v", st)
+	}
+}

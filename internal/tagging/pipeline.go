@@ -13,11 +13,11 @@ import (
 // consumer of the repository's change journal: the Parser module's tag
 // fetch is kept as an incrementally maintained tag→pages mirror (tagStore),
 // the similarity matrix and tag graph are updated only for tags whose page
-// sets changed, and Bron–Kerbosch results are cached per connected
-// component so an edit invalidates only the cliques of the components it
-// touched. FetchTagData remains the from-scratch Parser path, used as the
-// fallback when the journal's bounded window has been trimmed past the
-// pipeline's position; BuildCloud(FetchTagData(), opts) is the uncached
+// sets changed, and the graph's connected components are kept with their
+// Bron–Kerbosch cliques, so a cloud miss re-derives only the components
+// whose edges changed. FetchTagData remains the from-scratch Parser path,
+// used as the fallback when the journal's bounded window has been trimmed
+// past the pipeline's position; BuildCloud(FetchTagData(), opts) is the uncached
 // Parser → Matrix → Graph → Clique chain every cached cloud must equal.
 type Pipeline struct {
 	repo *smr.Repository
@@ -37,9 +37,10 @@ type Pipeline struct {
 }
 
 // Stats counts what the pipeline's refresh paths have done, for the admin
-// endpoint. CacheHits/CacheMisses track whole-cloud cache reuse;
-// CliquesReused/CliquesComputed track the per-component Bron–Kerbosch
-// cache inside a recomputation.
+// endpoint. CacheHits/CacheMisses track whole-cloud cache reuse. Per cloud
+// miss, CliquesComputed grows by the multi-tag components whose cliques
+// Bron–Kerbosch solved on that call, and CliquesReused by those whose kept
+// cliques went into the cloud unchanged.
 type Stats struct {
 	Seq             uint64 // journal position the tag structures reflect
 	DeltaUpdates    int    // journal runs applied incrementally
@@ -120,9 +121,7 @@ func (p *Pipeline) updateLocked() (UpdateStats, error) {
 	}
 	switch {
 	case full:
-		for _, g := range p.graphs {
-			g.markAllDirty()
-		}
+		p.graphs = nil // keyed by the old tag ids
 		p.version++
 		p.stats.FullRebuilds++
 	case len(dirty) > 0:
@@ -143,7 +142,7 @@ func (p *Pipeline) updateLocked() (UpdateStats, error) {
 }
 
 // Rebuild discards every maintained structure — tag mirror, similarity
-// graphs, component clique caches, cached cloud — and refetches the tag
+// graphs with their kept components, cached cloud — and refetches the tag
 // data from scratch: the recovery path and the from-scratch baseline the
 // incremental benchmarks compare against (System.RefreshFull).
 func (p *Pipeline) Rebuild() error {

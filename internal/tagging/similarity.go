@@ -10,9 +10,11 @@
 // (smr.Change): instead of refetching all tag data per request, it mirrors
 // tag→page assignments incrementally (smr.ChangeTag entries carry the tag,
 // page changes re-read only that page's tag set), recomputes similarity
-// rows only for tags whose page sets moved, and caches Bron–Kerbosch
-// results per connected component of the tag graph so an edit invalidates
-// only the cliques it touched. When the journal's bounded window has been
+// rows only for tags whose page sets moved, and keeps the tag graph's
+// connected components with their Bron–Kerbosch cliques. A cloud miss
+// re-derives only the components around tags whose edges changed or that
+// appeared or vanished — tracked exactly, with no content hash — and
+// splices their cliques into the kept canonical clique list. When the journal's bounded window has been
 // trimmed past the pipeline's position it falls back to the from-scratch
 // FetchTagData path; the incremental and from-scratch paths produce
 // identical clouds (modulo CliqueResult recursion accounting).
