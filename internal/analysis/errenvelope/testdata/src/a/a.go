@@ -33,6 +33,11 @@ func plainTextHistorical(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), http.StatusBadRequest) // want `http\.Error emits unstructured text/plain`
 }
 
+// plainNotFound is the catch-all 404 the envelope replaced.
+func plainNotFound(w http.ResponseWriter, r *http.Request) {
+	http.NotFound(w, r) // want `http\.NotFound emits unstructured text/plain`
+}
+
 // adHocMap forks the envelope shape.
 func adHocMap(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(map[string]any{

@@ -60,12 +60,4 @@ func TestCombinedEndpointErrors(t *testing.T) {
 			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/api/combined")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Error("GET on combined endpoint accepted")
-	}
 }

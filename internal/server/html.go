@@ -63,7 +63,7 @@ nav a { margin-right: 1em; }
 
 func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
-		http.NotFound(w, r)
+		httpError(w, http.StatusNotFound, "no route for %s", r.URL.Path)
 		return
 	}
 	rs, q, err := s.runSearch(r)
@@ -170,7 +170,7 @@ func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
 	}
 	page, ok := s.sys.Repo.Wiki.Get(title)
 	if !ok {
-		http.NotFound(w, r)
+		httpError(w, http.StatusNotFound, "page: %s not found", title)
 		return
 	}
 	tags, _ := s.sys.Repo.PageTags(title)

@@ -73,9 +73,6 @@ func TestV1PagesBatch(t *testing.T) {
 	if code, body = postJSON(t, ts.URL+"/api/v1/pages:batch", map[string]interface{}{"bogus": true}); code != http.StatusBadRequest {
 		t.Fatalf("unknown field: %d %s", code, body)
 	}
-	if code, _ := get(t, ts.URL+"/api/v1/pages:batch"); code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET: %d, want 405", code)
-	}
 }
 
 // TestAdminStatsWALWritePathBlock pins the stats surface the satellites

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/smr"
@@ -45,48 +43,27 @@ const (
 	walMaxWait      = 60 * time.Second
 )
 
-// writeRoutes are the endpoints that mutate the repository; a follower
-// rejects them with the structured 403 envelope.
-var writeRoutes = map[string]bool{
-	"/api/pages":          true,
-	"/api/tags":           true,
-	"/api/v1/pages:batch": true,
-	"/bulkload":           true,
-}
-
-// gateReplica enforces follower semantics before routing: writes are
-// rejected with a 403 pointing at the primary, read responses carry the
-// X-Replica-Lag-Seq header, and — when a max lag is configured — reads on
-// a follower lagging past it (or never synced) return 503 rather than
-// arbitrarily stale data. Admin endpoints stay reachable throughout so
-// lag is observable on an unhealthy follower. Reports whether the
-// request was terminated. A server without a Replica is a primary and
-// passes every request through.
-func (s *Server) gateReplica(w http.ResponseWriter, r *http.Request) bool {
+// gateReplica enforces follower semantics before a route's handler runs:
+// a write route is rejected with a 403 pointing at the primary, read
+// responses carry the X-Replica-Lag-Seq header, and — when a max lag is
+// configured — reads on a follower lagging past it (or never synced)
+// return 503 rather than arbitrarily stale data. Admin routes stay
+// reachable throughout so lag is observable on an unhealthy follower.
+// Reports whether the request was terminated. A server without a Replica
+// is a primary and passes every request through.
+func (s *Server) gateReplica(w http.ResponseWriter, write, admin bool) bool {
 	if s.opts.Replica == nil {
 		return false
 	}
-	if writeRoutes[r.URL.Path] {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusForbidden)
-		json.NewEncoder(w).Encode(struct {
-			Error struct {
-				Code    string `json:"code"`
-				Message string `json:"message"`
-				Primary string `json:"primary,omitempty"`
-			} `json:"error"`
-		}{Error: struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-			Primary string `json:"primary,omitempty"`
-		}{
+	if write {
+		writeEnvelope(w, http.StatusForbidden, v1Error{
 			Code:    "read_only",
 			Message: "this server is a read replica; send writes to the primary",
 			Primary: s.opts.Replica.PrimaryURL(),
-		}})
+		})
 		return true
 	}
-	if strings.HasPrefix(r.URL.Path, "/api/admin/") {
+	if admin {
 		return false
 	}
 	seqLag, _, synced := s.opts.Replica.ReplicaLag()
@@ -125,10 +102,6 @@ type walFeedResponse struct {
 // in-memory, 410 when the requested range has been compacted into a
 // snapshot (the follower must re-bootstrap).
 func (s *Server) handleAdminWAL(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	q := r.URL.Query()
 	from := uint64(0)
 	if fs := q.Get("from"); fs != "" {
@@ -194,10 +167,6 @@ func (s *Server) handleAdminWAL(w http.ResponseWriter, r *http.Request) {
 // image a follower restores before tailing the wal endpoint. 409 when the
 // server runs in-memory.
 func (s *Server) handleAdminSnapshotLatest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	seq, rc, err := s.sys.Repo.SnapshotReader()
 	if err != nil {
 		if errors.Is(err, smr.ErrNotDurable) {

@@ -194,17 +194,25 @@ func TestAdminSnapshotLatest(t *testing.T) {
 	}
 }
 
+// TestReadOnlyModeRejectsWrites walks the route table on a follower:
+// every Write route is refused with the read_only envelope naming the
+// primary, and once the follower lags past MaxLagSeq every other route
+// degrades to 503 replica_lagging except the admin routes.
 func TestReadOnlyModeRejectsWrites(t *testing.T) {
-	_, ts := newDurableTestServer(t, Options{Replica: &fakeReplica{synced: true, primary: "http://primary:8080"}})
-	for _, route := range []string{"/api/pages", "/api/tags", "/api/v1/pages:batch", "/bulkload"} {
-		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader("{}"))
+	rep := &fakeReplica{synced: true, primary: "http://primary:8080"}
+	_, ts := newDurableTestServer(t, Options{Replica: rep, MaxLagSeq: 5})
+	for _, rt := range routes {
+		if !rt.Write {
+			continue
+		}
+		resp, err := http.Post(ts.URL+rt.Pattern, "application/json", strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusForbidden {
-			t.Fatalf("POST %s: status %d, want 403", route, resp.StatusCode)
+			t.Fatalf("POST %s: status %d, want 403", rt.Pattern, resp.StatusCode)
 		}
 		var envelope struct {
 			Error struct {
@@ -213,15 +221,31 @@ func TestReadOnlyModeRejectsWrites(t *testing.T) {
 			} `json:"error"`
 		}
 		if err := json.Unmarshal(body, &envelope); err != nil {
-			t.Fatalf("POST %s: non-JSON 403 body %q", route, body)
+			t.Fatalf("POST %s: non-JSON 403 body %q", rt.Pattern, body)
 		}
 		if envelope.Error.Code != "read_only" || envelope.Error.Primary != "http://primary:8080" {
-			t.Fatalf("POST %s: envelope %+v", route, envelope)
+			t.Fatalf("POST %s: envelope %+v", rt.Pattern, envelope)
 		}
 	}
 	// Reads still work.
 	if code, _ := get(t, ts.URL+"/api/search?q=station"); code != http.StatusOK {
 		t.Fatalf("read-only GET /api/search: %d", code)
+	}
+
+	rep.seqLag = 9
+	for _, rt := range routes {
+		if rt.Write {
+			continue
+		}
+		resp, body := request(t, rt.Method, ts.URL+rt.Pattern)
+		lagging := resp.StatusCode == http.StatusServiceUnavailable
+		if strings.HasPrefix(rt.Pattern, "/api/admin/") {
+			if lagging {
+				t.Errorf("%s %s on a lagging follower: 503, want admin routes exempt", rt.Method, rt.Pattern)
+			}
+		} else if !lagging || envelopeCode(body) != "replica_lagging" {
+			t.Errorf("%s %s on a lagging follower: %d %s, want 503 replica_lagging", rt.Method, rt.Pattern, resp.StatusCode, body)
+		}
 	}
 }
 

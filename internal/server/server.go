@@ -33,16 +33,15 @@ import (
 // Options configures optional server behaviour.
 type Options struct {
 	// AutoRefresh, when positive, refreshes the system automatically after
-	// write endpoints (/api/pages, /api/tags), debounced by this duration:
-	// a burst of writes triggers one refresh that runs AutoRefresh after
-	// the last write of the burst. Zero disables (writes require an
-	// explicit POST /api/refresh, as before).
+	// write endpoints (/api/pages, /api/tags, /api/v1/pages:batch),
+	// debounced by this duration: a burst of writes triggers one refresh
+	// that runs AutoRefresh after the last write of the burst. Zero
+	// disables (writes require an explicit POST /api/refresh, as before).
 	AutoRefresh time.Duration
-	// Replica, when set, marks this server as a follower: the write
-	// endpoints (/api/pages, /api/tags, /api/v1/pages:batch, /bulkload)
-	// are rejected with a structured 403 naming Replica.PrimaryURL(), read
-	// responses carry an X-Replica-Lag-Seq header and /api/admin/stats
-	// gains a replication block.
+	// Replica, when set, marks this server as a follower: the Write routes
+	// of the route table are rejected with a structured 403 naming
+	// Replica.PrimaryURL(), read responses carry an X-Replica-Lag-Seq
+	// header and /api/admin/stats gains a replication block.
 	Replica ReplicaSource
 	// MaxLagSeq, when positive (and Replica is set), degrades reads to 503
 	// once the follower lags more than this many sequence numbers behind
@@ -53,11 +52,55 @@ type Options struct {
 
 // Server is the HTTP application. It implements http.Handler.
 type Server struct {
-	sys    *sensormeta.System
-	mux    *http.ServeMux
-	opts   Options
-	deb    *debouncer
-	routes []string
+	sys  *sensormeta.System
+	mux  *http.ServeMux
+	opts Options
+	deb  *debouncer
+}
+
+// route is one entry of the route table. A route serves only Method (a
+// GET route also answers HEAD); Write marks the endpoints that mutate the
+// repository, which a follower refuses.
+type route struct {
+	Pattern string
+	Method  string
+	Handler func(*Server, http.ResponseWriter, *http.Request)
+	Write   bool
+}
+
+// routes is the server's route table. The mux, the method check, the
+// follower gate and the docs coverage test (docs/API.md) all read it.
+var routes = []route{
+	{"/", http.MethodGet, (*Server).handleHome, false},
+	{"/page/", http.MethodGet, (*Server).handlePage, false},
+	{"/api/search", http.MethodGet, (*Server).handleSearch, false},
+	{"/api/autocomplete", http.MethodGet, (*Server).handleAutocomplete, false},
+	{"/api/properties", http.MethodGet, (*Server).handleProperties, false},
+	{"/api/values", http.MethodGet, (*Server).handleValues, false},
+	{"/api/recommend", http.MethodGet, (*Server).handleRecommend, false},
+	{"/api/tagcloud", http.MethodGet, (*Server).handleTagCloudJSON, false},
+	{"/api/pages", http.MethodPost, (*Server).handlePutPage, true},
+	{"/api/tags", http.MethodPost, (*Server).handleAddTag, true},
+	{"/api/refresh", http.MethodPost, (*Server).handleRefresh, false},
+	{"/api/admin/snapshot", http.MethodPost, (*Server).handleAdminSnapshot, false},
+	{"/api/admin/snapshot/latest", http.MethodGet, (*Server).handleAdminSnapshotLatest, false},
+	{"/api/admin/stats", http.MethodGet, (*Server).handleAdminStats, false},
+	{"/api/admin/wal", http.MethodGet, (*Server).handleAdminWAL, false},
+	{"/api/sql", http.MethodGet, (*Server).handleSQL, false},
+	{"/api/sparql", http.MethodGet, (*Server).handleSPARQL, false},
+	{"/api/combined", http.MethodPost, (*Server).handleCombined, false},
+	{"/api/v1/query", http.MethodPost, (*Server).handleV1Query, false},
+	{"/api/v1/combined", http.MethodPost, (*Server).handleV1Combined, false},
+	{"/api/v1/pages:batch", http.MethodPost, (*Server).handleV1PagesBatch, true},
+	{"/bulkload", http.MethodPost, (*Server).handleBulkLoad, true},
+	{"/viz/bar.svg", http.MethodGet, (*Server).handleBarChart, false},
+	{"/viz/pie.svg", http.MethodGet, (*Server).handlePieChart, false},
+	{"/viz/map.svg", http.MethodGet, (*Server).handleMap, false},
+	{"/viz/graph.svg", http.MethodGet, (*Server).handleGraphSVG, false},
+	{"/viz/graph.dot", http.MethodGet, (*Server).handleGraphDOT, false},
+	{"/viz/hypergraph.svg", http.MethodGet, (*Server).handleHypergraph, false},
+	{"/viz/tagcloud.html", http.MethodGet, (*Server).handleTagCloudHTML, false},
+	{"/viz/taggraph.svg", http.MethodGet, (*Server).handleTagGraph, false},
 }
 
 // New wires all routes for a system with default options.
@@ -75,47 +118,32 @@ func NewWithOptions(sys *sensormeta.System, opts Options) *Server {
 			}
 		})
 	}
-	handle := func(pattern string, h http.HandlerFunc) {
-		s.routes = append(s.routes, pattern)
-		s.mux.HandleFunc(pattern, h)
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.Pattern, s.serve(rt))
 	}
-	handle("/", s.handleHome)
-	handle("/page/", s.handlePage)
-	handle("/api/search", s.handleSearch)
-	handle("/api/autocomplete", s.handleAutocomplete)
-	handle("/api/properties", s.handleProperties)
-	handle("/api/values", s.handleValues)
-	handle("/api/recommend", s.handleRecommend)
-	handle("/api/tagcloud", s.handleTagCloudJSON)
-	handle("/api/pages", s.handlePutPage)
-	handle("/api/tags", s.handleAddTag)
-	handle("/api/refresh", s.handleRefresh)
-	handle("/api/admin/snapshot", s.handleAdminSnapshot)
-	handle("/api/admin/snapshot/latest", s.handleAdminSnapshotLatest)
-	handle("/api/admin/stats", s.handleAdminStats)
-	handle("/api/admin/wal", s.handleAdminWAL)
-	handle("/api/sql", s.handleSQL)
-	handle("/api/sparql", s.handleSPARQL)
-	handle("/api/combined", s.handleCombined)
-	handle("/api/v1/query", s.handleV1Query)
-	handle("/api/v1/combined", s.handleV1Combined)
-	handle("/api/v1/pages:batch", s.handleV1PagesBatch)
-	handle("/bulkload", s.handleBulkLoad)
-	handle("/viz/bar.svg", s.handleBarChart)
-	handle("/viz/pie.svg", s.handlePieChart)
-	handle("/viz/map.svg", s.handleMap)
-	handle("/viz/graph.svg", s.handleGraphSVG)
-	handle("/viz/graph.dot", s.handleGraphDOT)
-	handle("/viz/hypergraph.svg", s.handleHypergraph)
-	handle("/viz/tagcloud.html", s.handleTagCloudHTML)
-	handle("/viz/taggraph.svg", s.handleTagGraph)
-	sort.Strings(s.routes)
 	return s
 }
 
-// Routes returns the registered route patterns, sorted — the source of
-// truth the documentation coverage test checks docs/API.md against.
-func (s *Server) Routes() []string { return append([]string(nil), s.routes...) }
+// serve wraps one route: the replica gate first, then the method check,
+// then the handler.
+func (s *Server) serve(rt route) http.HandlerFunc {
+	admin := strings.HasPrefix(rt.Pattern, "/api/admin/")
+	allow := rt.Method
+	if rt.Method == http.MethodGet {
+		allow += ", " + http.MethodHead
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.gateReplica(w, rt.Write, admin) {
+			return
+		}
+		if r.Method != rt.Method && (rt.Method != http.MethodGet || r.Method != http.MethodHead) {
+			w.Header().Set("Allow", allow)
+			httpError(w, http.StatusMethodNotAllowed, "%s required", rt.Method)
+			return
+		}
+		rt.Handler(s, w, r)
+	}
+}
 
 // Close stops the auto-refresh debouncer, if any.
 func (s *Server) Close() {
@@ -124,12 +152,8 @@ func (s *Server) Close() {
 	}
 }
 
-// ServeHTTP applies the replica gates (read-only writes, lag header,
-// max-lag degradation), then dispatches to the router.
+// ServeHTTP dispatches to the route table.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.gateReplica(w, r) {
-		return
-	}
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -534,10 +558,6 @@ func (s *Server) handleTagGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePutPage(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var in struct {
 		Title   string `json:"title"`
 		Author  string `json:"author"`
@@ -561,10 +581,6 @@ func (s *Server) handlePutPage(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAddTag(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var in struct {
 		Page   string `json:"page"`
 		Tag    string `json:"tag"`
@@ -603,10 +619,6 @@ func (s *Server) handleAdminStats(w http.ResponseWriter, r *http.Request) {
 // write-ahead log prefix the snapshot covers. 409 when the server runs
 // without a data directory.
 func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	info, err := s.sys.Repo.Snapshot()
 	if err != nil {
 		code := http.StatusInternalServerError
@@ -620,10 +632,6 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	if err := s.sys.Refresh(); err != nil {
 		httpError(w, http.StatusInternalServerError, "refresh: %v", err)
 		return
@@ -687,10 +695,6 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 // {sparql, pagevar, sql, keywords, user, limit}) and returns the joined
 // rows plus the visualization hint.
 func (s *Server) handleCombined(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var in struct {
 		SPARQL   string `json:"sparql"`
 		PageVar  string `json:"pagevar"`
@@ -727,10 +731,6 @@ func (s *Server) handleCombined(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBulkLoad(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	author := r.URL.Query().Get("author")
 	if author == "" {
 		author = "bulkload"

@@ -301,12 +301,6 @@ func TestPutPageAndTagAPI(t *testing.T) {
 	if out.Count != 1 {
 		t.Errorf("fog results = %d", out.Count)
 	}
-	// GET on POST-only endpoints.
-	for _, p := range []string{"/api/pages", "/api/tags", "/api/refresh", "/bulkload"} {
-		if code, _ := get(t, ts.URL+p); code != http.StatusMethodNotAllowed {
-			t.Errorf("%s: GET status %d, want 405", p, code)
-		}
-	}
 }
 
 func TestBulkLoadEndpoint(t *testing.T) {
@@ -364,8 +358,8 @@ func TestPageView(t *testing.T) {
 	if !strings.Contains(body, "Annotations") {
 		t.Error("annotations section missing")
 	}
-	if code, _ := get(t, ts.URL+"/page/No:Such"); code != http.StatusNotFound {
-		t.Error("missing page not 404")
+	if code, body := get(t, ts.URL+"/page/No:Such"); code != http.StatusNotFound || envelopeCode(body) != "not_found" {
+		t.Errorf("missing page: %d %s, want 404 not_found envelope", code, body)
 	}
 	// ACL enforcement on the page view.
 	sys.Repo.ACL.SetAnonymousAccess(false)
@@ -377,8 +371,8 @@ func TestPageView(t *testing.T) {
 
 func TestUnknownPathIs404(t *testing.T) {
 	_, ts := newTestServer(t)
-	if code, _ := get(t, ts.URL+"/definitely/not/here"); code != http.StatusNotFound {
-		t.Error("unknown path not 404")
+	if code, body := get(t, ts.URL+"/definitely/not/here"); code != http.StatusNotFound || envelopeCode(body) != "not_found" {
+		t.Errorf("unknown path: %d %s, want 404 not_found envelope", code, body)
 	}
 }
 

@@ -19,21 +19,39 @@ import (
 // AST and executor (search.LegacyExpr and search.LegacyOptions →
 // Engine.Execute), so the two surfaces cannot drift apart.
 
-// v1Error is the structured error envelope every /api/v1 handler returns:
+// v1Error is the structured error envelope every route returns:
 //
 //	{"error": {"code": "invalid_query", "message": "…", "field": "query.and[1].property.op"}}
 type v1Error struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
 	Field   string `json:"field,omitempty"`
+	// Primary names the primary in a follower's read_only refusal.
+	Primary string `json:"primary,omitempty"`
 }
 
 func writeV1Error(w http.ResponseWriter, status int, code, field, message string) {
+	writeEnvelope(w, status, v1Error{Code: code, Message: message, Field: field})
+}
+
+func writeEnvelope(w http.ResponseWriter, status int, e v1Error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(struct {
 		Error v1Error `json:"error"`
-	}{v1Error{Code: code, Message: message, Field: field}})
+	}{e})
+}
+
+// decodeV1 strictly decodes a v1 request body into dst; on failure it
+// answers 400 bad_request itself and reports false.
+func decodeV1(w http.ResponseWriter, r *http.Request, dst any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		writeV1Error(w, http.StatusBadRequest, "bad_request", "", "request body: "+err.Error())
+		return false
+	}
+	return true
 }
 
 // writeV1QueryError maps an executor/validation error onto the envelope:
@@ -170,15 +188,8 @@ func keywordTexts(e query.Expr) string {
 // handleV1Query serves POST /api/v1/query: one expression, executed with
 // candidate pruning, facets and keyset pagination.
 func (s *Server) handleV1Query(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeV1Error(w, http.StatusMethodNotAllowed, "method_not_allowed", "", "POST required")
-		return
-	}
 	var in v1QueryRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		writeV1Error(w, http.StatusBadRequest, "bad_request", "", "request body: "+err.Error())
+	if !decodeV1(w, r, &in) {
 		return
 	}
 	if in.Limit < 0 {
@@ -200,7 +211,7 @@ func (s *Server) handleV1Query(w http.ResponseWriter, r *http.Request) {
 	}
 	key, order, verr := v1SortOptions(in.Sort, in.Order)
 	if verr != nil {
-		writeV1Error(w, http.StatusBadRequest, verr.Code, verr.Field, verr.Message)
+		writeEnvelope(w, http.StatusBadRequest, *verr)
 		return
 	}
 	facets := make([]string, len(in.Facets))
@@ -259,19 +270,12 @@ func explainRequested(r *http.Request) bool {
 // the earlier rows stay applied (and durable) and the envelope's field
 // names the failing row index.
 func (s *Server) handleV1PagesBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeV1Error(w, http.StatusMethodNotAllowed, "method_not_allowed", "", "POST required")
-		return
-	}
 	var in struct {
 		// Author is the default for rows that do not set their own.
 		Author string          `json:"author"`
 		Pages  []smr.PageWrite `json:"pages"`
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		writeV1Error(w, http.StatusBadRequest, "bad_request", "", "request body: "+err.Error())
+	if !decodeV1(w, r, &in) {
 		return
 	}
 	if len(in.Pages) == 0 {
@@ -313,10 +317,6 @@ func (s *Server) handleV1PagesBatch(w http.ResponseWriter, r *http.Request) {
 // with a structured filter expression applied during the join, wrapped in
 // the v1 error envelope.
 func (s *Server) handleV1Combined(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeV1Error(w, http.StatusMethodNotAllowed, "method_not_allowed", "", "POST required")
-		return
-	}
 	var in struct {
 		SPARQL   string          `json:"sparql"`
 		PageVar  string          `json:"pagevar"`
@@ -327,10 +327,7 @@ func (s *Server) handleV1Combined(w http.ResponseWriter, r *http.Request) {
 		Limit    int             `json:"limit"`
 		Cursor   string          `json:"cursor"`
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		writeV1Error(w, http.StatusBadRequest, "bad_request", "", "request body: "+err.Error())
+	if !decodeV1(w, r, &in) {
 		return
 	}
 	cq := core.CombinedQuery{

@@ -408,15 +408,6 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	code, body = postJSON(t, ts.URL+"/api/v1/query", map[string]interface{}{"limit": -1})
 	check("negative limit", code, body, http.StatusBadRequest, "bad_request", "limit")
 
-	resp, err := http.Get(ts.URL + "/api/v1/query")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	check("method", resp.StatusCode, buf.String(), http.StatusMethodNotAllowed, "method_not_allowed", "")
-
 	code, body = postJSON(t, ts.URL+"/api/v1/combined",
 		map[string]interface{}{"filter": json.RawMessage(`{"keyword":{"text":""}}`)})
 	check("combined bad filter", code, body, http.StatusBadRequest, "invalid_query", "keyword.text")
