@@ -136,6 +136,18 @@ func TestSPARQLGolden(t *testing.T) {
 	runGolden(t, ts.URL, cases)
 }
 
+// TestTagCloudGolden pins GET /api/tagcloud byte for byte: the default
+// cloud and one per non-default threshold and minimum frequency.
+// Regenerate with `go test ./internal/server -run TestTagCloudGolden -update`.
+func TestTagCloudGolden(t *testing.T) {
+	_, ts := newTestServer(t)
+	runGolden(t, ts.URL, []goldenCase{
+		{"tagcloud_default", "/api/tagcloud", ""},
+		{"tagcloud_minfreq", "/api/tagcloud?minfreq=2", ""},
+		{"tagcloud_threshold", "/api/tagcloud?threshold=0.3", ""},
+	})
+}
+
 // goldenCase is one recorded request: a GET of path, or a POST of body
 // to path when body is set.
 type goldenCase struct{ name, path, body string }
