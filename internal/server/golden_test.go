@@ -137,7 +137,8 @@ func TestSPARQLGolden(t *testing.T) {
 }
 
 // TestTagCloudGolden pins GET /api/tagcloud byte for byte: the default
-// cloud and one per non-default threshold and minimum frequency.
+// cloud, one per non-default threshold and minimum frequency, and the
+// rejection of a malformed threshold.
 // Regenerate with `go test ./internal/server -run TestTagCloudGolden -update`.
 func TestTagCloudGolden(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -145,6 +146,7 @@ func TestTagCloudGolden(t *testing.T) {
 		{"tagcloud_default", "/api/tagcloud", ""},
 		{"tagcloud_minfreq", "/api/tagcloud?minfreq=2", ""},
 		{"tagcloud_threshold", "/api/tagcloud?threshold=0.3", ""},
+		{"tagcloud_bad_threshold", "/api/tagcloud?threshold=abc", ""},
 	})
 }
 

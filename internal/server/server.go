@@ -56,6 +56,15 @@ type Server struct {
 	mux  *http.ServeMux
 	opts Options
 	deb  *debouncer
+
+	cloudMu  sync.Mutex
+	cloudEnc encodedCloud // guarded by cloudMu
+}
+
+// encodedCloud is the tag cloud /api/tagcloud encoded last, with its body.
+type encodedCloud struct {
+	cloud *tagging.Cloud
+	body  []byte
 }
 
 // route is one entry of the route table. A route serves only Method (a
@@ -231,19 +240,32 @@ func normalizeProperty(p string) string {
 	return strings.ToLower(strings.TrimSpace(p))
 }
 
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	// Encode to a buffer first: an encoding failure discovered after the
-	// first byte hit the wire could only produce a torn body, so the
-	// status and headers are committed only once the payload is whole.
+// encodeJSON renders v as the indented JSON body of every JSON response.
+func encodeJSON(v interface{}) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+func writeJSON(w http.ResponseWriter, v interface{}) {
+	// Encode before writing: an encoding failure discovered after the
+	// first byte hit the wire could only produce a torn body, so the
+	// status and headers are committed only once the payload is whole.
+	body, err := encodeJSON(v)
+	if err != nil {
 		httpError(w, http.StatusInternalServerError, "encoding response: %v", err)
 		return
 	}
+	writeJSONBody(w, body)
+}
+
+func writeJSONBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
+	w.Write(body)
 }
 
 func writeSVG(w http.ResponseWriter, svg string) {
@@ -513,35 +535,81 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.sys.Recommend(seeds, r.URL.Query().Get("user"), k))
 }
 
-func cloudOptions(r *http.Request) tagging.CloudOptions {
+// cloudOptions reads the tag-cloud parameters: threshold, a similarity in
+// (0, 1], and minfreq, a non-negative tag frequency (0 keeps every tag).
+// An omitted parameter keeps its default.
+func cloudOptions(r *http.Request) (tagging.CloudOptions, error) {
 	opts := tagging.CloudOptions{UsePivot: true}
 	v := r.URL.Query()
 	if th := v.Get("threshold"); th != "" {
-		if f, err := strconv.ParseFloat(th, 64); err == nil && f > 0 {
-			opts.Threshold = f
+		f, err := strconv.ParseFloat(th, 64)
+		if err != nil || !(f > 0 && f <= 1) {
+			return opts, fmt.Errorf("threshold %q is not a number in (0, 1]", th)
 		}
+		opts.Threshold = f
 	}
 	if mf := v.Get("minfreq"); mf != "" {
-		if n, err := strconv.Atoi(mf); err == nil && n > 0 {
-			opts.MinFrequency = n
+		n, err := strconv.Atoi(mf)
+		if err != nil || n < 0 {
+			return opts, fmt.Errorf("minfreq %q is not a non-negative integer", mf)
 		}
+		opts.MinFrequency = n
 	}
-	return opts
+	return opts, nil
+}
+
+// tagCloud returns the cloud the request's parameters select, or writes
+// the error envelope (prefixed with route) and returns nil.
+func (s *Server) tagCloud(w http.ResponseWriter, r *http.Request, route string) *tagging.Cloud {
+	opts, err := cloudOptions(r)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%s: %v", route, err)
+		return nil
+	}
+	cloud, err := s.sys.TagCloud(opts)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%s: %v", route, err)
+		return nil
+	}
+	return cloud
 }
 
 func (s *Server) handleTagCloudJSON(w http.ResponseWriter, r *http.Request) {
-	cloud, err := s.sys.TagCloud(cloudOptions(r))
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "tagcloud: %v", err)
+	cloud := s.tagCloud(w, r, "tagcloud")
+	if cloud == nil {
 		return
 	}
-	writeJSON(w, cloud)
+	body, err := s.cloudJSON(cloud)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	writeJSONBody(w, body)
+}
+
+// cloudJSON returns the encoded body of cloud, encoding it only when it is
+// not the cloud encoded last. The tagging pipeline hands back the same
+// *Cloud until the cloud changes and never mutates one it served, so the
+// pointer identifies the bytes; the entry holds the cloud, so its address
+// cannot be reused for a later one. One entry suffices because the
+// pipeline itself caches one cloud.
+func (s *Server) cloudJSON(cloud *tagging.Cloud) ([]byte, error) {
+	s.cloudMu.Lock()
+	defer s.cloudMu.Unlock()
+	if s.cloudEnc.cloud == cloud {
+		return s.cloudEnc.body, nil
+	}
+	body, err := encodeJSON(cloud)
+	if err != nil {
+		return nil, err
+	}
+	s.cloudEnc = encodedCloud{cloud: cloud, body: body}
+	return body, nil
 }
 
 func (s *Server) handleTagCloudHTML(w http.ResponseWriter, r *http.Request) {
-	cloud, err := s.sys.TagCloud(cloudOptions(r))
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "tagcloud: %v", err)
+	cloud := s.tagCloud(w, r, "tagcloud")
+	if cloud == nil {
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -549,9 +617,8 @@ func (s *Server) handleTagCloudHTML(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTagGraph(w http.ResponseWriter, r *http.Request) {
-	cloud, err := s.sys.TagCloud(cloudOptions(r))
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "taggraph: %v", err)
+	cloud := s.tagCloud(w, r, "taggraph")
+	if cloud == nil {
 		return
 	}
 	writeSVG(w, viz.TagGraphSVG(cloud, 0))
