@@ -48,7 +48,7 @@ func main() {
 	}
 
 	fmt.Printf("%d tags, %d maximal cliques, %d clique-solver recursion steps\n\n",
-		len(cloud.Entries), len(cloud.Cliques), cloud.RecursionSteps)
+		len(cloud.Entries), len(cloud.Cliques), sys.Tags.Stats().RecursionSteps)
 	fmt.Printf("%-22s %6s %8s %10s %9s\n", "tag", "freq", "cliques", "max-order", "fontsize")
 	for _, e := range cloud.Entries {
 		fmt.Printf("%-22s %6d %8d %10d %9d\n", e.Tag, e.Frequency, e.Cliques, e.MaxCliqueOrder, e.FontSize)

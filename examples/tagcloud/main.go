@@ -63,7 +63,7 @@ func main() {
 	hits, misses := pipeline.CacheStats()
 	fmt.Printf("pipeline cache: %d hit(s), %d miss(es)\n\n", hits, misses)
 
-	fmt.Printf("%d maximal cliques found in %d recursion steps:\n", len(cloud.Cliques), cloud.RecursionSteps)
+	fmt.Printf("%d maximal cliques found in %d recursion steps:\n", len(cloud.Cliques), pipeline.Stats().RecursionSteps)
 	for i, c := range cloud.Cliques {
 		fmt.Printf("  clique %d: {%s}\n", i, strings.Join(c, ", "))
 	}

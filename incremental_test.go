@@ -120,8 +120,7 @@ func TestRefreshIncrementalMatchesFull(t *testing.T) {
 // journal-consuming recommender and tagging pipeline answer exactly like
 // from-scratch rebuilds over the same repository: identical property
 // scores and recommendations (bit-identical floats — both paths sum
-// contributions in sorted page order) and identical tag clouds (modulo
-// RecursionSteps, which counts only work actually performed).
+// contributions in sorted page order) and identical tag clouds.
 func TestRefreshIncrementalRecommenderAndTags(t *testing.T) {
 	sys, err := New()
 	if err != nil {
@@ -198,9 +197,7 @@ func TestRefreshIncrementalRecommenderAndTags(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := tagging.BuildCloud(td, tagging.CloudOptions{UsePivot: true})
-		g, w := *got, *want
-		g.RecursionSteps, w.RecursionSteps = 0, 0
-		if !reflect.DeepEqual(g.Cliques, w.Cliques) || !reflect.DeepEqual(g.Entries, w.Entries) {
+		if !reflect.DeepEqual(got.Cliques, want.Cliques) || !reflect.DeepEqual(got.Entries, want.Entries) {
 			t.Fatalf("round %d: tag cloud diverges from rebuild", round)
 		}
 	}

@@ -89,10 +89,7 @@ func TestTagCloudBodyFollowsWrites(t *testing.T) {
 }
 
 // TestTagCloudBodyPerOptions alternates two option sets, so every request
-// gets a cloud other than the one encoded last. The expected bytes are
-// read after each GET: the pipeline's cache then hands back the very cloud
-// the server encoded (a cloud's RecursionSteps depend on what the
-// pipeline could reuse, so a cloud rebuilt later may encode differently).
+// gets a cloud other than the one encoded last.
 func TestTagCloudBodyPerOptions(t *testing.T) {
 	sys, ts := newTestServer(t)
 	var last [2][]byte
@@ -106,6 +103,19 @@ func TestTagCloudBodyPerOptions(t *testing.T) {
 	}
 	if bytes.Equal(last[0], last[1]) {
 		t.Fatal("minfreq=2 and minfreq=3 clouds encode alike; the corpus cannot tell them apart")
+	}
+}
+
+// TestTagCloudBodyIndependentOfHistory serves minfreq=2 right after a
+// minfreq=3 cloud whose components it reuses, and from a fresh server:
+// a cloud depends only on its data and options, so the bodies are equal.
+func TestTagCloudBodyIndependentOfHistory(t *testing.T) {
+	_, warm := newTestServer(t)
+	getBody(t, warm.URL+"/api/tagcloud?minfreq=3")
+	got := getBody(t, warm.URL+"/api/tagcloud?minfreq=2")
+	_, fresh := newTestServer(t)
+	if want := getBody(t, fresh.URL+"/api/tagcloud?minfreq=2"); !bytes.Equal(got, want) {
+		t.Fatalf("minfreq=2 after minfreq=3 serves other bytes than a fresh minfreq=2:\n%.300s\nvs\n%.300s", got, want)
 	}
 }
 

@@ -13,7 +13,8 @@ type CloudOptions struct {
 	MaxFontSize int
 	// UsePivot selects the pivoting Bron–Kerbosch variant; the zero value
 	// selects the basic variant, which exists for the ablation benchmark.
-	// Both find the same cliques and differ only in RecursionSteps.
+	// Both find the same cliques and differ only in the solver's
+	// recursion steps (CliqueResult.RecursionSteps).
 	UsePivot bool
 	// MinFrequency drops tags used fewer times (0 keeps everything).
 	MinFrequency int
@@ -41,12 +42,11 @@ type Entry struct {
 	FontSize       int   // s_i from Eq. 6, clamped to [1, MaxFontSize]
 }
 
-// Cloud is a computed tag cloud.
+// Cloud is a computed tag cloud. It depends only on the tag data and the
+// options, never on how much of it the pipeline could reuse.
 type Cloud struct {
 	Entries []Entry    // sorted by tag text
 	Cliques [][]string // maximal cliques as tag-name lists
-	// Recursion steps of the clique solver (ablation metric).
-	RecursionSteps int
 }
 
 // Top returns the k most prominent entries — largest font size first, ties
@@ -102,7 +102,7 @@ func BuildCloud(td *TagData, opts CloudOptions) *Cloud {
 		}
 	}
 
-	cloud := &Cloud{RecursionSteps: cr.RecursionSteps}
+	cloud := &Cloud{}
 	for _, c := range cr.Cliques {
 		named := make([]string, len(c))
 		for i, v := range c {

@@ -572,14 +572,14 @@ func spliceCliques(list, removed, added [][]string) [][]string {
 // assembleCloud builds a Cloud from the store and a settled similarity
 // graph: the changed components are re-derived, then the Eq.-6 entries
 // are built for the tags that pass MinFrequency — exactly the output
-// BuildCloud produces on the same data, except that RecursionSteps counts
-// only the clique work performed on this call. The cloud's Cliques is the
-// graph's current list, which a later change replaces but never mutates.
-func assembleCloud(s *tagStore, g *simGraph, opts CloudOptions) (cloud *Cloud, reusedComps, computedComps int) {
+// BuildCloud produces on the same data; steps counts the clique work
+// performed on this call. The cloud's Cliques is the graph's current
+// list, which a later change replaces but never mutates.
+func assembleCloud(s *tagStore, g *simGraph, opts CloudOptions) (cloud *Cloud, reusedComps, computedComps, steps int) {
 	opts = opts.withDefaults()
-	computedComps, steps := g.rederive(s, opts.UsePivot)
+	computedComps, steps = g.rederive(s, opts.UsePivot)
 	all := g.cliques
-	cloud = &Cloud{Cliques: all, RecursionSteps: steps}
+	cloud = &Cloud{Cliques: all}
 
 	var kept []int32
 	tmin, tmax := maxInt32, 0
@@ -612,7 +612,7 @@ func assembleCloud(s *tagStore, g *simGraph, opts CloudOptions) (cloud *Cloud, r
 			FontSize:       FontSize(f, tmin, tmax, len(ids), maxOrder, totalCliques, opts.MaxFontSize),
 		})
 	}
-	return cloud, g.multi - computedComps, computedComps
+	return cloud, g.multi - computedComps, computedComps, steps
 }
 
 const maxInt32 = 1<<31 - 1

@@ -39,8 +39,9 @@ type Pipeline struct {
 // Stats counts what the pipeline's refresh paths have done, for the admin
 // endpoint. CacheHits/CacheMisses track whole-cloud cache reuse. Per cloud
 // miss, CliquesComputed grows by the multi-tag components whose cliques
-// Bron–Kerbosch solved on that call, and CliquesReused by those whose kept
-// cliques went into the cloud unchanged.
+// Bron–Kerbosch solved on that call, CliquesReused by those whose kept
+// cliques went into the cloud unchanged, and RecursionSteps by the
+// solver's recursion steps on that call.
 type Stats struct {
 	Seq             uint64 // journal position the tag structures reflect
 	DeltaUpdates    int    // journal runs applied incrementally
@@ -50,6 +51,7 @@ type Stats struct {
 	CacheMisses     int
 	CliquesReused   int
 	CliquesComputed int
+	RecursionSteps  int
 }
 
 // NewPipeline builds a tagging pipeline over a repository.
@@ -188,9 +190,10 @@ func (p *Pipeline) Cloud(opts CloudOptions) (*Cloud, error) {
 	p.stats.CacheMisses++
 	g := p.graphFor(opts.Threshold)
 	g.settle(p.store)
-	cloud, reused, computed := assembleCloud(p.store, g, opts)
+	cloud, reused, computed, steps := assembleCloud(p.store, g, opts)
 	p.stats.CliquesReused += reused
 	p.stats.CliquesComputed += computed
+	p.stats.RecursionSteps += steps
 	p.cached, p.cachedOpts, p.cachedVersion = cloud, opts, p.version
 	return cloud, nil
 }
