@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -297,6 +298,12 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 		}
 		cur = p
 	}
+	// keep is the prefix each shard retains: limit+offset, saturated so a
+	// sum past the int range keeps everything instead of going negative.
+	keep := opts.Limit + opts.Offset
+	if keep < opts.Limit {
+		keep = math.MaxInt
+	}
 	curResult := Result{}
 	if cur != nil {
 		curResult = Result{Title: cur.Title, Relevance: cur.Rel, Rank: cur.Rank}
@@ -372,7 +379,7 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 
 		var sel *topK[Result]
 		if !opts.CountOnly && !fusing && opts.Limit > 0 {
-			sel = newTopK(opts.Limit+opts.Offset, less)
+			sel = newTopK(keep, sh.index.NumDocs(), less)
 		}
 		// The driver leaf must come from the SAME tree enumerate drives
 		// with: with two keyword conjuncts, reordering can change which
@@ -546,7 +553,7 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 		}
 		eligible = len(out)
 		if opts.Limit > 0 {
-			fsel := newTopK(opts.Limit+opts.Offset, less)
+			fsel := newTopK(keep, len(out), less)
 			for _, r := range out {
 				fsel.push(r)
 			}
@@ -573,7 +580,7 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 			} else if len(lists) > 1 {
 				out = sortedset.Merge(lists, less)
 			}
-			if keep := opts.Limit + opts.Offset; len(out) > keep {
+			if len(out) > keep {
 				out = out[:keep]
 			}
 		} else {
@@ -609,7 +616,7 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 		}
 	}
 	res.Results = out
-	if opts.Limit > 0 && len(out) == opts.Limit && eligible > opts.Offset+opts.Limit {
+	if opts.Limit > 0 && len(out) == opts.Limit && eligible > keep {
 		last := out[len(out)-1]
 		res.NextCursor = EncodeCursorToken(cursorPayload{
 			Sort: string(key), Order: string(order),

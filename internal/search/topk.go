@@ -15,9 +15,11 @@ type topK[T any] struct {
 	items []T // heap-ordered: items[0] is the worst retained item
 }
 
-// newTopK returns a selector keeping the m best items; m must be positive.
-func newTopK[T any](m int, less func(a, b T) bool) *topK[T] {
-	return &topK[T]{m: m, less: less, items: make([]T, 0, m)}
+// newTopK returns a selector keeping the m best of about n offered items;
+// m must be positive. The buffer starts at the smaller of the two, so a
+// huge m allocates nothing it cannot fill.
+func newTopK[T any](m, n int, less func(a, b T) bool) *topK[T] {
+	return &topK[T]{m: m, less: less, items: make([]T, 0, max(min(m, n), 0))}
 }
 
 // push offers one item to the selector.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -606,5 +607,47 @@ func TestSQLEndpointIsReadOnly(t *testing.T) {
 	}
 	if after := counts(); after != before {
 		t.Errorf("row counts changed: %s -> %s", before, after)
+	}
+}
+
+// TestHugeLimitMatchesUnlimited holds a limit (and limit+offset) past any
+// buffer size to the unlimited answer on a two-shard system, through the
+// legacy and the v1 route. The selector once preallocated limit+offset
+// results in every shard goroutine, which crashed the process.
+func TestHugeLimitMatchesUnlimited(t *testing.T) {
+	sys, err := sensormeta.NewShards(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workload.BuildCorpus(sys.Repo, workload.CorpusOptions{
+		Sites: 4, Deployments: 8, Sensors: 40, Seed: 11, TagsPerSensor: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(sys))
+	defer ts.Close()
+
+	for _, c := range []struct{ limit, rest string }{
+		{"1152921504606846976", ""},
+		{"9223372036854775807", "&offset=1"},
+	} {
+		_, want := get(t, ts.URL+"/api/search?q=temperature&limit=0"+c.rest)
+		if code, got := get(t, ts.URL+"/api/search?q=temperature&limit="+c.limit+c.rest); code != http.StatusOK || got != want {
+			t.Errorf("/api/search limit=%s%s: %d, body differs from limit=0: %.300s", c.limit, c.rest, code, got)
+		}
+	}
+	v1 := func(limit int) (int, string) {
+		return postJSON(t, ts.URL+"/api/v1/query", map[string]any{
+			"query": json.RawMessage(`{"keyword":{"text":"temperature"}}`), "limit": limit,
+		})
+	}
+	_, want := v1(0)
+	for _, lim := range []int{1 << 60, math.MaxInt64} {
+		if code, got := v1(lim); code != http.StatusOK || got != want {
+			t.Errorf("/api/v1/query limit %d: %d, body differs from limit 0: %.300s", lim, code, got)
+		}
 	}
 }
