@@ -61,14 +61,10 @@ nav a { margin-right: 1em; }
 </html>
 `))
 
-func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		httpError(w, http.StatusNotFound, "no route for %s", r.URL.Path)
-		return
-	}
-	rs, q, err := s.runSearch(r)
+func (s *Server) handleHome(w http.ResponseWriter, r *http.Request, p params) {
+	rs, q, err := s.runSearch(p)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "search: %v", err)
+		writeV1QueryError(w, err)
 		return
 	}
 	props, _ := s.sys.Repo.Properties()
@@ -89,8 +85,7 @@ func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(namespaces)
 
-	hasQuery := r.URL.Query().Get("q") != "" || len(r.URL.Query()["filter"]) > 0 ||
-		r.URL.Query().Get("namespace") != ""
+	hasQuery := p.has("q") || p.has("filter") || p.has("namespace")
 
 	var tableHTML template.HTML
 	var recTitles []string
@@ -161,9 +156,9 @@ var pageTmpl = template.Must(template.New("page").Parse(`<!DOCTYPE html>
 </html>
 `))
 
-func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePage(w http.ResponseWriter, r *http.Request, p params) {
 	title := strings.TrimPrefix(r.URL.Path, "/page/")
-	user := r.URL.Query().Get("user")
+	user := p.str("user")
 	if !s.sys.Repo.ACL.CanRead(user, title) {
 		httpError(w, http.StatusForbidden, "page: access denied")
 		return

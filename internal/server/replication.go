@@ -35,12 +35,12 @@ type ReplicaSource interface {
 	PrimaryURL() string
 }
 
-// Bounds for the wal feed endpoint.
+// Bounds for the wal feed endpoint: larger max and wait values are cut
+// down to them.
 const (
-	walDefaultBatch = 1024
-	walMaxBatch     = 4096
-	walMaxBytes     = 4 << 20 // payload bytes per response
-	walMaxWait      = 60 * time.Second
+	walMaxBatch = 4096
+	walMaxBytes = 4 << 20 // payload bytes per response
+	walMaxWait  = 60 * time.Second
 )
 
 // gateReplica enforces follower semantics before a route's handler runs:
@@ -101,35 +101,8 @@ type walFeedResponse struct {
 // or the client disconnects (long-poll). 409 when the server runs
 // in-memory, 410 when the requested range has been compacted into a
 // snapshot (the follower must re-bootstrap).
-func (s *Server) handleAdminWAL(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	from := uint64(0)
-	if fs := q.Get("from"); fs != "" {
-		n, err := strconv.ParseUint(fs, 10, 64)
-		if err != nil {
-			writeV1Error(w, http.StatusBadRequest, "bad_request", "from", "from must be a sequence number")
-			return
-		}
-		from = n
-	}
-	max := walDefaultBatch
-	if ms := q.Get("max"); ms != "" {
-		n, err := strconv.Atoi(ms)
-		if err != nil || n < 1 {
-			writeV1Error(w, http.StatusBadRequest, "bad_request", "max", "max must be a positive integer")
-			return
-		}
-		max = min(n, walMaxBatch)
-	}
-	var wait time.Duration
-	if ws := q.Get("wait"); ws != "" {
-		d, err := time.ParseDuration(ws)
-		if err != nil || d < 0 {
-			writeV1Error(w, http.StatusBadRequest, "bad_request", "wait", "wait must be a duration (e.g. 25s)")
-			return
-		}
-		wait = min(d, walMaxWait)
-	}
+func (s *Server) handleAdminWAL(w http.ResponseWriter, r *http.Request, p params) {
+	from, max, wait := uint64(p.int("from")), min(p.int("max"), walMaxBatch), min(p.dur("wait"), walMaxWait)
 	// Lease the requested position against background compaction: an
 	// auto-snapshot must not delete the records this follower is about to
 	// read (explicit operator snapshots still compact fully).
@@ -166,7 +139,7 @@ func (s *Server) handleAdminWAL(w http.ResponseWriter, r *http.Request) {
 // with its journal position in the X-Snapshot-Seq header — the bootstrap
 // image a follower restores before tailing the wal endpoint. 409 when the
 // server runs in-memory.
-func (s *Server) handleAdminSnapshotLatest(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAdminSnapshotLatest(w http.ResponseWriter, r *http.Request, _ params) {
 	seq, rc, err := s.sys.Repo.SnapshotReader()
 	if err != nil {
 		if errors.Is(err, smr.ErrNotDurable) {

@@ -12,9 +12,11 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
+	"math"
 	"net/http"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -69,47 +71,74 @@ type encodedCloud struct {
 
 // route is one entry of the route table. A route serves only Method (a
 // GET route also answers HEAD); Write marks the endpoints that mutate the
-// repository, which a follower refuses.
+// repository, which a follower refuses; Params declares the query
+// parameters the handler reads (params.go).
 type route struct {
 	Pattern string
 	Method  string
-	Handler func(*Server, http.ResponseWriter, *http.Request)
+	Handler func(*Server, http.ResponseWriter, *http.Request, params)
 	Write   bool
+	Params  []param
 }
 
+// The parameter vocabularies shared by several routes. sortParam and
+// orderParam also check the sort and order of /api/v1/query bodies.
+var (
+	sortParam    = param{Name: "sort", Kind: kindEnum, Enum: []string{"relevance", "title", "rank"}, Default: "relevance"}
+	orderParam   = param{Name: "order", Kind: kindEnum, Enum: []string{"asc", "desc"}}
+	searchParams = []param{
+		{Name: "q"}, {Name: "namespace"}, {Name: "category"}, {Name: "user"},
+		{Name: "mode", Kind: kindEnum, Enum: []string{"all", "any"}, Default: "all"},
+		{Name: "filter", Kind: kindStrings}, sortParam, orderParam,
+		{Name: "limit", Kind: kindInt}, {Name: "offset", Kind: kindInt},
+		{Name: "alpha", Kind: kindFloat, Min: math.Inf(-1)},
+	}
+	cloudParams = []param{
+		{Name: "threshold", Kind: kindFloat, MinOpen: true, Max: 1, Default: fmt.Sprint(tagging.DefaultSimilarityThreshold)},
+		{Name: "minfreq", Kind: kindInt},
+	}
+	explainParams = []param{{Name: "explain", Kind: kindBool}}
+	requiredQ     = param{Name: "q", Required: true}
+	kParam        = param{Name: "k", Kind: kindInt, Min: 1, Default: "10"}
+	propertyParam = param{Name: "property", Required: true}
+)
+
 // routes is the server's route table. The mux, the method check, the
-// follower gate and the docs coverage test (docs/API.md) all read it.
+// follower gate, parameter parsing and the docs coverage test
+// (docs/API.md) all read it.
 var routes = []route{
-	{"/", http.MethodGet, (*Server).handleHome, false},
-	{"/page/", http.MethodGet, (*Server).handlePage, false},
-	{"/api/search", http.MethodGet, (*Server).handleSearch, false},
-	{"/api/autocomplete", http.MethodGet, (*Server).handleAutocomplete, false},
-	{"/api/properties", http.MethodGet, (*Server).handleProperties, false},
-	{"/api/values", http.MethodGet, (*Server).handleValues, false},
-	{"/api/recommend", http.MethodGet, (*Server).handleRecommend, false},
-	{"/api/tagcloud", http.MethodGet, (*Server).handleTagCloudJSON, false},
-	{"/api/pages", http.MethodPost, (*Server).handlePutPage, true},
-	{"/api/tags", http.MethodPost, (*Server).handleAddTag, true},
-	{"/api/refresh", http.MethodPost, (*Server).handleRefresh, false},
-	{"/api/admin/snapshot", http.MethodPost, (*Server).handleAdminSnapshot, false},
-	{"/api/admin/snapshot/latest", http.MethodGet, (*Server).handleAdminSnapshotLatest, false},
-	{"/api/admin/stats", http.MethodGet, (*Server).handleAdminStats, false},
-	{"/api/admin/wal", http.MethodGet, (*Server).handleAdminWAL, false},
-	{"/api/sql", http.MethodGet, (*Server).handleSQL, false},
-	{"/api/sparql", http.MethodGet, (*Server).handleSPARQL, false},
-	{"/api/combined", http.MethodPost, (*Server).handleCombined, false},
-	{"/api/v1/query", http.MethodPost, (*Server).handleV1Query, false},
-	{"/api/v1/combined", http.MethodPost, (*Server).handleV1Combined, false},
-	{"/api/v1/pages:batch", http.MethodPost, (*Server).handleV1PagesBatch, true},
-	{"/bulkload", http.MethodPost, (*Server).handleBulkLoad, true},
-	{"/viz/bar.svg", http.MethodGet, (*Server).handleBarChart, false},
-	{"/viz/pie.svg", http.MethodGet, (*Server).handlePieChart, false},
-	{"/viz/map.svg", http.MethodGet, (*Server).handleMap, false},
-	{"/viz/graph.svg", http.MethodGet, (*Server).handleGraphSVG, false},
-	{"/viz/graph.dot", http.MethodGet, (*Server).handleGraphDOT, false},
-	{"/viz/hypergraph.svg", http.MethodGet, (*Server).handleHypergraph, false},
-	{"/viz/tagcloud.html", http.MethodGet, (*Server).handleTagCloudHTML, false},
-	{"/viz/taggraph.svg", http.MethodGet, (*Server).handleTagGraph, false},
+	{"/", http.MethodGet, (*Server).handleHome, false, searchParams},
+	{"/page/", http.MethodGet, (*Server).handlePage, false, []param{{Name: "user"}}},
+	{"/api/search", http.MethodGet, (*Server).handleSearch, false, slices.Concat(searchParams, []param{{Name: "facet", Kind: kindStrings}})},
+	{"/api/autocomplete", http.MethodGet, (*Server).handleAutocomplete, false, []param{{Name: "prefix"}, kParam}},
+	{"/api/properties", http.MethodGet, (*Server).handleProperties, false, []param{{Name: "by", Kind: kindEnum, Enum: []string{"name", "score"}, Default: "name"}}},
+	{"/api/values", http.MethodGet, (*Server).handleValues, false, slices.Concat([]param{propertyParam, {Name: "counts", Kind: kindBool}}, searchParams)},
+	{"/api/recommend", http.MethodGet, (*Server).handleRecommend, false, []param{{Name: "seed", Kind: kindStrings, Required: true}, kParam, {Name: "user"}}},
+	{"/api/tagcloud", http.MethodGet, (*Server).handleTagCloudJSON, false, cloudParams},
+	{"/api/pages", http.MethodPost, (*Server).handlePutPage, true, nil},
+	{"/api/tags", http.MethodPost, (*Server).handleAddTag, true, nil},
+	{"/api/refresh", http.MethodPost, (*Server).handleRefresh, false, nil},
+	{"/api/admin/snapshot", http.MethodPost, (*Server).handleAdminSnapshot, false, nil},
+	{"/api/admin/snapshot/latest", http.MethodGet, (*Server).handleAdminSnapshotLatest, false, nil},
+	{"/api/admin/stats", http.MethodGet, (*Server).handleAdminStats, false, nil},
+	{"/api/admin/wal", http.MethodGet, (*Server).handleAdminWAL, false, []param{
+		{Name: "from", Kind: kindInt}, {Name: "max", Kind: kindInt, Min: 1, Default: "1024"}, {Name: "wait", Kind: kindDuration},
+	}},
+	{"/api/sql", http.MethodGet, (*Server).handleSQL, false, append([]param{requiredQ}, explainParams...)},
+	{"/api/sparql", http.MethodGet, (*Server).handleSPARQL, false, []param{requiredQ}},
+	{"/api/combined", http.MethodPost, (*Server).handleCombined, false, nil},
+	{"/api/v1/query", http.MethodPost, (*Server).handleV1Query, false, explainParams},
+	{"/api/v1/combined", http.MethodPost, (*Server).handleV1Combined, false, explainParams},
+	{"/api/v1/pages:batch", http.MethodPost, (*Server).handleV1PagesBatch, true, nil},
+	{"/bulkload", http.MethodPost, (*Server).handleBulkLoad, true, []param{{Name: "author", Default: "bulkload"}}},
+	{"/viz/bar.svg", http.MethodGet, (*Server).handleBarChart, false, slices.Concat([]param{propertyParam}, searchParams)},
+	{"/viz/pie.svg", http.MethodGet, (*Server).handlePieChart, false, slices.Concat([]param{propertyParam}, searchParams)},
+	{"/viz/map.svg", http.MethodGet, (*Server).handleMap, false, slices.Concat(searchParams, []param{{Name: "cell", Kind: kindFloat, Default: "0.05"}})},
+	{"/viz/graph.svg", http.MethodGet, (*Server).handleGraphSVG, false, nil},
+	{"/viz/graph.dot", http.MethodGet, (*Server).handleGraphDOT, false, nil},
+	{"/viz/hypergraph.svg", http.MethodGet, (*Server).handleHypergraph, false, []param{{Name: "focus"}}},
+	{"/viz/tagcloud.html", http.MethodGet, (*Server).handleTagCloudHTML, false, cloudParams},
+	{"/viz/taggraph.svg", http.MethodGet, (*Server).handleTagGraph, false, cloudParams},
 }
 
 // New wires all routes for a system with default options.
@@ -134,7 +163,7 @@ func NewWithOptions(sys *sensormeta.System, opts Options) *Server {
 }
 
 // serve wraps one route: the replica gate first, then the method check,
-// then the handler.
+// then the route's parameters, then the handler.
 func (s *Server) serve(rt route) http.HandlerFunc {
 	admin := strings.HasPrefix(rt.Pattern, "/api/admin/")
 	allow := rt.Method
@@ -150,7 +179,16 @@ func (s *Server) serve(rt route) http.HandlerFunc {
 			httpError(w, http.StatusMethodNotAllowed, "%s required", rt.Method)
 			return
 		}
-		rt.Handler(s, w, r)
+		if rt.Pattern == "/" && r.URL.Path != "/" { // the mux's catch-all
+			httpError(w, http.StatusNotFound, "no route for %s", r.URL.Path)
+			return
+		}
+		p, verr := requestParams(rt.Params, r)
+		if verr != nil {
+			writeEnvelope(w, http.StatusBadRequest, *verr)
+			return
+		}
+		rt.Handler(s, w, r, p)
 	}
 }
 
@@ -300,85 +338,46 @@ func errorCode(status int) string {
 	}
 }
 
-// parseQuery builds a search.Query from URL parameters:
-//
-//	q          keywords
-//	mode       all|any
-//	filter     repeated "property:op:value" triples (op ∈ eq,ne,lt,le,gt,ge,contains)
-//	namespace  namespace scope
-//	category   category scope
-//	sort       relevance|title|rank
-//	order      asc|desc
-//	limit, offset
-//	user       ACL principal
-func parseQuery(r *http.Request) (search.Query, error) {
-	v := r.URL.Query()
+// filterOps is the operator vocabulary of filter triples.
+var filterOps = map[string]search.FilterOp{
+	"eq": search.OpEquals, "ne": search.OpNotEqual,
+	"lt": search.OpLess, "le": search.OpLessEq,
+	"gt": search.OpGreater, "ge": search.OpGreatEq,
+	"contains": search.OpContains,
+}
+
+// parseQuery builds a search.Query from the common search parameters
+// (searchParams). A filter that is not property:op:value with an op of
+// filterOps is a bad_request naming the filter field.
+func parseQuery(p params) (search.Query, error) {
 	q := search.Query{
-		Keywords:  v.Get("q"),
-		Namespace: v.Get("namespace"),
-		Category:  v.Get("category"),
-		User:      v.Get("user"),
+		Keywords: p.str("q"), Namespace: p.str("namespace"), Category: p.str("category"), User: p.str("user"),
+		SortBy: search.SortKey(p.str("sort")), Order: search.Order(p.str("order")),
+		Limit: p.int("limit"), Offset: p.int("offset"),
 	}
-	if v.Get("mode") == "any" {
+	if p.str("mode") == "any" {
 		q.Mode = search.ModeAny
 	}
-	switch v.Get("sort") {
-	case "", "relevance":
-		q.SortBy = search.SortRelevance
-	case "title":
-		q.SortBy = search.SortTitle
-	case "rank":
-		q.SortBy = search.SortRank
-	default:
-		return q, fmt.Errorf("unknown sort %q", v.Get("sort"))
+	if p.has("alpha") {
+		alpha := p.float("alpha")
+		q.Alpha = &alpha
 	}
-	switch v.Get("order") {
-	case "":
-	case "asc":
-		q.Order = search.OrderAsc
-	case "desc":
-		q.Order = search.OrderDesc
-	default:
-		return q, fmt.Errorf("unknown order %q", v.Get("order"))
-	}
-	ops := map[string]search.FilterOp{
-		"eq": search.OpEquals, "ne": search.OpNotEqual,
-		"lt": search.OpLess, "le": search.OpLessEq,
-		"gt": search.OpGreater, "ge": search.OpGreatEq,
-		"contains": search.OpContains,
-	}
-	for _, f := range v["filter"] {
+	for _, f := range p.strs("filter") {
 		parts := strings.SplitN(f, ":", 3)
-		if len(parts) != 3 {
-			return q, fmt.Errorf("filter %q is not property:op:value", f)
-		}
-		op, ok := ops[parts[1]]
-		if !ok {
-			return q, fmt.Errorf("unknown filter op %q", parts[1])
+		if len(parts) != 3 || filterOps[parts[1]] == "" {
+			return q, &v1Error{Code: "bad_request", Field: "filter",
+				Message: fmt.Sprintf("filter %q is not property:op:value with op one of %s",
+					f, strings.Join(slices.Sorted(maps.Keys(filterOps)), ", "))}
 		}
 		q.Filters = append(q.Filters, search.PropertyFilter{
-			Property: normalizeProperty(parts[0]), Op: op, Value: parts[2],
+			Property: normalizeProperty(parts[0]), Op: filterOps[parts[1]], Value: parts[2],
 		})
-	}
-	if lim := v.Get("limit"); lim != "" {
-		n, err := strconv.Atoi(lim)
-		if err != nil || n < 0 {
-			return q, fmt.Errorf("bad limit %q", lim)
-		}
-		q.Limit = n
-	}
-	if off := v.Get("offset"); off != "" {
-		n, err := strconv.Atoi(off)
-		if err != nil || n < 0 {
-			return q, fmt.Errorf("bad offset %q", off)
-		}
-		q.Offset = n
 	}
 	return q, nil
 }
 
-func (s *Server) runSearch(r *http.Request) ([]search.Result, search.Query, error) {
-	res, q, err := s.runSearchFacets(r, nil)
+func (s *Server) runSearch(p params) ([]search.Result, search.Query, error) {
+	res, q, err := s.runSearchFacets(p, nil)
 	if err != nil {
 		return nil, q, err
 	}
@@ -387,20 +386,13 @@ func (s *Server) runSearch(r *http.Request) ([]search.Result, search.Query, erro
 
 // runSearchFacets executes the request's query, accumulating facet counts
 // for facetProps in the same pass over the matching set (no second
-// enumeration, no extra materialization).
-func (s *Server) runSearchFacets(r *http.Request, facetProps []string) (*search.ExecResult, search.Query, error) {
-	q, err := parseQuery(r)
+// enumeration, no extra materialization). alpha rides along inside the
+// query: the engine fuses relevance and PageRank inside its top-k
+// selection, over the whole matching set.
+func (s *Server) runSearchFacets(p params, facetProps []string) (*search.ExecResult, search.Query, error) {
+	q, err := parseQuery(p)
 	if err != nil {
 		return nil, q, err
-	}
-	// alpha rides along inside the query: the engine fuses relevance and
-	// PageRank inside its top-k selection, over the whole matching set.
-	if alphaStr := r.URL.Query().Get("alpha"); alphaStr != "" {
-		alpha, err := strconv.ParseFloat(alphaStr, 64)
-		if err != nil {
-			return nil, q, fmt.Errorf("bad alpha %q", alphaStr)
-		}
-		q.Alpha = &alpha
 	}
 	expr, err := search.LegacyExpr(q)
 	if err != nil {
@@ -416,8 +408,8 @@ func (s *Server) runSearchFacets(r *http.Request, facetProps []string) (*search.
 // the request's query, without materializing results, and returns them
 // with the number of matching pages. Sort, paging and alpha parameters do
 // not change the counts.
-func (s *Server) countFacet(r *http.Request, prop string) (map[string]int, int, error) {
-	q, err := parseQuery(r)
+func (s *Server) countFacet(p params, prop string) (map[string]int, int, error) {
+	q, err := parseQuery(p)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -432,17 +424,17 @@ func (s *Server) countFacet(r *http.Request, prop string) (map[string]int, int, 
 	return res.Facets[prop], res.Matched, nil
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, p params) {
 	// Repeated facet=<property> parameters stream per-property value counts
 	// over the whole matching set (not just the returned page), accumulated
 	// in the same pass as the results.
-	facetProps := r.URL.Query()["facet"]
+	facetProps := p.strs("facet")
 	for i := range facetProps {
 		facetProps[i] = normalizeProperty(facetProps[i])
 	}
-	res, _, err := s.runSearchFacets(r, facetProps)
+	res, q, err := s.runSearchFacets(p, facetProps)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "search: %v", err)
+		writeV1QueryError(w, err)
 		return
 	}
 	out := struct {
@@ -450,34 +442,27 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Matched int                       `json:"matched,omitempty"`
 		Results []resultItem              `json:"results"`
 		Facets  map[string]map[string]int `json:"facets,omitempty"`
-	}{Count: len(res.Results), Results: s.resultItems(res.Results, r.URL.Query().Get("q"))}
+	}{Count: len(res.Results), Results: s.resultItems(res.Results, q.Keywords)}
 	if len(facetProps) > 0 {
 		out.Facets, out.Matched = res.Facets, res.Matched
 	}
 	writeJSON(w, out)
 }
 
-func (s *Server) handleAutocomplete(w http.ResponseWriter, r *http.Request) {
-	prefix := r.URL.Query().Get("prefix")
-	k := 10
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		if n, err := strconv.Atoi(ks); err == nil && n > 0 {
-			k = n
-		}
-	}
-	writeJSON(w, s.sys.Autocomplete(prefix, k))
+func (s *Server) handleAutocomplete(w http.ResponseWriter, r *http.Request, p params) {
+	writeJSON(w, s.sys.Autocomplete(p.str("prefix"), p.int("k")))
 }
 
 // handleProperties lists the distinct property names for the first-level
 // dynamic drop-down — alphabetically, or by PageRank-derived importance
 // with by=score (the recommendation mechanism's property scores).
-func (s *Server) handleProperties(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleProperties(w http.ResponseWriter, r *http.Request, p params) {
 	props, err := s.sys.Repo.Properties()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "properties: %v", err)
 		return
 	}
-	if r.URL.Query().Get("by") == "score" {
+	if p.str("by") == "score" {
 		props = s.sys.TopProperties(len(props))
 	}
 	writeJSON(w, props)
@@ -488,13 +473,9 @@ func (s *Server) handleProperties(w http.ResponseWriter, r *http.Request) {
 // [{value, count}] pairs computed over the pages matching the usual search
 // parameters (q, filter, namespace, …) via the streaming facet path, so a
 // drill-down menu can show result counts without materializing results.
-func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
-	prop := normalizeProperty(r.URL.Query().Get("property"))
-	if prop == "" {
-		httpError(w, http.StatusBadRequest, "values: property parameter required")
-		return
-	}
-	if r.URL.Query().Get("counts") == "" {
+func (s *Server) handleValues(w http.ResponseWriter, r *http.Request, p params) {
+	prop := normalizeProperty(p.str("property"))
+	if !p.flag("counts") {
 		vals, err := s.sys.Repo.PropertyValues(prop)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, "values: %v", err)
@@ -503,9 +484,9 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, vals)
 		return
 	}
-	counts, _, err := s.countFacet(r, prop)
+	counts, _, err := s.countFacet(p, prop)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "values: %v", err)
+		writeV1QueryError(w, err)
 		return
 	}
 	type vc struct {
@@ -520,53 +501,16 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	seeds := r.URL.Query()["seed"]
-	if len(seeds) == 0 {
-		httpError(w, http.StatusBadRequest, "recommend: at least one seed parameter required")
-		return
-	}
-	k := 10
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		if n, err := strconv.Atoi(ks); err == nil && n > 0 {
-			k = n
-		}
-	}
-	writeJSON(w, s.sys.Recommend(seeds, r.URL.Query().Get("user"), k))
-}
-
-// cloudOptions reads the tag-cloud parameters: threshold, a similarity in
-// (0, 1], and minfreq, a non-negative tag frequency (0 keeps every tag).
-// An omitted parameter keeps its default.
-func cloudOptions(r *http.Request) (tagging.CloudOptions, error) {
-	opts := tagging.CloudOptions{UsePivot: true}
-	v := r.URL.Query()
-	if th := v.Get("threshold"); th != "" {
-		f, err := strconv.ParseFloat(th, 64)
-		if err != nil || !(f > 0 && f <= 1) {
-			return opts, fmt.Errorf("threshold %q is not a number in (0, 1]", th)
-		}
-		opts.Threshold = f
-	}
-	if mf := v.Get("minfreq"); mf != "" {
-		n, err := strconv.Atoi(mf)
-		if err != nil || n < 0 {
-			return opts, fmt.Errorf("minfreq %q is not a non-negative integer", mf)
-		}
-		opts.MinFrequency = n
-	}
-	return opts, nil
+func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request, p params) {
+	writeJSON(w, s.sys.Recommend(p.strs("seed"), p.str("user"), p.int("k")))
 }
 
 // tagCloud returns the cloud the request's parameters select, or writes
 // the error envelope (prefixed with route) and returns nil.
-func (s *Server) tagCloud(w http.ResponseWriter, r *http.Request, route string) *tagging.Cloud {
-	opts, err := cloudOptions(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%s: %v", route, err)
-		return nil
-	}
-	cloud, err := s.sys.TagCloud(opts)
+func (s *Server) tagCloud(w http.ResponseWriter, p params, route string) *tagging.Cloud {
+	cloud, err := s.sys.TagCloud(tagging.CloudOptions{
+		UsePivot: true, Threshold: p.float("threshold"), MinFrequency: p.int("minfreq"),
+	})
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%s: %v", route, err)
 		return nil
@@ -574,8 +518,8 @@ func (s *Server) tagCloud(w http.ResponseWriter, r *http.Request, route string) 
 	return cloud
 }
 
-func (s *Server) handleTagCloudJSON(w http.ResponseWriter, r *http.Request) {
-	cloud := s.tagCloud(w, r, "tagcloud")
+func (s *Server) handleTagCloudJSON(w http.ResponseWriter, r *http.Request, p params) {
+	cloud := s.tagCloud(w, p, "tagcloud")
 	if cloud == nil {
 		return
 	}
@@ -607,8 +551,8 @@ func (s *Server) cloudJSON(cloud *tagging.Cloud) ([]byte, error) {
 	return body, nil
 }
 
-func (s *Server) handleTagCloudHTML(w http.ResponseWriter, r *http.Request) {
-	cloud := s.tagCloud(w, r, "tagcloud")
+func (s *Server) handleTagCloudHTML(w http.ResponseWriter, r *http.Request, p params) {
+	cloud := s.tagCloud(w, p, "tagcloud")
 	if cloud == nil {
 		return
 	}
@@ -616,15 +560,15 @@ func (s *Server) handleTagCloudHTML(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, viz.TagCloudHTML(cloud))
 }
 
-func (s *Server) handleTagGraph(w http.ResponseWriter, r *http.Request) {
-	cloud := s.tagCloud(w, r, "taggraph")
+func (s *Server) handleTagGraph(w http.ResponseWriter, r *http.Request, p params) {
+	cloud := s.tagCloud(w, p, "taggraph")
 	if cloud == nil {
 		return
 	}
 	writeSVG(w, viz.TagGraphSVG(cloud, 0))
 }
 
-func (s *Server) handlePutPage(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePutPage(w http.ResponseWriter, r *http.Request, _ params) {
 	var in struct {
 		Title   string `json:"title"`
 		Author  string `json:"author"`
@@ -647,7 +591,7 @@ func (s *Server) handlePutPage(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleAddTag(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAddTag(w http.ResponseWriter, r *http.Request, _ params) {
 	var in struct {
 		Page   string `json:"page"`
 		Tag    string `json:"tag"`
@@ -668,7 +612,7 @@ func (s *Server) handleAddTag(w http.ResponseWriter, r *http.Request) {
 // handleAdminStats reports refresh observability: journal positions of
 // every consumer, PageRank skip/warm/cold counts, recommender and tagging
 // delta-vs-rebuild counters, and the server's auto-refresh configuration.
-func (s *Server) handleAdminStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAdminStats(w http.ResponseWriter, r *http.Request, _ params) {
 	writeJSON(w, struct {
 		Refresh       sensormeta.RefreshStats `json:"refresh"`
 		AutoRefreshMs int64                   `json:"autoRefreshMs"`
@@ -685,7 +629,7 @@ func (s *Server) handleAdminStats(w http.ResponseWriter, r *http.Request) {
 // handleAdminSnapshot persists the repository state and compacts the
 // write-ahead log prefix the snapshot covers. 409 when the server runs
 // without a data directory.
-func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request, _ params) {
 	info, err := s.sys.Repo.Snapshot()
 	if err != nil {
 		code := http.StatusInternalServerError
@@ -698,7 +642,7 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, info)
 }
 
-func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request, _ params) {
 	if err := s.sys.Refresh(); err != nil {
 		httpError(w, http.StatusInternalServerError, "refresh: %v", err)
 		return
@@ -706,13 +650,9 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"status": "ok"})
 }
 
-func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		httpError(w, http.StatusBadRequest, "sql: q parameter required")
-		return
-	}
-	if explainRequested(r) {
+func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request, p params) {
+	q := p.str("q")
+	if p.flag("explain") {
 		rs, plan, err := s.sys.QuerySQLExplained(q)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "sql: %v", err)
@@ -732,13 +672,8 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, rs)
 }
 
-func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		httpError(w, http.StatusBadRequest, "sparql: q parameter required")
-		return
-	}
-	res, err := s.sys.QuerySPARQL(q)
+func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request, p params) {
+	res, err := s.sys.QuerySPARQL(p.str("q"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "sparql: %v", err)
 		return
@@ -761,7 +696,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 // handleCombined runs a combined SQL + SPARQL + keyword query (POST JSON
 // {sparql, pagevar, sql, keywords, user, limit}) and returns the joined
 // rows plus the visualization hint.
-func (s *Server) handleCombined(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCombined(w http.ResponseWriter, r *http.Request, _ params) {
 	var in struct {
 		SPARQL   string `json:"sparql"`
 		PageVar  string `json:"pagevar"`
@@ -797,11 +732,8 @@ func (s *Server) handleCombined(w http.ResponseWriter, r *http.Request) {
 	}{Hint: string(res.Hint), Columns: cols, Rows: res.Rows})
 }
 
-func (s *Server) handleBulkLoad(w http.ResponseWriter, r *http.Request) {
-	author := r.URL.Query().Get("author")
-	if author == "" {
-		author = "bulkload"
-	}
+func (s *Server) handleBulkLoad(w http.ResponseWriter, r *http.Request, p params) {
+	author := p.str("author")
 	ct := r.Header.Get("Content-Type")
 	var report interface{}
 	var err error
@@ -822,39 +754,35 @@ func (s *Server) handleBulkLoad(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, report)
 }
 
-func (s *Server) handleBarChart(w http.ResponseWriter, r *http.Request) {
-	s.facetChart(w, r, func(title string, data []viz.Datum) string {
+func (s *Server) handleBarChart(w http.ResponseWriter, r *http.Request, p params) {
+	s.facetChart(w, p, func(title string, data []viz.Datum) string {
 		return viz.BarChart(title, data, 640, 360)
 	})
 }
 
-func (s *Server) handlePieChart(w http.ResponseWriter, r *http.Request) {
-	s.facetChart(w, r, func(title string, data []viz.Datum) string {
+func (s *Server) handlePieChart(w http.ResponseWriter, r *http.Request, p params) {
+	s.facetChart(w, p, func(title string, data []viz.Datum) string {
 		return viz.PieChart(title, data, 400)
 	})
 }
 
-func (s *Server) facetChart(w http.ResponseWriter, r *http.Request, render func(string, []viz.Datum) string) {
-	prop := normalizeProperty(r.URL.Query().Get("property"))
-	if prop == "" {
-		httpError(w, http.StatusBadRequest, "chart: property parameter required")
-		return
-	}
+func (s *Server) facetChart(w http.ResponseWriter, p params, render func(string, []viz.Datum) string) {
+	prop := normalizeProperty(p.str("property"))
 	// Default path: stream counts over the whole matching set without
 	// materializing results. An explicit limit charts only the returned
 	// result page.
-	if r.URL.Query().Get("limit") == "" {
-		counts, matched, err := s.countFacet(r, prop)
+	if !p.has("limit") {
+		counts, matched, err := s.countFacet(p, prop)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "chart: %v", err)
+			writeV1QueryError(w, err)
 			return
 		}
 		writeSVG(w, render(fmt.Sprintf("%s over %d result(s)", prop, matched), viz.DataFromCounts(counts)))
 		return
 	}
-	rs, _, err := s.runSearch(r)
+	rs, _, err := s.runSearch(p)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "chart: %v", err)
+		writeV1QueryError(w, err)
 		return
 	}
 	counts := map[string]int{}
@@ -868,33 +796,25 @@ func (s *Server) facetChart(w http.ResponseWriter, r *http.Request, render func(
 	writeSVG(w, render(fmt.Sprintf("%s over %d result(s)", prop, len(rs)), viz.DataFromCounts(counts)))
 }
 
-func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
-	rs, _, err := s.runSearch(r)
+func (s *Server) handleMap(w http.ResponseWriter, r *http.Request, p params) {
+	rs, _, err := s.runSearch(p)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "map: %v", err)
+		writeV1QueryError(w, err)
 		return
 	}
-	markers := s.sys.Markers(rs)
-	cell := 0.05
-	if cs := r.URL.Query().Get("cell"); cs != "" {
-		if f, err := strconv.ParseFloat(cs, 64); err == nil && f >= 0 {
-			cell = f
-		}
-	}
-	clusters := geo.ClusterMarkers(markers, cell)
+	clusters := geo.ClusterMarkers(s.sys.Markers(rs), p.float("cell"))
 	writeSVG(w, viz.MapSVG(clusters, 800, 500))
 }
 
-func (s *Server) handleGraphSVG(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleGraphSVG(w http.ResponseWriter, r *http.Request, _ params) {
 	writeSVG(w, viz.GraphSVG(s.sys.Repo.LinkGraph(), 800, 600))
 }
 
-func (s *Server) handleGraphDOT(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleGraphDOT(w http.ResponseWriter, r *http.Request, _ params) {
 	w.Header().Set("Content-Type", "text/vnd.graphviz")
 	fmt.Fprint(w, viz.DOT(s.sys.Repo.LinkGraph(), "smr"))
 }
 
-func (s *Server) handleHypergraph(w http.ResponseWriter, r *http.Request) {
-	focus := r.URL.Query().Get("focus")
-	writeSVG(w, viz.HypergraphSVG(s.sys.Repo.LinkGraph(), focus, 640))
+func (s *Server) handleHypergraph(w http.ResponseWriter, r *http.Request, p params) {
+	writeSVG(w, viz.HypergraphSVG(s.sys.Repo.LinkGraph(), p.str("focus"), 640))
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 
 	"repro/internal/core"
 	"repro/internal/explain"
@@ -30,6 +31,8 @@ type v1Error struct {
 	Primary string `json:"primary,omitempty"`
 }
 
+func (e *v1Error) Error() string { return e.Message }
+
 func writeV1Error(w http.ResponseWriter, status int, code, field, message string) {
 	writeEnvelope(w, status, v1Error{Code: code, Message: message, Field: field})
 }
@@ -54,12 +57,17 @@ func decodeV1(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
-// writeV1QueryError maps an executor/validation error onto the envelope:
-// query.Error carries its own code and field path; anything else is a
-// generic bad request.
+// writeV1QueryError maps a parameter, executor or validation error onto
+// the envelope: a v1Error is written as it is, a query.Error carries its
+// own code and field path, and anything else is a generic bad request.
 func writeV1QueryError(w http.ResponseWriter, err error) {
+	var ve *v1Error
 	var qe *query.Error
-	if errors.As(err, &qe) {
+	switch {
+	case errors.As(err, &ve):
+		writeEnvelope(w, http.StatusBadRequest, *ve)
+		return
+	case errors.As(err, &qe):
 		writeV1Error(w, http.StatusBadRequest, qe.Code, qe.Field, qe.Message)
 		return
 	}
@@ -121,40 +129,6 @@ type v1QueryRequest struct {
 	Snippets bool `json:"snippets"`
 }
 
-// v1SortOptions validates the sort/order strings of a v1 request.
-func v1SortOptions(sortBy, order string) (search.SortKey, search.Order, *v1Error) {
-	var key search.SortKey
-	switch sortBy {
-	case "", "relevance":
-		key = search.SortRelevance
-	case "title":
-		key = search.SortTitle
-	case "rank":
-		key = search.SortRank
-	default:
-		return "", "", &v1Error{Code: "bad_request", Field: "sort",
-			Message: "unknown sort " + strconvQuote(sortBy) + " (want relevance, title or rank)"}
-	}
-	var ord search.Order
-	switch order {
-	case "":
-		ord = search.OrderDefault
-	case "asc":
-		ord = search.OrderAsc
-	case "desc":
-		ord = search.OrderDesc
-	default:
-		return "", "", &v1Error{Code: "bad_request", Field: "order",
-			Message: "unknown order " + strconvQuote(order) + " (want asc or desc)"}
-	}
-	return key, ord, nil
-}
-
-func strconvQuote(s string) string {
-	raw, _ := json.Marshal(s)
-	return string(raw)
-}
-
 // keywordTexts gathers the texts of the expression's positive keyword
 // leaves, for snippet construction.
 func keywordTexts(e query.Expr) string {
@@ -187,7 +161,7 @@ func keywordTexts(e query.Expr) string {
 
 // handleV1Query serves POST /api/v1/query: one expression, executed with
 // candidate pruning, facets and keyset pagination.
-func (s *Server) handleV1Query(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleV1Query(w http.ResponseWriter, r *http.Request, p params) {
 	var in v1QueryRequest
 	if !decodeV1(w, r, &in) {
 		return
@@ -209,7 +183,7 @@ func (s *Server) handleV1Query(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	key, order, verr := v1SortOptions(in.Sort, in.Order)
+	sp, verr := parseParams([]param{sortParam, orderParam}, url.Values{"sort": {in.Sort}, "order": {in.Order}})
 	if verr != nil {
 		writeEnvelope(w, http.StatusBadRequest, *verr)
 		return
@@ -219,10 +193,9 @@ func (s *Server) handleV1Query(w http.ResponseWriter, r *http.Request) {
 		facets[i] = normalizeProperty(f)
 	}
 	res, err := s.sys.Engine.Execute(expr, search.ExecOptions{
-		SortBy: key, Order: order, Alpha: in.Alpha,
-		Limit: in.Limit, Cursor: in.Cursor,
-		User: in.User, Facets: facets,
-		Explain: explainRequested(r),
+		SortBy: search.SortKey(sp.str("sort")), Order: search.Order(sp.str("order")),
+		Alpha: in.Alpha, Limit: in.Limit, Cursor: in.Cursor,
+		User: in.User, Facets: facets, Explain: p.flag("explain"),
 	})
 	if err != nil {
 		writeV1QueryError(w, err)
@@ -252,24 +225,13 @@ func (s *Server) handleV1Query(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// explainRequested reports whether the request asked for a plan tree via
-// the ?explain=1 query parameter (the body shapes stay unchanged, so
-// explain can be toggled on any existing request without editing it).
-func explainRequested(r *http.Request) bool {
-	switch r.URL.Query().Get("explain") {
-	case "1", "true":
-		return true
-	}
-	return false
-}
-
 // handleV1PagesBatch serves POST /api/v1/pages:batch: a slice of page
 // writes applied as one repository batch — one mutation-lock hold, one
 // group-committed WAL fsync — the bulk-ingest fast path for high-rate
 // sensor registration streams. Rows are applied in order; on a row error
 // the earlier rows stay applied (and durable) and the envelope's field
 // names the failing row index.
-func (s *Server) handleV1PagesBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleV1PagesBatch(w http.ResponseWriter, r *http.Request, _ params) {
 	var in struct {
 		// Author is the default for rows that do not set their own.
 		Author string          `json:"author"`
@@ -316,7 +278,7 @@ func (s *Server) handleV1PagesBatch(w http.ResponseWriter, r *http.Request) {
 // SQL + SPARQL + keyword query of the Query Management module, extended
 // with a structured filter expression applied during the join, wrapped in
 // the v1 error envelope.
-func (s *Server) handleV1Combined(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleV1Combined(w http.ResponseWriter, r *http.Request, p params) {
 	var in struct {
 		SPARQL   string          `json:"sparql"`
 		PageVar  string          `json:"pagevar"`
@@ -338,7 +300,7 @@ func (s *Server) handleV1Combined(w http.ResponseWriter, r *http.Request) {
 		User:     in.User,
 		Limit:    in.Limit,
 		Cursor:   in.Cursor,
-		Explain:  explainRequested(r),
+		Explain:  p.flag("explain"),
 	}
 	if len(in.Filter) > 0 && string(in.Filter) != "null" {
 		expr, err := query.Unmarshal(in.Filter)

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -38,7 +37,11 @@ func postJSON(t *testing.T, url string, body interface{}) (int, string) {
 func translateLegacyURL(t *testing.T, rawQuery string) map[string]interface{} {
 	t.Helper()
 	r := httptest.NewRequest(http.MethodGet, "/api/search?"+rawQuery, nil)
-	q, err := parseQuery(r)
+	p, verr := requestParams(searchRoute(t).Params, r)
+	if verr != nil {
+		t.Fatalf("params(%s): %v", rawQuery, verr)
+	}
+	q, err := parseQuery(p)
 	if err != nil {
 		t.Fatalf("parseQuery(%s): %v", rawQuery, err)
 	}
@@ -58,14 +61,10 @@ func translateLegacyURL(t *testing.T, rawQuery string) map[string]interface{} {
 	if q.Order != search.OrderDefault {
 		body["order"] = string(q.Order)
 	}
-	if alphaStr := r.URL.Query().Get("alpha"); alphaStr != "" {
-		alpha, err := strconv.ParseFloat(alphaStr, 64)
-		if err != nil {
-			t.Fatalf("bad alpha in %s: %v", rawQuery, err)
-		}
+	if q.Alpha != nil {
 		// alpha defines the fused order on both surfaces; the legacy route
 		// drops sort/order when fusing, so the translation must too.
-		body["alpha"] = alpha
+		body["alpha"] = *q.Alpha
 		delete(body, "sort")
 		delete(body, "order")
 	}
@@ -75,11 +74,22 @@ func translateLegacyURL(t *testing.T, rawQuery string) map[string]interface{} {
 	if strings.TrimSpace(q.Keywords) != "" {
 		body["snippets"] = true
 	}
-	v := r.URL.Query()
-	if facets := v["facet"]; len(facets) > 0 {
+	if facets := p.strs("facet"); len(facets) > 0 {
 		body["facets"] = facets
 	}
 	return body
+}
+
+// searchRoute returns the /api/search entry of the route table.
+func searchRoute(t *testing.T) route {
+	t.Helper()
+	for _, rt := range routes {
+		if rt.Pattern == "/api/search" {
+			return rt
+		}
+	}
+	t.Fatal("no /api/search route")
+	return route{}
 }
 
 // TestV1GoldenEquivalence is the golden test of the API redesign: for a
