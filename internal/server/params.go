@@ -33,8 +33,9 @@ const (
 type param struct {
 	Name string
 	Kind paramKind
-	// Min and Max bound an int, float or duration (in seconds). Min is
-	// inclusive unless MinOpen; a zero Max leaves the range open above.
+	// Min and Max bound an int, float or duration (in seconds), so a zero
+	// Min makes it non-negative. Min is inclusive unless MinOpen; a zero
+	// Max leaves the range open above.
 	Min, Max float64
 	MinOpen  bool
 	Enum     []string
@@ -72,14 +73,16 @@ func parseParams(decl []param, q url.Values) (params, *v1Error) {
 	p := params{vals: make(map[string]any, len(decl)), given: make(map[string]bool, len(decl))}
 	for _, d := range decl {
 		raw := q.Get(d.Name)
-		missing := strings.TrimSpace(raw) == ""
-		if d.Kind == kindStrings {
-			p.vals[d.Name], missing = q[d.Name], len(q[d.Name]) == 0
+		given, blank := raw != "", strings.TrimSpace(raw) == ""
+		if d.Kind == kindStrings { // given by any value, even an empty one
+			p.vals[d.Name] = q[d.Name]
+			given = len(q[d.Name]) > 0
+			blank = !given
 		}
-		if d.Required && missing {
+		if d.Required && blank {
 			return p, &v1Error{Code: "bad_request", Field: d.Name, Message: d.Name + " is required"}
 		}
-		p.given[d.Name] = raw != "" || d.Kind == kindStrings && !missing
+		p.given[d.Name] = given
 		if raw == "" {
 			raw = d.Default
 		}
@@ -128,7 +131,7 @@ func (d param) want() string {
 	case kindBool:
 		return "1 or true"
 	}
-	noun := map[paramKind]string{kindInt: "an integer", kindFloat: "a number", kindDuration: "a duration"}[d.Kind]
+	noun := [...]string{kindInt: "an integer", kindFloat: "a number", kindDuration: "a duration"}[d.Kind]
 	switch {
 	case math.IsInf(d.Min, -1):
 		return noun
