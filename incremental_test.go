@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/recommend"
 	"repro/internal/search"
 	"repro/internal/tagging"
@@ -67,9 +66,7 @@ func TestRefreshIncrementalMatchesFull(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		full := &System{Repo: sys.Repo}
-		full.Engine = search.NewEngine(sys.Repo)
-		full.QueryManager = core.NewManager(sys.Repo, full.Engine)
+		full := assemble(sys.Repo, 0)
 		if err := full.RefreshFull(); err != nil {
 			t.Fatal(err)
 		}
@@ -212,8 +209,8 @@ func TestRefreshIncrementalRecommenderAndTags(t *testing.T) {
 }
 
 // TestRefreshSkipsPageRankWhenLinksUnchanged checks the journal's
-// link-change flag actually gates the solve: metadata-only churn must keep
-// the Ranker instance, structural churn must replace it.
+// link-change flag actually gates the solve: metadata-only churn must skip
+// it, structural churn must run a warm-started one.
 func TestRefreshSkipsPageRankWhenLinksUnchanged(t *testing.T) {
 	sys, err := New()
 	if err != nil {
@@ -225,7 +222,7 @@ func TestRefreshSkipsPageRankWhenLinksUnchanged(t *testing.T) {
 	if err := sys.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	before := sys.Ranker
+	before := sys.Stats()
 	// Metadata-only edit: PageRank must be skipped.
 	if _, err := sys.PutPage("Sensor:R1", "t", "[[partOf::Deployment:D1]] [[samplingRate::60]]", ""); err != nil {
 		t.Fatal(err)
@@ -233,8 +230,8 @@ func TestRefreshSkipsPageRankWhenLinksUnchanged(t *testing.T) {
 	if err := sys.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if sys.Ranker != before {
-		t.Fatal("metadata-only refresh recomputed PageRank")
+	if st := sys.Stats(); st.PageRankSkipped != before.PageRankSkipped+1 || st.PageRankWarm != before.PageRankWarm {
+		t.Fatalf("metadata-only refresh recomputed PageRank: %+v", st)
 	}
 	// The index still picked the edit up.
 	rs, err := sys.Search(search.Query{Filters: []search.PropertyFilter{{Property: "samplingRate", Op: search.OpEquals, Value: "60"}}})
@@ -251,16 +248,16 @@ func TestRefreshSkipsPageRankWhenLinksUnchanged(t *testing.T) {
 	if err := sys.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if sys.Ranker == before {
-		t.Fatal("structural refresh kept stale PageRank")
+	if st := sys.Stats(); st.PageRankWarm != before.PageRankWarm+1 {
+		t.Fatalf("structural refresh kept stale PageRank: %+v", st)
 	}
 	// And an idle refresh does nothing.
-	before = sys.Ranker
+	before = sys.Stats()
 	if err := sys.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if sys.Ranker != before {
-		t.Fatal("idle refresh recomputed PageRank")
+	if st := sys.Stats(); st.PageRankSkipped != before.PageRankSkipped+1 || st.PageRankWarm != before.PageRankWarm {
+		t.Fatalf("idle refresh recomputed PageRank: %+v", st)
 	}
 }
 

@@ -94,25 +94,16 @@ const (
 	HintGraph Hint = "graph" // results are densely interlinked
 )
 
-// Manager executes combined queries. Scores (page → PageRank) are optional
-// and used to order joined results.
+// Manager executes combined queries. Joined results are ordered by the
+// PageRank scores installed in the search engine (search.Engine.SetRanks).
 type Manager struct {
 	repo   *smr.Repository
 	engine *search.Engine
-	scores map[string]float64
 }
 
 // NewManager wires a manager to a repository and its search engine.
 func NewManager(repo *smr.Repository, engine *search.Engine) *Manager {
-	return &Manager{repo: repo, engine: engine, scores: map[string]float64{}}
-}
-
-// SetScores installs PageRank scores used for result ordering.
-func (m *Manager) SetScores(scores map[string]float64) {
-	if scores == nil {
-		scores = map[string]float64{}
-	}
-	m.scores = scores
+	return &Manager{repo: repo, engine: engine}
 }
 
 // Execute runs a combined query: each present part produces a candidate
@@ -401,6 +392,9 @@ func (m *Manager) Execute(q CombinedQuery) (*Result, error) {
 		// The smallest part bounds the join, so it doubles as the estimate.
 		plan.Est, plan.Act = len(sets[0]), len(titles)
 	}
+	// One read of the engine's ranks orders the rows, cuts at the cursor
+	// and mints the next cursor, even while a refresh installs new ones.
+	scores := m.engine.Ranks()
 	rowLess := func(scoreA float64, titleA string, scoreB float64, titleB string) bool {
 		if scoreA != scoreB {
 			return scoreA > scoreB
@@ -408,13 +402,13 @@ func (m *Manager) Execute(q CombinedQuery) (*Result, error) {
 		return titleA < titleB
 	}
 	sort.Slice(titles, func(i, j int) bool {
-		return rowLess(m.scores[titles[i]], titles[i], m.scores[titles[j]], titles[j])
+		return rowLess(scores[titles[i]], titles[i], scores[titles[j]], titles[j])
 	})
 	if cur != nil {
 		// Rows at or before the cursor position form a prefix of the sorted
 		// order; binary-search the first row strictly after it.
 		from := sort.Search(len(titles), func(i int) bool {
-			return rowLess(cur.Score, cur.Title, m.scores[titles[i]], titles[i])
+			return rowLess(cur.Score, cur.Title, scores[titles[i]], titles[i])
 		})
 		titles = titles[from:]
 	}
@@ -423,7 +417,7 @@ func (m *Manager) Execute(q CombinedQuery) (*Result, error) {
 		titles = titles[:q.Limit]
 		last := titles[len(titles)-1]
 		nextCursor = search.EncodeCursorToken(combinedCursor{
-			Score: m.scores[last], Title: last, Sig: sig,
+			Score: scores[last], Title: last, Sig: sig,
 		})
 	}
 

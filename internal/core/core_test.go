@@ -29,9 +29,9 @@ func fixture(t *testing.T) (*smr.Repository, *Manager) {
 			t.Fatal(err)
 		}
 	}
-	m := NewManager(repo, search.NewEngine(repo))
-	m.SetScores(map[string]float64{"Sensor:S1": 0.3, "Sensor:S2": 0.2, "Sensor:S3": 0.1})
-	return repo, m
+	engine := search.NewEngine(repo)
+	engine.SetRanks(map[string]float64{"Sensor:S1": 0.3, "Sensor:S2": 0.2, "Sensor:S3": 0.1})
+	return repo, NewManager(repo, engine)
 }
 
 func TestSPARQLOnlyQuery(t *testing.T) {

@@ -100,9 +100,18 @@ type Cluster struct {
 // merges each non-empty cell into one cluster (centroid position, mean
 // match). Clusters come back sorted by latitude then longitude then first
 // member, so output is deterministic. cellDegrees <= 0 yields one cluster
-// per marker.
+// per marker, and so does a cell so small that a marker's grid index is
+// out of range.
 func ClusterMarkers(markers []Marker, cellDegrees float64) []Cluster {
-	if cellDegrees <= 0 {
+	type cell struct{ r, c int }
+	keys := make([]cell, len(markers))
+	grid := cellDegrees > 0
+	for i := 0; grid && i < len(markers); i++ {
+		r, okR := gridIndex(markers[i].At.Lat, cellDegrees)
+		c, okC := gridIndex(markers[i].At.Lon, cellDegrees)
+		keys[i], grid = cell{r, c}, okR && okC
+	}
+	if !grid {
 		out := make([]Cluster, len(markers))
 		sorted := append([]Marker(nil), markers...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
@@ -112,14 +121,9 @@ func ClusterMarkers(markers []Marker, cellDegrees float64) []Cluster {
 		sort.Slice(out, func(i, j int) bool { return clusterLess(out[i], out[j]) })
 		return out
 	}
-	type cell struct{ r, c int }
 	buckets := make(map[cell][]Marker)
-	for _, m := range markers {
-		k := cell{
-			r: int(math.Floor(m.At.Lat / cellDegrees)),
-			c: int(math.Floor(m.At.Lon / cellDegrees)),
-		}
-		buckets[k] = append(buckets[k], m)
+	for i, m := range markers {
+		buckets[keys[i]] = append(buckets[keys[i]], m)
 	}
 	var out []Cluster
 	for _, members := range buckets {
@@ -139,6 +143,21 @@ func ClusterMarkers(markers []Marker, cellDegrees float64) []Cluster {
 	}
 	sort.Slice(out, func(i, j int) bool { return clusterLess(out[i], out[j]) })
 	return out
+}
+
+// maxGridIndex bounds a grid coordinate: past 2^53 a float64 quotient no
+// longer tells neighbouring cells apart, and past the int range converting
+// it to int is undefined.
+const maxGridIndex = 1 << 53
+
+// gridIndex returns the grid row or column holding a coordinate, or false
+// when the quotient is out of range (a tiny cell, or an infinite quotient).
+func gridIndex(deg, cellDegrees float64) (int, bool) {
+	q := math.Floor(deg / cellDegrees)
+	if !(math.Abs(q) <= maxGridIndex) {
+		return 0, false
+	}
+	return int(q), true
 }
 
 func clusterLess(a, b Cluster) bool {

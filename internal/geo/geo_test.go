@@ -3,6 +3,7 @@ package geo
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -113,6 +114,26 @@ func TestClusterMarkersNoGrid(t *testing.T) {
 	for _, c := range clusters {
 		if len(c.Members) != 1 {
 			t.Errorf("cluster size = %d", len(c.Members))
+		}
+	}
+}
+
+// TestClusterMarkersTinyCell checks that a cell too small for the grid
+// index clusters like cellDegrees 0 (one cluster per marker) instead of
+// overflowing every marker into one cell.
+func TestClusterMarkersTinyCell(t *testing.T) {
+	markers := []Marker{
+		{ID: "a", At: Point{46.8, 9.8}},
+		{ID: "b", At: Point{46.0, 7.7}},
+		{ID: "c", At: Point{47.3, 8.5}},
+	}
+	want := ClusterMarkers(markers, 0)
+	if len(want) != 3 {
+		t.Fatalf("cell 0: %d clusters, want 3", len(want))
+	}
+	for _, cell := range []float64{1e-9, 1e-300, 5e-324} {
+		if got := ClusterMarkers(markers, cell); !reflect.DeepEqual(got, want) {
+			t.Errorf("cell %g: clusters = %+v, want %+v", cell, got, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package ranking
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/pagerank"
@@ -32,12 +33,22 @@ func fixtureRepo(t *testing.T) *smr.Repository {
 	return repo
 }
 
-func TestNewRankerScores(t *testing.T) {
-	repo := fixtureRepo(t)
-	r, err := New(repo)
-	if err != nil {
+// solved returns a ranker for repo after one cold solve.
+func solved(t *testing.T, repo *smr.Repository) *Ranker {
+	t.Helper()
+	r := New(repo)
+	if err := r.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+func TestNewRankerScores(t *testing.T) {
+	repo := fixtureRepo(t)
+	if r := New(repo); len(r.Scores()) != 0 || r.Graph() != nil || r.Result() != nil {
+		t.Error("an unsolved ranker should publish no scores")
+	}
+	r := solved(t, repo)
 	if r.Result().Method != "Gauss-Seidel" {
 		t.Errorf("solver = %s, want Gauss-Seidel", r.Result().Method)
 	}
@@ -69,10 +80,7 @@ func TestEmptyRepositoryRanker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(repo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := solved(t, repo)
 	if len(r.Scores()) != 0 || r.Score("anything") != 0 {
 		t.Error("empty repo should produce empty scores")
 	}
@@ -93,12 +101,9 @@ func TestUnknownMethodErrors(t *testing.T) {
 
 func TestInstallAndSortRank(t *testing.T) {
 	repo := fixtureRepo(t)
-	r, err := New(repo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := solved(t, repo)
 	e := search.NewEngine(repo)
-	r.Install(e)
+	e.SetRanks(r.Scores())
 	res, err := e.Execute(query.All{}, search.ExecOptions{SortBy: search.SortRank})
 	if err != nil {
 		t.Fatal(err)
@@ -110,38 +115,35 @@ func TestInstallAndSortRank(t *testing.T) {
 
 func TestUpdateWarmStart(t *testing.T) {
 	repo := fixtureRepo(t)
-	r, err := New(repo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := solved(t, repo)
 	cold := r.Result().Iterations
 
 	// Small change: one new sensor page.
 	if _, err := repo.PutPage("Sensor:S3", "t", "[[partOf::Deployment:A]] new sensor", ""); err != nil {
 		t.Fatal(err)
 	}
-	updated, err := r.Update(repo)
+	solve, err := r.Update(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(updated.Scores()) != 6 {
-		t.Fatalf("scores = %d, want 6", len(updated.Scores()))
+	if solve != Warm {
+		t.Fatalf("Update after a link change = %v, want Warm", solve)
+	}
+	if len(r.Scores()) != 6 {
+		t.Fatalf("scores = %d, want 6", len(r.Scores()))
 	}
 	// Warm-started result must match a cold solve on the new graph.
-	fresh, err := New(repo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := solved(t, repo)
 	for id, s := range fresh.Scores() {
-		if d := math.Abs(updated.Scores()[id] - s); d > 1e-7 {
+		if d := math.Abs(r.Score(id) - s); d > 1e-7 {
 			t.Errorf("warm score for %s off by %v", id, d)
 		}
 	}
 	// On a graph this small both starts converge in a handful of sweeps;
 	// just require the warm path not to blow up. The genuine warm-start
 	// advantage is asserted at scale in internal/pagerank's tests.
-	if updated.Result().Iterations > cold+2 {
-		t.Errorf("warm start took %d sweeps, cold took %d", updated.Result().Iterations, cold)
+	if r.Result().Iterations > cold+2 {
+		t.Errorf("warm start took %d sweeps, cold took %d", r.Result().Iterations, cold)
 	}
 }
 
@@ -150,27 +152,56 @@ func TestUpdateOnEmptyAndFromEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(repo)
-	if err != nil {
-		t.Fatal(err)
+	r := New(repo)
+	// The first Update solves even without a link change, cold.
+	if solve, err := r.Update(false); err != nil || solve != Cold {
+		t.Fatalf("first Update = %v, %v; want Cold", solve, err)
 	}
-	// Update of an empty repo stays empty.
-	u, err := r.Update(repo)
-	if err != nil {
-		t.Fatal(err)
+	if len(r.Scores()) != 0 || r.Graph() == nil {
+		t.Errorf("scores = %v, graph = %v", r.Scores(), r.Graph())
 	}
-	if len(u.Scores()) != 0 {
-		t.Errorf("scores = %v", u.Scores())
+	// Nothing changed and the last solve succeeded: skipped.
+	if solve, err := r.Update(false); err != nil || solve != Skipped {
+		t.Fatalf("idle Update = %v, %v; want Skipped", solve, err)
 	}
-	// Growing from empty: all pages are new, cold path inside Update.
+	// Growing from empty: all pages are new; the solve counts as warm (a
+	// previous solve exists) though no previous score can seed it.
 	if _, err := repo.PutPage("A", "t", "[[x::B]] [[B]]", ""); err != nil {
 		t.Fatal(err)
 	}
-	u2, err := u.Update(repo)
-	if err != nil {
+	if solve, err := r.Update(true); err != nil || solve != Warm {
+		t.Fatalf("Update after growth = %v, %v; want Warm", solve, err)
+	}
+	if len(r.Scores()) != 2 {
+		t.Errorf("scores after growth = %v", r.Scores())
+	}
+}
+
+// TestUpdatePublishesNewSnapshot checks that a solve publishes a new score
+// map and leaves the one readers already hold untouched, and that a skipped
+// Update publishes nothing.
+func TestUpdatePublishesNewSnapshot(t *testing.T) {
+	repo := fixtureRepo(t)
+	r := solved(t, repo)
+	held := r.Scores()
+	want := make(map[string]float64, len(held))
+	for k, v := range held {
+		want[k] = v
+	}
+	res := r.Result()
+	if solve, err := r.Update(false); err != nil || solve != Skipped || r.Result() != res {
+		t.Fatalf("idle Update = %v, %v; want Skipped with the same result", solve, err)
+	}
+	if _, err := repo.PutPage("Sensor:S1", "t", "[[partOf::Deployment:B]] moved", ""); err != nil {
 		t.Fatal(err)
 	}
-	if len(u2.Scores()) != 2 {
-		t.Errorf("scores after growth = %v", u2.Scores())
+	if solve, err := r.Update(true); err != nil || solve != Warm {
+		t.Fatalf("Update = %v, %v; want Warm", solve, err)
+	}
+	if !reflect.DeepEqual(held, want) {
+		t.Error("a solve modified the score map a reader held")
+	}
+	if reflect.DeepEqual(r.Scores(), held) {
+		t.Error("moving a link left the scores unchanged")
 	}
 }

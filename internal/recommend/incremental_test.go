@@ -32,8 +32,8 @@ func churnRepo(t *testing.T, n int) *smr.Repository {
 // top properties, and recommendations.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	repo := churnRepo(t, 60)
-	rk, err := ranking.New(repo)
-	if err != nil {
+	rk := ranking.New(repo)
+	if err := rk.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
 	inc := New(repo, rk.Scores())
@@ -84,8 +84,8 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 // a consumer whose position was trimmed away rebuilds from scratch.
 func TestUpdateFallsBackOnTrimmedJournal(t *testing.T) {
 	repo := churnRepo(t, 10)
-	rk, err := ranking.New(repo)
-	if err != nil {
+	rk := ranking.New(repo)
+	if err := rk.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
 	inc := New(repo, rk.Scores())
@@ -107,8 +107,8 @@ func TestUpdateFallsBackOnTrimmedJournal(t *testing.T) {
 // vector reproduces a from-scratch build over the new scores.
 func TestSetRanksRescoresWithoutRescan(t *testing.T) {
 	repo := churnRepo(t, 20)
-	rk, err := ranking.New(repo)
-	if err != nil {
+	rk := ranking.New(repo)
+	if err := rk.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
 	inc := New(repo, rk.Scores())
@@ -116,8 +116,8 @@ func TestSetRanksRescoresWithoutRescan(t *testing.T) {
 	if _, err := repo.PutPage("Sensor:C000", "t", "[[partOf::Deployment:D9]]", ""); err != nil {
 		t.Fatal(err)
 	}
-	rk2, err := ranking.New(repo)
-	if err != nil {
+	rk2 := ranking.New(repo)
+	if err := rk2.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
 	inc.Update()
@@ -138,8 +138,8 @@ func TestSetRanksRescoresWithoutRescan(t *testing.T) {
 // and that the incrementally maintained pair index matches a rebuild.
 func TestRecommendIndexMatchesScan(t *testing.T) {
 	repo := churnRepo(t, 80)
-	rk, err := ranking.New(repo)
-	if err != nil {
+	rk := ranking.New(repo)
+	if err := rk.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
 	rec := New(repo, rk.Scores())

@@ -73,7 +73,7 @@ func newRecShard() *recShard {
 type Recommender struct {
 	mu    sync.RWMutex
 	repo  *smr.Repository
-	ranks map[string]float64
+	ranks map[string]float64 // guarded by mu
 	// pageProps records each page's sorted distinct (lowercased) property
 	// names — the state needed to retract a page's contribution when it
 	// changes or disappears.
@@ -107,11 +107,18 @@ func NewSharded(repo *smr.Repository, ranks map[string]float64, n int) *Recommen
 	if n <= 0 {
 		n = 1
 	}
-	r := &Recommender{repo: repo, ranks: ranks, shards: make([]*recShard, n)}
-	r.mu.Lock()
-	r.rebuildLocked()
-	r.mu.Unlock()
+	r := &Recommender{repo: repo, shards: make([]*recShard, n)}
+	r.Rebuild(ranks)
 	return r
+}
+
+// Rebuild installs a PageRank score map and rescans the corpus from
+// scratch in place — the from-scratch counterpart of Update + SetRanks.
+func (r *Recommender) Rebuild(ranks map[string]float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ranks = ranks
+	r.rebuildLocked()
 }
 
 // shardFor routes a page title to its owning shard. Caller holds at least

@@ -29,8 +29,8 @@ func fixture(t *testing.T) (*smr.Repository, *Recommender) {
 			t.Fatal(err)
 		}
 	}
-	rk, err := ranking.New(repo)
-	if err != nil {
+	rk := ranking.New(repo)
+	if err := rk.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
 	return repo, New(repo, rk.Scores())

@@ -18,8 +18,8 @@ import (
 // in the same sequence regardless of partitioning.
 func TestShardedRecommenderMatchesUnsharded(t *testing.T) {
 	repo := churnRepo(t, 70)
-	rk, err := ranking.New(repo)
-	if err != nil {
+	rk := ranking.New(repo)
+	if err := rk.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
 	base := New(repo, rk.Scores())
@@ -84,8 +84,8 @@ func TestShardedRecommenderMatchesUnsharded(t *testing.T) {
 	}
 
 	// A rank swap must rescore identically at every shard count.
-	rk2, err := ranking.New(repo)
-	if err != nil {
+	rk2 := ranking.New(repo)
+	if err := rk2.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
 	base.SetRanks(rk2.Scores())

@@ -25,8 +25,8 @@ var benchCorpus = sync.OnceValues(func() (*smr.Repository, map[string]float64) {
 	if _, err := workload.BuildCorpus(repo, opts); err != nil {
 		panic(err)
 	}
-	rk, err := ranking.New(repo)
-	if err != nil {
+	rk := ranking.New(repo)
+	if err := rk.Rebuild(); err != nil {
 		panic(err)
 	}
 	return repo, rk.Scores()

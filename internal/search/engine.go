@@ -107,8 +107,8 @@ type Engine struct {
 	shards []*engineShard
 	trie   *Trie
 	stats  *TermStats
-	ranks  map[string]float64
-	seq    uint64 // journal position the index reflects
+	ranks  map[string]float64 // guarded by mu
+	seq    uint64             // journal position the index reflects
 
 	// writeMu serializes Rebuild and Update against each other.
 	// Applying one journal run is idempotent, but two interleaved runs
@@ -342,11 +342,20 @@ func (e *Engine) Seq() uint64 {
 }
 
 // SetRanks installs PageRank scores for SortRank ordering and for the Rank
-// field of results.
+// field of results. The engine is the one holder query paths read ranks
+// from; the map must not be modified after it is installed.
 func (e *Engine) SetRanks(ranks map[string]float64) {
 	e.mu.Lock()
 	e.ranks = ranks
 	e.mu.Unlock()
+}
+
+// Ranks returns the installed PageRank scores. The map is shared and must
+// not be modified; read it once per query so one vector orders the query.
+func (e *Engine) Ranks() map[string]float64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.ranks
 }
 
 // Autocomplete suggests completions for a partial query.

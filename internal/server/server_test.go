@@ -651,3 +651,24 @@ func TestHugeLimitMatchesUnlimited(t *testing.T) {
 		}
 	}
 }
+
+// TestMapTinyCellDrawsEveryMarker checks that a positive cell too small
+// for the clustering grid draws one circle per marker, exactly as cell=0
+// does, instead of collapsing every marker into one cluster.
+func TestMapTinyCellDrawsEveryMarker(t *testing.T) {
+	_, ts := newTestServer(t)
+	code, want := get(t, ts.URL+"/viz/map.svg?namespace=Sensor&cell=0")
+	if code != http.StatusOK {
+		t.Fatalf("cell=0: status %d", code)
+	}
+	if n := strings.Count(want, "<circle"); n < 2 {
+		t.Fatalf("cell=0 drew %d circles; the corpus should place several sensors", n)
+	}
+	for _, cell := range []string{"1e-300", "5e-324"} {
+		code, got := get(t, ts.URL+"/viz/map.svg?namespace=Sensor&cell="+cell)
+		if code != http.StatusOK || got != want {
+			t.Errorf("cell=%s: status %d, %d circles; want the cell=0 map's %d",
+				cell, code, strings.Count(got, "<circle"), strings.Count(want, "<circle"))
+		}
+	}
+}

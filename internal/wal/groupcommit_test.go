@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -46,61 +45,6 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 	}
 }
 
-func TestAppendBatchOneCommit(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openCollect(t, dir, Options{Sync: SyncAlways})
-
-	recs := make([]Record, 5)
-	for i := range recs {
-		recs[i] = Record{Seq: uint64(i + 1), Data: []byte(fmt.Sprintf("batch-%d", i))}
-	}
-	commit, err := l.AppendBatch(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := commit(); err != nil {
-		t.Fatal(err)
-	}
-	if st := l.Stats(); st.Syncs != 1 || st.LastSeq != 5 {
-		t.Fatalf("batch stats %+v, want 1 sync at seq 5", st)
-	}
-
-	// Empty batch: trivial commit, no records, no sync.
-	commit, err = l.AppendBatch(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := commit(); err != nil {
-		t.Fatal(err)
-	}
-	// Non-monotonic batch aborts at the failing record; the staged prefix
-	// survives.
-	if _, err := l.AppendBatch([]Record{{Seq: 6, Data: []byte("ok")}, {Seq: 6, Data: []byte("dup")}}); err == nil {
-		t.Fatal("non-monotonic batch accepted")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, got := openCollect(t, dir, Options{})
-	defer l2.Close()
-	if len(got) != 6 {
-		t.Fatalf("replayed %d records, want 6 (batch + aborted batch's staged prefix)", len(got))
-	}
-	for i, rec := range got[:5] {
-		if rec.Seq != recs[i].Seq || !bytes.Equal(rec.Data, recs[i].Data) {
-			t.Fatalf("record %d = %+v, want %+v", i, rec, recs[i])
-		}
-	}
-}
-
-// TestSyncErrorLatchesFailed pins the fsync-failure latch. The first
-// covering fsync fails; a retried fsync of the same handle would succeed,
-// which after a real EIO can mean the kernel dropped the dirty pages and
-// reported the handle clean (the fsyncgate bug class). So every commit of
-// a record that fsync covered, and of every record staged after it, must
-// return the error rather than be acknowledged by a later round, and the
-// log must refuse new appends.
 func TestSyncErrorLatchesFailed(t *testing.T) {
 	l, _ := openCollect(t, t.TempDir(), Options{Sync: SyncAlways})
 	defer l.Close()

@@ -34,9 +34,9 @@
 // # Group commit
 //
 // Under SyncAlways an append is two phases: the record's bytes are staged
-// into the active segment under the log mutex (AppendAsync, AppendBatch),
-// then the caller waits — outside any lock — for an fsync that covers its
-// sequence number. The first waiter with no flush in flight becomes the
+// into the active segment under the log mutex (AppendAsync), then the
+// caller waits — outside any lock — for an fsync that covers its sequence
+// number. The first waiter with no flush in flight becomes the
 // leader and issues one fsync for every record staged so far, so N
 // concurrent writers cost one fsync instead of N. An append is
 // acknowledged only after its covering fsync returned, so the durability
@@ -357,27 +357,6 @@ func (l *Log) AppendAsync(seq uint64, data []byte) (commit func() error, err err
 		return nil, err
 	}
 	return func() error { return l.commitWait(seq) }, nil
-}
-
-// AppendBatch stages a slice of records under one lock acquisition —
-// sequence numbers must be strictly increasing across the batch and past
-// the log head. The returned commit function waits for one fsync covering
-// the whole batch. A staging error aborts the batch at the failing record;
-// previously staged records remain in the log.
-func (l *Log) AppendBatch(recs []Record) (commit func() error, err error) {
-	if len(recs) == 0 {
-		return func() error { return nil }, nil
-	}
-	l.mu.Lock()
-	for _, rec := range recs {
-		if err := l.appendLocked(rec.Seq, rec.Data); err != nil {
-			l.mu.Unlock()
-			return nil, err
-		}
-	}
-	last := recs[len(recs)-1].Seq
-	l.mu.Unlock()
-	return func() error { return l.commitWait(last) }, nil
 }
 
 // appendLocked stages one record into the active segment. Caller holds mu.

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/recommend"
 	"repro/internal/search"
@@ -99,10 +98,7 @@ func TestColdStartFromSnapshotAndTail(t *testing.T) {
 
 	// Reference: the pre-incremental from-scratch path over the same
 	// repository (satellite: snapshot round-trip equivalence).
-	full := &System{Repo: cold.Repo}
-	full.Engine = search.NewEngine(cold.Repo)
-	full.Tags = tagging.NewPipeline(cold.Repo, true)
-	full.QueryManager = core.NewManager(cold.Repo, full.Engine)
+	full := assemble(cold.Repo, 0)
 	if err := full.RefreshFull(); err != nil {
 		t.Fatal(err)
 	}
@@ -294,10 +290,7 @@ func BenchmarkColdStart(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sys := &System{Repo: repo}
-			sys.Engine = search.NewEngine(repo)
-			sys.Tags = tagging.NewPipeline(repo, true)
-			sys.QueryManager = core.NewManager(repo, sys.Engine)
+			sys := assemble(repo, 0)
 			if err := sys.RefreshFull(); err != nil {
 				b.Fatal(err)
 			}

@@ -79,7 +79,10 @@ import (
 	"repro/internal/wiki"
 )
 
-// System is a fully wired instance of the metadata search stack.
+// System is a fully wired instance of the metadata search stack. Every
+// derived consumer is built once, when the System is, and updated in place
+// afterwards, so the fields below are never reassigned and are safe to
+// read from any goroutine.
 type System struct {
 	Repo        *smr.Repository
 	Engine      *search.Engine
@@ -90,18 +93,9 @@ type System struct {
 	// Query Management module of the paper's Fig. 1).
 	QueryManager *core.Manager
 
-	// refreshMu serializes Refresh/RefreshFull: concurrent refreshes (e.g.
-	// two POST /api/refresh) would race on Ranker/Recommender/rankingDirty.
+	// refreshMu serializes Refresh/RefreshFull: two concurrent refreshes
+	// (e.g. two POST /api/refresh) would interleave their consumer updates.
 	refreshMu sync.Mutex
-	// ptrMu guards cross-goroutine loads of the Ranker and Recommender
-	// pointers (request handlers read them while a background refresh —
-	// e.g. the server's auto-refresh — installs replacements). Writers
-	// additionally hold refreshMu.
-	ptrMu sync.RWMutex
-	// rankingDirty records that a consumed journal delta changed the link
-	// graph but the solve failed, so the next Refresh must not skip it.
-	// guarded by refreshMu.
-	rankingDirty bool
 	// stats accumulates refresh observability counters (guarded by
 	// refreshMu), surfaced by Stats and the server's /api/admin/stats.
 	stats refreshCounters
@@ -167,16 +161,12 @@ func (s *System) Stats() RefreshStats {
 		PageRankWarm:    s.stats.PageRankWarm,
 		PageRankCold:    s.stats.PageRankCold,
 		Shards:          s.Engine.ShardCount(),
+		Recommender:     s.Recommender.Stats(),
+		Tagging:         s.Tags.Stats(),
 		WAL:             s.Repo.WALStats(),
 	}
-	if s.Tags != nil {
-		st.Tagging = s.Tags.Stats()
-		st.TaggingSeq = st.Tagging.Seq
-	}
-	if s.Recommender != nil {
-		st.Recommender = s.Recommender.Stats()
-		st.RecommenderSeq = st.Recommender.Seq
-	}
+	st.RecommenderSeq = st.Recommender.Seq
+	st.TaggingSeq = st.Tagging.Seq
 	return st
 }
 
@@ -227,14 +217,24 @@ func OpenShards(dir string, opts smr.DurableOptions, n int) (*System, error) {
 // through the incremental refresh path. shards <= 0 selects the default
 // engine partitioning.
 func wire(repo *smr.Repository, shards int) (*System, error) {
-	s := &System{Repo: repo}
-	s.Engine = search.NewEngineShards(repo, shards)
-	s.Tags = tagging.NewPipeline(repo, true)
-	s.QueryManager = core.NewManager(repo, s.Engine)
+	s := assemble(repo, shards)
 	if err := s.Refresh(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// assemble builds every derived consumer once, before any PageRank solve:
+// the ranker starts stale, so the first Refresh or RefreshFull solves and
+// installs the scores.
+func assemble(repo *smr.Repository, shards int) *System {
+	s := &System{Repo: repo}
+	s.Engine = search.NewEngineShards(repo, shards)
+	s.Ranker = ranking.New(repo)
+	s.Recommender = recommend.NewSharded(repo, nil, s.Engine.ShardCount())
+	s.Tags = tagging.NewPipeline(repo, true)
+	s.QueryManager = core.NewManager(repo, s.Engine)
+	return s
 }
 
 // Close releases the repository's durable resources (the write-ahead log).
@@ -279,54 +279,40 @@ func (s *System) Refresh() error {
 	if stats.Full {
 		s.stats.EngineRebuilds++
 	}
-	if s.Ranker == nil || stats.LinksChanged || s.rankingDirty {
-		// The graph changed (or this is the first refresh, or a previous
-		// solve failed after its delta was consumed): recompute PageRank,
-		// warm-started when the previous scores are usable.
-		s.rankingDirty = true
-		rk, warm, err := s.solveRanking()
-		if err != nil {
-			return fmt.Errorf("sensormeta: refresh: %w", err)
-		}
-		if warm {
-			s.stats.PageRankWarm++
-		} else {
-			s.stats.PageRankCold++
-		}
-		s.installRankingLocked(rk, false)
-	} else {
-		// PageRank stands; annotation edits may still have moved the
-		// recommender's property weights — applied as a journal delta.
-		s.stats.PageRankSkipped++
-		s.Recommender.Update()
+	// PageRank is solved only when the graph changed (or no solve has
+	// succeeded since the last link change), warm-started from the
+	// previous scores.
+	solve, err := s.Ranker.Update(stats.LinksChanged)
+	if err != nil {
+		return fmt.Errorf("sensormeta: refresh: %w", err)
 	}
-	// The tagging pipeline consumes the same delta so tag clouds served
-	// between refreshes stay O(changed pages).
-	if s.Tags != nil {
-		if _, err := s.Tags.Update(); err != nil {
-			return fmt.Errorf("sensormeta: refresh: %w", err)
-		}
+	switch solve {
+	case ranking.Skipped:
+		s.stats.PageRankSkipped++
+	case ranking.Warm:
+		s.stats.PageRankWarm++
+	case ranking.Cold:
+		s.stats.PageRankCold++
+	}
+	if solve != ranking.Skipped {
+		ranks := s.Ranker.Scores()
+		s.Engine.SetRanks(ranks)
+		s.Recommender.SetRanks(ranks)
+	}
+	// The recommender and the tagging pipeline consume the same journal
+	// delta, so property weights and tag clouds stay O(changed pages).
+	s.Recommender.Update()
+	if _, err := s.Tags.Update(); err != nil {
+		return fmt.Errorf("sensormeta: refresh: %w", err)
 	}
 	s.trimJournal()
 	return nil
 }
 
 // trimJournal releases the journal prefix every consumer has applied.
-// Caller holds refreshMu. Consumers a hand-built System never wired (nil
-// Tags/Recommender) don't hold the journal back.
+// Caller holds refreshMu.
 func (s *System) trimJournal() {
-	seq := s.Engine.Seq()
-	if s.Recommender != nil {
-		if rs := s.Recommender.Seq(); rs < seq {
-			seq = rs
-		}
-	}
-	if s.Tags != nil {
-		if ts := s.Tags.Seq(); ts < seq {
-			seq = ts
-		}
-	}
-	s.Repo.Journal().TrimTo(seq)
+	s.Repo.Journal().TrimTo(min(s.Engine.Seq(), s.Recommender.Seq(), s.Tags.Seq()))
 }
 
 // RefreshFull rebuilds the search index from scratch and recomputes
@@ -338,60 +324,22 @@ func (s *System) RefreshFull() error {
 	s.Engine.Rebuild()
 	s.stats.Refreshes++
 	s.stats.FullRefreshes++
-	// The rebuild consumed the journal; if the solve below fails, the next
-	// Refresh must not treat PageRank as current.
-	s.rankingDirty = true
-	rk, err := ranking.New(s.Repo)
-	if err != nil {
+	// The rebuild consumed the journal; if the solve fails, the ranker
+	// stays stale and the next Refresh solves.
+	if err := s.Ranker.Rebuild(); err != nil {
 		return fmt.Errorf("sensormeta: refresh: %w", err)
 	}
 	s.stats.PageRankCold++
 	// From-scratch consumers, not delta application: this is the baseline
 	// path the incremental benchmarks compare against.
-	s.installRankingLocked(rk, true)
-	if s.Tags != nil {
-		if err := s.Tags.Rebuild(); err != nil {
-			return fmt.Errorf("sensormeta: refresh: %w", err)
-		}
+	ranks := s.Ranker.Scores()
+	s.Engine.SetRanks(ranks)
+	s.Recommender.Rebuild(ranks)
+	if err := s.Tags.Rebuild(); err != nil {
+		return fmt.Errorf("sensormeta: refresh: %w", err)
 	}
 	s.trimJournal()
 	return nil
-}
-
-// solveRanking recomputes PageRank with Gauss–Seidel, warm-started from
-// the previous score vector when there is one. warm reports whether the
-// previous scores seeded the solve.
-func (s *System) solveRanking() (rk *ranking.Ranker, warm bool, err error) {
-	if s.Ranker != nil {
-		rk, err = s.Ranker.Update(s.Repo)
-		return rk, true, err
-	}
-	rk, err = ranking.New(s.Repo)
-	return rk, false, err
-}
-
-// installRankingLocked pushes a freshly computed ranker into every consumer.
-// With rebuildRecommender false (the incremental path) the recommender's
-// per-page property sets are brought up to date with the journal and
-// rescored against the new PageRank vector — no corpus rescan; with true
-// (RefreshFull, first refresh) it is rebuilt from scratch. The new
-// pointers are swapped in under ptrMu so concurrent readers never observe
-// a half-installed state. Caller holds refreshMu.
-func (s *System) installRankingLocked(rk *ranking.Ranker, rebuildRecommender bool) {
-	s.rankingDirty = false
-	rec := s.Recommender
-	if rebuildRecommender || rec == nil {
-		rec = recommend.NewSharded(s.Repo, rk.Scores(), s.Engine.ShardCount())
-	} else {
-		rec.Update()
-		rec.SetRanks(rk.Scores())
-	}
-	s.ptrMu.Lock()
-	s.Ranker = rk
-	s.Recommender = rec
-	s.ptrMu.Unlock()
-	rk.Install(s.Engine)
-	s.QueryManager.SetScores(rk.Scores())
 }
 
 // Search runs an advanced query. The flat legacy Query is translated onto
@@ -419,22 +367,6 @@ func (s *System) Query(expr query.Expr, opts search.ExecOptions) (*search.ExecRe
 	return s.Engine.Execute(expr, opts)
 }
 
-// ranker loads the current Ranker pointer safely against a concurrent
-// refresh installing a replacement.
-func (s *System) ranker() *ranking.Ranker {
-	s.ptrMu.RLock()
-	defer s.ptrMu.RUnlock()
-	return s.Ranker
-}
-
-// recommender loads the current Recommender pointer safely against a
-// concurrent refresh installing a replacement.
-func (s *System) recommender() *recommend.Recommender {
-	s.ptrMu.RLock()
-	defer s.ptrMu.RUnlock()
-	return s.Recommender
-}
-
 // Autocomplete suggests query completions.
 func (s *System) Autocomplete(prefix string, k int) []search.Completion {
 	return s.Engine.Autocomplete(prefix, k)
@@ -442,13 +374,13 @@ func (s *System) Autocomplete(prefix string, k int) []search.Completion {
 
 // Recommend proposes pages related to a seed set for a user.
 func (s *System) Recommend(seeds []string, user string, k int) []recommend.Recommendation {
-	return s.recommender().Recommend(seeds, user, k)
+	return s.Recommender.Recommend(seeds, user, k)
 }
 
 // TopProperties returns the k properties with the highest PageRank-derived
 // importance — the ranked variant of the dynamic property drop-down.
 func (s *System) TopProperties(k int) []string {
-	return s.recommender().TopProperties(k)
+	return s.Recommender.TopProperties(k)
 }
 
 // TagCloud computes the current dynamic tag cloud.
