@@ -2,7 +2,6 @@ package sensormeta
 
 import (
 	"repro/internal/core"
-	"repro/internal/pagerank"
 	"repro/internal/recommend"
 	"repro/internal/search"
 	"repro/internal/tagging"
@@ -47,16 +46,6 @@ const (
 
 	OrderAsc  = search.OrderAsc
 	OrderDesc = search.OrderDesc
-)
-
-// Ranking types.
-type (
-	// PageRankOptions configures the PageRank computation (damping,
-	// tolerance, link weights, teleport vector, solver restart).
-	PageRankOptions = pagerank.Options
-	// PageRankResult is one solver run's outcome with convergence
-	// accounting.
-	PageRankResult = pagerank.Result
 )
 
 // Recommendation and tagging types.

@@ -56,10 +56,4 @@ func TestFacadeAliasesUsable(t *testing.T) {
 	if err != nil || len(combined.Titles) != 2 {
 		t.Fatalf("combined = %+v, %v", combined, err)
 	}
-
-	var prs []*PageRankResult
-	prs, err = sys.CompareSolvers(PageRankOptions{})
-	if err != nil || len(prs) != 6 {
-		t.Fatalf("solvers = %d, %v", len(prs), err)
-	}
 }

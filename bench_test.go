@@ -294,13 +294,6 @@ func BenchmarkAblationBronKerbosch(b *testing.B) {
 		}
 		b.ReportMetric(float64(steps), "recursion-steps")
 	})
-	b.Run("degeneracy", func(b *testing.B) {
-		var steps int
-		for i := 0; i < b.N; i++ {
-			steps = tagging.BronKerboschDegeneracy(g).RecursionSteps
-		}
-		b.ReportMetric(float64(steps), "recursion-steps")
-	})
 }
 
 // BenchmarkAblationWarmStart compares cold and warm-started Gauss–Seidel

@@ -127,8 +127,10 @@ Deployment:WAN-Snow,Fieldsite:Wannengrat,SLF,,,Deployments
 	if alpine == nil || alpine.Frequency != 3 {
 		t.Fatalf("alpine entry = %+v", alpine)
 	}
-	if top := cloud.Top(1); top[0].FontSize < alpine.FontSize {
-		t.Error("Top(1) below alpine's size")
+	for _, e := range cloud.Entries {
+		if e.FontSize > alpine.FontSize {
+			t.Errorf("%s (frequency %d) is drawn larger than alpine, the most frequent tag", e.Tag, e.Frequency)
+		}
 	}
 
 	// Step 8 — visualizations render over live data.

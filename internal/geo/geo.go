@@ -24,20 +24,6 @@ func (p Point) Valid() bool {
 // String renders "lat,lon" with 5 decimals (≈1 m resolution).
 func (p Point) String() string { return fmt.Sprintf("%.5f,%.5f", p.Lat, p.Lon) }
 
-// EarthRadiusMeters is the mean Earth radius.
-const EarthRadiusMeters = 6371000.0
-
-// HaversineMeters returns the great-circle distance between two points.
-func HaversineMeters(a, b Point) float64 {
-	lat1 := a.Lat * math.Pi / 180
-	lat2 := b.Lat * math.Pi / 180
-	dLat := (b.Lat - a.Lat) * math.Pi / 180
-	dLon := (b.Lon - a.Lon) * math.Pi / 180
-	h := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(lat1)*math.Cos(lat2)*math.Sin(dLon/2)*math.Sin(dLon/2)
-	return 2 * EarthRadiusMeters * math.Asin(math.Min(1, math.Sqrt(h)))
-}
-
 // BBox is a latitude/longitude bounding box (no antimeridian wrapping —
 // the Swiss Experiment never crosses it).
 type BBox struct {
@@ -60,11 +46,6 @@ func (b BBox) Extend(p Point) BBox {
 	out.MinLon = math.Min(out.MinLon, p.Lon)
 	out.MaxLon = math.Max(out.MaxLon, p.Lon)
 	return out
-}
-
-// Center returns the box centre.
-func (b BBox) Center() Point {
-	return Point{Lat: (b.MinLat + b.MaxLat) / 2, Lon: (b.MinLon + b.MaxLon) / 2}
 }
 
 // BoundsOf computes the bounding box of a marker set (zero box when empty).
@@ -180,38 +161,6 @@ func FilterInBox(markers []Marker, box BBox) []Marker {
 		if box.Contains(m.At) {
 			out = append(out, m)
 		}
-	}
-	return out
-}
-
-// Near returns the markers within radiusMeters of the centre, sorted by
-// distance (ties by ID). A non-positive radius matches nothing.
-func Near(markers []Marker, center Point, radiusMeters float64) []Marker {
-	if radiusMeters <= 0 {
-		return nil
-	}
-	type md struct {
-		m Marker
-		d float64
-	}
-	var hits []md
-	for _, m := range markers {
-		if d := HaversineMeters(center, m.At); d <= radiusMeters {
-			hits = append(hits, md{m, d})
-		}
-	}
-	if len(hits) == 0 {
-		return nil
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].d != hits[j].d {
-			return hits[i].d < hits[j].d
-		}
-		return hits[i].m.ID < hits[j].m.ID
-	})
-	out := make([]Marker, len(hits))
-	for i, h := range hits {
-		out[i] = h.m
 	}
 	return out
 }

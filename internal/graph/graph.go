@@ -86,20 +86,6 @@ func (g *Directed) AddEdge(from, to string, kind LinkKind) bool {
 	return true
 }
 
-// HasEdge reports whether the (from, to, kind) edge exists.
-func (g *Directed) HasEdge(from, to string, kind LinkKind) bool {
-	fi, ok := g.index[from]
-	if !ok {
-		return false
-	}
-	ti, ok := g.index[to]
-	if !ok {
-		return false
-	}
-	_, ok = g.seen[fi][edge{to: ti, kind: kind}]
-	return ok
-}
-
 // NumNodes returns the node count.
 func (g *Directed) NumNodes() int { return len(g.ids) }
 

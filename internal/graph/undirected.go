@@ -47,94 +47,9 @@ func (g *Undirected) AddEdge(u, v int) {
 	g.adj[v][u] = struct{}{}
 }
 
-// HasEdge reports whether {u, v} is an edge.
-func (g *Undirected) HasEdge(u, v int) bool {
-	if u < 0 || v < 0 || u >= g.n || v >= g.n {
-		return false
-	}
-	_, ok := g.adj[u][v]
-	return ok
-}
-
-// Degree returns the degree of vertex v.
-func (g *Undirected) Degree(v int) int { return len(g.adj[v]) }
-
-// NumEdges returns the number of undirected edges.
-func (g *Undirected) NumEdges() int {
-	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-	}
-	return total / 2
-}
-
-// Neighbors returns the sorted neighbour set of v.
-func (g *Undirected) Neighbors(v int) []int {
-	out := make([]int, 0, len(g.adj[v]))
-	for u := range g.adj[v] {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // NeighborSet returns the neighbour set of v as a map. The returned map
 // aliases internal storage and must not be modified.
 func (g *Undirected) NeighborSet(v int) map[int]struct{} { return g.adj[v] }
-
-// DegeneracyOrder returns the vertices in degeneracy order (repeatedly
-// removing a minimum-degree vertex). Bron–Kerbosch with this outer order
-// touches each vertex's "later" neighbours only, which bounds the recursion
-// on sparse graphs.
-func (g *Undirected) DegeneracyOrder() []int {
-	deg := make([]int, g.n)
-	removed := make([]bool, g.n)
-	// bucket[d] holds vertices of current degree d.
-	maxDeg := 0
-	for v := 0; v < g.n; v++ {
-		deg[v] = len(g.adj[v])
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
-	}
-	buckets := make([]map[int]struct{}, maxDeg+1)
-	for i := range buckets {
-		buckets[i] = make(map[int]struct{})
-	}
-	for v := 0; v < g.n; v++ {
-		buckets[deg[v]][v] = struct{}{}
-	}
-	order := make([]int, 0, g.n)
-	for len(order) < g.n {
-		var v int
-		found := false
-		for d := 0; d <= maxDeg; d++ {
-			for u := range buckets[d] {
-				v = u
-				found = true
-				break
-			}
-			if found {
-				break
-			}
-		}
-		if !found {
-			break
-		}
-		delete(buckets[deg[v]], v)
-		removed[v] = true
-		order = append(order, v)
-		for u := range g.adj[v] {
-			if removed[u] {
-				continue
-			}
-			delete(buckets[deg[u]], u)
-			deg[u]--
-			buckets[deg[u]][u] = struct{}{}
-		}
-	}
-	return order
-}
 
 // ConnectedComponents returns the vertex sets of the connected components,
 // each sorted, ordered by their smallest vertex.

@@ -60,9 +60,6 @@ func NewCSR(n, m int, entries []Entry) *CSR {
 	return c
 }
 
-// NNZ returns the number of stored non-zeros.
-func (c *CSR) NNZ() int { return len(c.Vals) }
-
 // At returns the value at (i, j), 0 when no entry is stored.
 func (c *CSR) At(i, j int) float64 {
 	if i < 0 || i >= c.N || j < 0 || j >= c.M {
@@ -87,74 +84,6 @@ func (c *CSR) MulVec(dst, x Vector) {
 			s += c.Vals[k] * x[c.Cols[k]]
 		}
 		dst[i] = s
-	}
-}
-
-// MulVecT computes dst = cᵀ · x (i.e. xᵀ·c read as a column vector) without
-// materializing the transpose. It panics on shape mismatch.
-func (c *CSR) MulVecT(dst, x Vector) {
-	if len(x) != c.N || len(dst) != c.M {
-		panic(fmt.Sprintf("linalg: MulVecT shape mismatch: %dx%d transposed by %d into %d", c.N, c.M, len(x), len(dst)))
-	}
-	dst.Zero()
-	for i := 0; i < c.N; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for k := c.Rows[i]; k < c.Rows[i+1]; k++ {
-			dst[c.Cols[k]] += c.Vals[k] * xi
-		}
-	}
-}
-
-// Transpose returns a new CSR holding cᵀ.
-func (c *CSR) Transpose() *CSR {
-	t := &CSR{N: c.M, M: c.N, Rows: make([]int, c.M+1)}
-	t.Cols = make([]int, c.NNZ())
-	t.Vals = make([]float64, c.NNZ())
-	for _, j := range c.Cols {
-		t.Rows[j+1]++
-	}
-	for i := 0; i < t.N; i++ {
-		t.Rows[i+1] += t.Rows[i]
-	}
-	next := make([]int, t.N)
-	copy(next, t.Rows[:t.N])
-	for i := 0; i < c.N; i++ {
-		for k := c.Rows[i]; k < c.Rows[i+1]; k++ {
-			j := c.Cols[k]
-			p := next[j]
-			t.Cols[p] = i
-			t.Vals[p] = c.Vals[k]
-			next[j]++
-		}
-	}
-	return t
-}
-
-// RowSums returns the vector of row sums.
-func (c *CSR) RowSums() Vector {
-	out := NewVector(c.N)
-	for i := 0; i < c.N; i++ {
-		var s float64
-		for k := c.Rows[i]; k < c.Rows[i+1]; k++ {
-			s += c.Vals[k]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// ScaleRows multiplies every entry of row i by s[i] in place.
-func (c *CSR) ScaleRows(s Vector) {
-	if len(s) != c.N {
-		panic("linalg: ScaleRows length mismatch")
-	}
-	for i := 0; i < c.N; i++ {
-		for k := c.Rows[i]; k < c.Rows[i+1]; k++ {
-			c.Vals[k] *= s[i]
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -30,8 +29,8 @@ func TestCSRAt(t *testing.T) {
 			t.Errorf("At(%d,%d) = %v, want %v", tc.i, tc.j, got, tc.want)
 		}
 	}
-	if c.NNZ() != 3 {
-		t.Errorf("NNZ = %d, want 3", c.NNZ())
+	if len(c.Vals) != 3 {
+		t.Errorf("NNZ = %d, want 3", len(c.Vals))
 	}
 }
 
@@ -40,8 +39,8 @@ func TestCSRDuplicatesSummed(t *testing.T) {
 	if got := c.At(0, 0); got != 3.5 {
 		t.Errorf("duplicate entries: At(0,0) = %v, want 3.5", got)
 	}
-	if c.NNZ() != 1 {
-		t.Errorf("duplicate entries: NNZ = %d, want 1", c.NNZ())
+	if len(c.Vals) != 1 {
+		t.Errorf("duplicate entries: NNZ = %d, want 1", len(c.Vals))
 	}
 }
 
@@ -60,70 +59,6 @@ func TestMulVec(t *testing.T) {
 	c.MulVec(dst, Vector{1, 1, 1})
 	if dst[0] != 3 || dst[1] != 3 {
 		t.Errorf("MulVec: got %v, want [3 3]", dst)
-	}
-}
-
-func TestMulVecT(t *testing.T) {
-	c := smallMatrix()
-	dst := NewVector(3)
-	c.MulVecT(dst, Vector{1, 2})
-	want := Vector{1, 6, 2}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("MulVecT[%d] = %v, want %v", i, dst[i], want[i])
-		}
-	}
-}
-
-func TestTransposeAgreesWithMulVecT(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		n, m := 1+rng.Intn(20), 1+rng.Intn(20)
-		var entries []Entry
-		for k := 0; k < rng.Intn(60); k++ {
-			entries = append(entries, Entry{rng.Intn(n), rng.Intn(m), rng.NormFloat64()})
-		}
-		c := NewCSR(n, m, entries)
-		tr := c.Transpose()
-		if tr.N != m || tr.M != n {
-			t.Fatalf("transpose shape %dx%d, want %dx%d", tr.N, tr.M, m, n)
-		}
-		x := NewVector(n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		viaT := NewVector(m)
-		c.MulVecT(viaT, x)
-		viaTr := NewVector(m)
-		tr.MulVec(viaTr, x)
-		if DiffInf(viaT, viaTr) > 1e-12 {
-			t.Fatalf("trial %d: MulVecT and Transpose().MulVec disagree by %v", trial, DiffInf(viaT, viaTr))
-		}
-	}
-}
-
-func TestTransposeRoundTrip(t *testing.T) {
-	c := smallMatrix()
-	rt := c.Transpose().Transpose()
-	for i := 0; i < c.N; i++ {
-		for j := 0; j < c.M; j++ {
-			if c.At(i, j) != rt.At(i, j) {
-				t.Errorf("round-trip mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestRowSumsAndScaleRows(t *testing.T) {
-	c := smallMatrix()
-	sums := c.RowSums()
-	if sums[0] != 3 || sums[1] != 3 {
-		t.Fatalf("RowSums = %v", sums)
-	}
-	c.ScaleRows(Vector{2, 10})
-	if c.At(0, 2) != 4 || c.At(1, 1) != 30 {
-		t.Errorf("ScaleRows: matrix now [[%v %v %v][%v %v %v]]",
-			c.At(0, 0), c.At(0, 1), c.At(0, 2), c.At(1, 0), c.At(1, 1), c.At(1, 2))
 	}
 }
 

@@ -63,17 +63,6 @@ func (v Vector) Norm2() float64 {
 	return math.Sqrt(s)
 }
 
-// NormInf returns the maximum absolute component of v.
-func (v Vector) NormInf() float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Dot returns the inner product of v and w. It panics if lengths differ.
 func (v Vector) Dot(w Vector) float64 {
 	if len(v) != len(w) {

@@ -24,9 +24,6 @@ func TestVectorBasics(t *testing.T) {
 	if got := v.Norm2(); !almostEqual(got, 4, 1e-12) {
 		t.Errorf("Norm2 = %v, want 4", got)
 	}
-	if got := v.NormInf(); got != 2 {
-		t.Errorf("NormInf = %v, want 2", got)
-	}
 	v.Zero()
 	if got := v.Sum(); got != 0 {
 		t.Errorf("after Zero, Sum = %v", got)

@@ -59,18 +59,3 @@ func Compare(g *graph.Directed, opts Options) ([]*Result, error) {
 	}
 	return out, nil
 }
-
-// Scores computes PageRank with the paper's production choice —
-// Gauss–Seidel, selected in Section III after the Fig. 3 evaluation — and
-// returns the score per node id.
-func Scores(g *graph.Directed, opts Options) (map[string]float64, error) {
-	res, err := Solve(g, "Gauss-Seidel", opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64, g.NumNodes())
-	for i, id := range g.IDs() {
-		out[id] = res.Scores[i]
-	}
-	return out, nil
-}

@@ -133,14 +133,6 @@ func (r *Ranker) Scores() map[string]float64 { return r.cur.Load().scores }
 // Score returns one page's score (0 when unknown).
 func (r *Ranker) Score(title string) float64 { return r.cur.Load().scores[title] }
 
-// Result exposes the underlying solver result (nil for an empty graph or
-// before the first solve).
-func (r *Ranker) Result() *pagerank.Result { return r.cur.Load().result }
-
-// Graph exposes the link graph the scores were computed on (nil before the
-// first solve).
-func (r *Ranker) Graph() *graph.Directed { return r.cur.Load().graph }
-
 // TopPages returns the k best-ranked page titles.
 func (r *Ranker) TopPages(k int) []string {
 	scores := r.Scores()

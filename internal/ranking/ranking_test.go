@@ -45,12 +45,12 @@ func solved(t *testing.T, repo *smr.Repository) *Ranker {
 
 func TestNewRankerScores(t *testing.T) {
 	repo := fixtureRepo(t)
-	if r := New(repo); len(r.Scores()) != 0 || r.Graph() != nil || r.Result() != nil {
+	if r := New(repo); len(r.Scores()) != 0 || r.cur.Load().graph != nil || r.cur.Load().result != nil {
 		t.Error("an unsolved ranker should publish no scores")
 	}
 	r := solved(t, repo)
-	if r.Result().Method != "Gauss-Seidel" {
-		t.Errorf("solver = %s, want Gauss-Seidel", r.Result().Method)
+	if r.cur.Load().result.Method != "Gauss-Seidel" {
+		t.Errorf("solver = %s, want Gauss-Seidel", r.cur.Load().result.Method)
 	}
 	scores := r.Scores()
 	if len(scores) != 5 {
@@ -70,7 +70,7 @@ func TestNewRankerScores(t *testing.T) {
 	if r.Score("Fieldsite:Davos") <= r.Score("Sensor:S1") {
 		t.Error("hub not above leaf")
 	}
-	if r.Result() == nil || !r.Result().Converged {
+	if r.cur.Load().result == nil || !r.cur.Load().result.Converged {
 		t.Error("solver result missing or unconverged")
 	}
 }
@@ -116,7 +116,7 @@ func TestInstallAndSortRank(t *testing.T) {
 func TestUpdateWarmStart(t *testing.T) {
 	repo := fixtureRepo(t)
 	r := solved(t, repo)
-	cold := r.Result().Iterations
+	cold := r.cur.Load().result.Iterations
 
 	// Small change: one new sensor page.
 	if _, err := repo.PutPage("Sensor:S3", "t", "[[partOf::Deployment:A]] new sensor", ""); err != nil {
@@ -142,8 +142,8 @@ func TestUpdateWarmStart(t *testing.T) {
 	// On a graph this small both starts converge in a handful of sweeps;
 	// just require the warm path not to blow up. The genuine warm-start
 	// advantage is asserted at scale in internal/pagerank's tests.
-	if r.Result().Iterations > cold+2 {
-		t.Errorf("warm start took %d sweeps, cold took %d", r.Result().Iterations, cold)
+	if r.cur.Load().result.Iterations > cold+2 {
+		t.Errorf("warm start took %d sweeps, cold took %d", r.cur.Load().result.Iterations, cold)
 	}
 }
 
@@ -157,8 +157,8 @@ func TestUpdateOnEmptyAndFromEmpty(t *testing.T) {
 	if solve, err := r.Update(false); err != nil || solve != Cold {
 		t.Fatalf("first Update = %v, %v; want Cold", solve, err)
 	}
-	if len(r.Scores()) != 0 || r.Graph() == nil {
-		t.Errorf("scores = %v, graph = %v", r.Scores(), r.Graph())
+	if len(r.Scores()) != 0 || r.cur.Load().graph == nil {
+		t.Errorf("scores = %v, graph = %v", r.Scores(), r.cur.Load().graph)
 	}
 	// Nothing changed and the last solve succeeded: skipped.
 	if solve, err := r.Update(false); err != nil || solve != Skipped {
@@ -188,8 +188,8 @@ func TestUpdatePublishesNewSnapshot(t *testing.T) {
 	for k, v := range held {
 		want[k] = v
 	}
-	res := r.Result()
-	if solve, err := r.Update(false); err != nil || solve != Skipped || r.Result() != res {
+	res := r.cur.Load().result
+	if solve, err := r.Update(false); err != nil || solve != Skipped || r.cur.Load().result != res {
 		t.Fatalf("idle Update = %v, %v; want Skipped with the same result", solve, err)
 	}
 	if _, err := repo.PutPage("Sensor:S1", "t", "[[partOf::Deployment:B]] moved", ""); err != nil {

@@ -97,13 +97,6 @@ func (st *Store) RemoveSubject(s Term) int {
 	return n
 }
 
-// Len returns the number of triples.
-func (st *Store) Len() int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return len(st.triples)
-}
-
 // decode rebuilds a Triple from its encoded form. Caller holds a read lock.
 func (st *Store) decode(e enc) Triple {
 	return Triple{S: st.terms[e.s], P: st.terms[e.p], O: st.terms[e.o]}
@@ -205,24 +198,4 @@ func (st *Store) compare(x, y enc) int {
 		}
 	}
 	return 0
-}
-
-// Has reports whether the exact triple is present.
-func (st *Store) Has(t Triple) bool {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	s, ok := st.lookup(t.S)
-	if !ok {
-		return false
-	}
-	p, ok := st.lookup(t.P)
-	if !ok {
-		return false
-	}
-	o, ok := st.lookup(t.O)
-	if !ok {
-		return false
-	}
-	_, exists := st.triples[enc{s, p, o}]
-	return exists
 }

@@ -1,7 +1,6 @@
 package rdf
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -15,6 +14,9 @@ func tr(s, p, o string) Triple {
 	return Triple{S: NewIRI(s), P: NewIRI(p), O: NewIRI(o)}
 }
 
+// has reports whether st holds exactly tp.
+func has(st *Store, tp Triple) bool { return len(st.Match(&tp.S, &tp.P, &tp.O)) == 1 }
+
 func TestAddRemoveHas(t *testing.T) {
 	st := NewStore()
 	a := tr("s", "p", "o")
@@ -24,8 +26,8 @@ func TestAddRemoveHas(t *testing.T) {
 	if st.Add(a) {
 		t.Error("duplicate Add reported new")
 	}
-	if !st.Has(a) || st.Len() != 1 {
-		t.Error("Has/Len wrong after insert")
+	if !has(st, a) || len(st.triples) != 1 {
+		t.Error("triple missing or count wrong after insert")
 	}
 	if st.RemoveSubject(a.S) != 1 {
 		t.Error("RemoveSubject of present triple failed")
@@ -33,8 +35,8 @@ func TestAddRemoveHas(t *testing.T) {
 	if st.RemoveSubject(a.S) != 0 {
 		t.Error("double RemoveSubject succeeded")
 	}
-	if st.Has(a) || st.Len() != 0 {
-		t.Error("Has/Len wrong after delete")
+	if has(st, a) || len(st.triples) != 0 {
+		t.Error("triple present or count wrong after delete")
 	}
 	if st.RemoveSubject(NewIRI("nope")) != 0 {
 		t.Error("RemoveSubject of unknown subject succeeded")
@@ -47,8 +49,8 @@ func TestLiteralsDistinctByTypeAndLang(t *testing.T) {
 	st.Add(Triple{S: s, P: p, O: NewLiteral("42")})
 	st.Add(Triple{S: s, P: p, O: NewTypedLiteral("42", "http://www.w3.org/2001/XMLSchema#int")})
 	st.Add(Triple{S: s, P: p, O: NewLangLiteral("42", "en")})
-	if st.Len() != 3 {
-		t.Errorf("Len = %d, want 3 (typed/lang literals must stay distinct)", st.Len())
+	if len(st.triples) != 3 {
+		t.Errorf("Len = %d, want 3 (typed/lang literals must stay distinct)", len(st.triples))
 	}
 }
 
@@ -120,7 +122,7 @@ func adversarialTerm(rng *rand.Rand) Term {
 	case 0:
 		return NewIRI(v)
 	case 1:
-		return NewBlank(v)
+		return Term{Kind: Blank, Value: v}
 	case 2:
 		return NewLiteral(v)
 	case 3:
@@ -210,7 +212,7 @@ func TestMatchOrderMatchesNTriplesSort(t *testing.T) {
 					t.Fatalf("seed %d Match(%v, %v, %v): %d triples, want %d", seed, sp, pp, op, len(got), len(want))
 				}
 				for i := range got {
-					if !st.Has(got[i]) || got[i].String() != want[i].String() {
+					if !has(st, got[i]) || got[i].String() != want[i].String() {
 						t.Fatalf("seed %d Match(%v, %v, %v)[%d] = %q, want %q", seed, sp, pp, op, i, got[i], want[i])
 					}
 				}
@@ -228,11 +230,11 @@ func TestMatchOrderMatchesNTriplesSort(t *testing.T) {
 func TestMatchSortAllocatesNothing(t *testing.T) {
 	st := NewStore()
 	for i := 0; i < 500; i++ {
-		st.Add(Triple{S: NewBlank(fmt.Sprint(i % 37)), P: NewIRI(fmt.Sprint("p", i%5)),
+		st.Add(Triple{S: Term{Kind: Blank, Value: fmt.Sprint(i % 37)}, P: NewIRI(fmt.Sprint("p", i%5)),
 			O: NewLangLiteral(fmt.Sprintf("line\t%d \"q\"\n", i), "en")})
 	}
 	if allocs := testing.AllocsPerRun(20, func() { st.Match(nil, nil, nil) }); allocs > 2 {
-		t.Errorf("Match of %d triples allocates %.0f times, want 2", st.Len(), allocs)
+		t.Errorf("Match of %d triples allocates %.0f times, want 2", len(st.triples), allocs)
 	}
 }
 
@@ -245,9 +247,9 @@ func TestRemoveSubject(t *testing.T) {
 			want.Add(tp)
 		}
 	}
-	before := st.Len()
-	if n := st.RemoveSubject(NewIRI("s1")); n != before-want.Len() || n == 0 {
-		t.Fatalf("RemoveSubject removed %d of %d", n, before-want.Len())
+	before := len(st.triples)
+	if n := st.RemoveSubject(NewIRI("s1")); n != before-len(want.triples) || n == 0 {
+		t.Fatalf("RemoveSubject removed %d of %d", n, before-len(want.triples))
 	}
 	// Every index agrees with a store that never held the subject.
 	for i := 0; i < 5; i++ {
@@ -259,8 +261,8 @@ func TestRemoveSubject(t *testing.T) {
 		}
 	}
 	s1 := NewIRI("s1")
-	if st.Len() != want.Len() || st.Match(&s1, nil, nil) != nil {
-		t.Errorf("subject still present: Len %d, want %d", st.Len(), want.Len())
+	if len(st.triples) != len(want.triples) || st.Match(&s1, nil, nil) != nil {
+		t.Errorf("subject still present: Len %d, want %d", len(st.triples), len(want.triples))
 	}
 	st.Add(tr("s1", "p0", "o0"))
 	if got := st.Match(&s1, nil, nil); len(got) != 1 {
@@ -278,71 +280,11 @@ func TestTermString(t *testing.T) {
 		{NewLiteral("a\nb"), `"a\nb"`},
 		{NewLangLiteral("chat", "fr"), `"chat"@fr`},
 		{NewTypedLiteral("1", "http://t"), `"1"^^<http://t>`},
-		{NewBlank("n1"), "_:n1"},
+		{Term{Kind: Blank, Value: "n1"}, "_:n1"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("String = %s, want %s", got, c.want)
-		}
-	}
-}
-
-func TestNTriplesRoundTrip(t *testing.T) {
-	st := NewStore()
-	st.Add(tr("http://ex/a", "http://ex/p", "http://ex/b"))
-	st.Add(Triple{S: NewIRI("http://ex/a"), P: NewIRI("http://ex/label"), O: NewLiteral(`multi "quote" and \ slash`)})
-	st.Add(Triple{S: NewIRI("http://ex/a"), P: NewIRI("http://ex/temp"), O: NewTypedLiteral("-3.5", "http://www.w3.org/2001/XMLSchema#double")})
-	st.Add(Triple{S: NewIRI("http://ex/a"), P: NewIRI("http://ex/name"), O: NewLangLiteral("Wannengrat", "de")})
-	st.Add(Triple{S: NewBlank("b0"), P: NewIRI("http://ex/p"), O: NewBlank("b1")})
-
-	var buf bytes.Buffer
-	if err := st.WriteNTriples(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewStore()
-	n, err := restored.ReadNTriples(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != st.Len() {
-		t.Fatalf("restored %d of %d triples", n, st.Len())
-	}
-	a, b := st.Match(nil, nil, nil), restored.Match(nil, nil, nil)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("triple %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestReadNTriplesSkipsCommentsAndBlanks(t *testing.T) {
-	input := `# a comment
-
-<http://a> <http://p> <http://b> .
-# another
-<http://a> <http://p> "lit"@en .
-`
-	st := NewStore()
-	n, err := st.ReadNTriples(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("added %d triples, want 2", n)
-	}
-}
-
-func TestReadNTriplesErrors(t *testing.T) {
-	for _, line := range []string{
-		`<http://a> <http://p>`,
-		`<http://a <http://p> <http://b> .`,
-		`<http://a> <http://p> "unterminated .`,
-		`<http://a> <http://p> <http://b>`,
-		`junk`,
-	} {
-		st := NewStore()
-		if _, err := st.ReadNTriples(strings.NewReader(line)); err == nil {
-			t.Errorf("no error for %q", line)
 		}
 	}
 }
@@ -373,7 +315,7 @@ func TestConcurrentAccess(t *testing.T) {
 	// Consistency: every indexed triple is in the main set.
 	all := st.Match(nil, nil, nil)
 	for _, tp := range all {
-		if !st.Has(tp) {
+		if !has(st, tp) {
 			t.Errorf("index/main set mismatch for %v", tp)
 		}
 	}

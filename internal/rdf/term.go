@@ -46,15 +46,6 @@ func NewLangLiteral(v, lang string) Term {
 	return Term{Kind: Literal, Value: v, Lang: lang}
 }
 
-// NewBlank returns a blank node with the given label.
-func NewBlank(label string) Term { return Term{Kind: Blank, Value: label} }
-
-// IsIRI reports whether the term is an IRI.
-func (t Term) IsIRI() bool { return t.Kind == IRI }
-
-// IsLiteral reports whether the term is a literal.
-func (t Term) IsLiteral() bool { return t.Kind == Literal }
-
 // Key returns the canonical dictionary key of the term: kind, value,
 // lang/datatype all participate so "42"^^xsd:int and "42" stay distinct.
 func (t Term) Key() string {
@@ -104,33 +95,6 @@ var literalEscaper = func() *strings.Replacer {
 }()
 
 func escapeLiteral(s string) string { return literalEscaper.Replace(s) }
-
-func unescapeLiteral(s string) string {
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] != '\\' || i+1 >= len(s) {
-			b.WriteByte(s[i])
-			continue
-		}
-		i++
-		switch s[i] {
-		case 'n':
-			b.WriteByte('\n')
-		case 'r':
-			b.WriteByte('\r')
-		case 't':
-			b.WriteByte('\t')
-		case '\\':
-			b.WriteByte('\\')
-		case '"':
-			b.WriteByte('"')
-		default:
-			b.WriteByte('\\')
-			b.WriteByte(s[i])
-		}
-	}
-	return b.String()
-}
 
 // Triple is one RDF statement.
 type Triple struct {

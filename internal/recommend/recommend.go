@@ -367,14 +367,6 @@ func (r *Recommender) Stats() Stats {
 	return r.stats
 }
 
-// PropertyScore returns the PageRank-derived importance of a property.
-// Property names are matched case-insensitively.
-func (r *Recommender) PropertyScore(property string) float64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.propScore[strings.ToLower(property)]
-}
-
 // TopProperties returns the k highest-scored properties.
 func (r *Recommender) TopProperties(k int) []string {
 	r.mu.RLock()

@@ -40,10 +40,10 @@ func TestPropertyScores(t *testing.T) {
 	_, rec := fixture(t)
 	// locatedIn appears on three deployment pages; canton only on the
 	// (high-rank) fieldsite. Scores must be positive for used properties.
-	if rec.PropertyScore("locatedIn") <= 0 {
+	if rec.propScore["locatedin"] <= 0 {
 		t.Error("locatedIn score not positive")
 	}
-	if rec.PropertyScore("nosuch") != 0 {
+	if rec.propScore["nosuch"] != 0 {
 		t.Error("unknown property has a score")
 	}
 	top := rec.TopProperties(3)
@@ -52,8 +52,8 @@ func TestPropertyScores(t *testing.T) {
 	}
 	// All returned properties exist.
 	for _, p := range top {
-		if rec.PropertyScore(p) <= 0 {
-			t.Errorf("top property %q has score %v", p, rec.PropertyScore(p))
+		if rec.propScore[p] <= 0 {
+			t.Errorf("top property %q has score %v", p, rec.propScore[p])
 		}
 	}
 }

@@ -3,7 +3,6 @@ package relational
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -11,8 +10,8 @@ import (
 )
 
 // DB is an embedded relational database: a set of named tables guarded by a
-// single readers–writer lock. SQL is read-only and enters through Query,
-// QueryWith, Explain and EstimateSelect; rows are written through the typed
+// single readers–writer lock. SQL is read-only and enters through Query and
+// QueryWith; rows are written through the typed
 // calls Insert, ReplaceRows and LoadRows.
 type DB struct {
 	mu     sync.RWMutex
@@ -53,18 +52,6 @@ func (db *DB) Table(name string) (*Table, bool) {
 	defer db.mu.RUnlock()
 	t, ok := db.tables[strings.ToLower(name)]
 	return t, ok
-}
-
-// TableNames returns the table names sorted.
-func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables))
-	for _, t := range db.tables {
-		out = append(out, t.Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Insert adds a row programmatically (values in schema order).
@@ -189,33 +176,6 @@ func (db *DB) QueryWith(sql string, opts QueryOptions) (*ResultSet, *explain.Nod
 		return rs, nil, nil
 	}
 	return rs, p.explainRoot, nil
-}
-
-// Explain plans and executes a SELECT, returning the plan tree with both
-// estimated and actual row counts per node.
-func (db *DB) Explain(sql string) (*explain.Node, error) {
-	_, plan, err := db.QueryWith(sql, QueryOptions{Explain: true})
-	return plan, err
-}
-
-// EstimateSelect compiles a SELECT without executing it and returns the
-// planner's estimated output row count. The combined-query layer uses it to
-// pick the cheapest driving side.
-func (db *DB) EstimateSelect(sql string) (int, error) {
-	sel, err := Parse(sql)
-	if err != nil {
-		return 0, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	p, err := db.compileSelect(sel, false)
-	if err != nil {
-		return 0, err
-	}
-	if p.explainRoot.Est < 0 {
-		return 0, nil
-	}
-	return p.explainRoot.Est, nil
 }
 
 // PlannerStats snapshots the planner's activity counters and estimate-error

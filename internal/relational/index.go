@@ -44,9 +44,6 @@ func NewIndex(column string, pos int, unique bool) *Index {
 	return &Index{Column: column, Pos: pos, Unique: unique}
 }
 
-// Len returns the number of entries.
-func (ix *Index) Len() int { return ix.n }
-
 // seek returns the leaf and offset of the first entry satisfying pred,
 // which must be false for a prefix of the entries and true for the rest;
 // (len(leaves), 0) when no entry does.

@@ -238,8 +238,8 @@ func checkSameIndex(t *testing.T, step int, ix *Index, ref *refIndex, probes []V
 		t.Helper()
 		t.Fatalf("op %d: %s = %v, flat index says %v", step, what, got, want)
 	}
-	if ix.Len() != len(ref.keys) {
-		fail("Len", ix.Len(), len(ref.keys))
+	if ix.n != len(ref.keys) {
+		fail("Len", ix.n, len(ref.keys))
 	}
 	if got, want := ix.nullCount(), ref.nullCount(); got != want {
 		fail("nullCount", got, want)
@@ -388,7 +388,7 @@ func TestIndexMatchesFlat(t *testing.T) {
 				maxLeaves = max(maxLeaves, len(ix.leaves))
 				checkSameIndex(t, step, ix, ref, probes)
 			}
-			t.Logf("peak %d leaves, %d entries left", maxLeaves, ix.Len())
+			t.Logf("peak %d leaves, %d entries left", maxLeaves, ix.n)
 			if maxLeaves < 8 || !merged {
 				t.Fatalf("stream reached %d leaves, merged or emptied a leaf: %v; it must split and drain leaves to test them", maxLeaves, merged)
 			}
@@ -452,7 +452,7 @@ func TestAddIndexMatchesBulkBuild(t *testing.T) {
 		}
 		return true
 	})
-	if added.Len() != 0 {
-		t.Fatalf("%d index entries left after deleting every row", added.Len())
+	if added.n != 0 {
+		t.Fatalf("%d index entries left after deleting every row", added.n)
 	}
 }

@@ -5,7 +5,16 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/explain"
 )
+
+// Explain plans and executes a SELECT, returning the plan tree with both
+// estimated and actual row counts per node.
+func (db *DB) Explain(sql string) (*explain.Node, error) {
+	_, plan, err := db.QueryWith(sql, QueryOptions{Explain: true})
+	return plan, err
+}
 
 // renderResult flattens a ResultSet into one deterministic string, typed
 // values included, so two executions can be compared byte for byte.

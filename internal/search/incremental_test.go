@@ -254,8 +254,8 @@ func TestTrieRefcounting(t *testing.T) {
 	if got := tr.Complete("wi", 10); got != nil {
 		t.Fatalf("after last release: %v", got)
 	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d", tr.Len())
+	if tr.size != 0 {
+		t.Fatalf("Len = %d", tr.size)
 	}
 	// Removing unknown entries or classes is a no-op.
 	tr.Remove("wind", 1)

@@ -149,8 +149,8 @@ func TestTrieBasics(t *testing.T) {
 	tr.Insert("", 1)     // ignored
 	tr.Insert("zero", 0) // ignored
 	tr.Insert("neg", -1) // ignored
-	if tr.Len() != 3 {
-		t.Errorf("Len = %d, want 3", tr.Len())
+	if tr.size != 3 {
+		t.Errorf("Len = %d, want 3", tr.size)
 	}
 	got := tr.Complete("wind", 10)
 	if len(got) != 2 || got[0].Text != "wind direction" || got[1].Text != "wind speed" {
@@ -181,8 +181,8 @@ func TestTrieMaxWeightWins(t *testing.T) {
 	if len(got) != 1 || got[0].Weight != 7 {
 		t.Errorf("Complete = %v, want weight 7", got)
 	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d, want 1", tr.Len())
+	if tr.size != 1 {
+		t.Errorf("Len = %d, want 1", tr.size)
 	}
 }
 

@@ -163,13 +163,6 @@ func (t *Trie) Remove(entry string, weight float64) {
 	}
 }
 
-// Len returns the number of entries.
-func (t *Trie) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.size
-}
-
 // Completion is one autocomplete suggestion.
 type Completion struct {
 	Text   string

@@ -610,6 +610,24 @@ func TestSQLEndpointIsReadOnly(t *testing.T) {
 	}
 }
 
+// TestSPARQLNegativeLimitOffset holds both routes that run SPARQL to the
+// 400 bad_request envelope for a negative LIMIT or OFFSET. A negative
+// LIMIT once reached the evaluator, whose rows[:limit] panicked inside the
+// handler, so the client saw a dropped connection instead of an answer.
+func TestSPARQLNegativeLimitOffset(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, tail := range []string{"LIMIT -1", "OFFSET -1", "LIMIT 2 OFFSET -3"} {
+		q := "SELECT ?s WHERE { ?s ?p ?o } " + tail
+		if code, body := get(t, ts.URL+"/api/sparql?q="+urlQ(q)); code != http.StatusBadRequest || envelopeCode(body) != "bad_request" {
+			t.Errorf("/api/sparql %s: %d %s, want the 400 bad_request envelope", tail, code, body)
+		}
+		code, body := postJSON(t, ts.URL+"/api/v1/combined", map[string]interface{}{"sparql": q, "pagevar": "s"})
+		if code != http.StatusBadRequest || envelopeCode(body) != "bad_request" {
+			t.Errorf("/api/v1/combined %s: %d %s, want the 400 bad_request envelope", tail, code, body)
+		}
+	}
+}
+
 // TestHugeLimitMatchesUnlimited holds a limit (and limit+offset) past any
 // buffer size to the unlimited answer on a two-shard system, through the
 // legacy and the v1 route. The selector once preallocated limit+offset

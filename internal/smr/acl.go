@@ -1,7 +1,6 @@
 package smr
 
 import (
-	"sort"
 	"strings"
 	"sync"
 
@@ -49,15 +48,6 @@ func (a *ACL) Grant(user string, ns wiki.Namespace) {
 	set[ns] = true
 }
 
-// Revoke removes a namespace grant.
-func (a *ACL) Revoke(user string, ns wiki.Namespace) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if set, ok := a.grants[user]; ok {
-		delete(set, ns)
-	}
-}
-
 // DenyPage blocks one specific page for a user regardless of namespace
 // grants.
 func (a *ACL) DenyPage(user, title string) {
@@ -85,37 +75,6 @@ func (a *ACL) CanRead(user, title string) bool {
 		return a.anonReadsAll
 	}
 	return set[wiki.ParseTitle(title).Namespace]
-}
-
-// FilterTitles returns the subset of titles the user may read, preserving
-// order.
-func (a *ACL) FilterTitles(user string, titles []string) []string {
-	out := make([]string, 0, len(titles))
-	for _, t := range titles {
-		if a.CanRead(user, t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// Grants lists a user's granted namespaces, sorted, for display in the query
-// interface.
-func (a *ACL) Grants(user string) []string {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	var out []string
-	for ns, ok := range a.grants[user] {
-		if ok {
-			name := string(ns)
-			if name == "" {
-				name = "(main)"
-			}
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // String describes the policy briefly (used in logs).

@@ -102,8 +102,11 @@ func TestProjectionDigest(t *testing.T) {
 	digestMutations(t, repo)
 
 	h := sha256.New()
-	for _, name := range repo.DB.TableNames() {
-		tab, _ := repo.DB.Table(name)
+	for _, name := range []string{"annotations", "links", "pages", "tags"} {
+		tab, ok := repo.DB.Table(name)
+		if !ok {
+			t.Fatalf("table %s missing", name)
+		}
 		fmt.Fprintf(h, "%s:", name)
 		tab.Scan(func(id int64, row relational.Row) bool {
 			fmt.Fprintf(h, "%d", id)

@@ -569,31 +569,6 @@ func tagRow(page, tag, author string, created time.Time) relational.Row {
 		relational.Text(created.UTC().Format(time.RFC3339Nano))}
 }
 
-// TagCounts returns tag -> frequency over all pages. Values of metadata
-// properties also count as tags when includeAnnotations is set, matching
-// the paper ("as tags can also be considered the values of metadata
-// properties of the page").
-func (r *Repository) TagCounts(includeAnnotations bool) (map[string]int, error) {
-	counts := make(map[string]int)
-	rs, err := r.DB.Query("SELECT tag, COUNT(*) FROM tags GROUP BY tag")
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rs.Rows {
-		counts[row[0].Text0()] = int(row[1].Int64())
-	}
-	if includeAnnotations {
-		rs, err = r.DB.Query("SELECT value, COUNT(*) FROM annotations GROUP BY value")
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range rs.Rows {
-			counts[strings.ToLower(row[0].Text0())] += int(row[1].Int64())
-		}
-	}
-	return counts, nil
-}
-
 // PageTags returns the tags of one page (sorted by tag text).
 func (r *Repository) PageTags(page string) ([]string, error) {
 	canonical := wiki.ParseTitle(page).String()

@@ -1,6 +1,7 @@
 package smr
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,15 +158,20 @@ func TestDeletePage(t *testing.T) {
 func TestLinkGraphDoubleStructure(t *testing.T) {
 	r := seedRepo(t)
 	g := r.LinkGraph()
+	hasEdge := func(from, to string, kind graph.LinkKind) bool {
+		fi, okFrom := g.Index(from)
+		ti, okTo := g.Index(to)
+		return okFrom && okTo && slices.Contains(g.Successors(fi, kind), ti)
+	}
 	// Deployment:SnowStudy --semantic--> Fieldsite:Davos (locatedIn) and
 	// --page--> Fieldsite:Davos (see link).
-	if !g.HasEdge("Deployment:SnowStudy", "Fieldsite:Davos", graph.SemanticLink) {
+	if !hasEdge("Deployment:SnowStudy", "Fieldsite:Davos", graph.SemanticLink) {
 		t.Error("semantic link missing")
 	}
-	if !g.HasEdge("Deployment:SnowStudy", "Fieldsite:Davos", graph.PageLink) {
+	if !hasEdge("Deployment:SnowStudy", "Fieldsite:Davos", graph.PageLink) {
 		t.Error("page link missing")
 	}
-	if !g.HasEdge("Sensor:Wind-01", "Deployment:SnowStudy", graph.SemanticLink) {
+	if !hasEdge("Sensor:Wind-01", "Deployment:SnowStudy", graph.SemanticLink) {
 		t.Error("partOf semantic link missing")
 	}
 	// Literal-valued annotations must not create edges.
@@ -223,27 +229,15 @@ func TestTags(t *testing.T) {
 	if err := r.AddTag("Missing:Page", "x", "dave"); err == nil {
 		t.Error("tagging missing page accepted")
 	}
-	counts, err := r.TagCounts(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts["wind"] != 2 || counts["alpine"] != 1 {
-		t.Errorf("counts = %v", counts)
-	}
-	// Including annotation values as tags.
-	counts, err = r.TagCounts(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts["gr"] != 2 { // canton::GR appears on two fieldsites
-		t.Errorf("annotation-derived counts = %v", counts)
-	}
 	tags, err := r.PageTags("Sensor:Wind-01")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tags) != 2 || tags[0] != "alpine" || tags[1] != "wind" {
 		t.Errorf("page tags = %v", tags)
+	}
+	if tags, _ := r.PageTags("Sensor:Temp-01"); len(tags) != 1 || tags[0] != "wind" {
+		t.Errorf("Sensor:Temp-01 tags = %v", tags)
 	}
 }
 
@@ -268,23 +262,13 @@ func TestACL(t *testing.T) {
 	if acl.CanRead("alice", "Sensor:Secret") {
 		t.Error("denied page still readable")
 	}
-	acl.Revoke("alice", wiki.NamespaceSensor)
-	if acl.CanRead("alice", "Sensor:X") {
-		t.Error("revoked namespace still readable")
-	}
-	// Revoking the last namespace drops alice back to the anon policy,
-	// which is locked here.
-	got := acl.FilterTitles("bob", []string{"Sensor:A", "Fieldsite:B"})
-	if len(got) != 0 {
-		t.Errorf("FilterTitles under locked anon = %v", got)
+	// bob has no grants, so the locked anon policy applies to him.
+	if acl.CanRead("bob", "Fieldsite:B") {
+		t.Error("locked anon read allowed for a user without grants")
 	}
 	acl.Grant("bob", wiki.NamespaceFieldsite)
-	got = acl.FilterTitles("bob", []string{"Sensor:A", "Fieldsite:B"})
-	if len(got) != 1 || got[0] != "Fieldsite:B" {
-		t.Errorf("FilterTitles = %v", got)
-	}
-	if g := acl.Grants("bob"); len(g) != 1 || g[0] != "Fieldsite" {
-		t.Errorf("Grants = %v", g)
+	if !acl.CanRead("bob", "Fieldsite:B") || acl.CanRead("bob", "Sensor:A") {
+		t.Error("bob's Fieldsite grant not applied")
 	}
 }
 

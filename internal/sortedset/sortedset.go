@@ -87,13 +87,6 @@ func Intersect(a, b []string) []string {
 	return out
 }
 
-// IntersectCount returns |a ∩ b| without allocating.
-func IntersectCount(a, b []string) int {
-	n := 0
-	IntersectWalk(a, b, func(string) { n++ })
-	return n
-}
-
 // IntersectWalk calls fn for every element of a ∩ b, ascending. When one
 // set is much smaller it gallops: each element of the small set is
 // binary-searched in the large one, so the cost is O(small · log large)

@@ -93,18 +93,11 @@ func lex(src string) ([]tok, error) {
 			var b strings.Builder
 			for j < len(src) && src[j] != '"' {
 				if src[j] == '\\' && j+1 < len(src) {
-					switch src[j+1] {
-					case 'n':
-						b.WriteByte('\n')
-					case 't':
-						b.WriteByte('\t')
-					case '"':
-						b.WriteByte('"')
-					case '\\':
-						b.WriteByte('\\')
-					default:
-						b.WriteByte(src[j+1])
+					c, ok := echars[src[j+1]]
+					if !ok {
+						return nil, fmt.Errorf("sparql: unknown string escape %q at offset %d", src[j:j+2], j)
 					}
+					b.WriteByte(c)
 					j += 2
 					continue
 				}
@@ -189,6 +182,12 @@ func lex(src string) ([]tok, error) {
 	}
 	toks = append(toks, tok{kind: tEOF, pos: len(src)})
 	return toks, nil
+}
+
+// echars maps the character after a backslash in a string to the byte it
+// stands for: the ECHAR escapes of SPARQL 1.1. Any other escape is an error.
+var echars = map[byte]byte{
+	't': '\t', 'b': '\b', 'n': '\n', 'r': '\r', 'f': '\f', '"': '"', '\'': '\'', '\\': '\\',
 }
 
 func isNameStart(c byte) bool {
@@ -340,14 +339,14 @@ func (p *parser) parseQuery() (*Query, error) {
 doneOrder:
 
 	if p.keyword("LIMIT") {
-		n, err := p.parseInt()
+		n, err := p.parseCount("LIMIT")
 		if err != nil {
 			return nil, err
 		}
 		q.Limit, q.HasLimit = n, true
 	}
 	if p.keyword("OFFSET") {
-		n, err := p.parseInt()
+		n, err := p.parseCount("OFFSET")
 		if err != nil {
 			return nil, err
 		}
@@ -356,7 +355,8 @@ doneOrder:
 	return q, nil
 }
 
-func (p *parser) parseInt() (int, error) {
+// parseCount parses the non-negative integer argument of LIMIT or OFFSET.
+func (p *parser) parseCount(clause string) (int, error) {
 	t := p.cur()
 	if t.kind != tNumber {
 		return 0, p.errorf("expected number, found %q", t.text)
@@ -364,6 +364,9 @@ func (p *parser) parseInt() (int, error) {
 	n, err := strconv.Atoi(t.text)
 	if err != nil {
 		return 0, p.errorf("expected integer, found %q", t.text)
+	}
+	if n < 0 {
+		return 0, p.errorf("%s must not be negative, found %q", clause, t.text)
 	}
 	p.i++
 	return n, nil
@@ -458,52 +461,61 @@ func (p *parser) expandPrefixed(text string, pos int) (string, error) {
 	return base + local, nil
 }
 
-func (p *parser) parseNode(isPredicate bool) (Node, error) {
+// constTerm returns the RDF term the current token denotes when it is an
+// IRI, a prefixed name, a string or a number, and consumes it; ok is false,
+// and nothing is consumed, for any other token.
+func (p *parser) constTerm() (term rdf.Term, ok bool, err error) {
 	t := p.cur()
 	switch t.kind {
-	case tVar:
-		p.i++
-		return Var(t.text), nil
 	case tIRI:
-		p.i++
-		return Const(rdf.NewIRI(t.text)), nil
+		term = rdf.NewIRI(t.text)
 	case tPrefixed:
 		iri, err := p.expandPrefixed(t.text, t.pos)
 		if err != nil {
-			return Node{}, err
+			return rdf.Term{}, false, err
 		}
-		p.i++
-		return Const(rdf.NewIRI(iri)), nil
+		term = rdf.NewIRI(iri)
 	case tString:
-		p.i++
 		switch {
 		case t.lang != "":
-			return Const(rdf.NewLangLiteral(t.text, t.lang)), nil
+			term = rdf.NewLangLiteral(t.text, t.lang)
 		case t.datatype != "":
-			return Const(rdf.NewTypedLiteral(t.text, t.datatype)), nil
+			term = rdf.NewTypedLiteral(t.text, t.datatype)
 		default:
-			return Const(rdf.NewLiteral(t.text)), nil
+			term = rdf.NewLiteral(t.text)
 		}
 	case tNumber:
-		p.i++
 		dt := "http://www.w3.org/2001/XMLSchema#integer"
 		if strings.ContainsAny(t.text, ".eE") {
 			dt = "http://www.w3.org/2001/XMLSchema#double"
 		}
-		return Const(rdf.NewTypedLiteral(t.text, dt)), nil
-	case tPunct:
-		// 'a' shorthand for rdf:type in predicate position.
-		if isPredicate && t.text == "a" {
-			p.i++
-			return Const(rdf.NewIRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")), nil
-		}
-	case tIdent:
-		if isPredicate && strings.EqualFold(t.text, "a") {
-			p.i++
-			return Const(rdf.NewIRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")), nil
-		}
+		term = rdf.NewTypedLiteral(t.text, dt)
+	default:
+		return rdf.Term{}, false, nil
 	}
-	return Node{}, p.errorf("expected term or variable, found %q", t.text)
+	p.i++
+	return term, true, nil
+}
+
+func (p *parser) parseNode(isPredicate bool) (Node, error) {
+	t := p.cur()
+	if t.kind == tVar {
+		p.i++
+		return Var(t.text), nil
+	}
+	// 'a' shorthand for rdf:type in predicate position.
+	if isPredicate && (t.kind == tPunct && t.text == "a" || t.kind == tIdent && strings.EqualFold(t.text, "a")) {
+		p.i++
+		return Const(rdf.NewIRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")), nil
+	}
+	term, ok, err := p.constTerm()
+	if err != nil {
+		return Node{}, err
+	}
+	if !ok {
+		return Node{}, p.errorf("expected term or variable, found %q", t.text)
+	}
+	return Const(term), nil
 }
 
 func (p *parser) parseFilter() (Expression, error) {
@@ -657,37 +669,16 @@ func (p *parser) parseUnaryExpr() (Expression, error) {
 
 func (p *parser) parseOperand() (Operand, error) {
 	t := p.cur()
-	switch t.kind {
-	case tVar:
+	if t.kind == tVar {
 		p.i++
 		return Operand{IsVar: true, Var: t.text}, nil
-	case tIRI:
-		p.i++
-		return Operand{Term: rdf.NewIRI(t.text)}, nil
-	case tPrefixed:
-		iri, err := p.expandPrefixed(t.text, t.pos)
-		if err != nil {
-			return Operand{}, err
-		}
-		p.i++
-		return Operand{Term: rdf.NewIRI(iri)}, nil
-	case tString:
-		p.i++
-		switch {
-		case t.lang != "":
-			return Operand{Term: rdf.NewLangLiteral(t.text, t.lang)}, nil
-		case t.datatype != "":
-			return Operand{Term: rdf.NewTypedLiteral(t.text, t.datatype)}, nil
-		default:
-			return Operand{Term: rdf.NewLiteral(t.text)}, nil
-		}
-	case tNumber:
-		p.i++
-		dt := "http://www.w3.org/2001/XMLSchema#integer"
-		if strings.ContainsAny(t.text, ".eE") {
-			dt = "http://www.w3.org/2001/XMLSchema#double"
-		}
-		return Operand{Term: rdf.NewTypedLiteral(t.text, dt)}, nil
 	}
-	return Operand{}, p.errorf("expected operand, found %q", t.text)
+	term, ok, err := p.constTerm()
+	if err != nil {
+		return Operand{}, err
+	}
+	if !ok {
+		return Operand{}, p.errorf("expected operand, found %q", t.text)
+	}
+	return Operand{Term: term}, nil
 }

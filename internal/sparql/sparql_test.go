@@ -261,6 +261,45 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestNegativeLimitOffsetRejected: a negative LIMIT or OFFSET lexes as a
+// number, so the parser must reject it; a negative LIMIT that reached Eval
+// used to slice rows[:-1] and panic.
+func TestNegativeLimitOffsetRejected(t *testing.T) {
+	for _, tail := range []string{"LIMIT -1", "OFFSET -1", "LIMIT 2 OFFSET -3", "LIMIT -0.5"} {
+		q := `SELECT ?s WHERE { ?s ?p ?o } ` + tail
+		if _, err := Parse(q); err == nil || !strings.Contains(err.Error(), "parse error") {
+			t.Errorf("Parse(%q) error = %v, want a parse error", q, err)
+		}
+	}
+	if res := mustExec(t, prefix+`SELECT ?s WHERE { ?s smr:measures ?o } LIMIT 0 OFFSET 0`); len(res.Rows) != 0 {
+		t.Errorf("LIMIT 0 rows = %v", res.Rows)
+	}
+}
+
+// TestStringEscapes holds string literals to the ECHAR escapes of SPARQL
+// 1.1: each of \t \b \n \r \f \" \' \\ stands for its byte, and any
+// other escape is a parse error rather than the escaped letter.
+func TestStringEscapes(t *testing.T) {
+	for src, want := range map[string]string{
+		`a\tb`: "a\tb", `a\bb`: "a\bb", `a\nb`: "a\nb", `a\rb`: "a\rb", `a\fb`: "a\fb",
+		`a\"b`: `a"b`, `a\'b`: "a'b", `a\\b`: `a\b`,
+	} {
+		q, err := Parse(`SELECT ?s WHERE { ?s ?p "` + src + `" }`)
+		if err != nil {
+			t.Errorf("Parse of %q: %v", src, err)
+			continue
+		}
+		if got := q.Where.Triples[0].O.Term.Value; got != want {
+			t.Errorf("%q parses as %q, want %q", src, got, want)
+		}
+	}
+	for _, src := range []string{`a\qb`, `a\ b`} {
+		if _, err := Parse(`SELECT ?s WHERE { ?s ?p "` + src + `" }`); err == nil {
+			t.Errorf("Parse accepted the unknown escape in %q", src)
+		}
+	}
+}
+
 // TestBadRegexErrors checks that an invalid REGEX pattern is a parse error,
 // whether the pattern it filters has zero rows, one row or more.
 func TestBadRegexErrors(t *testing.T) {

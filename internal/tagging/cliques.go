@@ -110,38 +110,6 @@ func bkPivot(g *graph.Undirected, r, p, x []int, res *CliqueResult) {
 	}
 }
 
-// BronKerboschDegeneracy enumerates all maximal cliques with the
-// degeneracy-ordering outer loop (Eppstein–Löffler–Strash): vertices are
-// expanded in degeneracy order, each with only its later neighbours as
-// candidates and earlier neighbours as exclusions, then pivoting handles
-// the inner recursion. On sparse tag graphs this bounds the work by the
-// graph's degeneracy rather than its size — the natural follow-up to the
-// paper's pivot optimization, included as an extension and ablation.
-func BronKerboschDegeneracy(g *graph.Undirected) *CliqueResult {
-	res := &CliqueResult{}
-	order := g.DegeneracyOrder()
-	rank := make([]int, g.N())
-	for i, v := range order {
-		rank[v] = i
-	}
-	for _, v := range order {
-		nv := g.NeighborSet(v)
-		var p, x []int
-		for u := range nv {
-			if rank[u] > rank[v] {
-				p = append(p, u)
-			} else {
-				x = append(x, u)
-			}
-		}
-		sort.Ints(p)
-		sort.Ints(x)
-		bkPivot(g, []int{v}, p, x, res)
-	}
-	sortCliques(res.Cliques)
-	return res
-}
-
 func intersect(set []int, with map[int]struct{}) []int {
 	var out []int
 	for _, v := range set {

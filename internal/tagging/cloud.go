@@ -1,9 +1,6 @@
 package tagging
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // CloudOptions configures tag-cloud construction.
 type CloudOptions struct {
@@ -47,25 +44,6 @@ type Entry struct {
 type Cloud struct {
 	Entries []Entry    // sorted by tag text
 	Cliques [][]string // maximal cliques as tag-name lists
-}
-
-// Top returns the k most prominent entries — largest font size first, ties
-// by frequency then tag text — for interfaces that show a trimmed cloud.
-func (c *Cloud) Top(k int) []Entry {
-	out := append([]Entry(nil), c.Entries...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].FontSize != out[j].FontSize {
-			return out[i].FontSize > out[j].FontSize
-		}
-		if out[i].Frequency != out[j].Frequency {
-			return out[i].Frequency > out[j].Frequency
-		}
-		return out[i].Tag < out[j].Tag
-	})
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
 }
 
 // BuildCloud runs the full Section-IV pipeline on prepared tag data:

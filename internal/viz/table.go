@@ -3,8 +3,6 @@ package viz
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/relational"
 )
 
 // HTMLTable renders rows as a plain HTML table (the "plain tabular formats"
@@ -25,17 +23,4 @@ func HTMLTable(columns []string, rows [][]string) string {
 	}
 	b.WriteString("</tbody>\n</table>\n")
 	return b.String()
-}
-
-// ResultSetTable renders a relational result set as HTML.
-func ResultSetTable(rs *relational.ResultSet) string {
-	rows := make([][]string, len(rs.Rows))
-	for i, r := range rs.Rows {
-		cells := make([]string, len(r))
-		for j, v := range r {
-			cells[j] = v.String()
-		}
-		rows[i] = cells
-	}
-	return HTMLTable(rs.Columns, rows)
 }

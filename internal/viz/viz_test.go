@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/graph"
-	"repro/internal/relational"
 	"repro/internal/tagging"
 )
 
@@ -215,25 +214,6 @@ func TestHTMLTable(t *testing.T) {
 	}
 	if !strings.Contains(html, "<th>title</th>") {
 		t.Error("header missing")
-	}
-}
-
-func TestResultSetTable(t *testing.T) {
-	db := relational.NewDB()
-	err := db.CreateTable("t", []relational.Column{{Name: "a", Type: relational.TypeInt}, {Name: "b", Type: relational.TypeText}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Insert("t", relational.Row{relational.Int(1), relational.Text("x")}); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := db.Query("SELECT * FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	html := ResultSetTable(rs)
-	if !strings.Contains(html, "<td>1</td>") || !strings.Contains(html, "<td>x</td>") {
-		t.Errorf("table = %s", html)
 	}
 }
 

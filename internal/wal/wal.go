@@ -678,23 +678,6 @@ func (l *Log) syncDir() {
 	}
 }
 
-// Sync flushes the active segment to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	if err := l.sync(l.f); err != nil {
-		return l.latchSyncLocked(err)
-	}
-	l.syncs++
-	l.flushedSeq = l.lastSeq
-	l.unflushed = 0
-	l.flushRoundDoneLocked()
-	return nil
-}
-
 // TruncatePrefix deletes every segment whose records all have Seq <= seq —
 // the compaction step after a successful snapshot at seq. The active
 // segment is never deleted. It reports how many segments were removed.

@@ -30,38 +30,6 @@ func TestParseRedirect(t *testing.T) {
 	}
 }
 
-func TestResolveFollowsChain(t *testing.T) {
-	s := NewStore()
-	s.Put("A", "u", "#REDIRECT [[B]]", "")
-	s.Put("B", "u", "#REDIRECT [[C]]", "")
-	s.Put("C", "u", "the real page", "")
-	p, ok := s.Resolve("A")
-	if !ok || p.Title.Name != "C" {
-		t.Fatalf("Resolve(A) = %v, %v", p, ok)
-	}
-	// Direct page resolves to itself.
-	p, ok = s.Resolve("C")
-	if !ok || p.Title.Name != "C" {
-		t.Error("Resolve of non-redirect broken")
-	}
-}
-
-func TestResolveCycleAndMissing(t *testing.T) {
-	s := NewStore()
-	s.Put("A", "u", "#REDIRECT [[B]]", "")
-	s.Put("B", "u", "#REDIRECT [[A]]", "")
-	if _, ok := s.Resolve("A"); ok {
-		t.Error("redirect cycle resolved")
-	}
-	if _, ok := s.Resolve("Missing"); ok {
-		t.Error("missing page resolved")
-	}
-	s.Put("D", "u", "#REDIRECT [[Nowhere]]", "")
-	if _, ok := s.Resolve("D"); ok {
-		t.Error("dangling redirect resolved")
-	}
-}
-
 func TestTemplateParameters(t *testing.T) {
 	s := NewStore()
 	p, err := s.Put("Sensor:T1", "u",

@@ -238,29 +238,6 @@ func parseRedirect(text string) *Title {
 	return &t
 }
 
-// Resolve follows redirect chains from a title to the final page, guarding
-// against cycles (maximum 8 hops, as MediaWiki caps double redirects). It
-// reports the resolved page and whether anything was found.
-func (s *Store) Resolve(title string) (*Page, bool) {
-	seen := map[string]bool{}
-	current := ParseTitle(title).String()
-	for hop := 0; hop < 8; hop++ {
-		if seen[current] {
-			return nil, false // redirect cycle
-		}
-		seen[current] = true
-		p, ok := s.Get(current)
-		if !ok {
-			return nil, false
-		}
-		if p.Redirect == nil {
-			return p, true
-		}
-		current = p.Redirect.String()
-	}
-	return nil, false
-}
-
 // Get returns a page by title.
 func (s *Store) Get(title string) (*Page, bool) {
 	s.mu.RLock()
@@ -308,23 +285,6 @@ func (s *Store) PagesInNamespace(ns Namespace) []string {
 	for k, p := range s.pages {
 		if p.Title.Namespace == ns {
 			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PagesInCategory returns the titles of pages in a category, sorted.
-func (s *Store) PagesInCategory(category string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []string
-	for k, p := range s.pages {
-		for _, c := range p.Categories {
-			if strings.EqualFold(c, category) {
-				out = append(out, k)
-				break
-			}
 		}
 	}
 	sort.Strings(out)

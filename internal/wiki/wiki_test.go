@@ -149,9 +149,6 @@ func TestNamespaceAndCategoryQueries(t *testing.T) {
 	if got := s.PagesInNamespace(NamespaceMain); !reflect.DeepEqual(got, []string{"Plain"}) {
 		t.Errorf("main namespace = %v", got)
 	}
-	if got := s.PagesInCategory("ACTIVE"); !reflect.DeepEqual(got, []string{"Fieldsite:D", "Sensor:A"}) {
-		t.Errorf("PagesInCategory = %v", got)
-	}
 }
 
 func TestTitlesSortedAndEach(t *testing.T) {

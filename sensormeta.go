@@ -67,7 +67,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/explain"
 	"repro/internal/geo"
-	"repro/internal/pagerank"
 	"repro/internal/query"
 	"repro/internal/ranking"
 	"repro/internal/recommend"
@@ -394,15 +393,7 @@ func (s *System) QuerySQL(sql string) (*SQLResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &SQLResult{Columns: rs.Columns}
-	for _, row := range rs.Rows {
-		cells := make([]string, len(row))
-		for i, v := range row {
-			cells[i] = v.String()
-		}
-		out.Rows = append(out.Rows, cells)
-	}
-	return out, nil
+	return sqlResult(rs), nil
 }
 
 // SQLResult is a stringly-typed SQL result for display layers.
@@ -419,6 +410,11 @@ func (s *System) QuerySQLExplained(sql string) (*SQLResult, *explain.Node, error
 	if err != nil {
 		return nil, nil, err
 	}
+	return sqlResult(rs), plan, nil
+}
+
+// sqlResult renders every value of a result set as its display string.
+func sqlResult(rs *relational.ResultSet) *SQLResult {
 	out := &SQLResult{Columns: rs.Columns}
 	for _, row := range rs.Rows {
 		cells := make([]string, len(row))
@@ -427,7 +423,7 @@ func (s *System) QuerySQLExplained(sql string) (*SQLResult, *explain.Node, error
 		}
 		out.Rows = append(out.Rows, cells)
 	}
-	return out, plan, nil
+	return out
 }
 
 // PlannerStats snapshots the relational planner's activity counters and
@@ -483,10 +479,4 @@ func firstFloat(p *wiki.Page, property string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// CompareSolvers runs all six PageRank solvers over the current link graph
-// (the paper's Fig.-3 evaluation on live data).
-func (s *System) CompareSolvers(opts pagerank.Options) ([]*pagerank.Result, error) {
-	return pagerank.Compare(s.Repo.LinkGraph(), opts)
 }

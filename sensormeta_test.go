@@ -144,7 +144,7 @@ func TestTagCloudThroughFacade(t *testing.T) {
 
 func TestCompareSolversOnLiveGraph(t *testing.T) {
 	sys := seededSystem(t)
-	results, err := sys.CompareSolvers(pagerank.Options{Tol: 1e-10})
+	results, err := pagerank.Compare(sys.Repo.LinkGraph(), pagerank.Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
