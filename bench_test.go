@@ -1022,6 +1022,66 @@ func BenchmarkTagCloudAfterWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkRefreshAfterMove measures one incremental Refresh after a
+// 16-page ingest batch, on corpora shaped like the ingest benchmark's. The
+// "metadata" batches rewrite annotations only, so PageRank is skipped; the
+// "links" batches move every page to another deployment, so the ranker
+// applies the changed pages' edges and runs a warm solve. The writes are
+// untimed; only the refresh is, and B/op counts its allocations alone. A
+// link-moving refresh should cost the changed pages plus integer work
+// linear in nodes and edges, not a rebuild of the link graph from strings.
+func BenchmarkRefreshAfterMove(b *testing.B) {
+	const batch = 16
+	for _, sensors := range []int{2500, 5000, 10000, 40000} {
+		var (
+			sys   *System
+			ing   *ingestPool
+			round int
+		)
+		for _, move := range []bool{false, true} {
+			name := "metadata"
+			if move {
+				name = "links"
+			}
+			b.Run(fmt.Sprintf("sensors=%d/batch=%s", sensors, name), func(b *testing.B) {
+				if sys == nil { // built once per size, not once per b.N round
+					var err error
+					if sys, err = New(); err != nil {
+						b.Fatal(err)
+					}
+					copts := workload.CorpusOptions{Sites: 15, Deployments: sensors * 300 / 5000,
+						Sensors: sensors, Seed: 1, TagsPerSensor: 1}
+					if _, err := workload.BuildCorpus(sys.Repo, copts); err != nil {
+						b.Fatal(err)
+					}
+					ing = newIngestPool(128, sys.Repo.Wiki.PagesInNamespace(wiki.NamespaceDeployment))
+					if _, err := sys.PutPages(ing.writes(len(ing.titles), "r0", false)); err != nil {
+						b.Fatal(err)
+					}
+					if err := sys.Refresh(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					round++
+					if _, err := sys.PutPages(ing.writes(batch, fmt.Sprintf("m%d", round), move)); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if err := sys.Refresh(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/refresh")
+			})
+		}
+	}
+}
+
 // ingestPool is a bounded set of sensor pages rewritten over and over, each
 // revision with a fresh annotation token — the ingest benchmark's write
 // shape.

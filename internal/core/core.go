@@ -14,11 +14,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/explain"
+	"repro/internal/graph"
 	"repro/internal/query"
 	"repro/internal/relational"
 	"repro/internal/search"
@@ -480,6 +482,34 @@ func (m *Manager) cursorSignature(q CombinedQuery, pageVar string) (uint64, erro
 	return search.CursorSignature("combined", q.SPARQL, pageVar, q.SQL, q.Keywords, filterJSON, q.User), nil
 }
 
+// resultLinks counts the links among a result's pages: for each title
+// that names a stored page by its canonical title, the distinct targets of
+// its outgoing page and semantic links that are result titles too. This is
+// the count of result-to-result successors in the repository's LinkGraph,
+// read from the result pages alone.
+func resultLinks(repo *smr.Repository, titles []string) int {
+	inSet := make(map[string]bool, len(titles))
+	for _, t := range titles {
+		inSet[t] = true
+	}
+	links := 0
+	var targets []string
+	for _, t := range titles {
+		page, ok := repo.Wiki.Get(t)
+		if !ok || page.Title.String() != t {
+			continue
+		}
+		targets = targets[:0]
+		smr.PageEdges(page, func(target string, _ graph.LinkKind) {
+			if inSet[target] && !slices.Contains(targets, target) {
+				targets = append(targets, target)
+			}
+		})
+		links += len(targets)
+	}
+	return links
+}
+
 // chooseHint routes a result to the visualization the paper's system would
 // pick: map when results carry positions, graph when they interlink
 // densely, chart when a low-cardinality categorical column exists, table
@@ -500,23 +530,9 @@ func (m *Manager) chooseHint(res *Result) Hint {
 		return HintMap
 	}
 
-	// Dense interlinking: count result-to-result links.
-	inSet := map[string]bool{}
-	for _, t := range res.Titles {
-		inSet[t] = true
-	}
-	links := 0
-	g := m.repo.LinkGraph()
-	for _, t := range res.Titles {
-		if idx, ok := g.Index(t); ok {
-			for _, succ := range g.Successors(idx) {
-				if inSet[g.ID(succ)] {
-					links++
-				}
-			}
-		}
-	}
-	if links >= len(res.Titles) {
+	// Dense interlinking: count result-to-result links, each linked pair
+	// once whatever the link kinds, from the result pages' own edges.
+	if resultLinks(m.repo, res.Titles) >= len(res.Titles) {
 		return HintGraph
 	}
 

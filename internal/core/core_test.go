@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -234,5 +236,93 @@ func TestKeywordOnlyQuery(t *testing.T) {
 	}
 	if !strings.HasPrefix(res.Rows[0][1], "0.") {
 		t.Errorf("relevance cell = %q", res.Rows[0][1])
+	}
+}
+
+// referenceResultLinks is the result-to-result link count chooseHint used
+// to read from the whole-corpus LinkGraph: the distinct successors of each
+// result title's node that are result titles too.
+func referenceResultLinks(repo *smr.Repository, titles []string) int {
+	inSet := map[string]bool{}
+	for _, t := range titles {
+		inSet[t] = true
+	}
+	g := repo.LinkGraph()
+	successors := map[int]map[int]bool{}
+	for _, e := range g.Edges() {
+		if successors[e.From] == nil {
+			successors[e.From] = map[int]bool{}
+		}
+		successors[e.From][e.To] = true
+	}
+	links := 0
+	for _, t := range titles {
+		if idx, ok := g.Index(t); ok {
+			for succ := range successors[idx] {
+				if inSet[g.ID(succ)] {
+					links++
+				}
+			}
+		}
+	}
+	return links
+}
+
+// TestResultLinksMatchesLinkGraph: on seeded corpora (page and semantic
+// links to the same target, repeats, self-links, red links) and seeded
+// result sets (duplicates, red-link titles, non-canonical spellings), the
+// count read from the result pages equals the LinkGraph reference, and so
+// does the graph-or-table hint of an unpositioned result.
+func TestResultLinksMatchesLinkGraph(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		repo, err := smr.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pool []string
+		for i := 0; i < 6+rng.Intn(10); i++ {
+			pool = append(pool, fmt.Sprintf("%s:P%d", []string{"Sensor", "Deployment", "Fieldsite"}[rng.Intn(3)], i))
+		}
+		for _, title := range pool[:len(pool)-2] { // the last two stay red links
+			var refs []string
+			for k := rng.Intn(6); k > 0; k-- {
+				target := pool[rng.Intn(len(pool))]
+				if rng.Intn(2) == 0 {
+					refs = append(refs, "[["+target+"]]")
+				} else {
+					refs = append(refs, "[[partOf::"+target+"]]")
+				}
+			}
+			if _, err := repo.PutPage(title, "t", strings.Join(refs, " ")+" prose", ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m := NewManager(repo, search.NewEngine(repo))
+		for trial := 0; trial < 10; trial++ {
+			var titles []string
+			for k := 1 + rng.Intn(len(pool)); k > 0; k-- {
+				title := pool[rng.Intn(len(pool))]
+				if rng.Intn(10) == 0 { // parses to the same page, but is not its node id
+					title = strings.Replace(title, ":", ": ", 1)
+				}
+				titles = append(titles, title)
+			}
+			want := referenceResultLinks(repo, titles)
+			if got := resultLinks(repo, titles); got != want {
+				t.Fatalf("seed %d trial %d: resultLinks(%v) = %d, want %d", seed, trial, titles, got, want)
+			}
+			res := &Result{Columns: []Column{{Name: "page"}}, Titles: titles}
+			for _, title := range titles {
+				res.Rows = append(res.Rows, []string{title})
+			}
+			wantHint := HintTable
+			if want >= len(titles) {
+				wantHint = HintGraph
+			}
+			if got := m.chooseHint(res); got != wantHint {
+				t.Fatalf("seed %d trial %d: hint = %s, want %s", seed, trial, got, wantHint)
+			}
+		}
 	}
 }

@@ -8,10 +8,7 @@
 // Section III).
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // LinkKind distinguishes the two linking structures of a metadata page.
 type LinkKind uint8
@@ -124,34 +121,6 @@ func (g *Directed) OutDegree(i int, kinds ...LinkKind) int {
 		}
 	}
 	return n
-}
-
-// Successors returns the indexes of nodes reachable by one edge of any of
-// the given kinds (all kinds when none given), sorted ascending and deduped.
-func (g *Directed) Successors(i int, kinds ...LinkKind) []int {
-	match := func(k LinkKind) bool {
-		if len(kinds) == 0 {
-			return true
-		}
-		for _, want := range kinds {
-			if k == want {
-				return true
-			}
-		}
-		return false
-	}
-	set := make(map[int]struct{})
-	for _, e := range g.adj[i] {
-		if match(e.kind) {
-			set[e.to] = struct{}{}
-		}
-	}
-	out := make([]int, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Dangling returns the indexes of nodes with no out-edges of the given kinds

@@ -47,7 +47,7 @@ func TestAddEdgeCreatesNodesAndDedupes(t *testing.T) {
 func hasEdge(g *Directed, from, to string, kind LinkKind) bool {
 	fi, okFrom := g.Index(from)
 	ti, okTo := g.Index(to)
-	return okFrom && okTo && slices.Contains(g.Successors(fi, kind), ti)
+	return okFrom && okTo && slices.Contains(g.Edges(), Edge{From: fi, To: ti, Kind: kind})
 }
 
 func TestOutDegreeByKind(t *testing.T) {
@@ -64,28 +64,6 @@ func TestOutDegreeByKind(t *testing.T) {
 	}
 	if d := g.OutDegree(ai, SemanticLink); d != 1 {
 		t.Errorf("OutDegree semantic = %d, want 1", d)
-	}
-}
-
-func TestSuccessorsSortedAndFiltered(t *testing.T) {
-	g := NewDirected()
-	g.AddEdge("a", "c", PageLink)
-	g.AddEdge("a", "b", SemanticLink)
-	g.AddEdge("a", "b", PageLink)
-	ai, _ := g.Index("a")
-	bi, _ := g.Index("b")
-	ci, _ := g.Index("c")
-	all := g.Successors(ai)
-	want := []int{bi, ci}
-	if bi > ci {
-		want = []int{ci, bi}
-	}
-	if !reflect.DeepEqual(all, want) {
-		t.Errorf("Successors = %v, want %v", all, want)
-	}
-	sem := g.Successors(ai, SemanticLink)
-	if !reflect.DeepEqual(sem, []int{bi}) {
-		t.Errorf("semantic successors = %v, want [%d]", sem, bi)
 	}
 }
 

@@ -98,11 +98,20 @@ type Matrix struct {
 // structure — pages without semantic attributes still rank via their page
 // links, and vice versa.
 func NewMatrix(g *graph.Directed, opts Options) (*Matrix, error) {
+	return NewMatrixEdges(g.NumNodes(), g.Edges(), opts)
+}
+
+// NewMatrixEdges is NewMatrix over a link graph in integer form: n nodes
+// and their typed edges grouped by From in ascending order, as
+// graph.Directed.Edges lists them. Within one source, the weights of the
+// edges to one target add up in edge order. The transposed matrix is laid
+// out with a counting sort on the target, so each row's columns come out
+// ascending without sorting.
+func NewMatrixEdges(n int, edges []graph.Edge, opts Options) (*Matrix, error) {
 	opts = opts.withDefaults()
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	n := g.NumNodes()
 	if n == 0 {
 		return nil, errors.New("pagerank: empty graph")
 	}
@@ -124,42 +133,63 @@ func NewMatrix(g *graph.Directed, opts Options) (*Matrix, error) {
 		return nil, fmt.Errorf("pagerank: teleport vector sums to %v, want 1", sum)
 	}
 
-	// Accumulate weighted out-edges per node.
-	weights := make([]map[int]float64, n)
-	for _, e := range g.Edges() {
-		w := opts.PageWeight
-		if e.Kind == graph.SemanticLink {
-			w = opts.SemanticWeight
+	// First pass: merge each source's edges per target. w[k] holds the
+	// summed weight of (From, To) at the first edge k that carries it, and
+	// 0 at the edges merged into it; first[To]-1 is that edge while its
+	// source is current, so the scratch needs no reset between sources.
+	w := make([]float64, len(edges))
+	first := make([]int, n)
+	rowSum := make([]float64, n)
+	rows := make([]int, n+1)
+	from := 0
+	for k, e := range edges {
+		if e.From < from || e.From >= n || e.To < 0 || e.To >= n {
+			return nil, fmt.Errorf("pagerank: edge %d (%d→%d) out of order or outside %d nodes", k, e.From, e.To, n)
 		}
-		if w == 0 {
+		from = e.From
+		wt := opts.PageWeight
+		if e.Kind == graph.SemanticLink {
+			wt = opts.SemanticWeight
+		}
+		if wt == 0 {
 			continue
 		}
-		if weights[e.From] == nil {
-			weights[e.From] = make(map[int]float64)
+		rowSum[e.From] += wt
+		if f := first[e.To] - 1; f >= 0 && edges[f].From == e.From {
+			w[f] += wt
+			continue
 		}
-		weights[e.From][e.To] += w
+		first[e.To] = k + 1
+		w[k] = wt
+		rows[e.To+1]++
+	}
+	for j := 0; j < n; j++ {
+		rows[j+1] += rows[j]
 	}
 
-	dangling := make([]bool, n)
-	var entries []linalg.Entry
-	for i := 0; i < n; i++ {
-		var rowSum float64
-		for _, w := range weights[i] {
-			rowSum += w
-		}
-		if rowSum == 0 {
-			dangling[i] = true
+	// Second pass: place P[From][To] at (To, From) of Pᵀ. Sources ascend,
+	// so every row's columns do too.
+	nnz := rows[n]
+	pt := &linalg.CSR{N: n, M: n, Rows: rows, Cols: make([]int, nnz), Vals: make([]float64, nnz)}
+	next := first // reused as each row's fill cursor
+	copy(next, rows[:n])
+	for k, e := range edges {
+		if w[k] == 0 {
 			continue
 		}
-		for j, w := range weights[i] {
-			// Store transposed: P[i][j] lands at (j, i).
-			entries = append(entries, linalg.Entry{Row: j, Col: i, Val: w / rowSum})
-		}
+		p := next[e.To]
+		next[e.To]++
+		pt.Cols[p] = e.From
+		pt.Vals[p] = w[k] / rowSum[e.From]
+	}
+	dangling := make([]bool, n)
+	for i, s := range rowSum {
+		dangling[i] = s == 0
 	}
 
 	return &Matrix{
 		N:        n,
-		Pt:       linalg.NewCSR(n, n, entries),
+		Pt:       pt,
 		Dangling: dangling,
 		Teleport: u,
 		Damping:  opts.Damping,

@@ -3,6 +3,7 @@ package pagerank
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -423,6 +424,106 @@ func TestGaussSeidelFromBadGuessFallsBack(t *testing.T) {
 		res := GaussSeidelFrom(m, Options{}, x0)
 		if !res.Converged {
 			t.Errorf("fallback start did not converge for guess of length %d", len(x0))
+		}
+	}
+}
+
+// referenceMatrix is the map-based construction NewMatrix used before the
+// counting-sort builder: per-source weight maps, row sums over them, and a
+// coordinate list handed to linalg.NewCSR. The builder must reproduce it
+// field for field whenever the row sums are exact (the default unit
+// weights, or dyadic ones), where the map's iteration order cannot show.
+func referenceMatrix(g *graph.Directed, opts Options) *Matrix {
+	opts = opts.withDefaults()
+	n := g.NumNodes()
+	weights := make([]map[int]float64, n)
+	for _, e := range g.Edges() {
+		w := opts.PageWeight
+		if e.Kind == graph.SemanticLink {
+			w = opts.SemanticWeight
+		}
+		if w == 0 {
+			continue
+		}
+		if weights[e.From] == nil {
+			weights[e.From] = make(map[int]float64)
+		}
+		weights[e.From][e.To] += w
+	}
+	dangling := make([]bool, n)
+	var entries []linalg.Entry
+	for i := 0; i < n; i++ {
+		var rowSum float64
+		for _, w := range weights[i] {
+			rowSum += w
+		}
+		if rowSum == 0 {
+			dangling[i] = true
+			continue
+		}
+		for j, w := range weights[i] {
+			entries = append(entries, linalg.Entry{Row: j, Col: i, Val: w / rowSum})
+		}
+	}
+	return &Matrix{N: n, Pt: linalg.NewCSR(n, n, entries), Dangling: dangling,
+		Teleport: linalg.Uniform(n), Damping: opts.Damping}
+}
+
+// equalMatrix reports the first field where a and b differ, comparing
+// floats bit for bit; "" when they are identical.
+func equalMatrix(a, b *Matrix) string {
+	switch {
+	case a.N != b.N || a.Pt.N != b.Pt.N || a.Pt.M != b.Pt.M:
+		return "shape"
+	case !slices.Equal(a.Pt.Rows, b.Pt.Rows):
+		return "Rows"
+	case !slices.Equal(a.Pt.Cols, b.Pt.Cols):
+		return "Cols"
+	case !slices.EqualFunc(a.Pt.Vals, b.Pt.Vals, bitsEqual):
+		return "Vals"
+	case !slices.Equal(a.Dangling, b.Dangling):
+		return "Dangling"
+	case !slices.EqualFunc(a.Teleport, b.Teleport, bitsEqual):
+		return "Teleport"
+	case a.Damping != b.Damping:
+		return "Damping"
+	}
+	return ""
+}
+
+func bitsEqual(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
+// TestNewMatrixMatchesReference: the counting-sort builder reproduces the
+// map-based construction bit for bit on random double-link graphs with
+// self-loops, parallel page+semantic edges, dangling nodes and a zero
+// weight.
+func TestNewMatrixMatchesReference(t *testing.T) {
+	weights := []Options{{}, {PageWeight: 2, SemanticWeight: 0.5}, {PageWeight: 1, SemanticWeight: 0}, {PageWeight: 0, SemanticWeight: 3}}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(1+rng.Intn(80), rng.Intn(400), seed)
+		for _, opts := range weights {
+			m, err := NewMatrix(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := equalMatrix(m, referenceMatrix(g, opts)); diff != "" {
+				t.Fatalf("seed %d, weights %+v: %s differs from the reference", seed, opts, diff)
+			}
+		}
+	}
+}
+
+// TestNewMatrixEdgesRejectsBadEdges: edges out of source order or naming
+// a node outside the graph are an error, not a corrupt matrix.
+func TestNewMatrixEdgesRejectsBadEdges(t *testing.T) {
+	for name, edges := range map[string][]graph.Edge{
+		"unordered": {{From: 1, To: 0}, {From: 0, To: 1}},
+		"from":      {{From: 2, To: 0}},
+		"to":        {{From: 0, To: -1}},
+	} {
+		if _, err := NewMatrixEdges(2, edges, Options{}); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

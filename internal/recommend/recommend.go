@@ -79,13 +79,12 @@ type Recommender struct {
 	// changes or disappears.
 	pageProps map[string][]string
 	// shards partitions the posting indexes by page title. Per property,
-	// the shard lists k-way merge (sortedset.MergeK) back into the one
-	// sorted contribution list scoring folds over; pageRank records the
-	// PageRank each page's contributions currently reflect, and
-	// propScore[p] is always the sum of pageRank over the MERGED list in
-	// slice order — the same title-sorted order an unsharded build
-	// produces, which keeps property scores bit-identical across shard
-	// counts and across incremental vs rebuilt state.
+	// scoring walks the shard lists as one k-way merge (propSum), the one
+	// sorted contribution order; pageRank records the PageRank each page's
+	// contributions currently reflect, and propScore[p] is always the sum
+	// of pageRank over that merged order — the same title-sorted order an
+	// unsharded build produces, which keeps property scores bit-identical
+	// across shard counts and across incremental vs rebuilt state.
 	shards    []*recShard
 	pageRank  map[string]float64
 	propScore map[string]float64
@@ -127,21 +126,25 @@ func (r *Recommender) shardFor(title string) *recShard {
 	return r.shards[sortedset.Shard(title, len(r.shards))]
 }
 
-// mergedPropPages folds a property's per-shard contribution lists back
-// into one sorted title set. Shards partition titles, so the merge has no
-// duplicates and MergeK reproduces exactly the list an unsharded build
-// appends. Caller holds at least the read lock.
-func (r *Recommender) mergedPropPages(key string) []string {
-	if len(r.shards) == 1 {
-		return r.shards[0].propPages[key]
-	}
-	lists := make([][]string, 0, len(r.shards))
+// propSum folds the retained per-page ranks over a property's carriers
+// in global title order and returns the sum with the carrier count. The
+// shards partition titles, so walking their title-sorted lists as one
+// k-way merge (sortedset.WalkK) meets each carrier once, in the order an
+// unsharded list holds them, without building the merged list. Caller
+// holds at least the read lock.
+func (r *Recommender) propSum(key string) (sum float64, n int) {
+	var buf [8][]string
+	lists := buf[:0]
 	for _, sh := range r.shards {
 		if l := sh.propPages[key]; len(l) > 0 {
 			lists = append(lists, l)
 		}
 	}
-	return sortedset.MergeK(lists)
+	sortedset.WalkK(lists, func(title string) {
+		sum += r.pageRank[title]
+		n++
+	})
+	return sum, n
 }
 
 // rebuildLocked rescans the corpus from scratch. Caller holds the write
@@ -184,7 +187,7 @@ func (r *Recommender) rebuildLocked() {
 		}
 	}
 	for key := range keys {
-		r.propScore[key] = r.sumRanks(r.mergedPropPages(key))
+		r.propScore[key], _ = r.propSum(key)
 	}
 	r.stats.FullRebuilds++
 	r.stats.Seq = r.seq
@@ -208,17 +211,6 @@ func distinctProps(p *wiki.Page) []string {
 		props = append(props, strings.ToLower(a.Property))
 	}
 	return sortedset.FromSlice(props)
-}
-
-// sumRanks folds a title-sorted contribution list into a score using the
-// retained per-page ranks. The deterministic order makes incremental and
-// rebuilt sums bit-identical.
-func (r *Recommender) sumRanks(titles []string) float64 {
-	var s float64
-	for _, t := range titles {
-		s += r.pageRank[t]
-	}
-	return s
 }
 
 // UpdateStats reports what one Update call did.
@@ -319,13 +311,13 @@ func (r *Recommender) Update() UpdateStats {
 		}
 	}
 	for key := range dirty {
-		// Rescoring folds over the shard lists merged back into global
-		// title order — the same accumulation order as a rebuild, so the
+		// Rescoring folds over the shard lists walked in global title
+		// order — the same accumulation order as a rebuild, so the
 		// incremental sum stays bit-identical.
-		if list := r.mergedPropPages(key); len(list) == 0 {
+		if sum, n := r.propSum(key); n == 0 {
 			delete(r.propScore, key)
 		} else {
-			r.propScore[key] = r.sumRanks(list)
+			r.propScore[key] = sum
 		}
 	}
 	r.seq = stats.Seq
@@ -348,7 +340,7 @@ func (r *Recommender) SetRanks(ranks map[string]float64) {
 		r.pageRank[title] = ranks[title]
 	}
 	for key := range r.propScore {
-		r.propScore[key] = r.sumRanks(r.mergedPropPages(key))
+		r.propScore[key], _ = r.propSum(key)
 	}
 	r.stats.Rescores++
 }

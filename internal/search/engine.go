@@ -231,18 +231,15 @@ func (e *Engine) rebuildLocked() {
 
 // UpdateStats reports what one Update call did.
 type UpdateStats struct {
-	Full         bool   // the journal was truncated past us: a full Rebuild ran
-	Applied      int    // pages re-indexed or dropped
-	LinksChanged bool   // some applied change altered the link graph
-	Seq          uint64 // journal position the engine now reflects
+	Full    bool   // the journal was truncated past us: a full Rebuild ran
+	Applied int    // pages re-indexed or dropped
+	Seq     uint64 // journal position the engine now reflects
 }
 
 // Update consumes the repository's change journal since the engine's last
 // position and applies the delta to the live index and trie — O(changed
 // pages) instead of Rebuild's O(corpus). When the journal no longer retains
-// the engine's position it falls back to a full Rebuild. The stats tell the
-// caller whether the link graph changed (and PageRank therefore needs
-// recomputing).
+// the engine's position it falls back to a full Rebuild.
 func (e *Engine) Update() UpdateStats {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
@@ -255,7 +252,7 @@ func (e *Engine) Update() UpdateStats {
 		e.mu.RLock()
 		seq := e.seq
 		e.mu.RUnlock()
-		return UpdateStats{Full: true, LinksChanged: true, Seq: seq}
+		return UpdateStats{Full: true, Seq: seq}
 	}
 	if len(changes) == 0 {
 		return UpdateStats{Seq: since}
@@ -270,9 +267,6 @@ func (e *Engine) Update() UpdateStats {
 	for _, c := range changes {
 		if c.Kind == smr.ChangeTag {
 			continue
-		}
-		if c.LinksChanged {
-			stats.LinksChanged = true
 		}
 		if !seen[c.Title] {
 			seen[c.Title] = true

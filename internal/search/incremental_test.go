@@ -156,21 +156,21 @@ func TestEngineUpdateStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(repo)
-	if st := e.Update(); st.Applied != 0 || st.LinksChanged || st.Full {
+	if st := e.Update(); st.Applied != 0 || st.Full {
 		t.Fatalf("idle update stats = %+v", st)
 	}
 	if _, err := repo.PutPage("Sensor:U1", "t", "plain prose", ""); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Update()
-	if st.Applied != 1 || !st.LinksChanged {
+	if st.Applied != 1 {
 		t.Fatalf("new-page update stats = %+v", st)
 	}
 	if _, err := repo.PutPage("Sensor:U1", "t", "different prose", ""); err != nil {
 		t.Fatal(err)
 	}
 	st = e.Update()
-	if st.Applied != 1 || st.LinksChanged {
+	if st.Applied != 1 {
 		t.Fatalf("text-only update stats = %+v", st)
 	}
 	if st.Seq != repo.LastSeq() {
@@ -195,7 +195,7 @@ func TestEngineUpdateStats(t *testing.T) {
 	}
 	repo.Journal().TrimTo(repo.LastSeq())
 	st = e.Update()
-	if !st.Full || !st.LinksChanged {
+	if !st.Full {
 		t.Fatalf("post-trim update stats = %+v", st)
 	}
 	rs, err := legacySearch(e, Query{Keywords: "Sensor U3", Mode: ModeAll})

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"sort"
 	"strings"
@@ -471,6 +472,7 @@ func TestAdminStats(t *testing.T) {
 		Refresh struct {
 			JournalSeq      uint64 `json:"journalSeq"`
 			EngineSeq       uint64 `json:"engineSeq"`
+			RankerSeq       uint64 `json:"rankerSeq"`
 			RecommenderSeq  uint64 `json:"recommenderSeq"`
 			TaggingSeq      uint64 `json:"taggingSeq"`
 			Refreshes       int    `json:"refreshes"`
@@ -493,9 +495,9 @@ func TestAdminStats(t *testing.T) {
 	if out.Refresh.EngineSeq != out.Refresh.JournalSeq {
 		t.Errorf("engine behind journal: %d vs %d", out.Refresh.EngineSeq, out.Refresh.JournalSeq)
 	}
-	if out.Refresh.RecommenderSeq != out.Refresh.JournalSeq || out.Refresh.TaggingSeq != out.Refresh.JournalSeq {
-		t.Errorf("consumers behind journal: rec=%d tag=%d journal=%d",
-			out.Refresh.RecommenderSeq, out.Refresh.TaggingSeq, out.Refresh.JournalSeq)
+	if out.Refresh.RankerSeq != out.Refresh.JournalSeq || out.Refresh.RecommenderSeq != out.Refresh.JournalSeq || out.Refresh.TaggingSeq != out.Refresh.JournalSeq {
+		t.Errorf("consumers behind journal: ranker=%d rec=%d tag=%d journal=%d",
+			out.Refresh.RankerSeq, out.Refresh.RecommenderSeq, out.Refresh.TaggingSeq, out.Refresh.JournalSeq)
 	}
 	if out.Refresh.Recommender.FullRebuilds == 0 {
 		t.Error("recommender rebuild not recorded")
@@ -688,5 +690,33 @@ func TestMapTinyCellDrawsEveryMarker(t *testing.T) {
 			t.Errorf("cell=%s: status %d, %d circles; want the cell=0 map's %d",
 				cell, code, strings.Count(got, "<circle"), strings.Count(want, "<circle"))
 		}
+	}
+}
+
+// TestSPARQLUnicodeEscapes: a literal spelled with SPARQL 1.1 UCHAR escapes
+// over /api/sparql matches the same rows as its plain spelling, and a
+// surrogate escape is the 400 bad_request envelope.
+func TestSPARQLUnicodeEscapes(t *testing.T) {
+	_, ts := newTestServer(t)
+	rows := func(literal string) []map[string]string {
+		var out struct {
+			Rows []map[string]string `json:"rows"`
+		}
+		getJSON(t, ts.URL+"/api/sparql?q="+url.QueryEscape(
+			`SELECT ?s WHERE { ?s <smr://prop/measures> "`+literal+`" } ORDER BY ?s`), &out)
+		return out.Rows
+	}
+	plain := rows("temperature")
+	if len(plain) == 0 {
+		t.Fatal("the plain literal matched nothing")
+	}
+	for _, spelled := range []string{`\u0074emperature`, `temperatur\U00000065`} {
+		if got := rows(spelled); !reflect.DeepEqual(got, plain) {
+			t.Errorf("%s matched %v, want %v", spelled, got, plain)
+		}
+	}
+	q := `SELECT ?s WHERE { ?s <smr://prop/measures> "\uD800" }`
+	if code, body := get(t, ts.URL+"/api/sparql?q="+url.QueryEscape(q)); code != http.StatusBadRequest || envelopeCode(body) != "bad_request" {
+		t.Errorf("surrogate escape: %d %s, want the 400 bad_request envelope", code, body)
 	}
 }

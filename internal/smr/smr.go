@@ -187,27 +187,36 @@ func (r *Repository) Changes(seq uint64) ([]Change, bool) { return r.journal.Sin
 // LastSeq returns the sequence number of the most recent mutation.
 func (r *Repository) LastSeq() uint64 { return r.journal.LastSeq() }
 
+// PageEdges calls fn for every outgoing reference a page makes in the
+// double link structure of Section III, in first-reference order: its wiki
+// links (graph.PageLink), then its title-valued annotations
+// (graph.SemanticLink), each target as a canonical title. References are
+// not deduplicated; LinkGraph, the links projection and the ranking layer
+// each collapse a repeated (target, kind) pair into one edge.
+func PageEdges(page *wiki.Page, fn func(target string, kind graph.LinkKind)) {
+	for _, l := range page.Links {
+		fn(l.String(), graph.PageLink)
+	}
+	for _, a := range page.Annotations {
+		if looksLikeTitle(a.Value) {
+			fn(wiki.ParseTitle(a.Value).String(), graph.SemanticLink)
+		}
+	}
+}
+
 // linkFingerprint summarizes a page's contribution to the double link
 // structure: its deduplicated outgoing (kind, target) pairs, sorted. Two
 // revisions with equal fingerprints induce the same edges in LinkGraph.
 func linkFingerprint(page *wiki.Page) []string {
 	seen := map[string]bool{}
 	var out []string
-	add := func(kind, target string) {
-		key := kind + "\x00" + target
+	PageEdges(page, func(target string, kind graph.LinkKind) {
+		key := kind.String() + "\x00" + target
 		if !seen[key] {
 			seen[key] = true
 			out = append(out, key)
 		}
-	}
-	for _, l := range page.Links {
-		add("page", l.String())
-	}
-	for _, a := range page.Annotations {
-		if looksLikeTitle(a.Value) {
-			add("semantic", wiki.ParseTitle(a.Value).String())
-		}
-	}
+	})
 	sort.Strings(out)
 	return out
 }
@@ -351,21 +360,13 @@ func relationalRows(page *wiki.Page) (pageRow relational.Row, anns, links []rela
 			relational.Text(strings.ToLower(a.Property)), relational.Text(a.Value), numericValue(a.Value)})
 	}
 	seen := map[string]bool{}
-	addLink := func(target, kind string) {
-		key := target + "\x00" + kind
+	PageEdges(page, func(target string, kind graph.LinkKind) {
+		key := target + "\x00" + kind.String()
 		if !seen[key] {
 			seen[key] = true
-			links = append(links, relational.Row{title, relational.Text(target), relational.Text(kind)})
+			links = append(links, relational.Row{title, relational.Text(target), relational.Text(kind.String())})
 		}
-	}
-	for _, l := range page.Links {
-		addLink(l.String(), "page")
-	}
-	for _, a := range page.Annotations {
-		if looksLikeTitle(a.Value) {
-			addLink(wiki.ParseTitle(a.Value).String(), "semantic")
-		}
-	}
+	})
 	return pageRow, anns, links
 }
 
@@ -478,14 +479,9 @@ func (r *Repository) LinkGraph() *graph.Directed {
 	r.Wiki.Each(func(p *wiki.Page) {
 		src := p.Title.String()
 		g.AddNode(src)
-		for _, l := range p.Links {
-			g.AddEdge(src, l.String(), graph.PageLink)
-		}
-		for _, a := range p.Annotations {
-			if looksLikeTitle(a.Value) {
-				g.AddEdge(src, wiki.ParseTitle(a.Value).String(), graph.SemanticLink)
-			}
-		}
+		PageEdges(p, func(target string, kind graph.LinkKind) {
+			g.AddEdge(src, target, kind)
+		})
 	})
 	return g
 }

@@ -161,7 +161,7 @@ func TestLinkGraphDoubleStructure(t *testing.T) {
 	hasEdge := func(from, to string, kind graph.LinkKind) bool {
 		fi, okFrom := g.Index(from)
 		ti, okTo := g.Index(to)
-		return okFrom && okTo && slices.Contains(g.Successors(fi, kind), ti)
+		return okFrom && okTo && slices.Contains(g.Edges(), graph.Edge{From: fi, To: ti, Kind: kind})
 	}
 	// Deployment:SnowStudy --semantic--> Fieldsite:Davos (locatedIn) and
 	// --page--> Fieldsite:Davos (see link).

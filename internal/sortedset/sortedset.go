@@ -198,26 +198,31 @@ func DiffWalk(prev, next []string, onRemoved, onAdded, onKept func(v string)) {
 	}
 }
 
-// MergeK k-way-merges sorted string sets into one set (deduplicating
-// across lists).
-func MergeK(lists [][]string) []string {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return Clone(lists[0])
-	case 2:
-		return Union(Clone(lists[0]), lists[1])
-	}
-	merged := Merge(lists, func(a, b string) bool { return a < b })
-	w := 0
-	for i, v := range merged {
-		if i == 0 || merged[w-1] != v {
-			merged[w] = v
-			w++
+// WalkK calls fn for each element of the union of sorted string sets, in
+// ascending order and once per distinct element, without building the
+// merged set. It picks the least head by a linear scan, which suits the
+// few lists of a shard fan-out.
+func WalkK(lists [][]string, fn func(string)) {
+	var buf [8][]string
+	cur := append(buf[:0], lists...)
+	for {
+		least := -1
+		for i, l := range cur {
+			if len(l) > 0 && (least < 0 || l[0] < cur[least][0]) {
+				least = i
+			}
+		}
+		if least < 0 {
+			return
+		}
+		v := cur[least][0]
+		fn(v)
+		for i, l := range cur {
+			if len(l) > 0 && l[0] == v {
+				cur[i] = l[1:]
+			}
 		}
 	}
-	return merged[:w]
 }
 
 // Merge k-way-merges sorted lists of any element type under less into one

@@ -70,7 +70,7 @@ func randomSet(rng *rand.Rand, vocab []string, n int) ([]string, oracle) {
 	return o.sorted(), o
 }
 
-// TestBinaryOpsVsOracle checks Intersect/Union/Diff/MergeK
+// TestBinaryOpsVsOracle checks Intersect/Union/Diff/WalkK
 // against set arithmetic on the oracle maps, over random operands.
 func TestBinaryOpsVsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -104,7 +104,21 @@ func TestBinaryOpsVsOracle(t *testing.T) {
 				all[v] = true
 			}
 		}
-		checkSet(t, MergeK([][]string{a, b, c}), all, "MergeK")
+		var merged []string
+		WalkK([][]string{a, b, c}, func(v string) { merged = append(merged, v) })
+		checkSet(t, merged, all, "WalkK")
+		// More lists than WalkK's stack buffer holds.
+		lists := [][]string{a, b, c}
+		for len(lists) < 11 {
+			l, o := randomSet(rng, vocab, rng.Intn(6))
+			lists = append(lists, l)
+			for v := range o {
+				all[v] = true
+			}
+		}
+		merged = merged[:0]
+		WalkK(lists, func(v string) { merged = append(merged, v) })
+		checkSet(t, merged, all, "WalkK of 11 lists")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/rdf"
 )
@@ -93,6 +94,15 @@ func lex(src string) ([]tok, error) {
 			var b strings.Builder
 			for j < len(src) && src[j] != '"' {
 				if src[j] == '\\' && j+1 < len(src) {
+					if n := ucharDigits[src[j+1]]; n > 0 {
+						r, ok := uchar(src[j+2:], n)
+						if !ok {
+							return nil, fmt.Errorf("sparql: bad unicode escape %q at offset %d", src[j:min(j+2+n, len(src))], j)
+						}
+						b.WriteRune(r)
+						j += 2 + n
+						continue
+					}
 					c, ok := echars[src[j+1]]
 					if !ok {
 						return nil, fmt.Errorf("sparql: unknown string escape %q at offset %d", src[j:j+2], j)
@@ -185,9 +195,28 @@ func lex(src string) ([]tok, error) {
 }
 
 // echars maps the character after a backslash in a string to the byte it
-// stands for: the ECHAR escapes of SPARQL 1.1. Any other escape is an error.
+// stands for: the ECHAR escapes of SPARQL 1.1. Besides these, a string
+// accepts the UCHAR escapes (ucharDigits); any other escape is an error.
 var echars = map[byte]byte{
 	't': '\t', 'b': '\b', 'n': '\n', 'r': '\r', 'f': '\f', '"': '"', '\'': '\'', '\\': '\\',
+}
+
+// ucharDigits gives the hex digit count of the UCHAR escapes of SPARQL
+// 1.1: \uXXXX and \UXXXXXXXX.
+var ucharDigits = map[byte]int{'u': 4, 'U': 8}
+
+// uchar decodes the n hex digits at the start of s as a UCHAR escape's
+// code point. It fails when s is shorter, a digit is not hex, or the value
+// is a surrogate or above U+10FFFF.
+func uchar(s string, n int) (rune, bool) {
+	if len(s) < n {
+		return 0, false
+	}
+	v, err := strconv.ParseUint(s[:n], 16, 32)
+	if err != nil || !utf8.ValidRune(rune(v)) {
+		return 0, false
+	}
+	return rune(v), true
 }
 
 func isNameStart(c byte) bool {

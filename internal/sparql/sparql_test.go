@@ -283,6 +283,9 @@ func TestStringEscapes(t *testing.T) {
 	for src, want := range map[string]string{
 		`a\tb`: "a\tb", `a\bb`: "a\bb", `a\nb`: "a\nb", `a\rb`: "a\rb", `a\fb`: "a\fb",
 		`a\"b`: `a"b`, `a\'b`: "a'b", `a\\b`: `a\b`,
+		// UCHAR escapes decode to their code point, inside the literal.
+		`a\u0041`: "aA", `\u00e9t\u00E9`: "été", `\U0001F600!`: "\U0001F600!", `\u0022`: `"`,
+		`\U0010FFFF`: "\U0010FFFF", `\u005Cn`: `\n`,
 	} {
 		q, err := Parse(`SELECT ?s WHERE { ?s ?p "` + src + `" }`)
 		if err != nil {
@@ -293,9 +296,12 @@ func TestStringEscapes(t *testing.T) {
 			t.Errorf("%q parses as %q, want %q", src, got, want)
 		}
 	}
-	for _, src := range []string{`a\qb`, `a\ b`} {
+	for _, src := range []string{`a\qb`, `a\ b`,
+		// Bad hex, too few digits, surrogates, beyond U+10FFFF.
+		`\u00G1`, `\u+041`, `\u041`, `\U0001F60`, `\uD800`, `\uDFFF`, `\U0000D834`, `\U00110000`, `\UFFFFFFFF`,
+	} {
 		if _, err := Parse(`SELECT ?s WHERE { ?s ?p "` + src + `" }`); err == nil {
-			t.Errorf("Parse accepted the unknown escape in %q", src)
+			t.Errorf("Parse accepted the bad escape in %q", src)
 		}
 	}
 }

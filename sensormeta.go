@@ -120,6 +120,7 @@ type RefreshStats struct {
 	JournalSeq      uint64 `json:"journalSeq"`      // latest repository mutation
 	JournalRetained int    `json:"journalRetained"` // entries not yet trimmed
 	EngineSeq       uint64 `json:"engineSeq"`
+	RankerSeq       uint64 `json:"rankerSeq"`
 	RecommenderSeq  uint64 `json:"recommenderSeq"`
 	TaggingSeq      uint64 `json:"taggingSeq"`
 
@@ -152,6 +153,7 @@ func (s *System) Stats() RefreshStats {
 		JournalSeq:      s.Repo.LastSeq(),
 		JournalRetained: s.Repo.Journal().Len(),
 		EngineSeq:       s.Engine.Seq(),
+		RankerSeq:       s.Ranker.Seq(),
 		Refreshes:       s.stats.Refreshes,
 		FullRefreshes:   s.stats.FullRefreshes,
 		PagesApplied:    s.stats.PagesApplied,
@@ -278,10 +280,10 @@ func (s *System) Refresh() error {
 	if stats.Full {
 		s.stats.EngineRebuilds++
 	}
-	// PageRank is solved only when the graph changed (or no solve has
-	// succeeded since the last link change), warm-started from the
-	// previous scores.
-	solve, err := s.Ranker.Update(stats.LinksChanged)
+	// The ranker consumes the same journal delta: PageRank is solved only
+	// when some change moved a link (or no solve has succeeded since the
+	// last one did), warm-started from the previous scores.
+	solve, err := s.Ranker.Update()
 	if err != nil {
 		return fmt.Errorf("sensormeta: refresh: %w", err)
 	}
@@ -311,7 +313,7 @@ func (s *System) Refresh() error {
 // trimJournal releases the journal prefix every consumer has applied.
 // Caller holds refreshMu.
 func (s *System) trimJournal() {
-	s.Repo.Journal().TrimTo(min(s.Engine.Seq(), s.Recommender.Seq(), s.Tags.Seq()))
+	s.Repo.Journal().TrimTo(min(s.Engine.Seq(), s.Ranker.Seq(), s.Recommender.Seq(), s.Tags.Seq()))
 }
 
 // RefreshFull rebuilds the search index from scratch and recomputes
