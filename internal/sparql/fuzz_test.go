@@ -1,6 +1,8 @@
 package sparql
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/rdf"
@@ -8,7 +10,8 @@ import (
 
 // FuzzParseSPARQL drives the SPARQL parser with arbitrary text: Parse never
 // panics, and every query it accepts evaluates on a small fixture store
-// without panicking (an evaluation error is an answer, not a failure).
+// without panicking (an evaluation error is an answer, not a failure) and
+// to what referenceEval returns, row for row.
 // Queries with more than four triple patterns are parsed but not
 // evaluated: unconnected patterns multiply, and the point is the
 // evaluator's handling of what the parser accepts, not its cost. The
@@ -28,7 +31,11 @@ func FuzzParseSPARQL(f *testing.F) {
 		if err != nil || patterns(q.Where) > 4 {
 			return
 		}
-		_, _ = Eval(st, q)
+		got, err := Eval(st, q)
+		ref, refErr := referenceEval(st, q)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) || !reflect.DeepEqual(got, ref) {
+			t.Fatalf("Eval(%q) = %v, %v; referenceEval = %v, %v", src, got, err, ref, refErr)
+		}
 	})
 }
 
