@@ -1,7 +1,9 @@
 package sparql
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -306,7 +308,7 @@ func evalExpr(e Expression, b Binding) (bool, error) {
 		}
 		c, comparable := compareTerms(l, r)
 		if !comparable {
-			return false, nil
+			return x.Op == "!=", nil
 		}
 		switch x.Op {
 		case "=":
@@ -356,43 +358,56 @@ func numericValue(t rdf.Term) (float64, bool) {
 	return f, err == nil
 }
 
-// compareTerms orders two terms: numerically when both parse as numbers,
-// lexically otherwise; terms of different kinds are incomparable except for
-// (in)equality, which the caller reads from c != 0.
+// compareTerms orders two terms for a FILTER comparison: numerically when
+// both parse as numbers, lexically when both are of one kind. Terms of
+// different kinds, and NaN against anything, are incomparable (false):
+// such a pair is never =, <, <=, > or >=, and always !=.
 func compareTerms(a, b rdf.Term) (int, bool) {
 	if fa, okA := numericValue(a); okA {
 		if fb, okB := numericValue(b); okB {
-			switch {
-			case fa < fb:
-				return -1, true
-			case fa > fb:
-				return 1, true
-			default:
-				return 0, true
+			if math.IsNaN(fa) || math.IsNaN(fb) {
+				return 0, false
 			}
+			return cmp.Compare(fa, fb), true
 		}
 	}
 	if a.Kind != b.Kind {
-		// Only equality-style comparison is meaningful.
-		if a.Key() == b.Key() {
-			return 0, true
-		}
-		return -1, true
+		return 0, false
 	}
 	return strings.Compare(a.Value, b.Value), true
 }
 
-// compareTermsForOrder is a total order for ORDER BY: unbound first, then by
-// numeric/lexical comparison.
-func compareTermsForOrder(a rdf.Term, okA bool, b rdf.Term, okB bool) int {
+// orderRank places a term in the ORDER BY sequence of SPARQL 1.1 §15.1:
+// unbound, then blank nodes, then IRIs, then numeric literals (NaN
+// excluded), then every other literal.
+func orderRank(t rdf.Term, ok bool) (rank int, num float64) {
 	switch {
-	case !okA && !okB:
-		return 0
-	case !okA:
-		return -1
-	case !okB:
-		return 1
+	case !ok:
+		return 0, 0
+	case t.Kind == rdf.Blank:
+		return 1, 0
+	case t.Kind == rdf.IRI:
+		return 2, 0
 	}
-	c, _ := compareTerms(a, b)
-	return c
+	if f, isNum := numericValue(t); isNum && !math.IsNaN(f) {
+		return 3, f
+	}
+	return 4, 0
+}
+
+// compareTermsForOrder is the total order ORDER BY sorts by: orderRank
+// first, then numeric literals by value and every other term by its
+// lexical form.
+func compareTermsForOrder(a rdf.Term, okA bool, b rdf.Term, okB bool) int {
+	ra, fa := orderRank(a, okA)
+	rb, fb := orderRank(b, okB)
+	switch {
+	case ra != rb:
+		return cmp.Compare(ra, rb)
+	case ra == 0:
+		return 0
+	case ra == 3:
+		return cmp.Compare(fa, fb)
+	}
+	return strings.Compare(a.Value, b.Value)
 }

@@ -319,6 +319,27 @@ func rowKey(row Binding, vars []string) string {
 	return fmt.Sprintf("%q", key)
 }
 
+// compareRows orders two result rows by the ORDER BY keys, as far as the
+// projection lets it see them: it stops at the first key it does not
+// project.
+func compareRows(a, b Binding, keys []OrderKey, vars []string) int {
+	for _, k := range keys {
+		if !slices.Contains(vars, k.Var) {
+			return 0
+		}
+		ta, okA := a[k.Var]
+		tb, okB := b[k.Var]
+		c := compareTermsForOrder(ta, okA, tb, okB)
+		if k.Desc {
+			c = -c
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
 // multiset renders rows as their sorted row keys.
 func multiset(rows []Binding, vars []string) []string {
 	out := make([]string, len(rows))
@@ -330,9 +351,10 @@ func multiset(rows []Binding, vars []string) []string {
 }
 
 // TestEvalMatchesOracle checks Eval on seeded random stores × random
-// queries three ways: row for row and in order against referenceEval; as a
+// queries four ways: row for row and in order against referenceEval; as a
 // multiset against the brute-force evaluator, with LIMIT and OFFSET
-// dropped; and, with them, as the window of its own unlimited answer.
+// dropped; sorted by its ORDER BY keys; and, with LIMIT and OFFSET, as the
+// window of its own unlimited answer.
 func TestEvalMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -363,6 +385,12 @@ func TestEvalMatchesOracle(t *testing.T) {
 			}
 			if g, o := multiset(full.Rows, vars), multiset(want, vars); !slices.Equal(g, o) {
 				t.Fatalf("seed %d query %d %+v:\nEval   %v\noracle %v", seed, i, q, g, o)
+			}
+			for j := 1; j < len(full.Rows); j++ {
+				if c := compareRows(full.Rows[j-1], full.Rows[j], q.OrderBy, full.Vars); c > 0 {
+					t.Fatalf("seed %d query %d %+v: rows %d and %d out of ORDER BY order: %v, %v",
+						seed, i, q, j-1, j, full.Rows[j-1], full.Rows[j])
+				}
 			}
 			lo := min(q.Offset, len(full.Rows))
 			hi := len(full.Rows)

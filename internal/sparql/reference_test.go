@@ -290,7 +290,7 @@ func refEvalExpr(e Expression, b Binding) (bool, error) {
 		}
 		c, comparable := compareTerms(l, r)
 		if !comparable {
-			return false, nil
+			return x.Op == "!=", nil
 		}
 		switch x.Op {
 		case "=":
