@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"cmp"
+	"iter"
 	"slices"
 	"strings"
 	"sync"
@@ -58,7 +59,12 @@ func (st *Store) lookup(t Term) (termID, bool) {
 func (st *Store) Add(t Triple) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	e := enc{st.intern(t.S), st.intern(t.P), st.intern(t.O)}
+	return st.add(st.intern(t.S), t.P, t.O)
+}
+
+// add inserts the triple (s, p, o). Caller holds the write lock.
+func (st *Store) add(s termID, p, o Term) bool {
+	e := enc{s, st.intern(p), st.intern(o)}
 	if _, dup := st.triples[e]; dup {
 		return false
 	}
@@ -86,6 +92,12 @@ func (st *Store) RemoveSubject(s Term) int {
 	if !ok {
 		return 0
 	}
+	return st.removeSubject(sid)
+}
+
+// removeSubject deletes every triple with subject sid. Caller holds the
+// write lock.
+func (st *Store) removeSubject(sid termID) int {
 	set := st.spo[sid]
 	n := len(set)
 	for e := range set {
@@ -95,6 +107,25 @@ func (st *Store) RemoveSubject(s Term) int {
 	}
 	clear(set)
 	return n
+}
+
+// ReplaceSubject replaces every triple with subject s by one triple
+// (s, p, o) per pair of po, under one write lock: a reader sees the
+// subject's old triples or its new ones, never a mix of the two. po runs
+// under that lock, so it must not call the store.
+func (st *Store) ReplaceSubject(s Term, po iter.Seq2[Term, Term]) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	sid, known := st.lookup(s)
+	if known {
+		st.removeSubject(sid)
+	}
+	for p, o := range po {
+		if !known {
+			sid, known = st.intern(s), true
+		}
+		st.add(sid, p, o)
+	}
 }
 
 // decode rebuilds a Triple from its encoded form. Caller holds a read lock.

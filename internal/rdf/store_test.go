@@ -320,3 +320,44 @@ func TestConcurrentAccess(t *testing.T) {
 		}
 	}
 }
+
+// pairs yields each triple's predicate and object.
+func pairs(ts ...Triple) func(yield func(p, o Term) bool) {
+	return func(yield func(p, o Term) bool) {
+		for _, t := range ts {
+			if !yield(t.P, t.O) {
+				return
+			}
+		}
+	}
+}
+
+// TestReplaceSubject checks that ReplaceSubject leaves a store equal to
+// RemoveSubject followed by one Add per triple, and that replacing an
+// unknown subject by nothing leaves the dictionary alone.
+func TestReplaceSubject(t *testing.T) {
+	st, want := NewStore(), NewStore()
+	for i := 0; i < 30; i++ {
+		tp := tr(fmt.Sprintf("s%d", i%3), fmt.Sprintf("p%d", i%4), fmt.Sprintf("o%d", i%5))
+		st.Add(tp)
+		want.Add(tp)
+	}
+	next := []Triple{tr("s1", "p0", "o0"), tr("s1", "p9", "o9"), tr("s1", "p0", "o0")}
+	st.ReplaceSubject(NewIRI("s1"), pairs(next...))
+	want.RemoveSubject(NewIRI("s1"))
+	for _, tp := range next {
+		want.Add(tp)
+	}
+	if got, exp := st.Match(nil, nil, nil), want.Match(nil, nil, nil); !slices.Equal(got, exp) {
+		t.Errorf("after ReplaceSubject: %v, want %v", got, exp)
+	}
+	terms := len(st.terms)
+	st.ReplaceSubject(NewIRI("never added"), pairs())
+	if len(st.terms) != terms {
+		t.Errorf("replacing an unknown subject by nothing interned it")
+	}
+	st.ReplaceSubject(NewIRI("s0"), pairs())
+	if s0 := NewIRI("s0"); st.Match(&s0, nil, nil) != nil {
+		t.Errorf("s0 still has triples after ReplaceSubject with none")
+	}
+}

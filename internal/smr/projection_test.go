@@ -127,3 +127,53 @@ func TestSQLReadersNeverSeeHalfWrittenPages(t *testing.T) {
 		}
 	}
 }
+
+// TestSPARQLReadersNeverSeeHalfWrittenPages rewrites one page with
+// unchanged content while a two-pattern SPARQL query joins two of its
+// triples: the page's triples are replaced under one lock hold, and a
+// query reads one view of the store, so every answer is the one row.
+func TestSPARQLReadersNeverSeeHalfWrittenPages(t *testing.T) {
+	r, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func() error {
+		_, err := r.PutPage("Sensor:W-01", "w",
+			"[[measures::wind speed]] [[samplingRate::60]] [[status::active]] [[partOf::Deployment:D1]] [[Sensor:W-02]]", "")
+		return err
+	}
+	if err := put(); err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT ?s ?r WHERE { ?s <smr://prop/measures> "wind speed" . ?s <smr://prop/samplingrate> ?r }`
+	done := make(chan struct{}) // closed once the writer has finished
+	go func() {
+		defer close(done)
+		for round := 0; round < 2000; round++ {
+			if err := put(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	torn, reads := 0, 0
+	for ; ; reads++ {
+		select {
+		case <-done:
+			if torn > 0 {
+				t.Errorf("%d of %d queries saw a half-written page", torn, reads)
+			}
+			return
+		default:
+		}
+		res, err := r.QuerySPARQL(q)
+		if err != nil {
+			t.Error(err)
+			<-done
+			return
+		}
+		if len(res.Rows) != 1 {
+			torn++
+		}
+	}
+}

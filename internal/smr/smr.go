@@ -400,30 +400,37 @@ func looksLikeTitle(v string) bool {
 	return false
 }
 
+// reprojectRDF replaces the page's triples in one store write, so a
+// SPARQL query never sees the page half replaced.
 func (r *Repository) reprojectRDF(page *wiki.Page) {
-	title := page.Title.String()
-	subj := PageIRI(title)
-	r.RDF.RemoveSubject(subj)
-	for _, a := range page.Annotations {
-		var obj rdf.Term
-		switch {
-		case looksLikeTitle(a.Value):
-			obj = PageIRI(wiki.ParseTitle(a.Value).String())
-		default:
-			if _, err := strconv.ParseFloat(a.Value, 64); err == nil {
-				obj = rdf.NewTypedLiteral(a.Value, XSDDouble)
-			} else {
-				obj = rdf.NewLiteral(a.Value)
+	r.RDF.ReplaceSubject(PageIRI(page.Title.String()), func(yield func(p, o rdf.Term) bool) {
+		for _, a := range page.Annotations {
+			var obj rdf.Term
+			switch {
+			case looksLikeTitle(a.Value):
+				obj = PageIRI(wiki.ParseTitle(a.Value).String())
+			default:
+				if _, err := strconv.ParseFloat(a.Value, 64); err == nil {
+					obj = rdf.NewTypedLiteral(a.Value, XSDDouble)
+				} else {
+					obj = rdf.NewLiteral(a.Value)
+				}
+			}
+			if !yield(PropertyIRI(a.Property), obj) {
+				return
 			}
 		}
-		r.RDF.Add(rdf.Triple{S: subj, P: PropertyIRI(a.Property), O: obj})
-	}
-	for _, c := range page.Categories {
-		r.RDF.Add(rdf.Triple{S: subj, P: rdf.NewIRI(CategoryIRI), O: rdf.NewLiteral(c)})
-	}
-	for _, l := range page.Links {
-		r.RDF.Add(rdf.Triple{S: subj, P: rdf.NewIRI("smr://prop/linksTo"), O: PageIRI(l.String())})
-	}
+		for _, c := range page.Categories {
+			if !yield(rdf.NewIRI(CategoryIRI), rdf.NewLiteral(c)) {
+				return
+			}
+		}
+		for _, l := range page.Links {
+			if !yield(rdf.NewIRI("smr://prop/linksTo"), PageIRI(l.String())) {
+				return
+			}
+		}
+	})
 }
 
 // DeletePage removes a page from all three projections and reports
