@@ -3,15 +3,23 @@ package rdf
 import (
 	"cmp"
 	"iter"
+	"math"
 	"slices"
 	"strings"
 	"sync"
 )
 
-type termID uint32
+// TermID is a term's id in a store's dictionary. Ids and Term.Keys map
+// one to one, so two terms are equal exactly when their ids are.
+type TermID uint32
 
-// triple is the encoded form.
-type enc struct{ s, p, o termID }
+// Unbound is no term: a wildcard position of View.Match, and the value of
+// an unbound variable to callers that keep rows of ids. No term gets this
+// id, as a store holds fewer than 2^32-1 terms.
+const Unbound TermID = math.MaxUint32
+
+// IDTriple is a triple in dictionary ids, the form the store indexes.
+type IDTriple struct{ S, P, O TermID }
 
 // Store is an in-memory triple store with dictionary-encoded terms and three
 // hash indexes covering every access pattern a basic graph pattern needs:
@@ -19,38 +27,38 @@ type enc struct{ s, p, o termID }
 // writes are safe for concurrent use.
 type Store struct {
 	mu      sync.RWMutex
-	dict    map[string]termID
+	dict    map[string]TermID
 	terms   []Term
-	triples map[enc]struct{}
-	spo     map[termID]map[enc]struct{}
-	pos     map[termID]map[enc]struct{}
-	osp     map[termID]map[enc]struct{}
+	triples map[IDTriple]struct{}
+	spo     map[TermID]map[IDTriple]struct{}
+	pos     map[TermID]map[IDTriple]struct{}
+	osp     map[TermID]map[IDTriple]struct{}
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
-		dict:    make(map[string]termID),
-		triples: make(map[enc]struct{}),
-		spo:     make(map[termID]map[enc]struct{}),
-		pos:     make(map[termID]map[enc]struct{}),
-		osp:     make(map[termID]map[enc]struct{}),
+		dict:    make(map[string]TermID),
+		triples: make(map[IDTriple]struct{}),
+		spo:     make(map[TermID]map[IDTriple]struct{}),
+		pos:     make(map[TermID]map[IDTriple]struct{}),
+		osp:     make(map[TermID]map[IDTriple]struct{}),
 	}
 }
 
-func (st *Store) intern(t Term) termID {
+func (st *Store) intern(t Term) TermID {
 	k := t.Key()
 	if id, ok := st.dict[k]; ok {
 		return id
 	}
-	id := termID(len(st.terms))
+	id := TermID(len(st.terms))
 	st.dict[k] = id
 	st.terms = append(st.terms, t)
 	return id
 }
 
 // lookup returns the id of a term without interning.
-func (st *Store) lookup(t Term) (termID, bool) {
+func (st *Store) lookup(t Term) (TermID, bool) {
 	id, ok := st.dict[t.Key()]
 	return id, ok
 }
@@ -63,23 +71,23 @@ func (st *Store) Add(t Triple) bool {
 }
 
 // add inserts the triple (s, p, o). Caller holds the write lock.
-func (st *Store) add(s termID, p, o Term) bool {
-	e := enc{s, st.intern(p), st.intern(o)}
+func (st *Store) add(s TermID, p, o Term) bool {
+	e := IDTriple{s, st.intern(p), st.intern(o)}
 	if _, dup := st.triples[e]; dup {
 		return false
 	}
 	st.triples[e] = struct{}{}
-	addIdx := func(m map[termID]map[enc]struct{}, k termID) {
+	addIdx := func(m map[TermID]map[IDTriple]struct{}, k TermID) {
 		set, ok := m[k]
 		if !ok {
-			set = make(map[enc]struct{})
+			set = make(map[IDTriple]struct{})
 			m[k] = set
 		}
 		set[e] = struct{}{}
 	}
-	addIdx(st.spo, e.s)
-	addIdx(st.pos, e.p)
-	addIdx(st.osp, e.o)
+	addIdx(st.spo, e.S)
+	addIdx(st.pos, e.P)
+	addIdx(st.osp, e.O)
 	return true
 }
 
@@ -97,13 +105,13 @@ func (st *Store) RemoveSubject(s Term) int {
 
 // removeSubject deletes every triple with subject sid. Caller holds the
 // write lock.
-func (st *Store) removeSubject(sid termID) int {
+func (st *Store) removeSubject(sid TermID) int {
 	set := st.spo[sid]
 	n := len(set)
 	for e := range set {
 		delete(st.triples, e)
-		delete(st.pos[e.p], e)
-		delete(st.osp[e.o], e)
+		delete(st.pos[e.P], e)
+		delete(st.osp[e.O], e)
 	}
 	clear(set)
 	return n
@@ -128,87 +136,60 @@ func (st *Store) ReplaceSubject(s Term, po iter.Seq2[Term, Term]) {
 	}
 }
 
-// decode rebuilds a Triple from its encoded form. Caller holds a read lock.
-func (st *Store) decode(e enc) Triple {
-	return Triple{S: st.terms[e.s], P: st.terms[e.p], O: st.terms[e.o]}
-}
-
-// Match returns all triples matching the pattern; nil components are
-// wildcards. Results are in N-Triples text order (Triple.String), for
-// determinism; the order is computed without materializing that text.
-func (st *Store) Match(s, p, o *Term) []Triple {
+// Read calls fn with a view of the store, holding the read lock for the
+// whole call: every read through the view sees one state of the store.
+// fn must not write to the store, and a view must not outlive fn.
+func (st *Store) Read(fn func(View)) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
+	fn(View{st})
+}
 
-	// Resolve bound terms to ids; a bound term missing from the dictionary
-	// matches nothing.
-	var sid, pid, oid termID
-	var hasS, hasP, hasO bool
-	if s != nil {
-		id, ok := st.lookup(*s)
-		if !ok {
-			return nil
-		}
-		sid, hasS = id, true
-	}
-	if p != nil {
-		id, ok := st.lookup(*p)
-		if !ok {
-			return nil
-		}
-		pid, hasP = id, true
-	}
-	if o != nil {
-		id, ok := st.lookup(*o)
-		if !ok {
-			return nil
-		}
-		oid, hasO = id, true
-	}
+// View reads a store under the read lock Store.Read holds. Its methods
+// take no lock themselves: taking the read lock again while a writer
+// waits would deadlock.
+type View struct{ st *Store }
 
+// Lookup returns the id of a term, and false when the store has none.
+func (v View) Lookup(t Term) (TermID, bool) { return v.st.lookup(t) }
+
+// Term returns the term with the given id.
+func (v View) Term(id TermID) Term { return v.st.terms[id] }
+
+// Match appends to dst every triple matching the pattern, Unbound
+// positions being wildcards, in N-Triples text order (Triple.String), and
+// returns the extended slice. The order is computed without building that
+// text, and the triples stay in ids.
+func (v View) Match(s, p, o TermID, dst []IDTriple) []IDTriple {
+	st := v.st
 	// Pick the most selective available index.
-	var candidates map[enc]struct{}
+	var candidates map[IDTriple]struct{}
 	switch {
-	case hasS:
-		candidates = st.spo[sid]
-	case hasO:
-		candidates = st.osp[oid]
-	case hasP:
-		candidates = st.pos[pid]
+	case s != Unbound:
+		candidates = st.spo[s]
+	case o != Unbound:
+		candidates = st.osp[o]
+	case p != Unbound:
+		candidates = st.pos[p]
 	default:
 		candidates = st.triples
 	}
-
-	hits := make([]enc, 0, len(candidates))
+	from := len(dst)
 	for e := range candidates {
-		if hasS && e.s != sid {
-			continue
+		if (s == Unbound || e.S == s) && (p == Unbound || e.P == p) && (o == Unbound || e.O == o) {
+			dst = append(dst, e)
 		}
-		if hasP && e.p != pid {
-			continue
-		}
-		if hasO && e.o != oid {
-			continue
-		}
-		hits = append(hits, e)
 	}
-	if len(hits) == 0 {
-		return nil
-	}
-	slices.SortFunc(hits, st.compare)
-	out := make([]Triple, len(hits))
-	for i, e := range hits {
-		out[i] = st.decode(e)
-	}
-	return out
+	slices.SortFunc(dst[from:], st.compare)
+	return dst
 }
 
 // compare orders encoded triples by their N-Triples text (Triple.String)
 // without building it. Two different triples can share one text (an IRI
 // containing "> <", a literal with both a language and a datatype); those
 // are ordered term by term on their fields. Caller holds a read lock.
-func (st *Store) compare(x, y enc) int {
-	xs, ys := [3]termID{x.s, x.p, x.o}, [3]termID{y.s, y.p, y.o}
+func (st *Store) compare(x, y IDTriple) int {
+	xs, ys := [3]TermID{x.S, x.P, x.O}, [3]TermID{y.S, y.P, y.O}
 	// Equal leading terms have equal text: start at the first that differs.
 	k := 0
 	for k < 3 && xs[k] == ys[k] {
@@ -217,8 +198,13 @@ func (st *Store) compare(x, y enc) int {
 	if k == 3 {
 		return 0
 	}
-	a := [3]*Term{&st.terms[x.s], &st.terms[x.p], &st.terms[x.o]}
-	b := [3]*Term{&st.terms[y.s], &st.terms[y.p], &st.terms[y.o]}
+	if a, b := &st.terms[xs[k]], &st.terms[ys[k]]; a.Kind == IRI && b.Kind == IRI {
+		if c, ok := compareIRIForms(a.Value, b.Value); ok {
+			return c
+		}
+	}
+	a := [3]*Term{&st.terms[x.S], &st.terms[x.P], &st.terms[x.O]}
+	b := [3]*Term{&st.terms[y.S], &st.terms[y.P], &st.terms[y.O]}
 	if c := compareNTriples(a, b, k); c != 0 {
 		return c
 	}
@@ -229,4 +215,21 @@ func (st *Store) compare(x, y enc) int {
 		}
 	}
 	return 0
+}
+
+// compareIRIForms orders the N-Triples forms of two triples whose first
+// differing terms are the different IRIs <a> and <b>. Unless one value is
+// a prefix of the other, the forms first differ where the values do. When
+// a is a proper prefix of b, a's form goes on with '>' and b's with the
+// byte after a; ok is false only when that byte is '>' too, and the order
+// depends on what follows.
+func compareIRIForms(a, b string) (c int, ok bool) {
+	c = strings.Compare(a, b)
+	switch {
+	case c < 0 && len(a) < len(b) && b[:len(a)] == a:
+		return cmp.Compare('>', b[len(a)]), b[len(a)] != '>'
+	case c > 0 && len(b) < len(a) && a[:len(b)] == b:
+		return cmp.Compare(a[len(b)], '>'), a[len(b)] != '>'
+	}
+	return c, true
 }

@@ -14,6 +14,29 @@ func tr(s, p, o string) Triple {
 	return Triple{S: NewIRI(s), P: NewIRI(p), O: NewIRI(o)}
 }
 
+// Match returns the triples matching the pattern, nil components being
+// wildcards, decoded in the order View.Match finds them; a bound term the
+// store does not hold matches nothing.
+func (st *Store) Match(s, p, o *Term) []Triple {
+	var out []Triple
+	st.Read(func(v View) {
+		ids := [3]TermID{Unbound, Unbound, Unbound}
+		for i, t := range []*Term{s, p, o} {
+			if t != nil {
+				id, ok := v.Lookup(*t)
+				if !ok {
+					return
+				}
+				ids[i] = id
+			}
+		}
+		for _, e := range v.Match(ids[0], ids[1], ids[2], nil) {
+			out = append(out, Triple{S: v.Term(e.S), P: v.Term(e.P), O: v.Term(e.O)})
+		}
+	})
+	return out
+}
+
 // has reports whether st holds exactly tp.
 func has(st *Store, tp Triple) bool { return len(st.Match(&tp.S, &tp.P, &tp.O)) == 1 }
 
@@ -154,6 +177,32 @@ func TestCompareNTriplesMatchesStringCompare(t *testing.T) {
 	}
 }
 
+// TestCompareIRIFormsMatchesStringCompare checks the IRI fast path of
+// Store.compare: when it decides, it orders "<a>" and "<b>" followed by
+// anything as strings.Compare of the full forms does.
+func TestCompareIRIFormsMatchesStringCompare(t *testing.T) {
+	values := []string{"", "a", "ab", "a b", "a>", "a> <b", "a>b", "a\\", "b", "smr://page/Sensor:S1", "smr://page/Sensor:S10"}
+	tails := []string{"", " .", " <p> <o> .", "> .", ">>", " \"x\" ."}
+	for _, a := range values {
+		for _, b := range values {
+			if a == b {
+				continue
+			}
+			c, ok := compareIRIForms(a, b)
+			if !ok {
+				continue
+			}
+			for _, ta := range tails {
+				for _, tb := range tails {
+					if want := strings.Compare("<"+a+">"+ta, "<"+b+">"+tb); c != want {
+						t.Fatalf("compareIRIForms(%q, %q) = %d, want %d with tails %q, %q", a, b, c, want, ta, tb)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMatchOrderMatchesNTriplesSort(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -225,17 +274,22 @@ func TestMatchOrderMatchesNTriplesSort(t *testing.T) {
 }
 
 // TestMatchSortAllocatesNothing checks that ordering matches costs no
-// allocation per comparison: a Match allocates its two result slices, however
-// many matches it sorts and however many of their literals need escaping.
+// allocation per comparison: View.Match into a slice with room for its
+// matches allocates nothing, however many matches it sorts and however
+// many of their literals need escaping.
 func TestMatchSortAllocatesNothing(t *testing.T) {
 	st := NewStore()
 	for i := 0; i < 500; i++ {
 		st.Add(Triple{S: Term{Kind: Blank, Value: fmt.Sprint(i % 37)}, P: NewIRI(fmt.Sprint("p", i%5)),
 			O: NewLangLiteral(fmt.Sprintf("line\t%d \"q\"\n", i), "en")})
+		st.Add(Triple{S: NewIRI(fmt.Sprint("s", i%41)), P: NewIRI(fmt.Sprint("s", i%3)), O: NewIRI(fmt.Sprint("s", i))})
 	}
-	if allocs := testing.AllocsPerRun(20, func() { st.Match(nil, nil, nil) }); allocs > 2 {
-		t.Errorf("Match of %d triples allocates %.0f times, want 2", len(st.triples), allocs)
-	}
+	st.Read(func(v View) {
+		dst := make([]IDTriple, 0, len(st.triples))
+		if allocs := testing.AllocsPerRun(20, func() { dst = v.Match(Unbound, Unbound, Unbound, dst[:0]) }); allocs > 0 {
+			t.Errorf("Match of %d triples allocates %.0f times, want 0", len(st.triples), allocs)
+		}
+	})
 }
 
 func TestRemoveSubject(t *testing.T) {

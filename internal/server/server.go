@@ -28,6 +28,7 @@ import (
 	"repro/internal/relational"
 	"repro/internal/search"
 	"repro/internal/smr"
+	"repro/internal/sparql"
 	"repro/internal/tagging"
 	"repro/internal/viz"
 )
@@ -678,19 +679,64 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request, p params) 
 		httpError(w, http.StatusBadRequest, "sparql: %v", err)
 		return
 	}
-	// Flatten bindings to string maps for JSON.
-	out := struct {
-		Vars []string            `json:"vars"`
-		Rows []map[string]string `json:"rows"`
-	}{Vars: res.Vars}
-	for _, b := range res.Rows {
-		row := make(map[string]string, len(b))
-		for k, t := range b {
-			row[k] = t.Value
-		}
-		out.Rows = append(out.Rows, row)
+	writeJSON(w, struct {
+		Vars []string   `json:"vars"`
+		Rows sparqlRows `json:"rows"`
+	}{res.Vars, sparqlRows{res.Vars, res.Rows}})
+}
+
+// sparqlRows encodes SPARQL result rows as a JSON array of objects from
+// variable name to term value, byte for byte as the same rows copied into
+// []map[string]string would encode (keys sorted, HTML escaped, null for
+// no rows), without building those copies.
+type sparqlRows struct {
+	vars []string
+	rows []sparql.Binding
+}
+
+func (r sparqlRows) MarshalJSON() ([]byte, error) {
+	if len(r.rows) == 0 {
+		return []byte("null"), nil
 	}
-	writeJSON(w, out)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	// encode writes v as encoding/json does, without Encode's newline.
+	encode := func(v string) error {
+		if err := enc.Encode(v); err != nil {
+			return err
+		}
+		buf.Truncate(buf.Len() - 1)
+		return nil
+	}
+	keys := slices.Compact(slices.Sorted(slices.Values(r.vars)))
+	buf.WriteByte('[')
+	for i, row := range r.rows {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		buf.WriteByte('{')
+		sep := false
+		for _, k := range keys {
+			t, ok := row[k]
+			if !ok {
+				continue
+			}
+			if sep {
+				buf.WriteByte(',')
+			}
+			sep = true
+			if err := encode(k); err != nil {
+				return nil, err
+			}
+			buf.WriteByte(':')
+			if err := encode(t.Value); err != nil {
+				return nil, err
+			}
+		}
+		buf.WriteByte('}')
+	}
+	buf.WriteByte(']')
+	return buf.Bytes(), nil
 }
 
 // handleCombined runs a combined SQL + SPARQL + keyword query (POST JSON

@@ -9,8 +9,8 @@ import (
 )
 
 // referenceEval is the map-based evaluator: every solution is a Binding
-// map, cloned for each pattern match, and every pattern is a Store.Match
-// of decoded triples. Eval must return what it returns, row for row and in
+// map, cloned for each pattern match, and every pattern match is a slice
+// of decoded triples read under a lock of its own. Eval must return what it returns, row for row and in
 // order. It shares only the term comparisons (compareTerms,
 // compareTermsForOrder) with Eval.
 func referenceEval(store *rdf.Store, q *Query) (*Results, error) {
@@ -234,7 +234,7 @@ func refMatchPattern(store *rdf.Store, tp TriplePattern, b Binding) []Binding {
 	o, oVar := resolve(tp.O)
 
 	var out []Binding
-	for _, t := range store.Match(s, p, o) {
+	for _, t := range refStoreMatch(store, s, p, o) {
 		nb := refClone(b)
 		ok := true
 		bind := func(v string, term rdf.Term) {
@@ -257,6 +257,29 @@ func refMatchPattern(store *rdf.Store, tp TriplePattern, b Binding) []Binding {
 			out = append(out, nb)
 		}
 	}
+	return out
+}
+
+// refStoreMatch returns the triples matching the pattern, nil components
+// being wildcards, decoded in the order View.Match finds them, under a
+// read lock of its own.
+func refStoreMatch(store *rdf.Store, s, p, o *rdf.Term) []rdf.Triple {
+	var out []rdf.Triple
+	store.Read(func(v rdf.View) {
+		ids := [3]rdf.TermID{rdf.Unbound, rdf.Unbound, rdf.Unbound}
+		for i, t := range []*rdf.Term{s, p, o} {
+			if t != nil {
+				id, ok := v.Lookup(*t)
+				if !ok {
+					return
+				}
+				ids[i] = id
+			}
+		}
+		for _, e := range v.Match(ids[0], ids[1], ids[2], nil) {
+			out = append(out, rdf.Triple{S: v.Term(e.S), P: v.Term(e.P), O: v.Term(e.O)})
+		}
+	})
 	return out
 }
 
