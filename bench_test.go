@@ -465,28 +465,32 @@ func BenchmarkAutocomplete(b *testing.B) {
 	}
 }
 
-// BenchmarkSPARQLBGP measures the one- and two-pattern basic graph
-// patterns of the structured query traffic: every sensor measuring one
-// quantity, alone and joined with its sampling rate. Each pattern is a
-// store Match whose matches come back in N-Triples order, so the sort
-// shows up directly in ns/op and B/op.
+// BenchmarkSPARQLBGP measures the three SPARQL shapes of perfbench's
+// structured workload on the 5k-sensor corpus: every sensor measuring one
+// quantity, alone, joined with its sampling rate, and joined with its
+// status. The first pattern's matches come back from the store sorted in
+// N-Triples order; each of them is a row the second pattern extends.
 func BenchmarkSPARQLBGP(b *testing.B) {
-	sys := benchSystemShared(b, 600)
+	sys := benchSystemShared(b, 5000)
 	for _, c := range []struct{ name, q string }{
-		{"one-pattern", `SELECT ?s WHERE { ?s <smr://prop/measures> "temperature" }`},
-		{"two-pattern", `SELECT ?s ?r WHERE { ?s <smr://prop/measures> "wind speed" . ?s <smr://prop/samplingrate> ?r }`},
+		{"measures", `SELECT ?s WHERE { ?s <smr://prop/measures> "temperature" }`},
+		{"measures+samplingrate", `SELECT ?s ?r WHERE { ?s <smr://prop/measures> "temperature" . ?s <smr://prop/samplingrate> ?r }`},
+		{"measures+status", `SELECT ?s ?st WHERE { ?s <smr://prop/measures> "temperature" . ?s <smr://prop/status> ?st }`},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
+			rows := 0
 			for b.Loop() {
 				res, err := sys.QuerySPARQL(c.q)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Rows) == 0 {
-					b.Fatal("no rows")
-				}
+				rows = len(res.Rows)
 			}
+			if rows == 0 {
+				b.Fatal("no rows")
+			}
+			b.ReportMetric(float64(rows), "rows")
 		})
 	}
 }
