@@ -20,6 +20,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro"
 	"repro/internal/core"
@@ -679,64 +680,111 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request, p params) 
 		httpError(w, http.StatusBadRequest, "sparql: %v", err)
 		return
 	}
-	writeJSON(w, struct {
-		Vars []string   `json:"vars"`
-		Rows sparqlRows `json:"rows"`
-	}{res.Vars, sparqlRows{res.Vars, res.Rows}})
+	writeJSONBody(w, sparqlBody(res))
 }
 
-// sparqlRows encodes SPARQL result rows as a JSON array of objects from
-// variable name to term value, byte for byte as the same rows copied into
-// []map[string]string would encode (keys sorted, HTML escaped, null for
-// no rows), without building those copies.
-type sparqlRows struct {
-	vars []string
-	rows []sparql.Binding
-}
-
-func (r sparqlRows) MarshalJSON() ([]byte, error) {
-	if len(r.rows) == 0 {
-		return []byte("null"), nil
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	// encode writes v as encoding/json does, without Encode's newline.
-	encode := func(v string) error {
-		if err := enc.Encode(v); err != nil {
-			return err
+// sparqlBody encodes a SPARQL result byte for byte as encodeJSON encodes
+// its Vars and its rows copied into []map[string]string (keys sorted,
+// HTML escaped, rows null when there are none), without building those
+// copies.
+func sparqlBody(res *sparql.Results) []byte {
+	buf := []byte("{\n  \"vars\": ")
+	switch {
+	case res.Vars == nil:
+		buf = append(buf, "null"...)
+	case len(res.Vars) == 0:
+		buf = append(buf, "[]"...)
+	default:
+		buf = append(buf, '[')
+		for i, v := range res.Vars {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = appendJSONString(append(buf, "\n    "...), v)
 		}
-		buf.Truncate(buf.Len() - 1)
-		return nil
+		buf = append(buf, "\n  ]"...)
 	}
-	keys := slices.Compact(slices.Sorted(slices.Values(r.vars)))
-	buf.WriteByte('[')
-	for i, row := range r.rows {
+	buf = append(buf, ",\n  \"rows\": "...)
+	if len(res.Rows) == 0 {
+		return append(buf, "null\n}\n"...)
+	}
+	keys := slices.Compact(slices.Sorted(slices.Values(res.Vars)))
+	buf = append(buf, '[')
+	for i, row := range res.Rows {
 		if i > 0 {
-			buf.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		buf.WriteByte('{')
-		sep := false
+		buf = append(buf, "\n    {"...)
+		n := 0
 		for _, k := range keys {
 			t, ok := row[k]
 			if !ok {
 				continue
 			}
-			if sep {
-				buf.WriteByte(',')
+			if n > 0 {
+				buf = append(buf, ',')
 			}
-			sep = true
-			if err := encode(k); err != nil {
-				return nil, err
-			}
-			buf.WriteByte(':')
-			if err := encode(t.Value); err != nil {
-				return nil, err
-			}
+			n++
+			buf = appendJSONString(append(buf, "\n      "...), k)
+			buf = appendJSONString(append(buf, ": "...), t.Value)
 		}
-		buf.WriteByte('}')
+		if n > 0 {
+			buf = append(buf, "\n    "...)
+		}
+		buf = append(buf, '}')
 	}
-	buf.WriteByte(']')
-	return buf.Bytes(), nil
+	return append(buf, "\n  ]\n}\n"...)
+}
+
+// appendJSONString appends s encoded as encoding/json encodes a string
+// with HTML escaping on, byte for byte: \", \\, \b, \f, \n, \r and \t
+// by name, other control bytes and <, > and & as \u00XX, invalid UTF-8
+// as \ufffd, and U+2028 and U+2029 escaped.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
 }
 
 // handleCombined runs a combined SQL + SPARQL + keyword query (POST JSON
