@@ -4,9 +4,9 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -83,17 +83,10 @@ func eval(v rdf.View, q *Query) (*Results, error) {
 		return nil, err
 	}
 
-	// Determine output variables.
+	// SELECT * projects every pattern variable, in name order.
 	vars := q.Vars
 	if len(vars) == 0 {
-		seen := map[string]bool{}
-		collectGroupVars(&q.Where, func(v string) {
-			if !seen[v] {
-				seen[v] = true
-				vars = append(vars, v)
-			}
-		})
-		sort.Strings(vars)
+		vars = slices.Sorted(maps.Keys(ev.slots))
 	}
 
 	// ORDER BY.
