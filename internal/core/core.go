@@ -25,6 +25,7 @@ import (
 	"repro/internal/relational"
 	"repro/internal/search"
 	"repro/internal/smr"
+	"repro/internal/sparql"
 )
 
 // CombinedQuery is one request through the Query Management module. Any
@@ -161,13 +162,37 @@ func (m *Manager) Execute(q CombinedQuery) (*Result, error) {
 		}
 	}
 
+	// The SPARQL and SQL parts read one repository state: both store calls
+	// run under the repository's read lock, so no write lands between
+	// them. The keyword and filter parts below read the search engine,
+	// which reflects the last refresh.
+	var (
+		sres              *sparql.Results
+		rs                *relational.ResultSet
+		sqlPlan           *explain.Node
+		sparqlErr, sqlErr error
+	)
+	m.repo.Read(func() {
+		if q.SPARQL != "" {
+			if sres, sparqlErr = m.repo.QuerySPARQL(q.SPARQL); sparqlErr != nil {
+				return
+			}
+		}
+		if q.SQL != "" {
+			if q.Explain {
+				rs, sqlPlan, sqlErr = m.repo.DB.QueryWith(q.SQL, relational.QueryOptions{Explain: true})
+			} else {
+				rs, sqlErr = m.repo.QuerySQL(q.SQL)
+			}
+		}
+	})
+
 	if q.SPARQL != "" {
-		res, err := m.repo.QuerySPARQL(q.SPARQL)
-		if err != nil {
-			return nil, fmt.Errorf("core: SPARQL part: %w", err)
+		if sparqlErr != nil {
+			return nil, fmt.Errorf("core: SPARQL part: %w", sparqlErr)
 		}
 		hasVar := false
-		for _, v := range res.Vars {
+		for _, v := range sres.Vars {
 			if v == pageVar {
 				hasVar = true
 			} else {
@@ -178,7 +203,7 @@ func (m *Manager) Execute(q CombinedQuery) (*Result, error) {
 			return nil, fmt.Errorf("core: SPARQL part does not project ?%s", pageVar)
 		}
 		set := map[string]attrs{}
-		for _, b := range res.Rows {
+		for _, b := range sres.Rows {
 			term, ok := b[pageVar]
 			if !ok {
 				continue
@@ -192,7 +217,7 @@ func (m *Manager) Execute(q CombinedQuery) (*Result, error) {
 				a = attrs{}
 				set[title] = a
 			}
-			for _, v := range res.Vars {
+			for _, v := range sres.Vars {
 				if v == pageVar {
 					continue
 				}
@@ -212,16 +237,8 @@ func (m *Manager) Execute(q CombinedQuery) (*Result, error) {
 	}
 
 	if q.SQL != "" {
-		var rs *relational.ResultSet
-		var sqlPlan *explain.Node
-		var err error
-		if q.Explain {
-			rs, sqlPlan, err = m.repo.DB.QueryWith(q.SQL, relational.QueryOptions{Explain: true})
-		} else {
-			rs, err = m.repo.QuerySQL(q.SQL)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: SQL part: %w", err)
+		if sqlErr != nil {
+			return nil, fmt.Errorf("core: SQL part: %w", sqlErr)
 		}
 		if len(rs.Columns) == 0 {
 			return nil, fmt.Errorf("core: SQL part returns no columns")

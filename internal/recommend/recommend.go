@@ -9,15 +9,14 @@
 // shared-pair property weight × the candidate's own PageRank.
 //
 // The recommender is a consumer of the repository's change journal: it
-// remembers each page's distinct property set and the PageRank its
-// contributions currently reflect, so Update adjusts the affected property
-// scores in O(annotations in the changed pages) instead of rescanning the
-// corpus via Wiki.Each. A journal window overrun (smr.Repository.Changes
-// reporting !ok) falls back to a full rebuild. All posting lists are
-// sorted title sets (internal/sortedset) and all score sums are
-// accumulated in sorted page-title order on both the incremental and the
-// rebuild path, so the two produce bit-identical floating-point property
-// scores.
+// remembers each page's distinct property set, so Update adjusts the
+// affected property scores in O(annotations in the changed pages) instead
+// of rescanning the corpus via Wiki.Each. A journal window overrun
+// (smr.Repository.Changes reporting !ok) falls back to a full rebuild. All
+// posting lists are sorted title sets (internal/sortedset), and every
+// property score sums the installed PageRank over its carrier list in that
+// title order on the rebuild, incremental and rescore paths alike, so all
+// three produce bit-identical floating-point property scores.
 package recommend
 
 import (
@@ -47,26 +46,6 @@ type Stats struct {
 	PagesApplied int    // cumulative pages applied by deltas
 }
 
-// recShard is one hash partition of the recommender's posting state: the
-// property → pages and (property, value) pair → pages inverted indexes,
-// plus each owned page's pair set. Placement follows sortedset.Shard over
-// page titles — the same function the search engine shards by — so a
-// changed page routes to exactly one shard and Recommend can scan
-// candidate lists shard-parallel.
-type recShard struct {
-	propPages map[string][]string
-	pagePairs map[string][]string
-	pairPages map[string][]string
-}
-
-func newRecShard() *recShard {
-	return &recShard{
-		propPages: make(map[string][]string),
-		pagePairs: make(map[string][]string),
-		pairPages: make(map[string][]string),
-	}
-}
-
 // Recommender derives property importance from PageRank scores and keeps it
 // current against the repository's change journal. Safe for concurrent use:
 // Update/SetRanks serialize against queries.
@@ -77,36 +56,27 @@ type Recommender struct {
 	// pageProps records each page's sorted distinct (lowercased) property
 	// names — the state needed to retract a page's contribution when it
 	// changes or disappears.
-	pageProps map[string][]string
-	// shards partitions the posting indexes by page title. Per property,
-	// scoring walks the shard lists as one k-way merge (propSum), the one
-	// sorted contribution order; pageRank records the PageRank each page's
-	// contributions currently reflect, and propScore[p] is always the sum
-	// of pageRank over that merged order — the same title-sorted order an
-	// unsharded build produces, which keeps property scores bit-identical
-	// across shard counts and across incremental vs rebuilt state.
-	shards    []*recShard
-	pageRank  map[string]float64
-	propScore map[string]float64
-	seq       uint64
+	pageProps map[string][]string // guarded by mu
+	// propPages inverts pageProps: property → title-sorted carriers.
+	// propScore[p] is always the sum of ranks over propPages[p] in that
+	// order, the one accumulation order of the rebuild, Update and
+	// SetRanks paths, which keeps property scores bit-identical across
+	// them.
+	propPages map[string][]string // guarded by mu
+	propScore map[string]float64  // guarded by mu
+	// pagePairs and pairPages are the (property, value) pair sets per page
+	// and their inverted index, pair → title-sorted pages, from which
+	// Recommend draws its candidates.
+	pagePairs map[string][]string // guarded by mu
+	pairPages map[string][]string // guarded by mu
+	seq       uint64              // guarded by mu
 	stats     Stats
 }
 
-// New builds an unsharded recommender from the repository and a PageRank
-// score map (page title → score), scanning the current corpus once.
+// New builds a recommender from the repository and a PageRank score map
+// (page title → score), scanning the current corpus once.
 func New(repo *smr.Repository, ranks map[string]float64) *Recommender {
-	return NewSharded(repo, ranks, 1)
-}
-
-// NewSharded builds a recommender whose posting indexes are partitioned
-// into n hash shards (n <= 0 selects 1). Recommendations are byte-identical
-// whatever the shard count; the count only sets how many goroutines a
-// Recommend call can fan candidate scanning across.
-func NewSharded(repo *smr.Repository, ranks map[string]float64, n int) *Recommender {
-	if n <= 0 {
-		n = 1
-	}
-	r := &Recommender{repo: repo, shards: make([]*recShard, n)}
+	r := &Recommender{repo: repo}
 	r.Rebuild(ranks)
 	return r
 }
@@ -120,31 +90,13 @@ func (r *Recommender) Rebuild(ranks map[string]float64) {
 	r.rebuildLocked()
 }
 
-// shardFor routes a page title to its owning shard. Caller holds at least
-// the read lock.
-func (r *Recommender) shardFor(title string) *recShard {
-	return r.shards[sortedset.Shard(title, len(r.shards))]
-}
-
-// propSum folds the retained per-page ranks over a property's carriers
-// in global title order and returns the sum with the carrier count. The
-// shards partition titles, so walking their title-sorted lists as one
-// k-way merge (sortedset.WalkK) meets each carrier once, in the order an
-// unsharded list holds them, without building the merged list. Caller
-// holds at least the read lock.
-func (r *Recommender) propSum(key string) (sum float64, n int) {
-	var buf [8][]string
-	lists := buf[:0]
-	for _, sh := range r.shards {
-		if l := sh.propPages[key]; len(l) > 0 {
-			lists = append(lists, l)
-		}
+// propSumLocked folds the ranks of a property's carriers in title order.
+// Caller holds at least the read lock.
+func (r *Recommender) propSumLocked(key string) (sum float64) {
+	for _, title := range r.propPages[key] {
+		sum += r.ranks[title]
 	}
-	sortedset.WalkK(lists, func(title string) {
-		sum += r.pageRank[title]
-		n++
-	})
-	return sum, n
+	return sum
 }
 
 // rebuildLocked rescans the corpus from scratch. Caller holds the write
@@ -154,40 +106,31 @@ func (r *Recommender) rebuildLocked() {
 	// be double-applied by a later Update, which is idempotent.
 	r.seq = r.repo.LastSeq()
 	r.pageProps = make(map[string][]string)
-	r.pageRank = make(map[string]float64)
+	r.propPages = make(map[string][]string)
 	r.propScore = make(map[string]float64)
-	for i := range r.shards {
-		r.shards[i] = newRecShard()
-	}
+	r.pagePairs = make(map[string][]string)
+	r.pairPages = make(map[string][]string)
 	// Wiki.Each iterates in sorted title order, so appends build the
 	// per-property contribution lists (and pair postings) already
-	// title-sorted within each shard.
+	// title-sorted.
 	r.repo.Wiki.Each(func(p *wiki.Page) {
 		title := p.Title.String()
 		props := distinctProps(p)
 		if len(props) == 0 {
 			return
 		}
-		sh := r.shardFor(title)
 		r.pageProps[title] = props
-		r.pageRank[title] = r.ranks[title]
 		for _, key := range props {
-			sh.propPages[key] = append(sh.propPages[key], title)
+			r.propPages[key] = append(r.propPages[key], title)
 		}
 		pairs := distinctPairs(p)
-		sh.pagePairs[title] = pairs
+		r.pagePairs[title] = pairs
 		for _, pair := range pairs {
-			sh.pairPages[pair] = append(sh.pairPages[pair], title)
+			r.pairPages[pair] = append(r.pairPages[pair], title)
 		}
 	})
-	keys := make(map[string]bool)
-	for _, sh := range r.shards {
-		for key := range sh.propPages {
-			keys[key] = true
-		}
-	}
-	for key := range keys {
-		r.propScore[key], _ = r.propSum(key)
+	for key := range r.propPages {
+		r.propScore[key] = r.propSumLocked(key)
 	}
 	r.stats.FullRebuilds++
 	r.stats.Seq = r.seq
@@ -247,77 +190,64 @@ func (r *Recommender) Update() UpdateStats {
 		seen[c.Title] = true
 		stats.Applied++
 		title := c.Title
-		// The changed page routes to its owning shard: only that shard's
-		// posting lists move, the sibling shards' state is untouched.
-		sh := r.shardFor(title)
-		oldProps := r.pageProps[title]
 		var newProps, newPairs []string
 		if page, exists := r.repo.Wiki.Get(title); exists {
 			newProps = distinctProps(page)
 			newPairs = distinctPairs(page)
 		}
-		pr := r.ranks[title]
-		rankMoved := r.pageRank[title] != pr
-		// Merge-diff the sorted old and new property sets: properties the
-		// page kept only touch their sum when the page's rank moved
-		// (annotation edits usually keep the property set and the rank, so
-		// the common case adjusts nothing at all); gained and lost
-		// properties insert or retract one contribution.
-		sortedset.DiffWalk(oldProps, newProps,
+		// Merge-diff the sorted old and new property sets: gained and lost
+		// properties insert or retract one contribution. Kept properties
+		// need nothing, since every score already sums the installed
+		// ranks, so the common annotation edit adjusts no score at all.
+		sortedset.DiffWalk(r.pageProps[title], newProps,
 			func(p string) {
-				list, _ := sortedset.Remove(sh.propPages[p], title)
+				list, _ := sortedset.Remove(r.propPages[p], title)
 				if len(list) == 0 {
-					delete(sh.propPages, p)
+					delete(r.propPages, p)
 				} else {
-					sh.propPages[p] = list
+					r.propPages[p] = list
 				}
 				dirty[p] = true
 			},
 			func(p string) {
-				sh.propPages[p], _ = sortedset.Insert(sh.propPages[p], title)
+				r.propPages[p], _ = sortedset.Insert(r.propPages[p], title)
 				dirty[p] = true
 			},
-			func(p string) {
-				if rankMoved {
-					dirty[p] = true
-				}
-			})
+			nil)
 		if len(newProps) == 0 {
 			delete(r.pageProps, title)
-			delete(r.pageRank, title)
 		} else {
 			r.pageProps[title] = newProps
-			r.pageRank[title] = pr
 		}
 		// Merge-diff the sorted old and new pair sets the same way, keeping
 		// the inverted (property, value) → pages index current.
-		sortedset.DiffWalk(sh.pagePairs[title], newPairs,
+		sortedset.DiffWalk(r.pagePairs[title], newPairs,
 			func(pair string) {
-				list, _ := sortedset.Remove(sh.pairPages[pair], title)
+				list, _ := sortedset.Remove(r.pairPages[pair], title)
 				if len(list) == 0 {
-					delete(sh.pairPages, pair)
+					delete(r.pairPages, pair)
 				} else {
-					sh.pairPages[pair] = list
+					r.pairPages[pair] = list
 				}
 			},
 			func(pair string) {
-				sh.pairPages[pair], _ = sortedset.Insert(sh.pairPages[pair], title)
+				r.pairPages[pair], _ = sortedset.Insert(r.pairPages[pair], title)
 			},
 			nil)
 		if len(newPairs) == 0 {
-			delete(sh.pagePairs, title)
+			delete(r.pagePairs, title)
 		} else {
-			sh.pagePairs[title] = newPairs
+			r.pagePairs[title] = newPairs
 		}
 	}
 	for key := range dirty {
-		// Rescoring folds over the shard lists walked in global title
-		// order — the same accumulation order as a rebuild, so the
-		// incremental sum stays bit-identical.
-		if sum, n := r.propSum(key); n == 0 {
-			delete(r.propScore, key)
+		// Rescoring folds the whole carrier list in title order — the same
+		// accumulation order as a rebuild, so the incremental sum stays
+		// bit-identical.
+		if _, ok := r.propPages[key]; ok {
+			r.propScore[key] = r.propSumLocked(key)
 		} else {
-			r.propScore[key] = sum
+			delete(r.propScore, key)
 		}
 	}
 	r.seq = stats.Seq
@@ -328,19 +258,16 @@ func (r *Recommender) Update() UpdateStats {
 }
 
 // SetRanks installs a freshly computed PageRank score map and rescores
-// every property from the retained per-page property sets — O(total
-// property carriers), with no corpus rescan. Callers must bring the
-// recommender up to date (Update) before or after installing new ranks;
-// System.Refresh does both.
+// every property from the retained carrier lists — O(total property
+// carriers), with no corpus rescan. Callers must bring the recommender up
+// to date (Update) before or after installing new ranks; System.Refresh
+// does both.
 func (r *Recommender) SetRanks(ranks map[string]float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.ranks = ranks
-	for title := range r.pageRank {
-		r.pageRank[title] = ranks[title]
-	}
 	for key := range r.propScore {
-		r.propScore[key], _ = r.propSum(key)
+		r.propScore[key] = r.propSumLocked(key)
 	}
 	r.stats.Rescores++
 }
@@ -407,7 +334,7 @@ func (r *Recommender) Recommend(seeds []string, user string, k int) []Recommenda
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	seedSet, pairWeight := r.seedPairWeights(seeds)
+	seedSet, pairWeight := r.seedPairWeightsLocked(seeds)
 	if len(pairWeight) == 0 {
 		return nil
 	}
@@ -416,52 +343,28 @@ func (r *Recommender) Recommend(seeds []string, user string, k int) []Recommenda
 	// (zero-weight pairs can never contribute score). Enumeration order is
 	// irrelevant: the final ordering is a strict total order (score
 	// descending, unique-title tie-break), so the output is identical to
-	// the scan path's regardless of how candidates are discovered. Shards
-	// partition titles, so each can scan its own pair postings (with its
-	// own dedup set) in parallel and the per-shard candidate sets stay
-	// disjoint.
-	collect := func(sh *recShard) []Recommendation {
-		seen := make(map[string]bool)
-		var out []Recommendation
-		for pair, w := range pairWeight {
-			if w <= 0 {
+	// the scan path's regardless of how candidates are discovered.
+	seen := make(map[string]bool)
+	var out []Recommendation
+	for pair, w := range pairWeight {
+		if w <= 0 {
+			continue
+		}
+		for _, title := range r.pairPages[pair] {
+			if seen[title] {
 				continue
 			}
-			for _, title := range sh.pairPages[pair] {
-				if seen[title] {
-					continue
-				}
-				seen[title] = true
-				if seedSet[title] || !r.repo.ACL.CanRead(user, title) {
-					continue
-				}
-				page, ok := r.repo.Wiki.Get(title)
-				if !ok {
-					continue
-				}
-				if rec, ok := scorePage(page, title, pairWeight, r.ranks[title]); ok {
-					out = append(out, rec)
-				}
+			seen[title] = true
+			if seedSet[title] || !r.repo.ACL.CanRead(user, title) {
+				continue
 			}
-		}
-		return out
-	}
-	var out []Recommendation
-	if len(r.shards) == 1 {
-		out = collect(r.shards[0])
-	} else {
-		parts := make([][]Recommendation, len(r.shards))
-		var wg sync.WaitGroup
-		for i, sh := range r.shards {
-			wg.Add(1)
-			go func(i int, sh *recShard) {
-				defer wg.Done()
-				parts[i] = collect(sh)
-			}(i, sh)
-		}
-		wg.Wait()
-		for _, p := range parts {
-			out = append(out, p...)
+			page, ok := r.repo.Wiki.Get(title)
+			if !ok {
+				continue
+			}
+			if rec, ok := scorePage(page, title, pairWeight, r.ranks[title]); ok {
+				out = append(out, rec)
+			}
 		}
 	}
 	return topRecommendations(out, k)
@@ -477,7 +380,7 @@ func (r *Recommender) RecommendScan(seeds []string, user string, k int) []Recomm
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	seedSet, pairWeight := r.seedPairWeights(seeds)
+	seedSet, pairWeight := r.seedPairWeightsLocked(seeds)
 	if len(pairWeight) == 0 {
 		return nil
 	}
@@ -495,11 +398,11 @@ func (r *Recommender) RecommendScan(seeds []string, user string, k int) []Recomm
 	return topRecommendations(out, k)
 }
 
-// seedPairWeights resolves the seed set and the weight of each
+// seedPairWeightsLocked resolves the seed set and the weight of each
 // (property, value) pair across it: the property's global importance,
 // counted once per seed page carrying it. Caller holds at least the read
 // lock.
-func (r *Recommender) seedPairWeights(seeds []string) (map[string]bool, map[string]float64) {
+func (r *Recommender) seedPairWeightsLocked(seeds []string) (map[string]bool, map[string]float64) {
 	seedSet := make(map[string]bool, len(seeds))
 	pairWeight := map[string]float64{}
 	for _, s := range seeds {

@@ -466,6 +466,18 @@ func (r *Repository) DeletePage(title string) (bool, error) {
 	return true, r.commitStaged(commit)
 }
 
+// Read runs fn under the repository's read lock, so the projections fn
+// reads (QuerySQL, QuerySPARQL, DB, RDF) reflect one repository state:
+// every write takes mu before the relational and RDF locks, so none lands
+// between fn's reads. fn must not call anything that takes mu again (a
+// write, SaveSnapshot, Read): with a writer waiting, the nested read lock
+// would deadlock.
+func (r *Repository) Read(fn func()) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	fn()
+}
+
 // QuerySQL runs a SQL query against the relational projection.
 func (r *Repository) QuerySQL(sql string) (*relational.ResultSet, error) {
 	return r.DB.Query(sql)

@@ -198,33 +198,6 @@ func DiffWalk(prev, next []string, onRemoved, onAdded, onKept func(v string)) {
 	}
 }
 
-// WalkK calls fn for each element of the union of sorted string sets, in
-// ascending order and once per distinct element, without building the
-// merged set. It picks the least head by a linear scan, which suits the
-// few lists of a shard fan-out.
-func WalkK(lists [][]string, fn func(string)) {
-	var buf [8][]string
-	cur := append(buf[:0], lists...)
-	for {
-		least := -1
-		for i, l := range cur {
-			if len(l) > 0 && (least < 0 || l[0] < cur[least][0]) {
-				least = i
-			}
-		}
-		if least < 0 {
-			return
-		}
-		v := cur[least][0]
-		fn(v)
-		for i, l := range cur {
-			if len(l) > 0 && l[0] == v {
-				cur[i] = l[1:]
-			}
-		}
-	}
-}
-
 // Merge k-way-merges sorted lists of any element type under less into one
 // sorted list, duplicates preserved. A small binary heap over the list
 // heads keeps the cost at O(total · log k); this is the primitive behind
@@ -349,8 +322,7 @@ func DiffWalkFunc[T any](prev, next []T, cmp func(a, b T) int, onRemoved, onAdde
 }
 
 // Shard maps a key to one of n hash shards (FNV-1a). It is the single
-// placement function every sharded posting structure uses, so the search
-// engine and the recommender agree on which shard owns a title. n <= 1
+// placement function the search engine's sharded postings use. n <= 1
 // always yields shard 0.
 func Shard(key string, n int) int {
 	if n <= 1 {

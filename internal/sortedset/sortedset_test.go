@@ -70,7 +70,7 @@ func randomSet(rng *rand.Rand, vocab []string, n int) ([]string, oracle) {
 	return o.sorted(), o
 }
 
-// TestBinaryOpsVsOracle checks Intersect/Union/Diff/WalkK
+// TestBinaryOpsVsOracle checks Intersect/Union/Diff/IntersectWalk
 // against set arithmetic on the oracle maps, over random operands.
 func TestBinaryOpsVsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -96,29 +96,6 @@ func TestBinaryOpsVsOracle(t *testing.T) {
 		var walked []string
 		IntersectWalk(a, b, func(v string) { walked = append(walked, v) })
 		checkSet(t, walked, inter, "IntersectWalk")
-
-		c, oc := randomSet(rng, vocab, rng.Intn(15))
-		all := oracle{}
-		for _, o := range []oracle{oa, ob, oc} {
-			for v := range o {
-				all[v] = true
-			}
-		}
-		var merged []string
-		WalkK([][]string{a, b, c}, func(v string) { merged = append(merged, v) })
-		checkSet(t, merged, all, "WalkK")
-		// More lists than WalkK's stack buffer holds.
-		lists := [][]string{a, b, c}
-		for len(lists) < 11 {
-			l, o := randomSet(rng, vocab, rng.Intn(6))
-			lists = append(lists, l)
-			for v := range o {
-				all[v] = true
-			}
-		}
-		merged = merged[:0]
-		WalkK(lists, func(v string) { merged = append(merged, v) })
-		checkSet(t, merged, all, "WalkK of 11 lists")
 	}
 }
 

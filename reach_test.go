@@ -23,7 +23,6 @@ var reachAllowlist = map[string]string{
 	"repro/internal/graph.Undirected.ConnectedComponents": "reference for the tag pipeline's incremental component bookkeeping",
 	"repro/internal/linalg.NewCSR":                        "coordinate-list reference the counting-sort PageRank matrix builder is checked against; the CSR tests' fixture",
 	"repro/internal/rdf.Store.Add":                        "builds the rdf and sparql test stores one triple at a time; the repository writes a page's triples with ReplaceSubject",
-	"repro/internal/recommend.New":                        "builds the unsharded recommender the tests and benchmarks share",
 	"repro/internal/recommend.Recommender.RecommendScan":  "full-scan reference the posting-list Recommend is checked against",
 	"repro/internal/replica/faultnet.New":                 "fault-injecting transport of the replication tests",
 	"repro/internal/search.Index.Search":                  "sorted full-scan reference for the compiled matchers and the executor",

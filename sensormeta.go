@@ -133,8 +133,8 @@ type RefreshStats struct {
 	PageRankWarm    int `json:"pagerankWarm"`
 	PageRankCold    int `json:"pagerankCold"`
 
-	// Shards is how many hash shards the search engine (and recommender)
-	// partition their posting structures into, fixed at construction.
+	// Shards is how many hash shards the search engine partitions its
+	// posting structures into, fixed at construction.
 	Shards int `json:"shards"`
 
 	Recommender recommend.Stats `json:"recommender"`
@@ -176,10 +176,10 @@ func New() (*System, error) {
 	return NewShards(0)
 }
 
-// NewShards creates an empty system whose search engine (and, through it,
-// the recommender) is partitioned into n hash shards (n <= 0 selects the
-// GOMAXPROCS-aware default). The count is fixed for the system's lifetime;
-// results and cursor tokens are byte-identical whatever it is.
+// NewShards creates an empty system whose search engine is partitioned
+// into n hash shards (n <= 0 selects the GOMAXPROCS-aware default). The
+// count is fixed for the system's lifetime; results and cursor tokens are
+// byte-identical whatever it is.
 func NewShards(n int) (*System, error) {
 	repo, err := smr.New()
 	if err != nil {
@@ -232,7 +232,7 @@ func assemble(repo *smr.Repository, shards int) *System {
 	s := &System{Repo: repo}
 	s.Engine = search.NewEngineShards(repo, shards)
 	s.Ranker = ranking.New(repo)
-	s.Recommender = recommend.NewSharded(repo, nil, s.Engine.ShardCount())
+	s.Recommender = recommend.New(repo, nil)
 	s.Tags = tagging.NewPipeline(repo, true)
 	s.QueryManager = core.NewManager(repo, s.Engine)
 	return s
