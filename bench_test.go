@@ -14,9 +14,6 @@ package sensormeta
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -99,14 +96,7 @@ func BenchmarkFig3bSolverTime(b *testing.B) {
 // once per benchmark.
 func benchSystem(b *testing.B, sensors int) *System {
 	b.Helper()
-	return benchSystemShards(b, sensors, 0)
-}
-
-// benchSystemShards is benchSystem with a construction-time shard count
-// (0 selects the default).
-func benchSystemShards(b *testing.B, sensors, shards int) *System {
-	b.Helper()
-	sys, err := NewShards(shards)
+	sys, err := New()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -139,45 +129,16 @@ func benchSystemShared(b *testing.B, sensors int) *System {
 	return sys
 }
 
-// benchShardCounts returns the shard counts the scaling sub-benchmarks
-// compare: the serial baseline and the machine's parallel width.
-// SMR_BENCH_SHARDS overrides with an explicit comma-separated list (for
-// measuring fan-out overhead on machines whose CPU count hides it).
-func benchShardCounts() []int {
-	if env := os.Getenv("SMR_BENCH_SHARDS"); env != "" {
-		var out []int
-		for _, part := range strings.Split(env, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 {
-				panic("SMR_BENCH_SHARDS must be a comma-separated list of positive integers")
-			}
-			out = append(out, n)
-		}
-		return out
-	}
-	if n := runtime.NumCPU(); n > 1 {
-		return []int{1, n}
-	}
-	return []int{1}
-}
-
 // BenchmarkFig2Search measures the advanced-search path feeding the Fig-2
-// tabular view, at one shard and at NumCPU shards (per-shard top-k heaps
-// k-way merged; results are identical at every count).
+// tabular view: a rank-ordered top-20 keyword query.
 func BenchmarkFig2Search(b *testing.B) {
 	sys := benchSystemShared(b, 600)
 	expr := query.Keyword{Text: "temperature"}
 	opts := search.ExecOptions{SortBy: search.SortRank, Limit: 20}
-	for _, shards := range benchShardCounts() {
-		eng := search.NewEngineShards(sys.Repo, shards)
-		eng.SetRanks(sys.Ranker.Scores())
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Execute(expr, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Engine.Execute(expr, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -39,8 +39,6 @@ func main() {
 		"with -data-dir: additionally snapshot in the background when the newest snapshot is older than this and the log has grown (0 disables)")
 	autoRefresh := flag.Duration("auto-refresh", 0,
 		"refresh derived structures automatically after writes, debounced by this duration (0 disables)")
-	shards := flag.Int("shards", 0,
-		"index shard count for parallel query execution (0 = min(GOMAXPROCS, 8); results are identical at every count)")
 	follow := flag.String("follow", "",
 		"run as a read replica of the primary at this base URL (requires -data-dir for the local WAL)")
 	maxLag := flag.Uint64("max-lag", 0,
@@ -83,8 +81,7 @@ func main() {
 				AutoSnapshotBytes: *autoSnapBytes,
 				AutoSnapshotAge:   *autoSnapAge,
 			},
-			Shards: *shards,
-			Logf:   log.Printf,
+			Logf: log.Printf,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -104,11 +101,11 @@ func main() {
 		}
 		start := time.Now()
 		var err error
-		sys, err = sensormeta.OpenShards(*dataDir, smr.DurableOptions{
+		sys, err = sensormeta.Open(*dataDir, smr.DurableOptions{
 			Fsync:             policy,
 			AutoSnapshotBytes: *autoSnapBytes,
 			AutoSnapshotAge:   *autoSnapAge,
-		}, *shards)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -118,7 +115,7 @@ func main() {
 			policy, time.Since(start).Round(time.Millisecond))
 	default:
 		var err error
-		sys, err = sensormeta.NewShards(*shards)
+		sys, err = sensormeta.New()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -148,8 +145,6 @@ func main() {
 		log.Printf("demo corpus: %d pages (%d sites, %d deployments, %d sensors), %d tags in %v",
 			stats.Pages, stats.Sites, stats.Deployments, stats.Sensors, stats.Tags, time.Since(start).Round(time.Millisecond))
 	}
-
-	log.Printf("index shards: %d (parallel query fan-out; -shards to override)", sys.Engine.ShardCount())
 
 	if *autoRefresh > 0 {
 		log.Printf("auto-refresh on write enabled (debounce %v)", *autoRefresh)

@@ -66,7 +66,7 @@ func TestRefreshIncrementalMatchesFull(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		full := assemble(sys.Repo, 0)
+		full := assemble(sys.Repo)
 		if err := full.RefreshFull(); err != nil {
 			t.Fatal(err)
 		}

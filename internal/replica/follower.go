@@ -56,10 +56,6 @@ type Config struct {
 	FetchTimeout time.Duration
 	// BatchMax caps records per fetch (default 1024).
 	BatchMax int
-	// Shards partitions the local search engine at construction time
-	// (<= 0 selects the default); results and cursors are identical to a
-	// primary's whatever the count.
-	Shards int
 	// Clock supplies wall time for lag accounting (ReplicaLag,
 	// ReplicaStats). Defaults to time.Now; tests inject a fake clock so
 	// lag assertions are deterministic.
@@ -132,7 +128,7 @@ func Open(ctx context.Context, cfg Config) (*Follower, error) {
 	bo := c.Backoff
 	bootstrappedEmpty := false
 	for {
-		sys, err := sensormeta.OpenShards(c.Dir, c.Durable, c.Shards)
+		sys, err := sensormeta.Open(c.Dir, c.Durable)
 		if err != nil {
 			return nil, fmt.Errorf("replica: opening local state: %w", err)
 		}

@@ -1,8 +1,6 @@
 package search_test
 
 import (
-	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -93,8 +91,7 @@ func BenchmarkFacetIndexVsStream(b *testing.B) {
 // selective-filter keyword query (the filter matches well under 5% of the
 // corpus): the score-then-filter baseline scores every "sensor" posting
 // before filtering, the pruned path intersects the (property, value)
-// posting set first and scores keywords only over the survivors. It runs
-// at one shard and at the machine's parallel width.
+// posting set first and scores keywords only over the survivors.
 func BenchmarkFilterPushdown(b *testing.B) {
 	repo, ranks := benchCorpus()
 	sensors := len(repo.Wiki.PagesInNamespace("Sensor"))
@@ -102,37 +99,31 @@ func BenchmarkFilterPushdown(b *testing.B) {
 		query.Keyword{Text: "sensor", Any: true},
 		query.Property{Name: "partof", Op: query.OpEq, Value: selectiveDeployment(b, repo)},
 	}}
-	shardCounts := []int{1}
-	if n := runtime.NumCPU(); n > 1 {
-		shardCounts = append(shardCounts, n)
+	eng := search.NewEngine(repo)
+	eng.SetRanks(ranks)
+	sel, err := eng.Execute(expr, search.ExecOptions{CountOnly: true})
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, shards := range shardCounts {
-		eng := search.NewEngineShards(repo, shards)
-		eng.SetRanks(ranks)
-		sel, err := eng.Execute(expr, search.ExecOptions{CountOnly: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if hi := sensors / 20; sel.Matched == 0 || sel.Matched > hi {
-			b.Fatalf("filter matches %d of %d sensors; want selective (<%d)", sel.Matched, sensors, hi)
-		}
-		pruned := search.ExecOptions{Limit: 20}
-		for _, c := range []struct {
-			name string
-			opts search.ExecOptions
-		}{{"score-then-filter", search.WithoutPruning(pruned)}, {"pruned", pruned}} {
-			b.Run(fmt.Sprintf("shards=%d/%s", shards, c.name), func(b *testing.B) {
-				b.ReportMetric(float64(sel.Matched), "matches")
-				for i := 0; i < b.N; i++ {
-					res, err := eng.Execute(expr, c.opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Matched != sel.Matched {
-						b.Fatalf("matched %d, want %d", res.Matched, sel.Matched)
-					}
+	if hi := sensors / 20; sel.Matched == 0 || sel.Matched > hi {
+		b.Fatalf("filter matches %d of %d sensors; want selective (<%d)", sel.Matched, sensors, hi)
+	}
+	pruned := search.ExecOptions{Limit: 20}
+	for _, c := range []struct {
+		name string
+		opts search.ExecOptions
+	}{{"score-then-filter", search.WithoutPruning(pruned)}, {"pruned", pruned}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportMetric(float64(sel.Matched), "matches")
+			for i := 0; i < b.N; i++ {
+				res, err := eng.Execute(expr, c.opts)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if res.Matched != sel.Matched {
+					b.Fatalf("matched %d, want %d", res.Matched, sel.Matched)
+				}
+			}
+		})
 	}
 }

@@ -95,20 +95,18 @@ const (
 // repository's change journal (Update) to keep its index and trie current
 // without rebuilding them; Rebuild remains the from-scratch fallback.
 //
-// The keyword postings and structural metaIndex are partitioned into hash
-// shards over page titles (see shard.go): Execute fans out across shards
-// in parallel and k-way merges per-shard results, and Update routes each
-// changed page to its owning shard, so refresh and query contend on
-// per-shard locks instead of one index-wide lock. The autocomplete trie
-// and the TF-IDF term statistics stay global.
+// It holds one keyword Index, one structural metaIndex and one
+// autocomplete Trie over the whole corpus. Each takes its own RWMutex per
+// call, so a refresh applying a page and a query reading the index take
+// turns on the same lock.
 type Engine struct {
-	mu     sync.RWMutex
-	repo   *smr.Repository
-	shards []*engineShard
-	trie   *Trie
-	stats  *TermStats
-	ranks  map[string]float64 // guarded by mu
-	seq    uint64             // journal position the index reflects
+	mu    sync.RWMutex
+	repo  *smr.Repository
+	index *Index
+	meta  *metaIndex
+	trie  *Trie
+	ranks map[string]float64 // guarded by mu
+	seq   uint64             // journal position the index reflects
 
 	// writeMu serializes Rebuild and Update against each other.
 	// Applying one journal run is idempotent, but two interleaved runs
@@ -117,32 +115,17 @@ type Engine struct {
 	writeMu sync.Mutex
 }
 
-// NewEngine builds an engine with the default shard count
-// (min(GOMAXPROCS, 8)) and indexes the current repository content.
+// NewEngine builds an engine and indexes the current repository content.
 func NewEngine(repo *smr.Repository) *Engine {
-	return NewEngineShards(repo, 0)
-}
-
-// NewEngineShards builds an engine partitioned into the given number of
-// shards (<= 0 selects the default) and indexes the current repository
-// content. Results are byte-identical whatever the shard count; the count
-// only chooses how much of the machine a query or refresh can use, and it
-// is fixed for the engine's lifetime.
-func NewEngineShards(repo *smr.Repository, shards int) *Engine {
-	if shards <= 0 {
-		shards = DefaultShardCount()
-	}
-	e := &Engine{repo: repo, ranks: map[string]float64{}, shards: make([]*engineShard, shards)}
+	e := &Engine{repo: repo, ranks: map[string]float64{}}
 	e.Rebuild()
 	return e
 }
 
-// ShardCount returns the number of index shards.
-func (e *Engine) ShardCount() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.shards)
-}
+// ShardCount returns 1.
+//
+// Deprecated: the engine has one index; nothing replaces this count.
+func (e *Engine) ShardCount() int { return 1 }
 
 // buildDocText renders the indexable text of a page: title, wikitext and
 // annotation text, so both prose and structured values are searchable, as
@@ -161,43 +144,35 @@ func buildDocText(p *wiki.Page) string {
 	return b.String()
 }
 
-// upsertPage (re)indexes one page into its shard and keeps the trie's
-// refcounts, the global term statistics and the structural metaIndex in
-// step: one title reference per live page, one term reference per
-// (page, term), one posting per structural key, one df count per
-// (live page, term).
-func upsertPage(sh *engineShard, tr *Trie, stats *TermStats, p *wiki.Page) {
+// upsertPage (re)indexes one page and keeps the trie's refcounts and the
+// structural metaIndex in step: one title reference per live page, one
+// term reference per (page, term), one posting per structural key.
+func upsertPage(ix *Index, meta *metaIndex, tr *Trie, p *wiki.Page) {
 	title := p.Title.String()
-	isNew := !sh.index.Has(title)
-	added, removed := sh.index.Add(title, buildDocText(p))
-	docDelta := 0
-	if isNew {
+	if !ix.Has(title) {
 		tr.Insert(title, titleWeight)
-		docDelta = 1
 	}
-	stats.apply(added, removed, docDelta)
+	added, removed := ix.Add(title, buildDocText(p))
 	for _, t := range removed {
 		tr.Remove(t, termWeight)
 	}
 	for _, t := range added {
 		tr.Insert(t, termWeight)
 	}
-	sh.meta.upsert(title, pageMetaKeys(p), pageAnnCounts(p))
+	meta.upsert(title, pageMetaKeys(p), pageAnnCounts(p))
 }
 
-// deletePage drops one page from its shard and releases its trie entries,
-// df counts and structural postings.
-func deletePage(sh *engineShard, tr *Trie, stats *TermStats, title string) {
-	if !sh.index.Has(title) {
+// deletePage drops one page and releases its trie entries and structural
+// postings.
+func deletePage(ix *Index, meta *metaIndex, tr *Trie, title string) {
+	if !ix.Has(title) {
 		return
 	}
-	removed := sh.index.Remove(title)
-	stats.apply(nil, removed, -1)
-	for _, t := range removed {
+	for _, t := range ix.Remove(title) {
 		tr.Remove(t, termWeight)
 	}
 	tr.Remove(title, titleWeight)
-	sh.meta.remove(title)
+	meta.remove(title)
 }
 
 // Rebuild re-indexes every page from scratch and swaps the fresh structures
@@ -208,24 +183,15 @@ func (e *Engine) Rebuild() {
 	e.rebuildLocked()
 }
 
-// rebuildLocked is Rebuild's body; the caller holds writeMu (the only
-// writer of e.shards, so its length is read without mu).
+// rebuildLocked is Rebuild's body; the caller holds writeMu.
 func (e *Engine) rebuildLocked() {
-	n := len(e.shards)
 	// Capture the journal position first: changes racing with the scan may
 	// be double-applied by a later Update, which is idempotent.
 	seq := e.repo.LastSeq()
-	stats := newTermStats()
-	shards := make([]*engineShard, n)
-	for i := range shards {
-		shards[i] = newEngineShard(stats)
-	}
-	trie := NewTrie()
-	e.repo.Wiki.Each(func(p *wiki.Page) {
-		upsertPage(shards[shardOf(p.Title.String(), n)], trie, stats, p)
-	})
+	ix, meta, trie := NewIndex(), newMetaIndex(), NewTrie()
+	e.repo.Wiki.Each(func(p *wiki.Page) { upsertPage(ix, meta, trie, p) })
 	e.mu.Lock()
-	e.shards, e.trie, e.stats, e.seq = shards, trie, stats, seq
+	e.index, e.meta, e.trie, e.seq = ix, meta, trie, seq
 	e.mu.Unlock()
 }
 
@@ -244,15 +210,12 @@ func (e *Engine) Update() UpdateStats {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	e.mu.RLock()
-	since := e.seq
+	since, ix, meta, tr := e.seq, e.index, e.meta, e.trie
 	e.mu.RUnlock()
 	changes, ok := e.repo.Changes(since)
 	if !ok {
 		e.rebuildLocked()
-		e.mu.RLock()
-		seq := e.seq
-		e.mu.RUnlock()
-		return UpdateStats{Full: true, Seq: seq}
+		return UpdateStats{Full: true, Seq: e.Seq()}
 	}
 	if len(changes) == 0 {
 		return UpdateStats{Seq: since}
@@ -263,63 +226,18 @@ func (e *Engine) Update() UpdateStats {
 	// how many journal entries it accumulated. Tag assignments don't touch
 	// the indexed text, so ChangeTag entries only advance the position.
 	seen := make(map[string]bool, len(changes))
-	titles := make([]string, 0, len(changes))
 	for _, c := range changes {
-		if c.Kind == smr.ChangeTag {
+		if c.Kind == smr.ChangeTag || seen[c.Title] {
 			continue
 		}
-		if !seen[c.Title] {
-			seen[c.Title] = true
-			titles = append(titles, c.Title)
+		seen[c.Title] = true
+		if page, ok := e.repo.Wiki.Get(c.Title); ok {
+			upsertPage(ix, meta, tr, page)
+		} else {
+			deletePage(ix, meta, tr, c.Title)
 		}
+		stats.Applied++
 	}
-	e.mu.RLock()
-	shards, tr, ts := e.shards, e.trie, e.stats
-	e.mu.RUnlock()
-	// Route each changed title to its owning shard, then apply the groups
-	// in parallel: within a shard application stays sequential (ordering
-	// per title matters), across shards only the trie and term stats are
-	// shared and both take their own locks. A query touching shard A never
-	// waits on a refresh writing shard B.
-	groups := make([][]string, len(shards))
-	for _, title := range titles {
-		s := shardOf(title, len(shards))
-		groups[s] = append(groups[s], title)
-	}
-	apply := func(si int) {
-		for _, title := range groups[si] {
-			if page, ok := e.repo.Wiki.Get(title); ok {
-				upsertPage(shards[si], tr, ts, page)
-			} else {
-				deletePage(shards[si], tr, ts, title)
-			}
-		}
-	}
-	busy := 0
-	for si := range groups {
-		if len(groups[si]) > 0 {
-			busy++
-		}
-	}
-	if busy <= 1 {
-		for si := range groups {
-			apply(si)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for si := range groups {
-			if len(groups[si]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				apply(si)
-			}(si)
-		}
-		wg.Wait()
-	}
-	stats.Applied = len(titles)
 	e.mu.Lock()
 	if stats.Seq > e.seq {
 		e.seq = stats.Seq

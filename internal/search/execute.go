@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/explain"
 	"repro/internal/query"
@@ -39,8 +38,8 @@ type ExecOptions struct {
 	// CountOnly skips result materialization: only Matched and Facets are
 	// computed (the streaming facet path).
 	CountOnly bool
-	// Explain attaches a plan tree to the result: per-shard enumeration
-	// strategy with the index's match estimate against the actual counts.
+	// Explain attaches a plan tree to the result: the enumeration strategy
+	// with the index's match estimate against the actual counts.
 	Explain bool
 
 	// noPrune skips candidate-set pruning and runs the score-then-filter
@@ -66,9 +65,9 @@ type ExecResult struct {
 	// NextCursor is the opaque cursor for the page after this one; empty
 	// when this page exhausts the matching set (or Limit was 0).
 	NextCursor string
-	// Plan is the executed plan tree (only when ExecOptions.Explain): one
-	// child per shard showing the enumeration strategy chosen there,
-	// estimated versus actual rows on every node.
+	// Plan is the executed plan tree (only when ExecOptions.Explain): the
+	// Search root with estimated versus actual rows, and one child naming
+	// the enumeration strategy that ran.
 	Plan *explain.Node
 }
 
@@ -154,7 +153,7 @@ func (es estimator) EstimateLeaf(leaf query.Expr) int {
 
 // cursorPayload is the decoded keyset cursor: the sort key values of the
 // last item served, plus a signature binding the cursor to the query,
-// sort and fusion parameters it was minted for. It names no shard state,
+// sort and fusion parameters it was minted for. It names no index state,
 // so cursors survive index updates. Tokens from older releases carry an
 // extra "e" field, which decoding ignores.
 type cursorPayload struct {
@@ -249,18 +248,20 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 	}
 
 	e.mu.RLock()
-	shards, ranks := e.shards, e.ranks
+	ix, meta, ranks := e.index, e.meta, e.ranks
 	e.mu.RUnlock()
 
 	// norm is what gets evaluated per page: deterministic for a given
 	// input expression, so matched display pairs follow the author's
 	// operand order and the cursor signature survives index churn between
-	// pages. Each shard additionally reorders And operands most-selective
-	// first from its own index statistics — reordering only steers
-	// candidate planning, never evaluation, so shard-local plans cannot
-	// change what matches or how it scores.
+	// pages. planned additionally reorders And operands most-selective
+	// first from the index statistics — reordering only steers candidate
+	// planning, never evaluation, so it cannot change what matches or how
+	// it scores.
 	norm := query.Normalize(expr)
 	corpusN := e.repo.Wiki.Len()
+	est := estimator{meta: meta, ix: ix, n: corpusN}
+	planned := query.Reorder(norm, est)
 
 	key, order := opts.SortBy, opts.Order
 	if key == "" {
@@ -268,18 +269,14 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 	}
 	less := resultLessKeyed(key, order)
 
-	// The corpus title list is fetched and hash-partitioned once, lazily:
-	// only executions that need a shard's title universe (Not complements,
-	// corpus scans) pay for it.
-	var titlesOnce sync.Once
-	var shardTitles [][]string
-	titlesFor := func(si int) func() []string {
-		return func() []string {
-			titlesOnce.Do(func() {
-				shardTitles = partitionTitles(e.repo.Wiki.Titles(), len(shards))
-			})
-			return shardTitles[si]
+	// The corpus title list is fetched lazily: only Not complements, title
+	// prefixes, match-all and corpus scans need it.
+	var allTitles []string
+	titles := func() []string {
+		if allTitles == nil {
+			allTitles = e.repo.Wiki.Titles()
 		}
+		return allTitles
 	}
 
 	var cur *cursorPayload
@@ -298,8 +295,8 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 		}
 		cur = p
 	}
-	// keep is the prefix each shard retains: limit+offset, saturated so a
-	// sum past the int range keeps everything instead of going negative.
+	// keep is the prefix the selection retains: limit+offset, saturated so
+	// a sum past the int range keeps everything instead of going negative.
 	keep := opts.Limit + opts.Offset
 	if keep < opts.Limit {
 		keep = math.MaxInt
@@ -309,238 +306,155 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 		curResult = Result{Title: cur.Title, Relevance: cur.Rel, Rank: cur.Rank}
 	}
 
-	// Each shard runs the full enumerate/prune/score pipeline over its own
-	// partition and returns a shardOut; shards share only read-only state
-	// (norm, cursor, ranks snapshot) plus their own locks. Because titles
-	// partition across shards, per-shard match sets are disjoint: Matched,
-	// eligible and facet counts sum, and sorted per-shard prefixes k-way
-	// merge into the global prefix (every display order is a strict total
-	// order with a unique-title tie-break).
-	type shardOut struct {
-		results  []Result // heap-sorted top-(limit+offset) when sel ran, else unsorted buffer
-		matched  int
-		eligible int
-		facets   map[string]map[string]int
-		maxRel   float64
-		maxRank  float64
-		kws      *kwMatchers
-		exact    bool
-		plan     *explain.Node
+	// The ACL is consulted once per query: when the user reads every page,
+	// no title needs its own check.
+	readsAll := e.repo.ACL.ReadsAll(opts.User)
+	props, facets := facetAccumulators(opts.Facets)
+	res := &ExecResult{Facets: facets}
+	kws := newKwMatchers(ix)
+	// attachPlan attaches the plan tree when asked for: the Search root with
+	// the index's match estimate against the actual match count, and one
+	// child naming the enumeration strategy and how many candidates it
+	// streamed.
+	attachPlan := func(op, detail string, scanned int) {
+		if !opts.Explain {
+			return
+		}
+		rootDetail := "sort=" + string(key)
+		if order != "" {
+			rootDetail += " " + string(order)
+		}
+		if fusing {
+			rootDetail += " alpha-fused"
+		}
+		root := explain.New("Search", rootDetail)
+		root.Est, root.Act = min(query.Estimate(planned, est), corpusN), res.Matched
+		strat := explain.New(op, detail)
+		strat.Act = scanned
+		root.Add(strat)
+		res.Plan = root
 	}
 
-	run := func(si int) *shardOut {
-		sh := shards[si]
-		titles := titlesFor(si)
-		so := &shardOut{kws: newKwMatchers(sh.index)}
-		props, facets := facetAccumulators(opts.Facets)
-		so.facets = facets
-		planned := query.Reorder(norm, estimator{meta: sh.meta, ix: sh.index, n: corpusN})
-		// attachPlan records this shard's plan node: the index's match
-		// estimate against the actual match count, with one child naming the
-		// enumeration strategy and how many candidates it streamed.
-		attachPlan := func(op, detail string, scanned int) {
-			if !opts.Explain {
-				return
-			}
-			n := explain.New("SearchShard", fmt.Sprintf("partition %d/%d", si, len(shards)))
-			n.Est = query.Estimate(planned, estimator{meta: sh.meta, ix: sh.index, n: corpusN})
-			n.Act = so.matched
-			strat := explain.New(op, detail)
-			strat.Act = scanned
-			n.Add(strat)
-			so.plan = n
-		}
-
-		// Exact-set fast path: a keyword-free expression whose match set
-		// the metaIndex derives exactly has Matched and every facet
-		// answered by set arithmetic over the shard snapshot. The ACL
-		// still filters the match set (a title check, no page fetch).
-		// Exactness is decided by the expression's shape, so every shard
-		// takes the same branch here.
-		var exact []string
-		if !opts.noPrune && !opts.noFacetIndex {
-			if s, isExact, ok := sh.meta.candidates(norm, titles); ok && isExact {
+	// Exact-set fast path: a keyword-free expression whose match set the
+	// metaIndex derives exactly has Matched and every facet answered by
+	// set arithmetic over the index. The ACL still filters the match set
+	// (a title check, no page fetch).
+	var exact []string
+	isExact := false
+	if !opts.noPrune && !opts.noFacetIndex {
+		if s, ex, ok := meta.candidates(norm, titles); ok && ex {
+			if !readsAll {
 				kept := s[:0]
 				for _, t := range s {
 					if e.repo.ACL.CanRead(opts.User, t) {
 						kept = append(kept, t)
 					}
 				}
-				exact, so.exact = kept, true
-				sh.meta.facetsInto(props, facets, exact)
-				props = nil
+				s = kept
 			}
+			exact, isExact = s, true
+			meta.facetsInto(props, facets, exact)
+			props = nil
 		}
-		if opts.CountOnly && so.exact {
-			so.matched = len(exact)
-			attachPlan("ExactSet", "index-derived match set", len(exact))
-			return so
-		}
+	}
+	if opts.CountOnly && isExact {
+		res.Matched = len(exact)
+		attachPlan("ExactSet", "index-derived match set", len(exact))
+		return res, nil
+	}
 
-		var sel *topK[Result]
-		if !opts.CountOnly && !fusing && opts.Limit > 0 {
-			sel = newTopK(keep, sh.index.NumDocs(), less)
-		}
-		// The driver leaf must come from the SAME tree enumerate drives
-		// with: with two keyword conjuncts, reordering can change which
-		// one drives, and installing the driven score under the other
-		// leaf's text would corrupt both match decisions and scores.
-		driver, hasDriverLeaf := requiredKeyword(planned)
-		visit := func(title string, driverScore float64, hasDriver bool) {
-			var r Result
-			if so.exact {
-				// The exact set is already ACL-filtered and facet-counted;
-				// only a liveness check stands between membership and a
-				// result.
-				if _, ok := e.repo.Wiki.Get(title); !ok {
-					return
-				}
-				so.matched++
-				if opts.CountOnly {
-					return
-				}
-				r = Result{Title: title, Rank: ranks[title]}
-			} else {
-				page, ok := e.repo.Wiki.Get(title)
-				if !ok {
-					return
-				}
-				if !e.repo.ACL.CanRead(opts.User, title) {
-					return
-				}
-				d := docView{page: page, title: title, kws: so.kws}
-				if hasDriver && hasDriverLeaf {
-					d.driverText, d.driverAny = driver.Text, driver.Any
-					d.driverScore, d.hasDriver = driverScore, true
-				}
-				m := query.Eval(norm, d)
-				if !m.OK {
-					return
-				}
-				so.matched++
-				for _, p := range props {
-					for _, v := range page.PropertyValues(p) {
-						facets[p][v]++
-					}
-				}
-				if opts.CountOnly {
-					return
-				}
-				r = Result{Title: title, Relevance: m.Score, Rank: ranks[title], Matched: m.Matched}
-			}
-			if fusing {
-				// The fused comparator needs the whole matching set's
-				// normalizers, so cursor filtering and selection run after
-				// the fan-in merges per-shard maxima.
-				if r.Relevance > so.maxRel {
-					so.maxRel = r.Relevance
-				}
-				if r.Rank > so.maxRank {
-					so.maxRank = r.Rank
-				}
-				so.results = append(so.results, r)
+	var sel *topK[Result]
+	if !opts.CountOnly && !fusing && opts.Limit > 0 {
+		sel = newTopK(keep, ix.NumDocs(), less)
+	}
+	var (
+		out             []Result // fused: every match; otherwise matches past the cursor when sel is nil
+		eligible        int      // matches after the cursor (== Matched when no cursor)
+		maxRel, maxRank float64  // fusion normalizers over the whole matching set
+	)
+	// The driver leaf must come from the SAME tree enumerate drives
+	// with: with two keyword conjuncts, reordering can change which
+	// one drives, and installing the driven score under the other
+	// leaf's text would corrupt both match decisions and scores.
+	driver, hasDriverLeaf := requiredKeyword(planned)
+	visit := func(title string, driverScore float64, hasDriver bool) {
+		var r Result
+		if isExact {
+			// The exact set is already ACL-filtered and facet-counted;
+			// only a liveness check stands between membership and a
+			// result.
+			if _, ok := e.repo.Wiki.Get(title); !ok {
 				return
 			}
-			if cur != nil && !less(curResult, r) {
-				return // at or before the cursor position in the total order
+			res.Matched++
+			if opts.CountOnly {
+				return
 			}
-			so.eligible++
-			if sel != nil {
-				sel.push(r)
-			} else {
-				so.results = append(so.results, r)
-			}
-		}
-
-		if so.exact {
-			// The facet fast path already derived (and ACL-filtered) the
-			// exact match set; enumerate over it directly instead of
-			// re-deriving candidates from the index.
-			for _, t := range exact {
-				visit(t, 0, false)
-			}
-			attachPlan("ExactSet", "index-derived match set", len(exact))
+			r = Result{Title: title, Rank: ranks[title]}
 		} else {
-			op, detail, scanned := e.enumerate(sh, planned, titles, driver, hasDriverLeaf, opts.noPrune, visit)
-			attachPlan(op, detail, scanned)
-		}
-		if sel != nil {
-			so.results = sel.sorted()
-		}
-		return so
-	}
-
-	outs := make([]*shardOut, len(shards))
-	if len(shards) == 1 {
-		outs[0] = run(0)
-	} else {
-		var wg sync.WaitGroup
-		for si := range shards {
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				outs[si] = run(si)
-			}(si)
-		}
-		wg.Wait()
-	}
-
-	// Fan-in: counts sum, facet counts merge by value, result lists merge
-	// under the same strict total order each shard selected with.
-	_, mergedFacets := facetAccumulators(opts.Facets)
-	res := &ExecResult{Facets: mergedFacets}
-	for _, so := range outs {
-		res.Matched += so.matched
-		for p, counts := range so.facets {
-			for v, n := range counts {
-				mergedFacets[p][v] += n
+			page, ok := e.repo.Wiki.Get(title)
+			if !ok {
+				return
 			}
-		}
-	}
-	if opts.Explain {
-		detail := fmt.Sprintf("shards=%d sort=%s", len(shards), key)
-		if order != "" {
-			detail += " " + string(order)
+			if !readsAll && !e.repo.ACL.CanRead(opts.User, title) {
+				return
+			}
+			d := docView{page: page, title: title, kws: kws}
+			if hasDriver && hasDriverLeaf {
+				d.driverText, d.driverAny = driver.Text, driver.Any
+				d.driverScore, d.hasDriver = driverScore, true
+			}
+			m := query.Eval(norm, d)
+			if !m.OK {
+				return
+			}
+			res.Matched++
+			for _, p := range props {
+				for _, v := range page.PropertyValues(p) {
+					facets[p][v]++
+				}
+			}
+			if opts.CountOnly {
+				return
+			}
+			r = Result{Title: title, Relevance: m.Score, Rank: ranks[title], Matched: m.Matched}
 		}
 		if fusing {
-			detail += " alpha-fused"
+			// The fused comparator needs the whole matching set's
+			// normalizers, so cursor filtering and selection run after
+			// enumeration.
+			maxRel, maxRank = max(maxRel, r.Relevance), max(maxRank, r.Rank)
+			out = append(out, r)
+			return
 		}
-		root := explain.New("Search", detail)
-		est := 0
-		for _, so := range outs {
-			if so.plan != nil {
-				est += so.plan.Est
-				root.Add(so.plan)
-			}
+		if cur != nil && !less(curResult, r) {
+			return // at or before the cursor position in the total order
 		}
-		if est > corpusN {
-			est = corpusN
+		eligible++
+		if sel != nil {
+			sel.push(r)
+		} else {
+			out = append(out, r)
 		}
-		root.Est, root.Act = est, res.Matched
-		res.Plan = root
+	}
+
+	if isExact {
+		// The facet fast path already derived (and ACL-filtered) the exact
+		// match set; enumerate over it directly instead of re-deriving
+		// candidates from the index.
+		for _, t := range exact {
+			visit(t, 0, false)
+		}
+		attachPlan("ExactSet", "index-derived match set", len(exact))
+	} else {
+		attachPlan(e.enumerate(ix, meta, planned, titles, driver, hasDriverLeaf, opts.noPrune, visit))
 	}
 	if opts.CountOnly {
 		return res, nil
 	}
 
-	eligible := 0 // matches after the cursor (== Matched when no cursor)
-	var out []Result
-	if fusing {
-		var maxRel, maxRank float64
-		total := 0
-		for _, so := range outs {
-			total += len(so.results)
-			if so.maxRel > maxRel {
-				maxRel = so.maxRel
-			}
-			if so.maxRank > maxRank {
-				maxRank = so.maxRank
-			}
-		}
-		out = make([]Result, 0, total)
-		for _, so := range outs {
-			out = append(out, so.results...)
-		}
+	switch {
+	case fusing:
 		less = fusedResultLess(alpha, maxRel, maxRank, order)
 		if cur != nil {
 			kept := out[:0]
@@ -561,34 +475,10 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 		} else {
 			sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
 		}
-	} else {
-		for _, so := range outs {
-			eligible += so.eligible
-		}
-		if opts.Limit > 0 {
-			// Each shard holds its own sorted top-(limit+offset); the k-way
-			// merge of disjoint sorted lists under a strict total order is
-			// exactly the global sorted prefix.
-			lists := make([][]Result, 0, len(outs))
-			for _, so := range outs {
-				if len(so.results) > 0 {
-					lists = append(lists, so.results)
-				}
-			}
-			if len(lists) == 1 {
-				out = lists[0]
-			} else if len(lists) > 1 {
-				out = sortedset.Merge(lists, less)
-			}
-			if len(out) > keep {
-				out = out[:keep]
-			}
-		} else {
-			for _, so := range outs {
-				out = append(out, so.results...)
-			}
-			sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
-		}
+	case sel != nil:
+		out = sel.sorted()
+	default:
+		sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
 	}
 	if opts.Offset > 0 {
 		if opts.Offset >= len(out) {
@@ -600,16 +490,15 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 	if opts.Limit > 0 && opts.Limit < len(out) {
 		out = out[:opts.Limit]
 	}
-	if len(out) > 0 && outs[0].exact {
+	if isExact {
 		// The Eval-skipped fast path still owes the returned page its
 		// matched display pairs — evaluate just these results, not the
-		// whole matching set, each against its owning shard's matchers.
+		// whole matching set.
 		for i := range out {
 			page, ok := e.repo.Wiki.Get(out[i].Title)
 			if !ok {
 				continue
 			}
-			kws := outs[shardOf(out[i].Title, len(shards))].kws
 			if m := query.Eval(norm, docView{page: page, title: out[i].Title, kws: kws}); m.OK {
 				out[i].Matched = m.Matched
 			}
@@ -643,14 +532,12 @@ func (e *Engine) Execute(expr query.Expr, opts ExecOptions) (*ExecResult, error)
 //     candidates or keyword hits) — enumerate the union;
 //  4. full corpus scan.
 //
-// titles supplies the shard's sorted title partition, memoized by the
-// caller; every strategy therefore stays within the shard's own universe.
+// titles supplies the sorted corpus title list, memoized by the caller.
 //
 // The return values name the strategy taken (a plan-node op and detail) and
 // how many candidate titles it streamed to visit — the EXPLAIN surface's
 // record of which rung of the ladder actually ran.
-func (e *Engine) enumerate(sh *engineShard, planned query.Expr, titles func() []string, kw query.Keyword, kwOK, noPrune bool, visit func(title string, driverScore float64, hasDriver bool)) (op, detail string, scanned int) {
-	ix, meta := sh.index, sh.meta
+func (e *Engine) enumerate(ix *Index, meta *metaIndex, planned query.Expr, titles func() []string, kw query.Keyword, kwOK, noPrune bool, visit func(title string, driverScore float64, hasDriver bool)) (op, detail string, scanned int) {
 	mode := ModeAll
 	if kw.Any {
 		mode = ModeAny
@@ -689,7 +576,7 @@ func (e *Engine) enumerate(sh *engineShard, planned query.Expr, titles func() []
 	for _, t := range ts {
 		visit(t, 0, false)
 	}
-	return "CorpusScan", "all shard titles", len(ts)
+	return "CorpusScan", "all titles", len(ts)
 }
 
 // orUnion derives a superset title set for a top-level Or whose branches
@@ -749,19 +636,14 @@ func requiredKeyword(e query.Expr) (query.Keyword, bool) {
 // filter principals themselves.
 func (e *Engine) CompileMatcher(expr query.Expr) func(title string) bool {
 	e.mu.RLock()
-	shards := e.shards
+	kws := newKwMatchers(e.index)
 	e.mu.RUnlock()
-	kws := make([]*kwMatchers, len(shards))
-	for i, sh := range shards {
-		kws[i] = newKwMatchers(sh.index)
-	}
 	return func(title string) bool {
 		page, ok := e.repo.Wiki.Get(title)
 		if !ok {
 			return false
 		}
-		t := page.Title.String()
-		return query.Matches(expr, docView{page: page, title: t, kws: kws[shardOf(t, len(kws))]})
+		return query.Matches(expr, docView{page: page, title: page.Title.String(), kws: kws})
 	}
 }
 
@@ -774,19 +656,11 @@ func (e *Engine) EstimateMatches(expr query.Expr) int {
 	if expr == nil {
 		expr = query.All{}
 	}
-	norm := query.Normalize(expr)
 	e.mu.RLock()
-	shards := e.shards
+	ix, meta := e.index, e.meta
 	e.mu.RUnlock()
 	n := e.repo.Wiki.Len()
-	total := 0
-	for _, sh := range shards {
-		total += query.Estimate(norm, estimator{meta: sh.meta, ix: sh.index, n: n})
-		if total >= n {
-			return n
-		}
-	}
-	return total
+	return min(query.Estimate(query.Normalize(expr), estimator{meta: meta, ix: ix, n: n}), n)
 }
 
 // CompileScorer returns a per-title relevance probe for a keyword query —
@@ -799,18 +673,14 @@ func (e *Engine) EstimateMatches(expr query.Expr) int {
 // themselves.
 func (e *Engine) CompileScorer(text string, mode Mode) func(title string) (float64, bool) {
 	e.mu.RLock()
-	shards := e.shards
+	kws := newKwMatchers(e.index)
 	e.mu.RUnlock()
-	kws := make([]*kwMatchers, len(shards))
-	for i, sh := range shards {
-		kws[i] = newKwMatchers(sh.index)
-	}
 	any := mode == ModeAny
 	return func(title string) (float64, bool) {
 		if _, ok := e.repo.Wiki.Get(title); !ok {
 			return 0, false
 		}
-		return kws[shardOf(title, len(kws))].score(title, text, any)
+		return kws.score(title, text, any)
 	}
 }
 

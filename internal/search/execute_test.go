@@ -434,31 +434,26 @@ func TestExecuteOrKeywordUnion(t *testing.T) {
 func TestDocScoreMatchesSearch(t *testing.T) {
 	_, e := executeFixture(t, 50)
 	e.mu.RLock()
-	shards := e.shards
+	ix := e.index
 	e.mu.RUnlock()
 	for _, q := range []string{"temperature sensor", `"wind speed"`, "station"} {
 		for _, mode := range []Mode{ModeAll, ModeAny} {
-			total := 0
-			for _, sh := range shards {
-				ix := sh.index
-				dm := ix.CompileDocMatcher(q, mode)
-				hits := ix.Search(q, mode)
-				total += len(hits)
-				for _, h := range hits {
-					score, ok := dm.Score(h.ID)
-					if !ok {
-						t.Fatalf("Score(%s, %q) reports no match", h.ID, q)
-					}
-					if score != h.Score {
-						t.Errorf("Score(%s, %q) = %v, Search = %v", h.ID, q, score, h.Score)
-					}
+			dm := ix.CompileDocMatcher(q, mode)
+			hits := ix.Search(q, mode)
+			if len(hits) == 0 {
+				t.Fatalf("no hits for %q", q)
+			}
+			for _, h := range hits {
+				score, ok := dm.Score(h.ID)
+				if !ok {
+					t.Fatalf("Score(%s, %q) reports no match", h.ID, q)
 				}
-				if _, ok := ix.CompileDocMatcher(`"wind speed"`, ModeAll).Score("Deployment:D-00"); ok {
-					t.Error("Score matched a phrase the document lacks")
+				if score != h.Score {
+					t.Errorf("Score(%s, %q) = %v, Search = %v", h.ID, q, score, h.Score)
 				}
 			}
-			if total == 0 {
-				t.Fatalf("no hits for %q", q)
+			if _, ok := ix.CompileDocMatcher(`"wind speed"`, ModeAll).Score("Deployment:D-00"); ok {
+				t.Error("Score matched a phrase the document lacks")
 			}
 		}
 	}

@@ -31,15 +31,10 @@ func randomPageText(rng *rand.Rand) string {
 }
 
 // checkEngineEquivalence asserts that the incrementally maintained engine
-// and a from-scratch rebuild of the same repository answer identically —
-// against both an unsharded and a multi-shard rebuild, so incremental ==
-// rebuild is pinned per shard count and not just for whatever partition
-// the incremental engine happens to use.
+// and a from-scratch rebuild of the same repository answer identically.
 func checkEngineEquivalence(t *testing.T, repo *smr.Repository, incr *Engine, step int) {
 	t.Helper()
-	for _, shards := range []int{1, 3} {
-		checkEnginesAgree(t, NewEngineShards(repo, shards), incr, step)
-	}
+	checkEnginesAgree(t, NewEngine(repo), incr, step)
 }
 
 // checkEnginesAgree asserts two engines over the same repository answer
@@ -108,11 +103,6 @@ func checkEnginesAgree(t *testing.T, fresh, incr *Engine, step int) {
 // Engine.Update, the incrementally maintained engine must answer every
 // query and autocomplete identically to an engine rebuilt from scratch.
 func TestIncrementalUpdateMatchesRebuild(t *testing.T) {
-	// Each seed maintains its incremental engine at a different shard
-	// count, so journal-routed shard updates are exercised (and checked
-	// against rebuilds at two partitions) at every count the sharded
-	// equivalence suite covers.
-	shardCounts := []int{1, 2, 3, 8}
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -120,7 +110,7 @@ func TestIncrementalUpdateMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := NewEngineShards(repo, shardCounts[(seed-1)%int64(len(shardCounts))])
+			e := NewEngine(repo)
 			titles := make([]string, 12)
 			for i := range titles {
 				titles[i] = fmt.Sprintf("Sensor:S%d", i)

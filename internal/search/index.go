@@ -23,6 +23,10 @@ type posting struct {
 // kept sorted by document number so per-document lookups (phrase checks)
 // binary-search instead of scanning. Safe for concurrent reads; writes take
 // the exclusive lock.
+//
+// The engine keeps one Index over the whole corpus, so the TF-IDF inputs
+// are the index's own: the live document count and each term's posting
+// length, read under the same lock as the postings they weight.
 type Index struct {
 	mu       sync.RWMutex
 	docs     []string
@@ -32,13 +36,6 @@ type Index struct {
 	docTerms [][]string // distinct terms per live doc, sorted
 	free     []int      // slots released by Remove, reused by Add
 	accPool  sync.Pool  // *accumulator, reused across searches
-
-	// stats, when set, supplies the corpus-global TF-IDF inputs (document
-	// count and per-term document frequencies) instead of this index's own
-	// — the hook that keeps every shard of a partitioned engine scoring
-	// bit-identically to one unsharded index. The engine maintains it from
-	// the same Add/Remove deltas it already applies to the trie.
-	stats *TermStats
 }
 
 // NewIndex returns an empty index.
@@ -267,21 +264,21 @@ func (ix *Index) Hits(query string, mode Mode) []Hit {
 		}
 	}
 
-	n, dfs := ix.termDFs(uniq)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if n == 0 || len(ix.docIdx) == 0 {
+	n := len(ix.docIdx)
+	if n == 0 {
 		return nil
 	}
 	acc := ix.acquireAcc(len(ix.docs))
 	defer ix.releaseAcc(acc)
 	var hits []Hit
-	for ti, term := range uniq {
+	for _, term := range uniq {
 		list := ix.postings[term]
 		if len(list) == 0 {
 			continue
 		}
-		idf := math.Log(float64(n)/float64(dfs[ti])) + 1
+		w := idf(n, len(list))
 		for i := range list {
 			p := &list[i]
 			if acc.matched[p.doc] == 0 {
@@ -289,7 +286,7 @@ func (ix *Index) Hits(query string, mode Mode) []Hit {
 			}
 			acc.matched[p.doc]++
 			tf := float64(p.freq) / float64(ix.docLen[p.doc])
-			acc.scores[p.doc] += tf * idf
+			acc.scores[p.doc] += tf * w
 		}
 	}
 	for _, doc := range acc.touched {
@@ -356,24 +353,25 @@ func (dm *DocMatcher) Score(id string) (float64, bool) {
 	if len(dm.uniq) == 0 {
 		return 0, false
 	}
-	n, dfs := ix.termDFs(dm.uniq)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	doc, ok := ix.docIdx[id]
-	if n == 0 || !ok {
+	if !ok {
 		return 0, false
 	}
+	n := len(ix.docIdx)
 	var score float64
 	matched := 0
-	for ti, term := range dm.uniq {
-		p := ix.findPosting(term, doc)
+	for _, term := range dm.uniq {
+		list := ix.postings[term]
+		p := findPosting(list, doc)
 		if p == nil {
 			continue
 		}
 		matched++
-		idf := math.Log(float64(n)/float64(dfs[ti])) + 1
+		w := idf(n, len(list))
 		tf := float64(p.freq) / float64(ix.docLen[doc])
-		score += tf * idf
+		score += tf * w
 	}
 	if matched == 0 || (dm.mode == ModeAll && matched < len(dm.uniq)) {
 		return 0, false
@@ -473,26 +471,20 @@ func (ix *Index) hasPhraseLocked(doc int, tokens []string) bool {
 	return false
 }
 
-// termDFs resolves the TF-IDF inputs for a term list: the corpus document
-// count n and each term's document frequency. With a shared TermStats
-// installed (shard indexes) these are the global corpus statistics;
-// otherwise the index's own.
-func (ix *Index) termDFs(terms []string) (n int, dfs []int) {
-	if ix.stats != nil {
-		return ix.stats.lookup(terms)
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	dfs = make([]int, len(terms))
-	for i, t := range terms {
-		dfs[i] = len(ix.postings[t])
-	}
-	return len(ix.docIdx), dfs
+// idf is the inverse document frequency weight of a term posted in df of
+// the index's n live documents. Caller holds at least a read lock, so n
+// and df come from one index state.
+func idf(n, df int) float64 {
+	return math.Log(float64(n)/float64(df)) + 1
 }
 
 // findPosting binary-searches term's doc-sorted posting list.
 func (ix *Index) findPosting(term string, doc int) *posting {
-	list := ix.postings[term]
+	return findPosting(ix.postings[term], doc)
+}
+
+// findPosting binary-searches a doc-sorted posting list.
+func findPosting(list []posting, doc int) *posting {
 	i := sort.Search(len(list), func(k int) bool { return list[k].doc >= doc })
 	if i < len(list) && list[i].doc == doc {
 		return &list[i]

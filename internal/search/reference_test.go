@@ -10,10 +10,15 @@ import (
 	"repro/internal/smr"
 )
 
-// shardedFixture builds a randomized corpus (puts, overwrites and deletes,
+// aclUser is the fixture principal some pages are denied to, so the
+// executor's per-title ACL path runs alongside the read-everything one.
+const aclUser = "limited"
+
+// randomFixture builds a randomized corpus (puts, overwrites and deletes,
 // so freed index slots and retracted postings are in play) and returns the
-// repository plus a rank vector to install.
-func shardedFixture(t *testing.T, rng *rand.Rand, pages int) (*smr.Repository, map[string]float64) {
+// repository plus a rank vector to install. Every seventh page is denied
+// to aclUser.
+func randomFixture(t *testing.T, rng *rand.Rand, pages int) (*smr.Repository, map[string]float64) {
 	t.Helper()
 	repo, err := smr.New()
 	if err != nil {
@@ -26,6 +31,9 @@ func shardedFixture(t *testing.T, rng *rand.Rand, pages int) (*smr.Repository, m
 			t.Fatal(err)
 		}
 		ranks[title] = rng.Float64()
+		if i%7 == 0 {
+			repo.ACL.DenyPage(aclUser, title)
+		}
 	}
 	for i := 0; i < pages/4; i++ {
 		title := fmt.Sprintf("Sensor:R%03d", rng.Intn(pages))
@@ -38,10 +46,11 @@ func shardedFixture(t *testing.T, rng *rand.Rand, pages int) (*smr.Repository, m
 	return repo, ranks
 }
 
-// shardedExecCases is the query-shape battery the equivalence suite runs:
+// execCases is the query-shape battery the reference suite runs:
 // keyword-driven (all/any/phrase), filter-pruned, exact-set/facet,
-// or-union, alpha-fused, negated, offset/limit and count-only paths.
-func shardedExecCases() []struct {
+// or-union, alpha-fused, negated, offset/limit, count-only and
+// ACL-filtered paths.
+func execCases() []struct {
 	name string
 	expr query.Expr
 	opts ExecOptions
@@ -84,62 +93,57 @@ func shardedExecCases() []struct {
 			query.Keyword{Text: "wind", Any: true},
 			query.Property{Name: "samplingRate", Op: query.OpGt, Value: "5"},
 		}}, ExecOptions{noPrune: true}},
+		{"acl-exact", query.Namespace{Name: "Sensor"},
+			ExecOptions{SortBy: SortTitle, Limit: 9, User: aclUser, Facets: []string{"partOf"}}},
+		{"acl-count-exact", query.Namespace{Name: "Sensor"},
+			ExecOptions{CountOnly: true, User: aclUser, Facets: []string{"samplingRate"}}},
+		{"acl-keyword", query.Keyword{Text: "wind snow", Any: true}, ExecOptions{User: aclUser}},
 	}
 }
 
-// TestShardedEquivalence is the property suite of the sharded executor:
-// for shard counts 1, 2, 3 and 8 over randomized corpora, every execution
-// path — results with their float scores, facet counts, matched totals,
-// autocomplete and full cursor walks (tokens included) — must be
-// byte-identical to the single-shard engine. Scores agree bit-for-bit
-// because all shards share one global TermStats; orderings agree because
-// every comparator is a strict total order, so the k-way merge of
-// per-shard heaps reproduces the global selection exactly.
-func TestShardedEquivalence(t *testing.T) {
+// TestExecuteMatchesReference is the oracle of the executor: over
+// randomized corpora, every execution path — results with their float
+// scores, facet counts, matched totals and full cursor walks (tokens
+// included) — must be byte-identical to the same call through the
+// reference construction, which neither prunes candidates nor answers
+// facets from the index. No result may be one the caller cannot read.
+func TestExecuteMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			repo, ranks := shardedFixture(t, rng, 60)
-			base := NewEngineShards(repo, 1)
-			base.SetRanks(ranks)
-			for _, p := range []int{1, 2, 3, 8} {
-				sharded := NewEngineShards(repo, p)
-				sharded.SetRanks(ranks)
-				if got := sharded.ShardCount(); got != p {
-					t.Fatalf("ShardCount = %d, want %d", got, p)
+			repo, ranks := randomFixture(t, rng, 60)
+			e := NewEngine(repo)
+			e.SetRanks(ranks)
+			for _, tc := range execCases() {
+				got, err := e.Execute(tc.expr, tc.opts)
+				if err != nil {
+					t.Fatalf("case %s: %v", tc.name, err)
 				}
-				for _, tc := range shardedExecCases() {
-					want, err := base.Execute(tc.expr, tc.opts)
-					if err != nil {
-						t.Fatalf("shards=%d case %s (base): %v", p, tc.name, err)
-					}
-					got, err := sharded.Execute(tc.expr, tc.opts)
-					if err != nil {
-						t.Fatalf("shards=%d case %s: %v", p, tc.name, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("shards=%d case %s diverges:\nsharded   = %+v\nunsharded = %+v",
-							p, tc.name, got, want)
+				want, err := e.Execute(tc.expr, WithoutPruning(WithoutFacetIndex(tc.opts)))
+				if err != nil {
+					t.Fatalf("case %s (reference): %v", tc.name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("case %s diverges:\nexecuted  = %+v\nreference = %+v", tc.name, got, want)
+				}
+				for _, r := range got.Results {
+					if !repo.ACL.CanRead(tc.opts.User, r.Title) {
+						t.Fatalf("case %s: %q returned to %q, who cannot read it", tc.name, r.Title, tc.opts.User)
 					}
 				}
-				for _, prefix := range []string{"s", "wi", "Sensor:", "an", "temp"} {
-					got := sharded.Autocomplete(prefix, 10)
-					want := base.Autocomplete(prefix, 10)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("shards=%d autocomplete %q: %+v vs %+v", p, prefix, got, want)
-					}
-				}
-				checkCursorWalksAgree(t, base, sharded, p)
 			}
+			checkCursorWalksAgree(t, e)
 		})
 	}
 }
 
-// checkCursorWalksAgree pages both engines through the same queries and
-// asserts every page AND every minted cursor token is byte-identical —
-// tokens embed the sort-key values of the last row, so equal tokens are a
-// stronger statement than equal pages.
-func checkCursorWalksAgree(t *testing.T, base, sharded *Engine, p int) {
+// checkCursorWalksAgree pages the engine through each query twice, as
+// executed and through the reference construction, and asserts every page
+// AND every minted cursor token is byte-identical — tokens embed the
+// sort-key values of the last row, so equal tokens are a stronger
+// statement than equal pages. The pages of a walk, concatenated, must
+// equal the unlimited sorted result.
+func checkCursorWalksAgree(t *testing.T, e *Engine) {
 	t.Helper()
 	alpha := 0.4
 	walks := []struct {
@@ -149,19 +153,34 @@ func checkCursorWalksAgree(t *testing.T, base, sharded *Engine, p int) {
 	}{
 		{"rel", query.Keyword{Text: "wind snow station", Any: true}, ExecOptions{Limit: 3}},
 		{"title", query.Namespace{Name: "Sensor"}, ExecOptions{SortBy: SortTitle, Limit: 4}},
+		{"title-acl", query.Namespace{Name: "Sensor"}, ExecOptions{SortBy: SortTitle, Limit: 4, User: aclUser}},
 		{"rank-desc", query.Keyword{Text: "wind", Any: true}, ExecOptions{SortBy: SortRank, Limit: 2}},
 		{"fused", query.Keyword{Text: "wind temperature", Any: true}, ExecOptions{Alpha: &alpha, Limit: 3}},
 	}
 	for _, w := range walks {
-		wantPages, wantTokens := cursorWalk(t, base, w.expr, w.opts)
-		gotPages, gotTokens := cursorWalk(t, sharded, w.expr, w.opts)
+		gotPages, gotTokens := cursorWalk(t, e, w.expr, w.opts)
+		wantPages, wantTokens := cursorWalk(t, e, w.expr, WithoutPruning(WithoutFacetIndex(w.opts)))
 		if !reflect.DeepEqual(gotPages, wantPages) {
-			t.Fatalf("shards=%d walk %s pages diverge:\nsharded   = %+v\nunsharded = %+v",
-				p, w.name, gotPages, wantPages)
+			t.Fatalf("walk %s pages diverge:\nexecuted  = %+v\nreference = %+v", w.name, gotPages, wantPages)
 		}
 		if !reflect.DeepEqual(gotTokens, wantTokens) {
-			t.Fatalf("shards=%d walk %s cursor tokens diverge:\nsharded   = %v\nunsharded = %v",
-				p, w.name, gotTokens, wantTokens)
+			t.Fatalf("walk %s cursor tokens diverge:\nexecuted  = %v\nreference = %v", w.name, gotTokens, wantTokens)
+		}
+		unlimited := w.opts
+		unlimited.Limit = 0
+		all, err := e.Execute(w.expr, unlimited)
+		if err != nil {
+			t.Fatalf("walk %s unlimited: %v", w.name, err)
+		}
+		var walked []Result
+		for _, page := range gotPages {
+			walked = append(walked, page...)
+		}
+		if len(all.Results) < 2*w.opts.Limit {
+			t.Fatalf("walk %s: %d results, too few to page", w.name, len(all.Results))
+		}
+		if !reflect.DeepEqual(walked, all.Results) {
+			t.Fatalf("walk %s: pages concatenate to\n%+v\nunlimited result is\n%+v", w.name, walked, all.Results)
 		}
 	}
 }
@@ -186,37 +205,5 @@ func cursorWalk(t *testing.T, e *Engine, expr query.Expr, opts ExecOptions) ([][
 		}
 		tokens = append(tokens, res.NextCursor)
 		opts.Cursor = res.NextCursor
-	}
-}
-
-// TestPartitionTitlesIsAPartition checks the shard routing invariant the
-// whole design rests on: every title lands in exactly one shard, shard
-// lists stay sorted, and placement matches shardOf.
-func TestPartitionTitlesIsAPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var all []string
-	for i := 0; i < 200; i++ {
-		all = append(all, fmt.Sprintf("Sensor:P%03d-%d", i, rng.Intn(10)))
-	}
-	for _, n := range []int{1, 2, 3, 8, 13} {
-		parts := partitionTitles(all, n)
-		if len(parts) != max(n, 1) {
-			t.Fatalf("n=%d: %d parts", n, len(parts))
-		}
-		total := 0
-		for si, part := range parts {
-			total += len(part)
-			for i, title := range part {
-				if shardOf(title, n) != si {
-					t.Fatalf("n=%d: %q in shard %d, shardOf says %d", n, title, si, shardOf(title, n))
-				}
-				if i > 0 && part[i-1] >= title {
-					t.Fatalf("n=%d shard %d: not sorted at %d", n, si, i)
-				}
-			}
-		}
-		if total != len(all) {
-			t.Fatalf("n=%d: %d titles across shards, want %d", n, total, len(all))
-		}
 	}
 }

@@ -41,7 +41,7 @@ func TestSQLExplainAPI(t *testing.T) {
 }
 
 // TestV1QueryExplainAPI pins POST /api/v1/query?explain=1: a Search-rooted
-// plan with per-shard strategy nodes; the body shape is otherwise
+// plan with a strategy leaf; the body shape is otherwise
 // unchanged, and the plan is absent without the parameter.
 func TestV1QueryExplainAPI(t *testing.T) {
 	_, ts := newTestServer(t)

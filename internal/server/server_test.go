@@ -631,11 +631,11 @@ func TestSPARQLNegativeLimitOffset(t *testing.T) {
 }
 
 // TestHugeLimitMatchesUnlimited holds a limit (and limit+offset) past any
-// buffer size to the unlimited answer on a two-shard system, through the
-// legacy and the v1 route. The selector once preallocated limit+offset
-// results in every shard goroutine, which crashed the process.
+// buffer size to the unlimited answer, through the legacy and the v1
+// route. The selector once preallocated limit+offset results, which
+// crashed the process.
 func TestHugeLimitMatchesUnlimited(t *testing.T) {
-	sys, err := sensormeta.NewShards(2)
+	sys, err := sensormeta.New()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,6 +77,16 @@ func (a *ACL) CanRead(user, title string) bool {
 	return set[wiki.ParseTitle(title).Namespace]
 }
 
+// ReadsAll reports whether CanRead(user, t) is true for every title t: the
+// user has no namespace grants, the anonymous policy reads everything, and
+// no page is denied to the user. A query checks it once, under one read
+// lock, and skips the per-title check when it holds.
+func (a *ACL) ReadsAll(user string) bool {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return len(a.grants[user]) == 0 && a.anonReadsAll && len(a.deniedByTitle[user]) == 0
+}
+
 // String describes the policy briefly (used in logs).
 func (a *ACL) String() string {
 	a.mu.RLock()

@@ -272,6 +272,54 @@ func TestACL(t *testing.T) {
 	}
 }
 
+// TestReadsAllImpliesCanRead checks the query-wide ACL shortcut: whenever
+// ReadsAll(user) holds, CanRead(user, t) holds for every title, denied
+// ones included, and ReadsAll is false exactly when some title is hidden.
+func TestReadsAllImpliesCanRead(t *testing.T) {
+	titles := []string{"Sensor:X", "Sensor:Secret", "sensor:secret", "Fieldsite:Y", "Deployment:D", "Main Page"}
+	cases := []struct {
+		name  string
+		setup func(a *ACL)
+		user  string
+		want  bool
+	}{
+		{"anon on", func(a *ACL) {}, "anyone", true},
+		{"anon on, empty user", func(a *ACL) {}, "", true},
+		{"anon off", func(a *ACL) { a.SetAnonymousAccess(false) }, "anyone", false},
+		{"grant, anon on", func(a *ACL) { a.Grant("alice", wiki.NamespaceSensor) }, "alice", false},
+		{"grant to another user", func(a *ACL) { a.Grant("alice", wiki.NamespaceSensor) }, "bob", true},
+		{"denial, anon on", func(a *ACL) { a.DenyPage("alice", "Sensor:Secret") }, "alice", false},
+		{"denial to another user", func(a *ACL) { a.DenyPage("alice", "Sensor:Secret") }, "bob", true},
+		{"denial, anon off", func(a *ACL) {
+			a.SetAnonymousAccess(false)
+			a.DenyPage("alice", "Sensor:Secret")
+		}, "alice", false},
+		{"grant and denial", func(a *ACL) {
+			a.Grant("alice", wiki.NamespaceFieldsite)
+			a.DenyPage("alice", "Fieldsite:Y")
+		}, "alice", false},
+	}
+	for _, tc := range cases {
+		acl := NewACL()
+		tc.setup(acl)
+		got := acl.ReadsAll(tc.user)
+		if got != tc.want {
+			t.Errorf("%s: ReadsAll(%q) = %v, want %v", tc.name, tc.user, got, tc.want)
+		}
+		readable := 0
+		for _, title := range titles {
+			if acl.CanRead(tc.user, title) {
+				readable++
+			} else if got {
+				t.Errorf("%s: ReadsAll(%q) holds but CanRead(%q) is false", tc.name, tc.user, title)
+			}
+		}
+		if !got && readable == len(titles) {
+			t.Errorf("%s: ReadsAll(%q) is false but every fixture title is readable", tc.name, tc.user)
+		}
+	}
+}
+
 func TestBulkLoadCSV(t *testing.T) {
 	r := newRepo(t)
 	csvData := `title,locatedIn,altitude,category

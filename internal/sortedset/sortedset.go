@@ -5,8 +5,7 @@
 // distinct strings" state, and before this package existed each of them
 // hand-rolled the same binary-search insert/remove and two-pointer merge
 // loops. Consolidating them here is what makes the rank/count core a
-// single code path (and the prerequisite for sharding it: a shard merge is
-// exactly the k-way Merge below).
+// single code path.
 //
 // Conventions:
 //
@@ -198,64 +197,6 @@ func DiffWalk(prev, next []string, onRemoved, onAdded, onKept func(v string)) {
 	}
 }
 
-// Merge k-way-merges sorted lists of any element type under less into one
-// sorted list, duplicates preserved. A small binary heap over the list
-// heads keeps the cost at O(total · log k); this is the primitive behind
-// both posting-set shard merges and the tag pipeline's per-component
-// clique-order merge.
-func Merge[T any](lists [][]T, less func(a, b T) bool) []T {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
-	heap := make([]int, 0, len(lists)) // list indexes, ordered by head
-	pos := make([]int, len(lists))
-	headLess := func(a, b int) bool { return less(lists[a][pos[a]], lists[b][pos[b]]) }
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			smallest := i
-			if l < len(heap) && headLess(heap[l], heap[smallest]) {
-				smallest = l
-			}
-			if r < len(heap) && headLess(heap[r], heap[smallest]) {
-				smallest = r
-			}
-			if smallest == i {
-				return
-			}
-			heap[i], heap[smallest] = heap[smallest], heap[i]
-			i = smallest
-		}
-	}
-	total := 0
-	for li, l := range lists {
-		total += len(l)
-		if len(l) > 0 {
-			heap = append(heap, li)
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	out := make([]T, 0, total)
-	for len(heap) > 0 {
-		li := heap[0]
-		out = append(out, lists[li][pos[li]])
-		pos[li]++
-		if pos[li] == len(lists[li]) {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		if len(heap) > 0 {
-			siftDown(0)
-		}
-	}
-	return out
-}
-
 // IndexFunc locates v in a slice sorted under cmp (three-way comparison):
 // the position where v is (or would be inserted) and whether an element
 // comparing equal is present.
@@ -319,25 +260,4 @@ func DiffWalkFunc[T any](prev, next []T, cmp func(a, b T) int, onRemoved, onAdde
 			j++
 		}
 	}
-}
-
-// Shard maps a key to one of n hash shards (FNV-1a). It is the single
-// placement function the search engine's sharded postings use. n <= 1
-// always yields shard 0.
-func Shard(key string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	// Inlined FNV-1a (32-bit) to keep placement allocation-free on the
-	// routing hot path.
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return int(h % uint32(n))
 }

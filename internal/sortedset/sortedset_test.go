@@ -161,42 +161,6 @@ func TestFromSlice(t *testing.T) {
 	}
 }
 
-// TestMergeGeneric checks the k-way merge over non-string elements,
-// duplicates preserved, against sorting the concatenation.
-func TestMergeGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 200; trial++ {
-		var lists [][]int
-		var all []int
-		for li := 0; li < rng.Intn(6); li++ {
-			n := rng.Intn(10)
-			l := make([]int, n)
-			for i := range l {
-				l[i] = rng.Intn(50)
-			}
-			sort.Ints(l)
-			lists = append(lists, l)
-			all = append(all, l...)
-		}
-		got := Merge(lists, func(a, b int) bool { return a < b })
-		sort.Ints(all)
-		if len(all) == 0 {
-			all = nil
-		}
-		if !reflect.DeepEqual(got, all) && len(got) != 0 {
-			t.Fatalf("Merge = %v, want %v", got, all)
-		}
-		if len(got) != len(all) {
-			t.Fatalf("Merge length %d, want %d", len(got), len(all))
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i] < got[i-1] {
-				t.Fatalf("Merge not sorted: %v", got)
-			}
-		}
-	}
-}
-
 type rec struct {
 	key string
 	n   int

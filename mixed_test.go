@@ -2,7 +2,6 @@ package sensormeta
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,51 +32,38 @@ func applyMixedOp(sys *System, op workload.Op) (write bool, err error) {
 
 // BenchmarkWorkloadMixed replays the seeded mixed read/write stream —
 // puts, deletes, searches, recommendations and autocompletes interleaved,
-// with a journal-driven refresh every 64 writes — at one shard and at
-// NumCPU shards. Each shard count gets a fresh system because the stream
-// mutates the corpus; the stream itself is identical across sub-runs, so
-// the only variable is the fan-out width.
+// with a journal-driven refresh every 64 writes — against a fresh system,
+// since the stream mutates the corpus.
 func BenchmarkWorkloadMixed(b *testing.B) {
 	ops := workload.BuildMixed(workload.DefaultMix())
-	shardCounts := []int{1}
-	if n := runtime.NumCPU(); n > 1 {
-		shardCounts = append(shardCounts, n)
-	}
-	for _, shards := range shardCounts {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sys := benchSystemShards(b, 600, shards)
-			writes := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				write, err := applyMixedOp(sys, ops[i%len(ops)])
-				if err != nil {
+	sys := benchSystem(b, 600)
+	writes := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write, err := applyMixedOp(sys, ops[i%len(ops)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if write {
+			if writes++; writes%64 == 0 {
+				if err := sys.Refresh(); err != nil {
 					b.Fatal(err)
 				}
-				if write {
-					if writes++; writes%64 == 0 {
-						if err := sys.Refresh(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
 			}
-		})
+		}
 	}
 }
 
-// TestMixedWorkloadConcurrent is the race stress of the sharded engine:
+// TestMixedWorkloadConcurrent is the race stress of the search engine:
 // writer goroutines churn disjoint title pools while a refresher applies
-// the journal and readers hammer every query path. Run under -race this
-// proves refresh and query do not share one lock; the assertions prove no
-// write is lost (every title's final marker keyword is searchable after
-// the last refresh, every final delete stays deleted) and that journal
-// and engine sequence numbers only ever move forward.
+// the journal and readers hammer every query path, refresh and query
+// taking turns on the index's locks. Run under -race it checks that
+// every shared structure is synchronized; the assertions prove no write
+// is lost (every title's final marker keyword is searchable after the
+// last refresh, every final delete stays deleted) and that journal and
+// engine sequence numbers only ever move forward.
 func TestMixedWorkloadConcurrent(t *testing.T) {
-	shards := runtime.NumCPU()
-	if shards < 2 {
-		shards = 2 // even single-CPU runs should cross shard boundaries
-	}
-	sys, err := NewShards(shards)
+	sys, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}

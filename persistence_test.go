@@ -98,7 +98,7 @@ func TestColdStartFromSnapshotAndTail(t *testing.T) {
 
 	// Reference: the pre-incremental from-scratch path over the same
 	// repository (satellite: snapshot round-trip equivalence).
-	full := assemble(cold.Repo, 0)
+	full := assemble(cold.Repo)
 	if err := full.RefreshFull(); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func BenchmarkColdStart(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sys := assemble(repo, 0)
+			sys := assemble(repo)
 			if err := sys.RefreshFull(); err != nil {
 				b.Fatal(err)
 			}

@@ -34,7 +34,7 @@ func rankRefreshWrites(r int) []smr.PageWrite {
 // that every page of a combined query is ordered by one published vector
 // and that its cursor carries that vector's score for the last row.
 func TestRankRefreshConcurrentReaders(t *testing.T) {
-	sys, err := NewShards(2)
+	sys, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ var reachAllowlist = map[string]string{
 	"repro/internal/recommend.Recommender.RecommendScan":  "full-scan reference the posting-list Recommend is checked against",
 	"repro/internal/replica/faultnet.New":                 "fault-injecting transport of the replication tests",
 	"repro/internal/search.Index.Search":                  "sorted full-scan reference for the compiled matchers and the executor",
-	"repro/internal/search.NewEngine":                     "builds the unsharded engine the search, ranking and core tests share",
 	"repro/internal/smr.ACL.DenyPage":                     "setter of the paper's privilege model; the user goldens pin it",
 	"repro/internal/smr.ACL.Grant":                        "setter of the paper's privilege model; the user goldens pin it",
 	"repro/internal/smr.ACL.SetAnonymousAccess":           "setter of the paper's privilege model; the server tests lock it",

@@ -133,10 +133,6 @@ type RefreshStats struct {
 	PageRankWarm    int `json:"pagerankWarm"`
 	PageRankCold    int `json:"pagerankCold"`
 
-	// Shards is how many hash shards the search engine partitions its
-	// posting structures into, fixed at construction.
-	Shards int `json:"shards"`
-
 	Recommender recommend.Stats `json:"recommender"`
 	Tagging     tagging.Stats   `json:"tagging"`
 
@@ -161,7 +157,6 @@ func (s *System) Stats() RefreshStats {
 		PageRankSkipped: s.stats.PageRankSkipped,
 		PageRankWarm:    s.stats.PageRankWarm,
 		PageRankCold:    s.stats.PageRankCold,
-		Shards:          s.Engine.ShardCount(),
 		Recommender:     s.Recommender.Stats(),
 		Tagging:         s.Tags.Stats(),
 		WAL:             s.Repo.WALStats(),
@@ -173,19 +168,11 @@ func (s *System) Stats() RefreshStats {
 
 // New creates an empty system.
 func New() (*System, error) {
-	return NewShards(0)
-}
-
-// NewShards creates an empty system whose search engine is partitioned
-// into n hash shards (n <= 0 selects the GOMAXPROCS-aware default). The
-// count is fixed for the system's lifetime; results and cursor tokens are
-// byte-identical whatever it is.
-func NewShards(n int) (*System, error) {
 	repo, err := smr.New()
 	if err != nil {
 		return nil, err
 	}
-	return wire(repo, n)
+	return wire(repo)
 }
 
 // Open restores a system from a durable data directory (smr.Open): the
@@ -196,17 +183,11 @@ func NewShards(n int) (*System, error) {
 // size and the tail length, not by the full write history. Close the
 // system when done so the log is flushed.
 func Open(dir string, opts smr.DurableOptions) (*System, error) {
-	return OpenShards(dir, opts, 0)
-}
-
-// OpenShards is Open with a construction-time shard count, as NewShards
-// is to New. n <= 0 selects the default.
-func OpenShards(dir string, opts smr.DurableOptions, n int) (*System, error) {
 	repo, err := smr.Open(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	s, err := wire(repo, n)
+	s, err := wire(repo)
 	if err != nil {
 		repo.Close()
 		return nil, err
@@ -214,11 +195,15 @@ func OpenShards(dir string, opts smr.DurableOptions, n int) (*System, error) {
 	return s, nil
 }
 
+// OpenShards returns Open(dir, opts); n is ignored.
+//
+// Deprecated: the search engine has one index. Use Open.
+func OpenShards(dir string, opts smr.DurableOptions, n int) (*System, error) { return Open(dir, opts) }
+
 // wire builds the derived stack around a repository and brings it current
-// through the incremental refresh path. shards <= 0 selects the default
-// engine partitioning.
-func wire(repo *smr.Repository, shards int) (*System, error) {
-	s := assemble(repo, shards)
+// through the incremental refresh path.
+func wire(repo *smr.Repository) (*System, error) {
+	s := assemble(repo)
 	if err := s.Refresh(); err != nil {
 		return nil, err
 	}
@@ -228,9 +213,9 @@ func wire(repo *smr.Repository, shards int) (*System, error) {
 // assemble builds every derived consumer once, before any PageRank solve:
 // the ranker starts stale, so the first Refresh or RefreshFull solves and
 // installs the scores.
-func assemble(repo *smr.Repository, shards int) *System {
+func assemble(repo *smr.Repository) *System {
 	s := &System{Repo: repo}
-	s.Engine = search.NewEngineShards(repo, shards)
+	s.Engine = search.NewEngine(repo)
 	s.Ranker = ranking.New(repo)
 	s.Recommender = recommend.New(repo, nil)
 	s.Tags = tagging.NewPipeline(repo, true)
