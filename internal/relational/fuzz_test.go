@@ -3,8 +3,8 @@ package relational
 import "testing"
 
 // FuzzParseSQL: Parse never panics on arbitrary input, and every statement
-// it accepts plans and executes through Explain on the sensors fixture
-// without panicking (errors such as unknown columns are fine). Statements
+// it accepts gives Query on the sensors fixture the result or the error
+// text the reference executor gives (checkMatchesReference). Statements
 // with more than two joins or longer than 512 bytes are only parsed, which
 // keeps each execution small.
 func FuzzParseSQL(f *testing.F) {
@@ -33,6 +33,6 @@ func FuzzParseSQL(f *testing.F) {
 		if len(sel.Joins) > 2 || len(sql) > 512 {
 			return
 		}
-		db.Explain(sql)
+		checkMatchesReference(t, db, sql)
 	})
 }

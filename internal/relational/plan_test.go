@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -41,7 +42,7 @@ func renderResult(rs *ResultSet) string {
 }
 
 // seedEquivalenceDB builds a random sensor-metadata database: three joinable
-// tables with indexes, NULLs and dangling foreign keys.
+// tables with indexes, NULLs and dangling foreign keys, and an empty fourth.
 func seedEquivalenceDB(t *testing.T, rng *rand.Rand) *DB {
 	t.Helper()
 	db := NewDB()
@@ -63,6 +64,11 @@ func seedEquivalenceDB(t *testing.T, rng *rand.Rand) *DB {
 		{Name: "sensor_id", Type: TypeInt},
 		{Name: "label", Type: TypeText},
 	}, "label")
+	mustCreate(t, db, "alerts", []Column{ // always empty
+		pkCol("id", TypeInt),
+		{Name: "sensor_id", Type: TypeInt},
+		{Name: "msg", Type: TypeText},
+	}, "sensor_id")
 
 	kinds := []string{"temp", "hum", "co2"}
 	sites := []string{"roof", "lab", "yard", "hall"}
@@ -232,29 +238,217 @@ func sensorPreds(rng *rand.Rand) []string {
 	}
 }
 
-// TestPlannerFallbackEquivalence is the planner's safety net: every
-// generated query must return a byte-identical ResultSet whether it runs
-// through the cost-based planner or the forced scan-everything fallback —
-// same rows, same order, including ORDER BY tie order.
-func TestPlannerFallbackEquivalence(t *testing.T) {
+// TestQueryMatchesReference is the executor's safety net: every generated
+// query must give Query and referenceQuery (the written-order
+// scan-everything interpreter in reference_test.go) the same rendered
+// result — same rows, same order, including ORDER BY tie order — or the
+// same error text. randomSelect's queries are the planner's shapes; the
+// arms of randomArmSelect add grouping with several aggregates, unknown
+// and ambiguous columns, empty tables, NULL extension, LIKE and
+// arithmetic.
+func TestQueryMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20110411)) // the paper's conference year
+	arms := rand.New(rand.NewSource(2011))
 	for trial := 0; trial < 60; trial++ {
 		db := seedEquivalenceDB(t, rng)
 		for q := 0; q < 8; q++ {
-			sql := randomSelect(rng)
-			planned, _, errP := db.QueryWith(sql, QueryOptions{})
-			fallback, _, errF := db.QueryWith(sql, QueryOptions{fallback: true})
-			if (errP != nil) != (errF != nil) {
-				t.Fatalf("trial %d: %q: planner err=%v fallback err=%v", trial, sql, errP, errF)
-			}
-			if errP != nil {
-				t.Fatalf("trial %d: %q: %v", trial, sql, errP)
-			}
-			got, want := renderResult(planned), renderResult(fallback)
-			if got != want {
-				t.Fatalf("trial %d: %q diverged\nplanner:\n%s\nfallback:\n%s", trial, sql, got, want)
-			}
+			checkMatchesReference(t, db, randomSelect(rng))
 		}
+		for q := 0; q < 40; q++ {
+			checkMatchesReference(t, db, randomArmSelect(arms))
+		}
+	}
+}
+
+// checkMatchesReference fails the test unless sql gives Query and the
+// reference the same rendered result or the same error text.
+//
+// One difference is allowed, because the planner has always had it: Query
+// evaluates WHERE only on rows that pass its pushed-down conjuncts, and an
+// OrderByIndex scan stops at its LIMIT window, so Query can succeed where
+// the reference, which evaluates WHERE on every row, fails. Then Query must
+// equal prunedReference, the reference with those conjuncts hoisted to the
+// front of WHERE and every unknown or ambiguous column in WHERE read as
+// NULL.
+func checkMatchesReference(t testing.TB, db *DB, sql string) {
+	t.Helper()
+	got, errQ := db.Query(sql)
+	want, errR := referenceQuery(db, sql)
+	if errQ == nil && errR != nil {
+		want, errR = prunedReference(t, db, sql)
+	}
+	switch {
+	case errQ != nil || errR != nil:
+		if fmt.Sprint(errQ) != fmt.Sprint(errR) {
+			t.Fatalf("%q: Query err=%v reference err=%v", sql, errQ, errR)
+		}
+	case renderResult(got) != renderResult(want):
+		t.Fatalf("%q diverged\nQuery:\n%s\nreference:\n%s", sql, renderResult(got), renderResult(want))
+	}
+}
+
+// prunedReference runs sql through the reference with WHERE rewritten as
+// the planner's pruning sees it: the conjuncts the planner pushes down to
+// a scan come first, so a row they reject never evaluates the rest, and a
+// column reference that resolves to no binding or to several reads NULL.
+func prunedReference(t testing.TB, db *DB, sql string) (*ResultSet, error) {
+	t.Helper()
+	s, err := Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources, err := db.resolveSources(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hoisted []Expr
+	for _, e := range whereConjuncts(s.Where) {
+		mask, resolvable := conjunctMask(e, sources)
+		if !resolvable || bits.OnesCount64(mask) != 1 || !safePushdown(e) {
+			continue
+		}
+		if src := sources[bits.TrailingZeros64(mask)]; src.join == nil || !src.join.Left {
+			hoisted = append(hoisted, e)
+		}
+	}
+	var nullUnresolved func(Expr) Expr
+	nullUnresolved = func(e Expr) Expr {
+		switch x := e.(type) {
+		case *ColumnRef:
+			matches := 0
+			for _, sc := range sources {
+				if x.Table != "" && !strings.EqualFold(x.Table, sc.ref.Name()) {
+					continue
+				}
+				if _, ok := sc.table.Schema.ColumnIndex(x.Name); ok {
+					matches++
+				}
+			}
+			if matches != 1 {
+				return &Literal{Val: Null()}
+			}
+		case *Binary:
+			return &Binary{Op: x.Op, L: nullUnresolved(x.L), R: nullUnresolved(x.R)}
+		case *Unary:
+			return &Unary{Op: x.Op, X: nullUnresolved(x.X)}
+		case *IsNullExpr:
+			return &IsNullExpr{X: nullUnresolved(x.X), Not: x.Not}
+		case *InExpr:
+			in := &InExpr{X: nullUnresolved(x.X), Not: x.Not}
+			for _, it := range x.List {
+				in.List = append(in.List, nullUnresolved(it))
+			}
+			return in
+		case *Call:
+			c := *x
+			c.Args = nil
+			for _, a := range x.Args {
+				c.Args = append(c.Args, nullUnresolved(a))
+			}
+			return &c
+		}
+		return e
+	}
+	if s.Where != nil {
+		where := nullUnresolved(s.Where)
+		for i := len(hoisted) - 1; i >= 0; i-- {
+			where = &Binary{Op: "AND", L: hoisted[i], R: where}
+		}
+		s.Where = where
+	}
+	return referenceSelect(db, s)
+}
+
+// randomArmSelect generates the shapes randomSelect leaves out: GROUP BY
+// with HAVING and several aggregates (DISTINCT ones, and SUM over text,
+// which errors), unknown and ambiguous columns behind AND/OR
+// short-circuits, the always-empty alerts table, LEFT JOIN NULL
+// extension, LIKE and arithmetic.
+func randomArmSelect(rng *rand.Rand) string {
+	pick := func(xs ...string) string { return xs[rng.Intn(len(xs))] }
+	switch rng.Intn(6) {
+	case 0: // grouped, several aggregates
+		from := pick("sensors", "readings JOIN sensors ON readings.sensor_id = sensors.id",
+			"readings LEFT JOIN sensors ON readings.sensor_id = sensors.id", "sensors LEFT JOIN alerts ON alerts.sensor_id = sensors.id")
+		key := pick("sensors.kind", "sensors.site", "sensors.active", "sensors.kind, sensors.site")
+		aggs := []string{"COUNT(*)", "COUNT(DISTINCT sensors.site)", "MIN(sensors.temp)", "MAX(sensors.site)",
+			"AVG(sensors.temp)", "SUM(sensors.id)", "COUNT(sensors.temp)", "SUM(DISTINCT sensors.temp)"}
+		if strings.HasPrefix(from, "readings") {
+			aggs = append(aggs, "SUM(readings.val)", "AVG(DISTINCT readings.val)", "MAX(readings.page)")
+		}
+		if rng.Intn(4) == 0 {
+			aggs = append(aggs, "SUM(sensors.site)") // errors on the first non-NULL text
+		}
+		sel := []string{key}
+		for i := 0; i < 1+rng.Intn(3); i++ {
+			sel = append(sel, aggs[rng.Intn(len(aggs))])
+		}
+		q := "SELECT " + strings.Join(sel, ", ") + " FROM " + from
+		if rng.Intn(2) == 0 {
+			q += " WHERE " + pick("sensors.temp > 10", "sensors.kind != 'co2'", "sensors.active", "sensors.id < 0")
+		}
+		q += " GROUP BY " + key
+		if rng.Intn(2) == 0 {
+			q += " HAVING " + pick("COUNT(*) > 1", "MIN(sensors.temp) IS NOT NULL", "COUNT(DISTINCT sensors.site) >= 2",
+				"FALSE AND SUM(sensors.site) > 0", "SUM(sensors.site) > 0", "MAX(sensors.id) - MIN(sensors.id) > 3")
+		}
+		if rng.Intn(2) == 0 {
+			q += " ORDER BY " + pick(key, "COUNT(*) DESC", "MIN(sensors.temp)")
+		}
+		return q
+	case 1: // global aggregates, possibly over no rows
+		from := pick("sensors", "alerts", "sensors LEFT JOIN alerts ON alerts.sensor_id = sensors.id", "alerts JOIN sensors ON alerts.sensor_id = sensors.id")
+		sel := pick("COUNT(*)", "COUNT(*), SUM(sensors.temp), AVG(sensors.temp)", "MIN(sensors.kind), MAX(sensors.temp)",
+			"COUNT(DISTINCT sensors.kind), SUM(sensors.site)", "COUNT(*), sensors.kind", "COUNT(*), nosuch", "SUM(id)")
+		if strings.HasPrefix(from, "alerts") && !strings.Contains(from, "JOIN") {
+			sel = pick("COUNT(*)", "COUNT(*), SUM(alerts.msg)", "MAX(alerts.msg), alerts.msg", "COUNT(*), nosuch", "SUM(alerts.nosuch)")
+		}
+		q := "SELECT " + sel + " FROM " + from
+		if rng.Intn(2) == 0 {
+			q += " WHERE " + pick("sensors.id < 0", "sensors.active", "alerts.id IS NULL", "alerts.msg LIKE '%'")
+		}
+		return q + pick("", " HAVING COUNT(*) > 0", " HAVING COUNT(*) = 0")
+	case 2: // unknown and ambiguous columns behind short-circuits
+		from := pick("sensors", "alerts", "readings JOIN sensors ON readings.sensor_id = sensors.id",
+			"sensors LEFT JOIN alerts ON alerts.sensor_id = sensors.id", "readings JOIN tags ON tags.sensor_id = readings.sensor_id")
+		bad := pick("nosuch = 1", "sensors.nosuch > 2", "id = 3", "sensor_id = 1", "nosuch.id = 1", "alerts.msg = 'x'")
+		guard := pick("sensors.id < 0", "sensors.kind = 'temp'", "sensors.active", "sensors.temp > 30", "alerts.id = 7")
+		where := pick(guard+" AND "+bad, bad+" AND "+guard, guard+" OR "+bad, "("+guard+" OR "+bad+") AND sensors.site = 'roof'", "NOT "+bad)
+		sel := pick("*", "sensors.id", bad[:strings.IndexByte(bad, ' ')])
+		q := "SELECT " + sel + " FROM " + from + " WHERE " + where
+		return q + pick("", " ORDER BY sensors.id", " ORDER BY sensors.temp LIMIT 2", " LIMIT 1")
+	case 3: // LEFT JOIN NULL extension
+		from := pick("sensors LEFT JOIN readings ON readings.sensor_id = sensors.id",
+			"sensors LEFT JOIN tags ON tags.sensor_id = sensors.id", "sensors LEFT JOIN alerts ON alerts.sensor_id = sensors.id",
+			"readings LEFT JOIN sensors ON sensors.id = readings.sensor_id LEFT JOIN tags ON tags.sensor_id = sensors.id",
+			"sensors LEFT JOIN readings ON readings.sensor_id = sensors.id AND readings.val > 50")
+		sel := pick("*", "sensors.id, readings.val", "sensors.id, tags.label", "COALESCE(tags.label, 'none'), sensors.kind")
+		if !strings.Contains(from, "readings") && strings.Contains(sel, "readings") {
+			sel = "sensors.id"
+		}
+		if !strings.Contains(from, "tags") && strings.Contains(sel, "tags") {
+			sel = "sensors.id, sensors.site"
+		}
+		q := "SELECT " + sel + " FROM " + from
+		if rng.Intn(2) == 0 {
+			q += " WHERE " + pick("sensors.id IS NULL", "sensors.kind = 'hum'", "sensors.id > 3")
+		}
+		return q + pick("", " ORDER BY sensors.id DESC", " LIMIT 7 OFFSET 2")
+	case 4: // LIKE
+		pat := pick("'%o%'", "'r_of'", "'%'", "'L%'", "'_a%'", "''", "NULL", "sensors.kind")
+		q := "SELECT sensors.id, sensors.site FROM sensors WHERE sensors.site " + pick("LIKE ", "NOT LIKE ") + pat
+		if rng.Intn(2) == 0 {
+			q = "SELECT readings.page, readings.page LIKE 'P_' FROM readings WHERE readings.page LIKE " + pick("'p1'", "'P%'", "'%3'")
+		}
+		return q + pick("", " ORDER BY sensors.site", " LIMIT 4")
+	default: // arithmetic
+		sel := pick("readings.val * 2 + 1", "readings.val / 0", "-readings.val", "readings.val - readings.sensor_id",
+			"readings.sensor_id * 3 - 1", "readings.page + 'x'", "readings.id / 2")
+		q := "SELECT readings.id, " + sel + " AS a FROM readings"
+		if rng.Intn(2) == 0 {
+			q += " WHERE " + pick("readings.val * 2 > 100", "readings.sensor_id + 1 = 3", "readings.val / 0 IS NULL", "readings.val - 50 < 0")
+		}
+		return q + pick("", " ORDER BY a", " ORDER BY a DESC LIMIT 5")
 	}
 }
 
