@@ -456,6 +456,39 @@ func BenchmarkSPARQLBGP(b *testing.B) {
 	}
 }
 
+// BenchmarkSQLShapes measures the five SQL shapes of perfbench's
+// structured workload through System.QuerySQL on the 5k-sensor corpus: an
+// equality pair over annotations, COUNT(*) of one, a pages-annotations
+// hash join on one property, a tag lookup ordered by page with LIMIT 50,
+// and a GROUP BY over one property's values. Each reports the rows it
+// returns. The tag constant is lower case, as tags are stored.
+func BenchmarkSQLShapes(b *testing.B) {
+	sys := benchSystemShared(b, 5000)
+	for _, c := range []struct{ name, q string }{
+		{"eq", "SELECT page, value FROM annotations WHERE property = 'measures' AND value = 'temperature'"},
+		{"count", "SELECT COUNT(*) FROM annotations WHERE property = 'status' AND value = 'active'"},
+		{"join", "SELECT pages.title, annotations.value FROM pages JOIN annotations ON annotations.page = pages.title WHERE annotations.property = 'measures'"},
+		{"tag-limit", "SELECT page, tag FROM tags WHERE tag = 'epfl' ORDER BY page LIMIT 50"},
+		{"group", "SELECT value, COUNT(*) FROM annotations WHERE property = 'status' GROUP BY value ORDER BY value"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rows := 0
+			for b.Loop() {
+				res, err := sys.QuerySQL(c.q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows = len(res.Rows)
+			}
+			if rows == 0 {
+				b.Fatal("no rows")
+			}
+			b.ReportMetric(float64(rows), "rows")
+		})
+	}
+}
+
 // BenchmarkSPARQLJoin measures a three-pattern BGP join on the corpus RDF.
 func BenchmarkSPARQLJoin(b *testing.B) {
 	sys := benchSystemShared(b, 600)

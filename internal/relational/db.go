@@ -146,13 +146,6 @@ type QueryOptions struct {
 	// Explain attaches the executed plan tree (with actual row counts) to
 	// the result.
 	Explain bool
-
-	// fallback compiles the written-order scan-everything baseline: no
-	// index access, no pushdown, no join reordering, always
-	// sort-after-materialize. It is the planner's reference for in-package
-	// equivalence tests and benchmarks and must return byte-identical
-	// results.
-	fallback bool
 }
 
 // QueryWith runs a SELECT with explicit planner options. The returned plan
@@ -164,7 +157,7 @@ func (db *DB) QueryWith(sql string, opts QueryOptions) (*ResultSet, *explain.Nod
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	p, err := db.compileSelect(sel, opts.fallback)
+	p, err := db.compileSelect(sel)
 	if err != nil {
 		return nil, nil, err
 	}

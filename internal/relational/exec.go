@@ -12,104 +12,120 @@ type ResultSet struct {
 	Rows    []Row
 }
 
-// binding associates a table alias with a schema and the current row; a nil
-// row stands for the NULL-extended side of a LEFT JOIN.
-type binding struct {
+// evalFn is a compiled expression. It reads the rows it is handed by
+// position — rows[i] is the row of the i-th binding of the scope it was
+// compiled in, nil for the NULL-extended side of a LEFT JOIN — so no column
+// is looked up by name while rows flow.
+type evalFn func(rows []Row) (Value, error)
+
+// scopeBind is one table binding an expression can name where it is
+// evaluated; at is the position of its row in the slice the compiled
+// expression is handed.
+type scopeBind struct {
 	name   string
 	schema *Schema
-	row    Row
+	at     int
 }
 
-type evalContext struct {
-	bindings []binding
-	// group is non-nil while projecting grouped results.
-	group *groupState
+// compiler turns expressions into evalFns for one evaluation site: scope
+// lists the bindings visible there, in the order a name is looked up in
+// them. aggs is the grouped query's aggregate set, which aggregate calls
+// register with; nil where no group is being evaluated, and an aggregate
+// call there compiles to its error.
+type compiler struct {
+	scope []scopeBind
+	aggs  *aggSet
 }
 
-func (c *evalContext) resolve(ref *ColumnRef) (Value, error) {
-	found := false
-	var out Value
-	for _, b := range c.bindings {
+// fail compiles to an expression that always returns err: an unknown or
+// ambiguous column, or any other error the interpreter raised only when it
+// reached the expression, is raised at that same point and no earlier.
+func fail(err error) evalFn {
+	return func([]Row) (Value, error) { return Value{}, err }
+}
+
+func (c *compiler) compile(e Expr) evalFn {
+	switch x := e.(type) {
+	case *Literal:
+		v := x.Val
+		return func([]Row) (Value, error) { return v, nil }
+	case *ColumnRef:
+		return c.column(x)
+	case *Unary:
+		return c.unary(x)
+	case *Binary:
+		return c.binary(x)
+	case *InExpr:
+		return c.in(x)
+	case *IsNullExpr:
+		arg, not := c.compile(x.X), x.Not
+		return func(rows []Row) (Value, error) {
+			v, err := arg(rows)
+			if err != nil {
+				return Value{}, err
+			}
+			return Bool(v.IsNull() != not), nil
+		}
+	case *Call:
+		if aggregateFuncs[x.Name] {
+			if c.aggs == nil {
+				return fail(fmt.Errorf("relational: aggregate %s outside grouped query", x.Name))
+			}
+			return c.aggs.add(x)
+		}
+		return c.scalar(x)
+	}
+	return fail(fmt.Errorf("relational: cannot evaluate %T", e))
+}
+
+// column resolves a reference to one binding's column offset. Exactly one
+// binding of the scope must have the column.
+func (c *compiler) column(ref *ColumnRef) evalFn {
+	at, pos, matches := 0, 0, 0
+	for _, b := range c.scope {
 		if ref.Table != "" && !strings.EqualFold(ref.Table, b.name) {
 			continue
 		}
-		if pos, ok := b.schema.ColumnIndex(ref.Name); ok {
-			if found {
-				return Value{}, fmt.Errorf("relational: ambiguous column %q", ref.Name)
+		if p, ok := b.schema.ColumnIndex(ref.Name); ok {
+			if matches == 0 {
+				at, pos = b.at, p
 			}
-			found = true
-			if b.row == nil {
-				out = Null()
-			} else {
-				out = b.row[pos]
-			}
+			matches++
 		}
 	}
-	if !found {
-		if ref.Table != "" {
-			return Value{}, fmt.Errorf("relational: unknown column %s.%s", ref.Table, ref.Name)
-		}
-		return Value{}, fmt.Errorf("relational: unknown column %q", ref.Name)
+	switch {
+	case matches > 1:
+		return fail(fmt.Errorf("relational: ambiguous column %q", ref.Name))
+	case matches == 0 && ref.Table != "":
+		return fail(fmt.Errorf("relational: unknown column %s.%s", ref.Table, ref.Name))
+	case matches == 0:
+		return fail(fmt.Errorf("relational: unknown column %q", ref.Name))
 	}
-	return out, nil
-}
-
-// aggregates supported in grouped queries.
-var aggregateFuncs = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
-
-// hasAggregate walks an expression for aggregate calls.
-func hasAggregate(e Expr) bool {
-	switch x := e.(type) {
-	case *Call:
-		if aggregateFuncs[x.Name] {
-			return true
+	return func(rows []Row) (Value, error) {
+		r := rows[at]
+		if r == nil {
+			return Null(), nil
 		}
-		for _, a := range x.Args {
-			if hasAggregate(a) {
-				return true
-			}
-		}
-	case *Binary:
-		return hasAggregate(x.L) || hasAggregate(x.R)
-	case *Unary:
-		return hasAggregate(x.X)
-	case *InExpr:
-		if hasAggregate(x.X) {
-			return true
-		}
-		for _, a := range x.List {
-			if hasAggregate(a) {
-				return true
-			}
-		}
-	case *IsNullExpr:
-		return hasAggregate(x.X)
+		return r[pos], nil
 	}
-	return false
 }
 
-func eval(ctx *evalContext, e Expr) (Value, error) {
-	switch x := e.(type) {
-	case *Literal:
-		return x.Val, nil
-	case *ColumnRef:
-		return ctx.resolve(x)
-	case *Unary:
-		v, err := eval(ctx, x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		switch x.Op {
-		case "NOT":
-			if v.IsNull() {
-				return Null(), nil
+func (c *compiler) unary(x *Unary) evalFn {
+	arg := c.compile(x.X)
+	switch x.Op {
+	case "NOT":
+		return func(rows []Row) (Value, error) {
+			v, err := arg(rows)
+			if err != nil || v.IsNull() {
+				return Null(), err
 			}
 			return Bool(!truthy(v)), nil
-		case "-":
-			if v.IsNull() {
-				return Null(), nil
+		}
+	case "-":
+		return func(rows []Row) (Value, error) {
+			v, err := arg(rows)
+			if err != nil || v.IsNull() {
+				return Null(), err
 			}
 			switch v.Type() {
 			case TypeInt:
@@ -119,43 +135,207 @@ func eval(ctx *evalContext, e Expr) (Value, error) {
 			}
 			return Value{}, fmt.Errorf("relational: cannot negate %s", v.Type())
 		}
-		return Value{}, fmt.Errorf("relational: unknown unary op %q", x.Op)
-	case *Binary:
-		return evalBinary(ctx, x)
-	case *InExpr:
-		v, err := eval(ctx, x.X)
-		if err != nil {
-			return Value{}, err
+	}
+	err := fmt.Errorf("relational: unknown unary op %q", x.Op)
+	return func(rows []Row) (Value, error) {
+		if _, aerr := arg(rows); aerr != nil {
+			return Value{}, aerr
 		}
-		if v.IsNull() {
-			return Null(), nil
+		return Value{}, err
+	}
+}
+
+// cmpHolds reports whether a Compare result satisfies a comparison operator.
+func cmpHolds(op string, c int) bool {
+	switch op {
+	case "=":
+		return c == 0
+	case "!=":
+		return c != 0
+	case "<":
+		return c < 0
+	case "<=":
+		return c <= 0
+	case ">":
+		return c > 0
+	}
+	return c >= 0
+}
+
+func (c *compiler) binary(x *Binary) evalFn {
+	l, r := c.compile(x.L), c.compile(x.R)
+	lit, constR := x.R.(*Literal)
+	switch op := x.Op; op {
+	case "AND", "OR":
+		// Short-circuit logic with SQL three-valued semantics collapsed to
+		// two-valued (NULL operands yield NULL, filtered as false upstream).
+		stopOn := op == "OR"
+		return func(rows []Row) (Value, error) {
+			lv, err := l(rows)
+			if err != nil {
+				return Value{}, err
+			}
+			if (!lv.IsNull() && truthy(lv)) == stopOn {
+				return Bool(stopOn), nil
+			}
+			rv, err := r(rows)
+			if err != nil {
+				return Value{}, err
+			}
+			return Bool(!rv.IsNull() && truthy(rv)), nil
 		}
-		for _, item := range x.List {
-			iv, err := eval(ctx, item)
+	case "=", "!=", "<", "<=", ">", ">=":
+		if constR && !lit.Val.IsNull() && lit.Val.Type() == TypeText && (op == "=" || op == "!=") {
+			k, eq := lit.Val, op == "="
+			return func(rows []Row) (Value, error) {
+				lv, err := l(rows)
+				if err != nil || lv.IsNull() {
+					return Null(), err
+				}
+				if lv.Type() == TypeText {
+					return Bool((lv.Text0() == k.Text0()) == eq), nil
+				}
+				return Bool(cmpHolds(op, Compare(lv, k))), nil
+			}
+		}
+		if constR && !lit.Val.IsNull() {
+			k := lit.Val
+			return func(rows []Row) (Value, error) {
+				lv, err := l(rows)
+				if err != nil || lv.IsNull() {
+					return Null(), err
+				}
+				return Bool(cmpHolds(op, Compare(lv, k))), nil
+			}
+		}
+		return func(rows []Row) (Value, error) {
+			lv, rv, err := both(l, r, rows)
+			if err != nil || lv.IsNull() || rv.IsNull() {
+				return Null(), err
+			}
+			return Bool(cmpHolds(op, Compare(lv, rv))), nil
+		}
+	case "LIKE":
+		if constR && !lit.Val.IsNull() {
+			pattern := strings.ToLower(lit.Val.String())
+			return func(rows []Row) (Value, error) {
+				lv, err := l(rows)
+				if err != nil || lv.IsNull() {
+					return Null(), err
+				}
+				return Bool(likeLower(strings.ToLower(lv.String()), pattern)), nil
+			}
+		}
+		return func(rows []Row) (Value, error) {
+			lv, rv, err := both(l, r, rows)
+			if err != nil || lv.IsNull() || rv.IsNull() {
+				return Null(), err
+			}
+			return Bool(likeMatch(lv.String(), rv.String())), nil
+		}
+	case "+", "-", "*", "/":
+		return func(rows []Row) (Value, error) {
+			lv, rv, err := both(l, r, rows)
+			if err != nil || lv.IsNull() || rv.IsNull() {
+				return Null(), err
+			}
+			return arith(op, lv, rv)
+		}
+	}
+	err := fmt.Errorf("relational: unknown operator %q", x.Op)
+	return func(rows []Row) (Value, error) {
+		if _, _, oerr := both(l, r, rows); oerr != nil {
+			return Value{}, oerr
+		}
+		return Value{}, err
+	}
+}
+
+// both evaluates two operands, left first.
+func both(l, r evalFn, rows []Row) (Value, Value, error) {
+	lv, err := l(rows)
+	if err != nil {
+		return Value{}, Value{}, err
+	}
+	rv, err := r(rows)
+	return lv, rv, err
+}
+
+// arith applies + - * / to two non-NULL values.
+func arith(op string, l, r Value) (Value, error) {
+	if op == "+" && l.Type() == TypeText && r.Type() == TypeText {
+		return Text(l.Text0() + r.Text0()), nil
+	}
+	if !l.IsNumeric() || !r.IsNumeric() {
+		return Value{}, fmt.Errorf("relational: arithmetic on non-numeric values %s and %s", l, r)
+	}
+	if l.Type() == TypeInt && r.Type() == TypeInt && op != "/" {
+		a, b := l.Int64(), r.Int64()
+		switch op {
+		case "+":
+			return Int(a + b), nil
+		case "-":
+			return Int(a - b), nil
+		}
+		return Int(a * b), nil
+	}
+	a, b := l.Float64(), r.Float64()
+	switch op {
+	case "+":
+		return Float(a + b), nil
+	case "-":
+		return Float(a - b), nil
+	case "*":
+		return Float(a * b), nil
+	}
+	if b == 0 {
+		return Null(), nil
+	}
+	return Float(a / b), nil
+}
+
+func (c *compiler) in(x *InExpr) evalFn {
+	arg := c.compile(x.X)
+	list := make([]evalFn, len(x.List))
+	for i, it := range x.List {
+		list[i] = c.compile(it)
+	}
+	not := x.Not
+	return func(rows []Row) (Value, error) {
+		v, err := arg(rows)
+		if err != nil || v.IsNull() {
+			return Null(), err
+		}
+		for _, item := range list {
+			iv, err := item(rows)
 			if err != nil {
 				return Value{}, err
 			}
 			if Equal(v, iv) {
-				return Bool(!x.Not), nil
+				return Bool(!not), nil
 			}
 		}
-		return Bool(x.Not), nil
-	case *IsNullExpr:
-		v, err := eval(ctx, x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		return Bool(v.IsNull() != x.Not), nil
-	case *Call:
-		if aggregateFuncs[x.Name] {
-			if ctx.group == nil {
-				return Value{}, fmt.Errorf("relational: aggregate %s outside grouped query", x.Name)
-			}
-			return ctx.group.value(x)
-		}
-		return evalScalarCall(ctx, x)
+		return Bool(not), nil
 	}
-	return Value{}, fmt.Errorf("relational: cannot evaluate %T", e)
+}
+
+func (c *compiler) scalar(x *Call) evalFn {
+	args := make([]evalFn, len(x.Args))
+	for i, a := range x.Args {
+		args[i] = c.compile(a)
+	}
+	name := x.Name
+	return func(rows []Row) (Value, error) {
+		vals := make([]Value, len(args))
+		for i, a := range args {
+			v, err := a(rows)
+			if err != nil {
+				return Value{}, err
+			}
+			vals[i] = v
+		}
+		return scalarCall(name, vals)
+	}
 }
 
 func truthy(v Value) bool {
@@ -175,107 +355,18 @@ func truthy(v Value) bool {
 	return false
 }
 
-func evalBinary(ctx *evalContext, x *Binary) (Value, error) {
-	// Short-circuit logic with SQL three-valued semantics collapsed to
-	// two-valued (NULL operands yield NULL, filtered as false upstream).
-	if x.Op == "AND" || x.Op == "OR" {
-		l, err := eval(ctx, x.L)
-		if err != nil {
-			return Value{}, err
-		}
-		lt := !l.IsNull() && truthy(l)
-		if x.Op == "AND" && !lt {
-			return Bool(false), nil
-		}
-		if x.Op == "OR" && lt {
-			return Bool(true), nil
-		}
-		r, err := eval(ctx, x.R)
-		if err != nil {
-			return Value{}, err
-		}
-		return Bool(!r.IsNull() && truthy(r)), nil
-	}
-
-	l, err := eval(ctx, x.L)
-	if err != nil {
-		return Value{}, err
-	}
-	r, err := eval(ctx, x.R)
-	if err != nil {
-		return Value{}, err
-	}
-	switch x.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		c := Compare(l, r)
-		switch x.Op {
-		case "=":
-			return Bool(c == 0), nil
-		case "!=":
-			return Bool(c != 0), nil
-		case "<":
-			return Bool(c < 0), nil
-		case "<=":
-			return Bool(c <= 0), nil
-		case ">":
-			return Bool(c > 0), nil
-		case ">=":
-			return Bool(c >= 0), nil
-		}
-	case "LIKE":
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		return Bool(likeMatch(l.String(), r.String())), nil
-	case "+", "-", "*", "/":
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		if x.Op == "+" && l.Type() == TypeText && r.Type() == TypeText {
-			return Text(l.Text0() + r.Text0()), nil
-		}
-		if !l.IsNumeric() || !r.IsNumeric() {
-			return Value{}, fmt.Errorf("relational: arithmetic on non-numeric values %s and %s", l, r)
-		}
-		if l.Type() == TypeInt && r.Type() == TypeInt && x.Op != "/" {
-			a, b := l.Int64(), r.Int64()
-			switch x.Op {
-			case "+":
-				return Int(a + b), nil
-			case "-":
-				return Int(a - b), nil
-			case "*":
-				return Int(a * b), nil
-			}
-		}
-		a, b := l.Float64(), r.Float64()
-		switch x.Op {
-		case "+":
-			return Float(a + b), nil
-		case "-":
-			return Float(a - b), nil
-		case "*":
-			return Float(a * b), nil
-		case "/":
-			if b == 0 {
-				return Null(), nil
-			}
-			return Float(a / b), nil
-		}
-	}
-	return Value{}, fmt.Errorf("relational: unknown operator %q", x.Op)
+// likeMatch implements SQL LIKE with % (any run) and _ (any single byte),
+// case-insensitive as in MySQL's default collation.
+func likeMatch(s, pattern string) bool {
+	return likeLower(strings.ToLower(s), strings.ToLower(pattern))
 }
 
-// likeMatch implements SQL LIKE with % (any run) and _ (any single byte),
-// case-insensitive as in MySQL's default collation. It is the greedy
-// wildcard matcher: on a mismatch it only retries from the most recent %,
-// one byte further on, so a match costs O(len(s)·len(pattern)) even for
-// patterns such as '%a%a%a%b' that make naive backtracking exponential.
-func likeMatch(s, pattern string) bool {
-	s, pattern = strings.ToLower(s), strings.ToLower(pattern)
+// likeLower is likeMatch over a lower-cased string and pattern. It is the
+// greedy wildcard matcher: on a mismatch it only retries from the most
+// recent %, one byte further on, so a match costs O(len(s)·len(pattern))
+// even for patterns such as '%a%a%a%b' that make naive backtracking
+// exponential.
+func likeLower(s, pattern string) bool {
 	si, pi := 0, 0
 	star, retry := -1, 0 // position of the last % and where its run would end next
 	for si < len(s) {
@@ -299,22 +390,15 @@ func likeMatch(s, pattern string) bool {
 	return pi == len(pattern)
 }
 
-func evalScalarCall(ctx *evalContext, x *Call) (Value, error) {
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := eval(ctx, a)
-		if err != nil {
-			return Value{}, err
-		}
-		args[i] = v
-	}
+// scalarCall applies a non-aggregate function to its evaluated arguments.
+func scalarCall(name string, args []Value) (Value, error) {
 	argc := func(n int) error {
 		if len(args) != n {
-			return fmt.Errorf("relational: %s expects %d arguments, got %d", x.Name, n, len(args))
+			return fmt.Errorf("relational: %s expects %d arguments, got %d", name, n, len(args))
 		}
 		return nil
 	}
-	switch x.Name {
+	switch name {
 	case "LOWER":
 		if err := argc(1); err != nil {
 			return Value{}, err
@@ -401,100 +485,179 @@ func evalScalarCall(ctx *evalContext, x *Call) (Value, error) {
 		}
 		return Text(s[start:end]), nil
 	}
-	return Value{}, fmt.Errorf("relational: unknown function %s", x.Name)
+	return Value{}, fmt.Errorf("relational: unknown function %s", name)
 }
 
-// groupState accumulates the member rows of one group and answers aggregate
-// calls. Members are joined plan rows; bind positions a shared scratch
-// context at one member, so aggregation allocates no per-member contexts.
-type groupState struct {
-	rows []jrow
-	bind func(jrow) *evalContext
+// aggregates supported in grouped queries.
+var aggregateFuncs = map[string]bool{
+	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
 }
 
-func (g *groupState) value(call *Call) (Value, error) {
-	if call.Star {
-		if call.Name != "COUNT" {
-			return Value{}, fmt.Errorf("relational: %s(*) is not valid", call.Name)
+// hasAggregate walks an expression for aggregate calls.
+func hasAggregate(e Expr) bool {
+	switch x := e.(type) {
+	case *Call:
+		if aggregateFuncs[x.Name] {
+			return true
 		}
-		return Int(int64(len(g.rows))), nil
-	}
-	if len(call.Args) != 1 {
-		return Value{}, fmt.Errorf("relational: %s expects 1 argument", call.Name)
-	}
-	var vals []Value
-	seen := make(map[string]bool)
-	for _, jr := range g.rows {
-		v, err := eval(g.bind(jr), call.Args[0])
-		if err != nil {
-			return Value{}, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if call.Distinct {
-			k := v.Type().String() + ":" + v.String()
-			if seen[k] {
-				continue
+		for _, a := range x.Args {
+			if hasAggregate(a) {
+				return true
 			}
-			seen[k] = true
 		}
-		vals = append(vals, v)
+	case *Binary:
+		return hasAggregate(x.L) || hasAggregate(x.R)
+	case *Unary:
+		return hasAggregate(x.X)
+	case *InExpr:
+		if hasAggregate(x.X) {
+			return true
+		}
+		for _, a := range x.List {
+			if hasAggregate(a) {
+				return true
+			}
+		}
+	case *IsNullExpr:
+		return hasAggregate(x.X)
 	}
-	switch call.Name {
-	case "COUNT":
-		return Int(int64(len(vals))), nil
+	return false
+}
+
+// --- streaming aggregates ---
+
+// aggSet is the aggregate calls of one grouped query. Each call folds the
+// member rows of a group into its own accumulator as they stream past;
+// the compiled call reads the accumulator of the group being output (cur).
+type aggSet struct {
+	calls []*aggCall
+	cur   *group
+	// members compiles aggregate arguments: every binding, no group.
+	members *compiler
+}
+
+// aggCall is one compiled aggregate call. err is the call's own error
+// (COUNT-only *, a wrong argument count), raised whenever it is read.
+type aggCall struct {
+	name     string
+	star     bool
+	distinct bool
+	arg      evalFn
+	err      error
+}
+
+// add registers a call and compiles its read.
+func (s *aggSet) add(x *Call) evalFn {
+	ac := &aggCall{name: x.Name, star: x.Star, distinct: x.Distinct}
+	switch {
+	case x.Star && x.Name != "COUNT":
+		ac.err = fmt.Errorf("relational: %s(*) is not valid", x.Name)
+	case !x.Star && len(x.Args) != 1:
+		ac.err = fmt.Errorf("relational: %s expects 1 argument", x.Name)
+	case !x.Star:
+		ac.arg = s.members.compile(x.Args[0])
+	}
+	i := len(s.calls)
+	s.calls = append(s.calls, ac)
+	return func([]Row) (Value, error) { return ac.result(&s.cur.accs[i]) }
+}
+
+// group is one output group: its first member's rows, which non-aggregate
+// expressions read, and one accumulator per aggregate call.
+type group struct {
+	rep  []Row
+	accs []acc
+}
+
+// acc is the running state of one aggregate call over one group's members.
+type acc struct {
+	n       int64 // members (COUNT(*)) or non-NULL values folded
+	seen    map[string]bool
+	notInt  bool
+	fs      float64
+	is      int64
+	best    Value
+	evalErr error // first error evaluating the argument; folding stops there
+	numErr  error // first non-numeric value under SUM or AVG
+}
+
+// fold adds one member row; key is scratch for DISTINCT's value keys.
+func (ac *aggCall) fold(a *acc, rows []Row, key *[]byte) {
+	if a.evalErr != nil || ac.err != nil {
+		return
+	}
+	if ac.star {
+		a.n++
+		return
+	}
+	v, err := ac.arg(rows)
+	if err != nil {
+		a.evalErr = err
+		return
+	}
+	if v.IsNull() {
+		return
+	}
+	if ac.distinct {
+		*key = append(append(append((*key)[:0], v.Type().String()...), ':'), v.String()...)
+		if a.seen[string(*key)] {
+			return
+		}
+		if a.seen == nil {
+			a.seen = make(map[string]bool)
+		}
+		a.seen[string(*key)] = true
+	}
+	a.n++
+	switch ac.name {
 	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return Null(), nil
+		if a.numErr != nil {
+			return
 		}
-		allInt := true
-		var fs, is = 0.0, int64(0)
-		for _, v := range vals {
-			if !v.IsNumeric() {
-				return Value{}, fmt.Errorf("relational: %s over non-numeric value %s", call.Name, v)
-			}
-			if v.Type() != TypeInt {
-				allInt = false
-			}
-			fs += v.Float64()
-			is += v.Int64()
+		if !v.IsNumeric() {
+			a.numErr = fmt.Errorf("relational: %s over non-numeric value %s", ac.name, v)
+			return
 		}
-		if call.Name == "AVG" {
-			return Float(fs / float64(len(vals))), nil
+		if v.Type() != TypeInt {
+			a.notInt = true
 		}
-		if allInt {
-			return Int(is), nil
-		}
-		return Float(fs), nil
+		a.fs += v.Float64()
+		a.is += v.Int64()
 	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return Null(), nil
+		if a.n == 1 {
+			a.best = v
+		} else if c := Compare(v, a.best); (ac.name == "MIN" && c < 0) || (ac.name == "MAX" && c > 0) {
+			a.best = v
 		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c := Compare(v, best)
-			if (call.Name == "MIN" && c < 0) || (call.Name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
 	}
-	return Value{}, fmt.Errorf("relational: unknown aggregate %s", call.Name)
 }
 
-// rowKey renders values into a composite grouping/dedup key.
-func rowKey(vals []Value) string {
-	var b strings.Builder
-	for _, v := range vals {
-		if v.IsNull() {
-			b.WriteString("\x00N|")
-			continue
-		}
-		b.WriteString(v.Type().String())
-		b.WriteByte(':')
-		b.WriteString(v.String())
-		b.WriteByte('|')
+// result is the call's value over the members folded into a.
+func (ac *aggCall) result(a *acc) (Value, error) {
+	switch {
+	case ac.err != nil:
+		return Value{}, ac.err
+	case ac.star:
+		return Int(a.n), nil
+	case a.evalErr != nil:
+		return Value{}, a.evalErr
+	case ac.name == "COUNT":
+		return Int(a.n), nil
+	case a.n == 0:
+		return Null(), nil
 	}
-	return b.String()
+	switch ac.name {
+	case "SUM", "AVG":
+		if a.numErr != nil {
+			return Value{}, a.numErr
+		}
+		if ac.name == "AVG" {
+			return Float(a.fs / float64(a.n)), nil
+		}
+		if a.notInt {
+			return Float(a.fs), nil
+		}
+		return Int(a.is), nil
+	}
+	return a.best, nil
 }

@@ -106,15 +106,26 @@ func (ix *Index) scan(li, off int, fn func(e *entry) bool) bool {
 
 // scanBack is scan over every entry in reverse index order.
 func (ix *Index) scanBack(fn func(e *entry) bool) bool {
-	for li := len(ix.leaves) - 1; li >= 0; li-- {
-		l := ix.leaves[li]
-		for j := len(l) - 1; j >= 0; j-- {
-			if !fn(&l[j]) {
+	return ix.scanBackFrom(len(ix.leaves), 0, fn)
+}
+
+// scanBackFrom calls fn on every entry before leaf li, offset off, in
+// reverse index order until fn returns false, and reports whether it
+// reached the first entry.
+func (ix *Index) scanBackFrom(li, off int, fn func(e *entry) bool) bool {
+	for {
+		for off > 0 {
+			off--
+			if !fn(&ix.leaves[li][off]) {
 				return false
 			}
 		}
+		if li == 0 {
+			return true
+		}
+		li--
+		off = len(ix.leaves[li])
 	}
-	return true
 }
 
 // reindex rebuilds the size tree after leaves were added or removed.
@@ -277,6 +288,21 @@ func (ix *Index) Lookup(v Value) []int64 {
 		return true
 	})
 	return out
+}
+
+// eachEq calls fn with the row id of every entry whose key equals v (none
+// for NULL) in ascending id order — its run read backwards, in place —
+// until fn returns false.
+func (ix *Index) eachEq(v Value, fn func(id int64) bool) {
+	if v.IsNull() {
+		return
+	}
+	li, off := ix.seek(func(e *entry) bool { return Compare(e.key, v) > 0 })
+	n := ix.pos(li, off) - ix.pos(ix.search(v))
+	ix.scanBackFrom(li, off, func(e *entry) bool {
+		n--
+		return n >= 0 && fn(e.id)
+	})
 }
 
 // Range returns row ids with lo <= key <= hi (either bound may be omitted

@@ -1,8 +1,9 @@
 package relational
 
 import (
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/explain"
 )
@@ -34,58 +35,61 @@ type planBind struct {
 	srcPos int
 }
 
-// jrow is one joined row in flight: rows[i] belongs to plan bind slot i
-// (nil = the NULL-extended side of a LEFT JOIN), ids[i] is the row's table
-// id (-1 when NULL-extended). The ids exist so a reordered plan can restore
-// the canonical written-order emission before output.
-type jrow struct {
-	rows []Row
-	ids  []int64
-}
+// emitFn receives one joined row from a plan node: rows[i] is the row of
+// bind slot i for the slots the node has bound (nil for the NULL-extended
+// side of a LEFT JOIN) and ids[i] its table id (-1 when NULL-extended).
+// Both slices are scratch the producer reuses for its next row: a consumer
+// that keeps a row copies it.
+type emitFn func(rows []Row, ids []int64) error
 
-// planNode produces joined rows. Each node of a plan runs exactly once per
-// query; run fills the node's explain Act count as a side effect.
+// planNode pushes joined rows to a consumer. Each node of a plan runs
+// exactly once per query; run fills the node's explain Act count as a side
+// effect.
+//
+// Rows stream through the whole plan, yet errors come out as they did when
+// every node ran to completion before its consumer started: a node returns
+// its own first error at once, and when its consumer fails it stops
+// emitting but finishes its own work (sink), so that an error of its own,
+// and the counts of every node below, still come first.
 type planNode interface {
-	run(ex *planExec) ([]jrow, error)
+	run(db *DB, emit emitFn) error
 	enode() *explain.Node
 }
 
-// planExec is the per-execution state of one plan run: shared scratch eval
-// contexts, one per binding-prefix width, all over one backing array so
-// binding a prefix also positions the wider contexts.
-type planExec struct {
-	db   *DB
-	p    *selectPlan
-	all  []binding
-	ctxs []*evalContext // ctxs[w] has bindings over slots [0, w]
+// sink forwards rows to a consumer until the consumer fails, then drops
+// them and keeps its first error.
+type sink struct {
+	emit emitFn
+	err  error
 }
 
-func newPlanExec(db *DB, p *selectPlan) *planExec {
-	all := make([]binding, len(p.binds))
-	for i, b := range p.binds {
-		all[i] = binding{name: b.name, schema: b.schema}
+func (s *sink) put(rows []Row, ids []int64) {
+	if s.err == nil {
+		s.err = s.emit(rows, ids)
 	}
-	ctxs := make([]*evalContext, len(p.binds))
-	for w := range ctxs {
-		ctxs[w] = &evalContext{bindings: all[: w+1 : w+1]}
-	}
-	return &planExec{db: db, p: p, all: all, ctxs: ctxs}
-}
-
-// bind points the width-matched scratch context at jr's rows.
-func (ex *planExec) bind(jr jrow) *evalContext {
-	for i, r := range jr.rows {
-		ex.all[i].row = r
-	}
-	return ex.ctxs[len(jr.rows)-1]
 }
 
 // finishNode records a node's actual row count and feeds the planner's
 // estimate-quality sample.
-func (ex *planExec) finishNode(en *explain.Node, act int) {
+func (db *DB) finishNode(en *explain.Node, act int) {
 	en.Act = act
-	ex.db.planner.countNode(en.Op)
-	ex.db.planner.observe(en.Est, act)
+	db.planner.countNode(en.Op)
+	db.planner.observe(en.Est, act)
+}
+
+// passes reports whether every condition holds on rows, in order, with
+// AND short-circuit semantics.
+func passes(conds []evalFn, rows []Row) (bool, error) {
+	for _, c := range conds {
+		v, err := c(rows)
+		if err != nil {
+			return false, err
+		}
+		if v.IsNull() || !truthy(v) {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // --- scan nodes ---
@@ -101,116 +105,111 @@ type indexCond struct {
 	hasLo, hasHi bool
 	est          int
 	desc         string
+	conj         Expr // the WHERE conjunct answered
 }
 
+// lookup returns the matching row ids in ascending order.
 func (c *indexCond) lookup() []int64 {
 	if c.isEq {
-		return c.idx.Lookup(c.eq)
+		var ids []int64
+		c.idx.eachEq(c.eq, func(id int64) bool {
+			ids = append(ids, id)
+			return true
+		})
+		return ids
 	}
-	return c.idx.Range(c.lo, c.hasLo, c.hi, c.hasHi)
+	ids := c.idx.Range(c.lo, c.hasLo, c.hi, c.hasHi)
+	slices.Sort(ids)
+	return ids
 }
 
 // scanNode produces the rows of one table slot: through an intersection of
 // index conjuncts when the planner found usable ones, a full scan
 // otherwise, with pushed-down single-table filters applied inline. Rows are
-// always emitted in ascending id order (the canonical order).
+// always produced in ascending id order (the canonical order).
 type scanNode struct {
 	bind    int
 	table   *Table
 	conds   []indexCond // empty => full scan; else intersected, most selective first
-	filters []Expr      // pushed-down conjuncts; the top Filter re-checks the full WHERE
+	filters []evalFn    // pushed-down conjuncts over the slot's row alone; the top Filter re-checks the full WHERE
 	en      *explain.Node
 }
 
 func (sn *scanNode) enode() *explain.Node { return sn.en }
 
-func (sn *scanNode) run(ex *planExec) ([]jrow, error) {
-	ids, rows, err := sn.fetch(ex)
-	if err != nil {
-		return nil, err
+// each calls fn with every row of the slot that passes the pushed filters,
+// in ascending id order, and returns how many there were. It is the single
+// place plan execution touches Table.Scan. A lone equality conjunct is
+// read in place from its index run.
+func (sn *scanNode) each(fn func(id int64, row Row)) (int, error) {
+	n := 0
+	one := make([]Row, 1)
+	visit := func(id int64, row Row) error {
+		one[0] = row
+		ok, err := passes(sn.filters, one)
+		if ok {
+			n++
+			fn(id, row)
+		}
+		return err
 	}
-	out := make([]jrow, len(rows))
-	for i := range rows {
-		out[i] = jrow{rows: rows[i : i+1 : i+1], ids: ids[i : i+1 : i+1]}
+	var err error
+	fetch := func(id int64) bool {
+		if row, live := sn.table.Get(id); live {
+			err = visit(id, row)
+		}
+		return err == nil
 	}
-	return out, nil
+	switch {
+	case len(sn.conds) == 0:
+		sn.table.Scan(func(id int64, row Row) bool {
+			err = visit(id, row)
+			return err == nil
+		})
+	case len(sn.conds) == 1 && sn.conds[0].isEq:
+		sn.conds[0].idx.eachEq(sn.conds[0].eq, fetch)
+	default:
+		cand := sn.conds[0].lookup()
+		for _, c := range sn.conds[1:] {
+			if len(cand) == 0 {
+				break
+			}
+			cand = intersectSorted(cand, c.lookup())
+		}
+		for _, id := range cand {
+			if !fetch(id) {
+				break
+			}
+		}
+	}
+	return n, err
 }
 
-// fetch returns the slot's candidate (id, row) pairs in ascending id order.
-// It is the single place plan execution touches Table.Scan.
-func (sn *scanNode) fetch(ex *planExec) ([]int64, []Row, error) {
+func (sn *scanNode) run(db *DB, emit emitFn) error {
+	out := sink{emit: emit}
+	rows, ids := make([]Row, 1), make([]int64, 1)
+	n, err := sn.each(func(id int64, row Row) {
+		rows[0], ids[0] = row, id
+		out.put(rows, ids)
+	})
+	if err != nil {
+		return err
+	}
+	db.finishNode(sn.en, n)
+	return out.err
+}
+
+// fetch materializes the slot's rows for the right side of a join. The
+// join records the node's count once its left side has run, the order in
+// which the planner's statistics have always observed the two.
+func (sn *scanNode) fetch() ([]int64, []Row, error) {
 	var ids []int64
 	var rows []Row
-	var fctx *evalContext
-	if len(sn.filters) > 0 {
-		b := ex.p.binds[sn.bind]
-		fctx = &evalContext{bindings: []binding{{name: b.name, schema: b.schema}}}
-	}
-	keep := func(row Row) (bool, error) {
-		for _, f := range sn.filters {
-			fctx.bindings[0].row = row
-			v, err := eval(fctx, f)
-			if err != nil {
-				return false, err
-			}
-			if v.IsNull() || !truthy(v) {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	if len(sn.conds) == 0 {
-		var scanErr error
-		sn.table.Scan(func(id int64, row Row) bool {
-			if fctx != nil {
-				ok, err := keep(row)
-				if err != nil {
-					scanErr = err
-					return false
-				}
-				if !ok {
-					return true
-				}
-			}
-			ids = append(ids, id)
-			rows = append(rows, row)
-			return true
-		})
-		if scanErr != nil {
-			return nil, nil, scanErr
-		}
-		ex.finishNode(sn.en, len(rows))
-		return ids, rows, nil
-	}
-	cand := sn.conds[0].lookup()
-	sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
-	for _, c := range sn.conds[1:] {
-		other := c.lookup()
-		sort.Slice(other, func(i, j int) bool { return other[i] < other[j] })
-		cand = intersectSorted(cand, other)
-		if len(cand) == 0 {
-			break
-		}
-	}
-	for _, id := range cand {
-		row, live := sn.table.Get(id)
-		if !live {
-			continue
-		}
-		if fctx != nil {
-			ok, err := keep(row)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
+	_, err := sn.each(func(id int64, row Row) {
 		ids = append(ids, id)
 		rows = append(rows, row)
-	}
-	ex.finishNode(sn.en, len(rows))
-	return ids, rows, nil
+	})
+	return ids, rows, err
 }
 
 // intersectSorted merges two ascending id slices into their intersection.
@@ -239,34 +238,30 @@ func intersectSorted(a, b []int64) []int64 {
 // canonical scan would produce), and NULL keys participate exactly where
 // Compare sorts them (first ascending, last descending).
 type orderedScanNode struct {
-	bind  int
 	table *Table
 	idx   *Index
 	desc  bool
-	where Expr // full residual WHERE, may be nil
-	stop  int  // emit at most this many rows; -1 = all
+	where evalFn // full residual WHERE over the table's row alone; nil when none
+	stop  int    // emit at most this many rows; -1 = all
 	en    *explain.Node
 }
 
 func (on *orderedScanNode) enode() *explain.Node { return on.en }
 
-func (on *orderedScanNode) run(ex *planExec) ([]jrow, error) {
-	b := ex.p.binds[on.bind]
-	var fctx *evalContext
-	if on.where != nil {
-		fctx = &evalContext{bindings: []binding{{name: b.name, schema: b.schema}}}
-	}
-	var out []jrow
+func (on *orderedScanNode) run(db *DB, emit emitFn) error {
+	out := sink{emit: emit}
+	rows, ids := make([]Row, 1), make([]int64, 1)
+	n := 0
 	var walkErr error
-	on.idx.Walk(on.desc, func(_ Value, ids []int64) bool {
-		for _, id := range ids {
+	on.idx.Walk(on.desc, func(_ Value, run []int64) bool {
+		for _, id := range run {
 			row, live := on.table.Get(id)
 			if !live {
 				continue
 			}
-			if fctx != nil {
-				fctx.bindings[0].row = row
-				v, err := eval(fctx, on.where)
+			rows[0], ids[0] = row, id
+			if on.where != nil {
+				v, err := on.where(rows)
 				if err != nil {
 					walkErr = err
 					return false
@@ -275,162 +270,195 @@ func (on *orderedScanNode) run(ex *planExec) ([]jrow, error) {
 					continue
 				}
 			}
-			out = append(out, jrow{rows: []Row{row}, ids: []int64{id}})
-			if on.stop >= 0 && len(out) >= on.stop {
+			n++
+			out.put(rows, ids)
+			if on.stop >= 0 && n >= on.stop {
 				return false
 			}
 		}
 		return true
 	})
 	if walkErr != nil {
-		return nil, walkErr
+		return walkErr
 	}
-	ex.finishNode(on.en, len(out))
-	return out, nil
+	db.finishNode(on.en, n)
+	return out.err
 }
 
 // --- join node ---
 
-// joinNode joins the accumulated left rows with one more table slot. With
-// hash=true it hashes one side (chosen by estimated size) on the equi-join
-// key; otherwise it nested-loops over the materialized right rows. conds
-// are residual join predicates checked per candidate pair, in order, with
-// AND short-circuit semantics.
+// joinNode joins the rows of its left side, which bind slots [0, lw), with
+// one more table slot lw = right.bind. With hash=true it hashes one side
+// (chosen by estimated size) on the equi-join key; otherwise it
+// nested-loops over the materialized right rows. conds are residual join
+// predicates checked per candidate pair, in order, with AND short-circuit
+// semantics.
 type joinNode struct {
 	left      planNode
 	right     *scanNode
 	leftOuter bool
 	hash      bool
-	probe     Expr // hash: evaluated over the left prefix
-	buildCol  int  // hash: key column position in the right table
-	buildLeft bool // hash the left side, probe with right rows
-	conds     []Expr
+	probe     evalFn // hash: over the left slots
+	buildCol  int    // hash: key column position in the right table
+	buildLeft bool   // hash the left side, probe with right rows
+	conds     []evalFn
 	en        *explain.Node
 }
 
 func (jn *joinNode) enode() *explain.Node { return jn.en }
 
-func (jn *joinNode) run(ex *planExec) ([]jrow, error) {
-	lrows, err := jn.left.run(ex)
-	if err != nil {
-		return nil, err
-	}
-	rids, rrows, err := jn.right.fetch(ex)
-	if err != nil {
-		return nil, err
-	}
-	var lw int // left width
-	if len(lrows) > 0 {
-		lw = len(lrows[0].rows)
-	} else {
-		lw = jn.right.bind // slots [0, bind) are bound on the left
-	}
-	fctx := ex.ctxs[lw] // full-width candidate context (shares ex.all)
+// joinKey is a hash-join key with =-compatible equality: numerics collapse
+// to one spelling regardless of int/float type.
+type joinKey struct {
+	typ Type
+	s   string
+}
 
-	extend := func(l jrow, row Row, id int64) jrow {
-		rows := make([]Row, lw+1)
-		copy(rows, l.rows)
-		rows[lw] = row
-		ids := make([]int64, lw+1)
-		copy(ids, l.ids)
-		ids[lw] = id
-		return jrow{rows: rows, ids: ids}
+func joinKeyOf(v Value) joinKey {
+	if v.IsNumeric() {
+		return joinKey{TypeFloat, Float(v.Float64()).String()}
 	}
-	// pass checks the residual join predicates for the candidate row bound
-	// in fctx's last slot (the left prefix must already be bound).
-	pass := func() (bool, error) {
-		for _, c := range jn.conds {
-			v, err := eval(fctx, c)
+	return joinKey{v.Type(), v.String()}
+}
+
+func (jn *joinNode) run(db *DB, emit emitFn) error {
+	rids, rrows, err := jn.right.fetch()
+	if err != nil {
+		return err
+	}
+	lw := jn.right.bind
+	out := sink{emit: emit}
+	rows, ids := make([]Row, lw+1), make([]int64, lw+1)
+	n := 0
+	put := func(row Row, id int64) {
+		rows[lw], ids[lw] = row, id
+		n++
+		out.put(rows, ids)
+	}
+	// candidates checks the right rows ris the left prefix bound in rows
+	// may pair with, emits the pairs that pass, and NULL-extends a LEFT
+	// JOIN row that found none.
+	candidates := func(ris []int32) error {
+		emitted := false
+		for _, ri := range ris {
+			rows[lw] = rrows[ri]
+			ok, err := passes(jn.conds, rows)
 			if err != nil {
-				return false, err
+				return err
 			}
-			if v.IsNull() || !truthy(v) {
-				return false, nil
+			if ok {
+				put(rrows[ri], rids[ri])
+				emitted = true
 			}
 		}
-		return true, nil
+		if !emitted && jn.leftOuter {
+			put(nil, -1)
+		}
+		return nil
 	}
 
-	var out []jrow
+	// own is the join's first error inside its left side's run, which the
+	// left side hands back once it finished its own work.
+	var own error
+	var step func(lrows []Row, lids []int64) error
+	var lflat []Row
+	var lidFlat []int64
+	var buildIdx map[joinKey][]int32
 	switch {
 	case jn.hash && !jn.buildLeft:
 		// Build over the right rows, probe with each left row. Matches are
 		// emitted in ascending right-id order, so written-order plans stay
-		// canonical. Numeric keys hash by their float64 spelling so int 2
-		// and float 2.0 join, as the = operator would.
-		buildIdx := make(map[string][]int32, len(rrows))
+		// canonical.
+		buildIdx = make(map[joinKey][]int32, len(rrows))
 		for i, row := range rrows {
-			v := row[jn.buildCol]
-			if !v.IsNull() {
-				k := joinKey(v)
+			if v := row[jn.buildCol]; !v.IsNull() {
+				k := joinKeyOf(v)
 				buildIdx[k] = append(buildIdx[k], int32(i))
 			}
 		}
-		pctx := ex.ctxs[lw-1]
-		for _, l := range lrows {
-			ex.bindPrefix(l)
-			pv, err := eval(pctx, jn.probe)
+		step = func(lrows []Row, lids []int64) error {
+			copy(rows, lrows)
+			copy(ids, lids)
+			pv, err := jn.probe(rows)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			var matches []int32
 			if !pv.IsNull() {
-				matches = buildIdx[joinKey(pv)]
+				matches = buildIdx[joinKeyOf(pv)]
 			}
-			emitted := false
-			for _, ri := range matches {
-				ex.all[lw].row = rrows[ri]
-				ok, err := pass()
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				out = append(out, extend(l, rrows[ri], rids[ri]))
-				emitted = true
-			}
-			if !emitted && jn.leftOuter {
-				out = append(out, extend(l, nil, -1))
-			}
+			return candidates(matches)
 		}
-	case jn.hash && jn.buildLeft:
+	case jn.hash:
 		// Build over the (smaller) left rows keyed by the probe value,
-		// stream the right rows through. Emission is right-major, so the
-		// plan carries a RestoreOrder node downstream.
-		buildIdx := make(map[string][]int32, len(lrows))
-		pctx := ex.ctxs[lw-1]
-		for i, l := range lrows {
-			ex.bindPrefix(l)
-			pv, err := eval(pctx, jn.probe)
+		// then stream the right rows through. Emission is right-major, so
+		// the plan carries a RestoreOrder node downstream.
+		buildIdx = make(map[joinKey][]int32)
+		step = func(lrows []Row, lids []int64) error {
+			i := int32(len(lidFlat) / lw)
+			lflat = append(lflat, lrows...)
+			lidFlat = append(lidFlat, lids...)
+			pv, err := jn.probe(lrows)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !pv.IsNull() {
-				k := joinKey(pv)
-				buildIdx[k] = append(buildIdx[k], int32(i))
+				k := joinKeyOf(pv)
+				buildIdx[k] = append(buildIdx[k], i)
 			}
+			return nil
 		}
+	default:
+		// Nested loop over the materialized right rows.
+		all := make([]int32, len(rrows))
+		for i := range all {
+			all[i] = int32(i)
+		}
+		step = func(lrows []Row, lids []int64) error {
+			copy(rows, lrows)
+			copy(ids, lids)
+			return candidates(all)
+		}
+	}
+	err = jn.left.run(db, func(lrows []Row, lids []int64) error {
+		if err := step(lrows, lids); err != nil {
+			own = err
+			return err
+		}
+		return nil
+	})
+	if err != nil && err != own {
+		return err
+	}
+	db.finishNode(jn.right.en, len(rrows))
+	if own != nil {
+		return own
+	}
+	if jn.hash && jn.buildLeft {
 		var matched []bool
 		if jn.leftOuter {
-			matched = make([]bool, len(lrows))
+			matched = make([]bool, len(lidFlat)/lw)
+		}
+		bindLeft := func(li int32) {
+			copy(rows, lflat[int(li)*lw:])
+			copy(ids, lidFlat[int(li)*lw:])
 		}
 		for ri, row := range rrows {
 			v := row[jn.buildCol]
 			if v.IsNull() {
 				continue
 			}
-			for _, li := range buildIdx[joinKey(v)] {
-				ex.bindPrefix(lrows[li])
-				ex.all[lw].row = row
-				ok, err := pass()
+			for _, li := range buildIdx[joinKeyOf(v)] {
+				bindLeft(li)
+				rows[lw] = row
+				ok, err := passes(jn.conds, rows)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if !ok {
 					continue
 				}
-				out = append(out, extend(lrows[li], row, rids[ri]))
+				put(row, rids[ri])
 				if matched != nil {
 					matched[li] = true
 				}
@@ -438,77 +466,45 @@ func (jn *joinNode) run(ex *planExec) ([]jrow, error) {
 		}
 		for li := range matched {
 			if !matched[li] {
-				out = append(out, extend(lrows[li], nil, -1))
-			}
-		}
-	default:
-		// Nested loop over the materialized right rows: the table is
-		// fetched once, candidate contexts live in reused scratch storage,
-		// and only surviving pairs allocate an output row.
-		for _, l := range lrows {
-			ex.bindPrefix(l)
-			emitted := false
-			for ri, row := range rrows {
-				ex.all[lw].row = row
-				ok, err := pass()
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				out = append(out, extend(l, row, rids[ri]))
-				emitted = true
-			}
-			if !emitted && jn.leftOuter {
-				out = append(out, extend(l, nil, -1))
+				bindLeft(int32(li))
+				put(nil, -1)
 			}
 		}
 	}
-	ex.finishNode(jn.en, len(out))
-	return out, nil
-}
-
-// bindPrefix points the scratch binding array at a left-prefix row without
-// touching later slots.
-func (ex *planExec) bindPrefix(l jrow) {
-	for i, r := range l.rows {
-		ex.all[i].row = r
-	}
+	db.finishNode(jn.en, n)
+	return out.err
 }
 
 // --- filter / restore ---
 
-// filterNode applies the full residual WHERE. Pushed-down conjuncts are
-// re-checked here on purpose: the pushdowns are a pruning optimization, the
-// top filter is the semantic truth (including LEFT JOIN NULL extension).
+// filterNode applies the WHERE conjuncts that no scan below applied
+// (conds, in written order; none when every conjunct was pushed down) to
+// the joined rows, LEFT JOIN NULL extension included.
 type filterNode struct {
 	child planNode
-	where Expr
+	conds []evalFn
 	en    *explain.Node
 }
 
 func (fn *filterNode) enode() *explain.Node { return fn.en }
 
-func (fn *filterNode) run(ex *planExec) ([]jrow, error) {
-	rows, err := fn.child.run(ex)
+func (fn *filterNode) run(db *DB, emit emitFn) error {
+	out := sink{emit: emit}
+	kept := 0
+	err := fn.child.run(db, func(rows []Row, ids []int64) error {
+		ok, err := passes(fn.conds, rows)
+		if ok {
+			kept++
+			out.put(rows, ids)
+		}
+		return err
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	kept := rows[:0]
-	for _, jr := range rows {
-		ctx := ex.bind(jr)
-		v, err := eval(ctx, fn.where)
-		if err != nil {
-			return nil, err
-		}
-		if !v.IsNull() && truthy(v) {
-			kept = append(kept, jr)
-		}
-	}
-	fn.en.Act = len(kept)
-	ex.db.planner.observe(fn.en.Est, len(kept))
-	return kept, nil
+	fn.en.Act = kept
+	db.planner.observe(fn.en.Est, kept)
+	return out.err
 }
 
 // restoreNode re-sorts surviving rows into the canonical written-order id
@@ -517,6 +513,7 @@ func (fn *filterNode) run(ex *planExec) ([]jrow, error) {
 // the written-order plan would, byte for byte.
 type restoreNode struct {
 	child planNode
+	width int // bind slots per row
 	// slotOrder lists bind slots in written-source order, major to minor.
 	slotOrder []int
 	en        *explain.Node
@@ -524,37 +521,57 @@ type restoreNode struct {
 
 func (rn *restoreNode) enode() *explain.Node { return rn.en }
 
-func (rn *restoreNode) run(ex *planExec) ([]jrow, error) {
-	rows, err := rn.child.run(ex)
+func (rn *restoreNode) run(db *DB, emit emitFn) error {
+	var flat []Row
+	var flatIDs []int64
+	err := rn.child.run(db, func(rows []Row, ids []int64) error {
+		flat = append(flat, rows...)
+		flatIDs = append(flatIDs, ids...)
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sort.SliceStable(rows, func(a, b int) bool {
+	w := rn.width
+	order := make([]int, len(flatIDs)/w)
+	for i := range order {
+		order[i] = i * w
+	}
+	sort.SliceStable(order, func(a, b int) bool {
 		for _, slot := range rn.slotOrder {
-			ai, bi := rows[a].ids[slot], rows[b].ids[slot]
+			ai, bi := flatIDs[order[a]+slot], flatIDs[order[b]+slot]
 			if ai != bi {
 				return ai < bi
 			}
 		}
 		return false
 	})
-	rn.en.Act = len(rows)
-	return rows, nil
+	rn.en.Act = len(order)
+	out := sink{emit: emit}
+	for _, at := range order {
+		out.put(flat[at:at+w], flatIDs[at:at+w])
+	}
+	return out.err
 }
 
 // --- the compiled plan and its output stage ---
 
-// selectPlan is a compiled SELECT: a tree of jrow-producing nodes plus the
-// projection/grouping/ordering output stage, compiled once per statement
-// and executed once.
+// selectPlan is a compiled SELECT: a tree of row-producing nodes plus the
+// compiled projection/grouping/ordering output stage, compiled once per
+// statement and executed once.
 type selectPlan struct {
 	stmt  *SelectStmt
 	binds []planBind
 	root  planNode
 
-	projExprs []Expr
-	colNames  []string
-	grouped   bool
+	colNames []string
+	grouped  bool
+	out      outputExprs
+	groupBy  []evalFn // over every bind slot
+	// emptyGroup compiles the output of the one row a global aggregate
+	// yields over no input: only the written base table is bound, to a NULL
+	// row, and every aggregate folds nothing.
+	emptyGroup func() outputExprs
 
 	// preOrdered marks a root that already emits rows in ORDER BY order
 	// (the OrderByIndex path), making the sort stage a no-op.
@@ -568,6 +585,23 @@ type selectPlan struct {
 	explainRoot *explain.Node
 }
 
+// outputExprs is the compiled output stage for one scope: HAVING (nil when
+// absent), the projections, the ORDER BY keys and, in a grouped query, the
+// aggregate calls they read.
+type outputExprs struct {
+	having evalFn
+	proj   []evalFn
+	keys   []orderKey
+	aggs   *aggSet
+}
+
+// orderKey is one ORDER BY key: a projected column (an unqualified key
+// naming a projection label sorts on the projected value) or an expression.
+type orderKey struct {
+	col int // projected column, or -1
+	fn  evalFn
+}
+
 // slotOfWritten returns bind slots indexed by written source position.
 func (p *selectPlan) slotOfWritten() []int {
 	out := make([]int, len(p.binds))
@@ -577,106 +611,97 @@ func (p *selectPlan) slotOfWritten() []int {
 	return out
 }
 
-// runPlan executes a compiled plan. Callers hold at least a read lock.
-func (db *DB) runPlan(p *selectPlan) (*ResultSet, error) {
-	ex := newPlanExec(db, p)
-	jrows, err := p.root.run(ex)
-	if err != nil {
-		return nil, err
+// project evaluates one output row and its ORDER BY keys.
+func (o *outputExprs) project(rows []Row) (Row, []Value, error) {
+	row := make(Row, len(o.proj))
+	for i, f := range o.proj {
+		v, err := f(rows)
+		if err != nil {
+			return nil, nil, err
+		}
+		row[i] = v
 	}
-	s := p.stmt
+	if len(o.keys) == 0 {
+		return row, nil, nil
+	}
+	keys := make([]Value, len(o.keys))
+	for i, k := range o.keys {
+		if k.col >= 0 {
+			keys[i] = row[k.col]
+			continue
+		}
+		v, err := k.fn(rows)
+		if err != nil {
+			return nil, nil, err
+		}
+		keys[i] = v
+	}
+	return row, keys, nil
+}
 
+// runPlan executes a compiled plan. Callers hold at least a read lock.
+// Rows stream from the root into the output stage: projected one by one,
+// or folded into their group's aggregates, so a grouped query holds one
+// representative row and one accumulator per aggregate call per group,
+// never its member rows.
+func (db *DB) runPlan(p *selectPlan) (*ResultSet, error) {
+	s := p.stmt
 	var outRows []Row
 	var orderKeys [][]Value
-
-	evalOrderKeys := func(ctx *evalContext, projected Row) ([]Value, error) {
-		keys := make([]Value, len(s.OrderBy))
-		for i, ok := range s.OrderBy {
-			// An ORDER BY key naming a projection alias sorts on the
-			// projected value.
-			if ref, isRef := ok.Expr.(*ColumnRef); isRef && ref.Table == "" {
-				found := false
-				for ci, cn := range p.colNames {
-					if strings.EqualFold(cn, ref.Name) {
-						keys[i] = projected[ci]
-						found = true
-						break
-					}
-				}
-				if found {
-					continue
-				}
-			}
-			v, err := eval(ctx, ok.Expr)
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = v
+	emitRow := func(o *outputExprs, rows []Row) error {
+		row, keys, err := o.project(rows)
+		if err != nil {
+			return err
 		}
-		return keys, nil
+		outRows = append(outRows, row)
+		if keys != nil {
+			orderKeys = append(orderKeys, keys)
+		}
+		return nil
 	}
 
-	if p.grouped {
-		// Group rows by the GROUP BY key (one global group when absent).
-		// Members are stored as jrows; aggregate evaluation binds them
-		// through one shared scratch context instead of materializing a
-		// context per member row.
-		memberCtx := &evalContext{bindings: make([]binding, len(p.binds))}
-		for i, b := range p.binds {
-			memberCtx.bindings[i] = binding{name: b.name, schema: b.schema}
+	if !p.grouped {
+		if err := p.root.run(db, func(rows []Row, _ []int64) error { return emitRow(&p.out, rows) }); err != nil {
+			return nil, err
 		}
-		bindMember := func(jr jrow) *evalContext {
-			for i, r := range jr.rows {
-				memberCtx.bindings[i].row = r
-			}
-			return memberCtx
-		}
-		groups := make(map[string]*groupState)
-		var order []string
-		for _, jr := range jrows {
-			ctx := ex.bind(jr)
-			var kv []Value
-			for _, ge := range s.GroupBy {
-				v, err := eval(ctx, ge)
+	} else {
+		groups := make(map[string]*group)
+		var order []*group
+		var kv []Value
+		var kbuf, dkey []byte
+		err := p.root.run(db, func(rows []Row, _ []int64) error {
+			kv = kv[:0]
+			for _, f := range p.groupBy {
+				v, err := f(rows)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				kv = append(kv, v)
 			}
-			k := rowKey(kv)
-			g, ok := groups[k]
+			kbuf = appendRowKey(kbuf[:0], kv)
+			g, ok := groups[string(kbuf)]
 			if !ok {
-				g = &groupState{bind: bindMember}
-				groups[k] = g
-				order = append(order, k)
+				g = &group{rep: slices.Clone(rows), accs: make([]acc, len(p.out.aggs.calls))}
+				groups[string(kbuf)] = g
+				order = append(order, g)
 			}
-			g.rows = append(g.rows, jr)
-		}
-		if len(groups) == 0 && len(s.GroupBy) == 0 {
-			// Aggregates over an empty input still yield one row.
-			groups[""] = &groupState{bind: bindMember}
-			order = append(order, "")
-		}
-		slotOf := p.slotOfWritten()
-		for _, k := range order {
-			g := groups[k]
-			// Representative row context for non-aggregate expressions. An
-			// empty group binds only the written base table with a NULL
-			// row, as the pre-planner executor did.
-			var gctx *evalContext
-			if len(g.rows) > 0 {
-				rep := g.rows[0]
-				bs := make([]binding, len(p.binds))
-				for i, b := range p.binds {
-					bs[i] = binding{name: b.name, schema: b.schema, row: rep.rows[i]}
-				}
-				gctx = &evalContext{bindings: bs, group: g}
-			} else {
-				base := p.binds[slotOf[0]]
-				gctx = &evalContext{bindings: []binding{{name: base.name, schema: base.schema}}, group: g}
+			for i, c := range p.out.aggs.calls {
+				c.fold(&g.accs[i], rows, &dkey)
 			}
-			if s.Having != nil {
-				v, err := eval(gctx, s.Having)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		o := p.out
+		if len(order) == 0 && len(s.GroupBy) == 0 {
+			o = p.emptyGroup()
+			order = []*group{{rep: []Row{nil}, accs: make([]acc, len(o.aggs.calls))}}
+		}
+		for _, g := range order {
+			o.aggs.cur = g
+			if o.having != nil {
+				v, err := o.having(g.rep)
 				if err != nil {
 					return nil, err
 				}
@@ -684,41 +709,8 @@ func (db *DB) runPlan(p *selectPlan) (*ResultSet, error) {
 					continue
 				}
 			}
-			row := make(Row, len(p.projExprs))
-			for i, e := range p.projExprs {
-				v, err := eval(gctx, e)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			outRows = append(outRows, row)
-			if len(s.OrderBy) > 0 {
-				keys, err := evalOrderKeys(gctx, row)
-				if err != nil {
-					return nil, err
-				}
-				orderKeys = append(orderKeys, keys)
-			}
-		}
-	} else {
-		for _, jr := range jrows {
-			ctx := ex.bind(jr)
-			row := make(Row, len(p.projExprs))
-			for i, e := range p.projExprs {
-				v, err := eval(ctx, e)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			outRows = append(outRows, row)
-			if len(s.OrderBy) > 0 {
-				keys, err := evalOrderKeys(ctx, row)
-				if err != nil {
-					return nil, err
-				}
-				orderKeys = append(orderKeys, keys)
+			if err := emitRow(&o, g.rep); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -729,12 +721,13 @@ func (db *DB) runPlan(p *selectPlan) (*ResultSet, error) {
 		seen := make(map[string]bool)
 		dedup := outRows[:0]
 		var dedupKeys [][]Value
+		var kbuf []byte
 		for i, r := range outRows {
-			k := rowKey(r)
-			if seen[k] {
+			kbuf = appendRowKey(kbuf[:0], r)
+			if seen[string(kbuf)] {
 				continue
 			}
-			seen[k] = true
+			seen[string(kbuf)] = true
 			dedup = append(dedup, r)
 			if len(orderKeys) > 0 {
 				dedupKeys = append(dedupKeys, orderKeys[i])
@@ -775,4 +768,27 @@ func (db *DB) runPlan(p *selectPlan) (*ResultSet, error) {
 	}
 
 	return &ResultSet{Columns: p.colNames, Rows: outRows}, nil
+}
+
+// appendRowKey appends the composite grouping/dedup key of vals to dst:
+// each value's type and text, so Int 1 and Float 1 stay apart.
+func appendRowKey(dst []byte, vals []Value) []byte {
+	for _, v := range vals {
+		if v.IsNull() {
+			dst = append(dst, "\x00N|"...)
+			continue
+		}
+		dst = append(dst, v.Type().String()...)
+		dst = append(dst, ':')
+		switch v.Type() {
+		case TypeInt:
+			dst = strconv.AppendInt(dst, v.Int64(), 10)
+		case TypeFloat:
+			dst = strconv.AppendFloat(dst, v.Float64(), 'g', -1, 64)
+		default:
+			dst = append(dst, v.String()...)
+		}
+		dst = append(dst, '|')
+	}
+	return dst
 }

@@ -431,7 +431,8 @@ func randomArmSelect(rng *rand.Rand) string {
 		}
 		q := "SELECT " + sel + " FROM " + from
 		if rng.Intn(2) == 0 {
-			q += " WHERE " + pick("sensors.id IS NULL", "sensors.kind = 'hum'", "sensors.id > 3")
+			q += " WHERE " + pick("sensors.id IS NULL", "sensors.kind = 'hum'", "sensors.id > 3", "sensors.temp < sensors.id",
+				"sensors.id * 2 >= sensors.temp", "NOT (sensors.temp != sensors.id)")
 		}
 		return q + pick("", " ORDER BY sensors.id DESC", " LIMIT 7 OFFSET 2")
 	case 4: // LIKE
@@ -446,7 +447,8 @@ func randomArmSelect(rng *rand.Rand) string {
 			"readings.sensor_id * 3 - 1", "readings.page + 'x'", "readings.id / 2")
 		q := "SELECT readings.id, " + sel + " AS a FROM readings"
 		if rng.Intn(2) == 0 {
-			q += " WHERE " + pick("readings.val * 2 > 100", "readings.sensor_id + 1 = 3", "readings.val / 0 IS NULL", "readings.val - 50 < 0")
+			q += " WHERE " + pick("readings.val * 2 > 100", "readings.sensor_id + 1 = 3", "readings.val / 0 IS NULL", "readings.val - 50 < 0",
+				"readings.val > readings.sensor_id", "50 <= readings.val", "readings.val / 2 = readings.sensor_id")
 		}
 		return q + pick("", " ORDER BY a", " ORDER BY a DESC LIMIT 5")
 	}
@@ -649,35 +651,15 @@ func benchJoinDB(b *testing.B) *DB {
 
 // BenchmarkJoinPlanner measures the tentpole join win: a three-table join
 // whose selective WHERE conjunct is on the last written table. The planner
-// reorders to drive from the indexed predicate; the fallback sub-benchmark
-// is the written-order scan-everything baseline.
+// reorders to drive from the indexed predicate; the reference
+// sub-benchmark is the written-order scan-everything interpreter
+// (referenceQuery).
 func BenchmarkJoinPlanner(b *testing.B) {
-	db := benchJoinDB(b)
-	const q = "SELECT s.id, r2.y FROM r1 JOIN r2 ON r1.x = r2.x JOIN s ON s.y = r2.y WHERE s.z = 7"
-	for _, mode := range []struct {
-		name string
-		opts QueryOptions
-	}{
-		{"planned", QueryOptions{}},
-		{"fallback", QueryOptions{fallback: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rs, _, err := db.QueryWith(q, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rs.Rows) == 0 {
-					b.Fatal("expected rows")
-				}
-			}
-		})
-	}
+	benchAgainstReference(b, benchJoinDB(b), "SELECT s.id, r2.y FROM r1 JOIN r2 ON r1.x = r2.x JOIN s ON s.y = r2.y WHERE s.z = 7", -1)
 }
 
 // BenchmarkOrderByIndex measures index-backed ORDER BY with LIMIT pushdown
-// at 10k rows against the sort-after-materialize baseline.
+// at 10k rows against the sort-after-materialize reference.
 func BenchmarkOrderByIndex(b *testing.B) {
 	db := NewDB()
 	mustCreate(b, db, "t", []Column{pkCol("id", TypeInt), {Name: "val", Type: TypeFloat}, {Name: "page", Type: TypeText}}, "val")
@@ -687,22 +669,27 @@ func BenchmarkOrderByIndex(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	const q = "SELECT id, val FROM t ORDER BY val LIMIT 20"
+	benchAgainstReference(b, db, "SELECT id, val FROM t ORDER BY val LIMIT 20", 20)
+}
+
+// benchAgainstReference times q through Query ("planned") and through
+// referenceQuery ("reference"); wantRows < 0 accepts any non-empty result.
+func benchAgainstReference(b *testing.B, db *DB, q string, wantRows int) {
 	for _, mode := range []struct {
 		name string
-		opts QueryOptions
+		run  func() (*ResultSet, error)
 	}{
-		{"planned", QueryOptions{}},
-		{"fallback", QueryOptions{fallback: true}},
+		{"planned", func() (*ResultSet, error) { return db.Query(q) }},
+		{"reference", func() (*ResultSet, error) { return referenceQuery(db, q) }},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rs, _, err := db.QueryWith(q, mode.opts)
+				rs, err := mode.run()
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(rs.Rows) != 20 {
+				if len(rs.Rows) == 0 || (wantRows >= 0 && len(rs.Rows) != wantRows) {
 					b.Fatalf("got %d rows", len(rs.Rows))
 				}
 			}

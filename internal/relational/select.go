@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -48,12 +49,11 @@ type conjInfo struct {
 	safe   bool // resolvable and cannot error when evaluated early
 }
 
-// compileSelect plans a SELECT. With fallback=true it compiles the
-// written-order scan-everything baseline (no index access, no pushdown, no
-// reordering, sort-after-materialize) — the reference the in-package
-// planner benchmarks and equivalence property test compare against
-// (QueryOptions.fallback).
-func (db *DB) compileSelect(s *SelectStmt, fallback bool) (*selectPlan, error) {
+// compileSelect plans a SELECT and compiles every expression of the plan
+// into an evalFn over the bind slots visible where it is evaluated: a
+// pushed filter sees its own table, a join step the slots bound so far,
+// the top Filter and the output stage every slot.
+func (db *DB) compileSelect(s *SelectStmt) (*selectPlan, error) {
 	sources, err := db.resolveSources(s)
 	if err != nil {
 		return nil, err
@@ -82,9 +82,9 @@ func (db *DB) compileSelect(s *SelectStmt, fallback bool) (*selectPlan, error) {
 		colNames = append(colNames, selectLabel(se))
 	}
 
-	// WHERE conjunct analysis (planned mode only).
+	// WHERE conjunct analysis.
 	var conjs []conjInfo
-	if !fallback && s.Where != nil {
+	if s.Where != nil {
 		for _, e := range whereConjuncts(s.Where) {
 			mask, resolvable := conjunctMask(e, sources)
 			ci := conjInfo{e: e, mask: mask, single: -1, safe: resolvable && safePushdown(e)}
@@ -110,7 +110,7 @@ func (db *DB) compileSelect(s *SelectStmt, fallback bool) (*selectPlan, error) {
 	// Per-source access planning (index conjunct intersection + pushdown).
 	access := make([]sourceAccess, n)
 	for i := range sources {
-		access[i] = planAccess(sources[i], conjs, nullable[i], fallback)
+		access[i] = planAccess(sources[i], conjs, nullable[i])
 	}
 
 	// Join conjunct pool + order selection. Reordering engages only for
@@ -121,7 +121,7 @@ func (db *DB) compileSelect(s *SelectStmt, fallback bool) (*selectPlan, error) {
 		order[i] = i
 	}
 	var pool []conjInfo
-	plainJoins := fallback || anyLeft || n == 1
+	plainJoins := anyLeft || n == 1
 	if !plainJoins {
 		for _, sc := range sources[1:] {
 			for _, e := range whereConjuncts(sc.join.On) {
@@ -159,11 +159,10 @@ func (db *DB) compileSelect(s *SelectStmt, fallback bool) (*selectPlan, error) {
 	}
 
 	p := &selectPlan{
-		stmt:      s,
-		binds:     binds,
-		projExprs: projExprs,
-		colNames:  colNames,
-		grouped:   grouped,
+		stmt:     s,
+		binds:    binds,
+		colNames: colNames,
+		grouped:  grouped,
 	}
 
 	makeScan := func(slot int) *scanNode {
@@ -178,22 +177,25 @@ func (db *DB) compileSelect(s *SelectStmt, fallback bool) (*selectPlan, error) {
 			}
 			detail += ": " + strings.Join(ds, " AND ")
 		}
+		own := &compiler{scope: []scopeBind{{name: binds[slot].name, schema: binds[slot].schema}}}
 		return &scanNode{
 			bind:    slot,
 			table:   sources[pos].table,
 			conds:   ap.conds,
-			filters: ap.filters,
+			filters: compileAll(own, ap.filters),
 			en:      &explain.Node{Op: op, Detail: detail, Est: roundEst(ap.est)},
 		}
 	}
+
+	full := &compiler{scope: scopeOf(binds)}
 
 	// OrderByIndex: a single-table ORDER BY on an indexed column can walk
 	// the index in order and stop at limit+offset survivors instead of
 	// materializing and sorting.
 	var root planNode
 	runningEst := access[order[0]].est
-	residualSel := residualSelectivity(s, conjs, fallback)
-	if !fallback && n == 1 {
+	residualSel := residualSelectivity(s, conjs)
+	if n == 1 {
 		if node, ok := db.orderByIndexPlan(s, sources[0], access[0], projExprs, colNames, grouped, residualSel); ok {
 			root = node
 			p.preOrdered = true
@@ -214,20 +216,21 @@ func (db *DB) compileSelect(s *SelectStmt, fallback bool) (*selectPlan, error) {
 				right := makeScan(slot)
 				probe, build, hashable := hashJoinKeys(sc.join.On, sc.ref.Name(), sc.table.Schema)
 				jn := &joinNode{left: root, right: right, leftOuter: sc.join.Left}
+				var conds []Expr
 				if hashable {
 					jn.hash = true
-					jn.probe = probe
 					jn.buildCol = build
-					if !fallback && runningEst < access[slot].est*0.5 {
+					if runningEst < access[slot].est*0.5 {
 						jn.buildLeft = true
 						anyBuildLeft = true
 					}
 					runningEst = equiJoinEstimate(runningEst, access[slot].est, sources[slot].table, build)
 				} else {
-					jn.conds = []Expr{sc.join.On}
+					conds = []Expr{sc.join.On}
 					runningEst = runningEst * access[slot].est * 0.5
 				}
-				jn.en = joinExplain(jn, binds[slot], right.en, runningEst)
+				compileJoin(jn, binds, probe, conds)
+				jn.en = joinExplain(jn, probe, conds, binds[slot], right.en, runningEst)
 				root = jn
 			}
 		} else {
@@ -261,10 +264,9 @@ func (db *DB) compileSelect(s *SelectStmt, fallback bool) (*selectPlan, error) {
 					stepConds = append(stepConds, pc.e)
 				}
 				right := makeScan(slot)
-				jn := &joinNode{left: root, right: right, conds: stepConds}
+				jn := &joinNode{left: root, right: right}
 				if hashBuild >= 0 {
 					jn.hash = true
-					jn.probe = hashProbe
 					jn.buildCol = hashBuild
 					if runningEst < access[pos].est*0.5 {
 						jn.buildLeft = true
@@ -277,18 +279,27 @@ func (db *DB) compileSelect(s *SelectStmt, fallback bool) (*selectPlan, error) {
 				} else {
 					runningEst = runningEst * access[pos].est
 				}
-				jn.en = joinExplain(jn, binds[slot], right.en, runningEst)
+				compileJoin(jn, binds, hashProbe, stepConds)
+				jn.en = joinExplain(jn, hashProbe, stepConds, binds[slot], right.en, runningEst)
 				root = jn
 				bound = stepBound
 			}
 		}
 
-		// Residual WHERE: always re-checked in full, so pushdowns and
-		// index over-approximation can never change semantics.
+		// Residual WHERE. A row reaching the filter passed every conjunct
+		// pushed down to its scan, and those cannot error, so evaluating
+		// the conjuncts that were not pushed, in written order, is
+		// evaluating the whole WHERE.
 		finalEst := runningEst
 		if s.Where != nil {
 			finalEst = runningEst * residualSel
-			fn := &filterNode{child: root, where: s.Where}
+			var residual []Expr
+			for _, ci := range conjs {
+				if !ci.safe || ci.single < 0 || nullable[ci.single] {
+					residual = append(residual, ci.e)
+				}
+			}
+			fn := &filterNode{child: root, conds: compileAll(full, residual)}
 			fn.en = &explain.Node{
 				Op:       opFilter,
 				Detail:   ExprString(s.Where),
@@ -301,7 +312,7 @@ func (db *DB) compileSelect(s *SelectStmt, fallback bool) (*selectPlan, error) {
 		// Restore canonical written-order emission when the join order or a
 		// build-side swap changed it.
 		if reordered || anyBuildLeft {
-			rn := &restoreNode{child: root, slotOrder: p.slotOfWritten()}
+			rn := &restoreNode{child: root, width: n, slotOrder: p.slotOfWritten()}
 			rn.en = &explain.Node{
 				Op:       opRestoreOrder,
 				Detail:   "written order",
@@ -314,6 +325,7 @@ func (db *DB) compileSelect(s *SelectStmt, fallback bool) (*selectPlan, error) {
 		p.explainRoot = root.enode()
 	}
 	p.root = root
+	p.compileOutput(projExprs, full)
 
 	// Output stage explain chain: Project/GroupAggregate → Distinct →
 	// OrderBySort → Limit, innermost first.
@@ -349,6 +361,84 @@ func (db *DB) compileSelect(s *SelectStmt, fallback bool) (*selectPlan, error) {
 	return p, nil
 }
 
+// scopeOf is the scope of the bind slots given, each reading its own
+// slot's row.
+func scopeOf(binds []planBind) []scopeBind {
+	sc := make([]scopeBind, len(binds))
+	for i, b := range binds {
+		sc[i] = scopeBind{name: b.name, schema: b.schema, at: i}
+	}
+	return sc
+}
+
+func compileAll(c *compiler, es []Expr) []evalFn {
+	fns := make([]evalFn, len(es))
+	for i, e := range es {
+		fns[i] = c.compile(e)
+	}
+	return fns
+}
+
+// compileJoin compiles a join step's hash probe over the slots bound
+// before it and its residual conditions over those plus its own slot.
+func compileJoin(jn *joinNode, binds []planBind, probe Expr, conds []Expr) {
+	lw := jn.right.bind
+	if probe != nil {
+		jn.probe = (&compiler{scope: scopeOf(binds[:lw])}).compile(probe)
+	}
+	jn.conds = compileAll(&compiler{scope: scopeOf(binds[:lw+1])}, conds)
+}
+
+// compileOutput compiles the output stage. Ungrouped, projections and
+// ORDER BY keys see every slot of the joined row. Grouped, the GROUP BY
+// keys see the joined row, and HAVING, projections and ORDER BY keys see
+// the group's first member, reading aggregate calls from the group's
+// accumulators, whose arguments see each member row.
+func (p *selectPlan) compileOutput(projExprs []Expr, full *compiler) {
+	s := p.stmt
+	if !p.grouped {
+		p.out = outputExprs{proj: compileAll(full, projExprs), keys: compileOrderKeys(full, s.OrderBy, p.colNames)}
+		return
+	}
+	p.groupBy = compileAll(full, s.GroupBy)
+	grouped := func(scope []scopeBind) outputExprs {
+		c := &compiler{scope: scope, aggs: &aggSet{members: full}}
+		o := outputExprs{aggs: c.aggs}
+		if s.Having != nil {
+			o.having = c.compile(s.Having)
+		}
+		o.proj = compileAll(c, projExprs)
+		o.keys = compileOrderKeys(c, s.OrderBy, p.colNames)
+		return o
+	}
+	p.out = grouped(full.scope)
+	base := p.binds[p.slotOfWritten()[0]]
+	p.emptyGroup = func() outputExprs {
+		return grouped([]scopeBind{{name: base.name, schema: base.schema}})
+	}
+}
+
+// compileOrderKeys compiles ORDER BY keys; an unqualified key naming a
+// projection label sorts on the projected value.
+func compileOrderKeys(c *compiler, by []OrderKey, colNames []string) []orderKey {
+	keys := make([]orderKey, len(by))
+	for i, k := range by {
+		keys[i].col = -1
+		if ref, isRef := k.Expr.(*ColumnRef); isRef && ref.Table == "" {
+			for ci, cn := range colNames {
+				if strings.EqualFold(cn, ref.Name) {
+					keys[i].col = ci
+					break
+				}
+			}
+		}
+		if keys[i].col < 0 {
+			keys[i].fn = c.compile(k.Expr)
+		}
+	}
+	return keys
+}
+
 // sourceAccess is the chosen access path for one table slot.
 type sourceAccess struct {
 	conds   []indexCond
@@ -360,10 +450,10 @@ type sourceAccess struct {
 // conjunct becomes a pushed filter, and indexable ones become index
 // lookups — intersected, most selective first — when they actually narrow
 // the table.
-func planAccess(src selSource, conjs []conjInfo, nullable, fallback bool) sourceAccess {
+func planAccess(src selSource, conjs []conjInfo, nullable bool) sourceAccess {
 	rows := float64(src.table.NumRows())
 	ap := sourceAccess{est: rows}
-	if fallback || nullable {
+	if nullable {
 		return ap
 	}
 	var cands []indexCond
@@ -395,6 +485,15 @@ func planAccess(src selSource, conjs []conjInfo, nullable, fallback bool) source
 			}
 		}
 	}
+	// An equality lookup yields exactly the rows its conjunct accepts, so
+	// the scan does not check that conjunct again.
+	var filters []Expr
+	for _, f := range ap.filters {
+		if !slices.ContainsFunc(ap.conds, func(c indexCond) bool { return c.isEq && c.conj == f }) {
+			filters = append(filters, f)
+		}
+	}
+	ap.filters = filters
 	if ap.est < 0 {
 		ap.est = 0
 	}
@@ -403,12 +502,9 @@ func planAccess(src selSource, conjs []conjInfo, nullable, fallback bool) source
 
 // residualSelectivity estimates how much of the joined rows the full WHERE
 // keeps beyond what per-source pushdowns already removed.
-func residualSelectivity(s *SelectStmt, conjs []conjInfo, fallback bool) float64 {
+func residualSelectivity(s *SelectStmt, conjs []conjInfo) float64 {
 	if s.Where == nil {
 		return 1
-	}
-	if fallback || len(conjs) == 0 {
-		return clampSel(selHeur(s.Where))
 	}
 	sel := 1.0
 	for _, ci := range conjs {
@@ -514,12 +610,15 @@ func (db *DB) orderByIndexPlan(s *SelectStmt, src selSource, ap sourceAccess, pr
 	if s.Where != nil {
 		detail += " where=" + ExprString(s.Where)
 	}
+	var where evalFn
+	if s.Where != nil {
+		where = (&compiler{scope: []scopeBind{{name: src.ref.Name(), schema: src.table.Schema}}}).compile(s.Where)
+	}
 	return &orderedScanNode{
-		bind:  0,
 		table: src.table,
 		idx:   idx,
 		desc:  key.Desc,
-		where: s.Where,
+		where: where,
 		stop:  window,
 		en:    &explain.Node{Op: opOrderedIndexScan, Detail: detail, Est: roundEst(est)},
 	}, true
@@ -596,7 +695,7 @@ func equiJoinEstimate(leftEst, rightEst float64, right *Table, buildCol int) flo
 	return leftEst * rightEst / d
 }
 
-func joinExplain(jn *joinNode, rightBind planBind, rightEn *explain.Node, est float64) *explain.Node {
+func joinExplain(jn *joinNode, probe Expr, conds []Expr, rightBind planBind, rightEn *explain.Node, est float64) *explain.Node {
 	var op, detail string
 	if jn.hash {
 		op = opHashJoin
@@ -605,14 +704,14 @@ func joinExplain(jn *joinNode, rightBind planBind, rightEn *explain.Node, est fl
 			side = "left"
 		}
 		detail = fmt.Sprintf("%s = %s.%s build=%s",
-			ExprString(jn.probe), rightBind.name, rightBind.schema.Columns[jn.buildCol].Name, side)
-		if len(jn.conds) > 0 {
-			detail += " filter=" + condsDetail(jn.conds)
+			ExprString(probe), rightBind.name, rightBind.schema.Columns[jn.buildCol].Name, side)
+		if len(conds) > 0 {
+			detail += " filter=" + condsDetail(conds)
 		}
 	} else {
 		op = opNestedLoop
-		if len(jn.conds) > 0 {
-			detail = "on " + condsDetail(jn.conds)
+		if len(conds) > 0 {
+			detail = "on " + condsDetail(conds)
 		} else {
 			detail = "cross"
 		}
@@ -844,7 +943,7 @@ func indexCondFor(e Expr, src selSource) (indexCond, bool) {
 	if !ok {
 		return indexCond{}, false
 	}
-	cond := indexCond{idx: idx, desc: ExprString(e)}
+	cond := indexCond{idx: idx, desc: ExprString(e), conj: e}
 	switch op {
 	case "=":
 		cond.isEq = true
@@ -950,15 +1049,6 @@ func sortRowsWithKeys(rows []Row, keys [][]Value, desc []bool) {
 	}
 	copy(rows, outRows)
 	copy(keys, outKeys)
-}
-
-// joinKey renders a value as a hash-join key with =-compatible equality:
-// numerics collapse to one spelling regardless of int/float type.
-func joinKey(v Value) string {
-	if v.IsNumeric() {
-		return "N:" + Float(v.Float64()).String()
-	}
-	return v.Type().String() + ":" + v.String()
 }
 
 // hashJoinKeys decides whether a join condition is a simple equality
