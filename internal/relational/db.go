@@ -135,6 +135,49 @@ func (db *DB) ReplaceRows(key Value, sets ...RowSet) error {
 	return nil
 }
 
+// DistinctValues returns the distinct values of column col of table in
+// ascending order, NULL first, read through indexes alone: with keyCol
+// empty, the keys of col's own index; otherwise the values of col in the
+// rows whose indexed column keyCol equals key. It answers what SELECT
+// DISTINCT col FROM table [WHERE keyCol = key] ORDER BY col would, without
+// SQL text.
+func (db *DB) DistinctValues(table, col, keyCol string, key Value) ([]Value, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	t, ok := db.tables[strings.ToLower(table)]
+	if !ok {
+		return nil, fmt.Errorf("relational: no table %q", table)
+	}
+	if keyCol == "" {
+		idx, ok := t.Index(col)
+		if !ok {
+			return nil, fmt.Errorf("relational: DistinctValues needs an index on %s.%s", t.Name, col)
+		}
+		var out []Value
+		for p := 0; p < idx.n; p = idx.searchAfter(out[len(out)-1]) {
+			out = append(out, idx.at(p).key)
+		}
+		return out, nil
+	}
+	idx, ok := t.Index(keyCol)
+	if !ok {
+		return nil, fmt.Errorf("relational: DistinctValues needs an index on %s.%s", t.Name, keyCol)
+	}
+	pos, ok := t.Schema.ColumnIndex(col)
+	if !ok {
+		return nil, fmt.Errorf("relational: no column %q in table %s", col, t.Name)
+	}
+	var out []Value
+	idx.eachEq(key, func(id int64) bool {
+		if row, live := t.Get(id); live {
+			out = append(out, row[pos])
+		}
+		return true
+	})
+	slices.SortFunc(out, Compare)
+	return slices.CompactFunc(out, func(a, b Value) bool { return Compare(a, b) == 0 }), nil
+}
+
 // Query runs a SELECT and returns its rows.
 func (db *DB) Query(sql string) (*ResultSet, error) {
 	rs, _, err := db.QueryWith(sql, QueryOptions{})

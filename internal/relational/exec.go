@@ -3,6 +3,7 @@ package relational
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -136,13 +137,7 @@ func (c *compiler) unary(x *Unary) evalFn {
 			return Value{}, fmt.Errorf("relational: cannot negate %s", v.Type())
 		}
 	}
-	err := fmt.Errorf("relational: unknown unary op %q", x.Op)
-	return func(rows []Row) (Value, error) {
-		if _, aerr := arg(rows); aerr != nil {
-			return Value{}, aerr
-		}
-		return Value{}, err
-	}
+	return fail(fmt.Errorf("relational: unknown unary op %q", x.Op)) // Parse makes none
 }
 
 // cmpHolds reports whether a Compare result satisfies a comparison operator.
@@ -185,19 +180,6 @@ func (c *compiler) binary(x *Binary) evalFn {
 			return Bool(!rv.IsNull() && truthy(rv)), nil
 		}
 	case "=", "!=", "<", "<=", ">", ">=":
-		if constR && !lit.Val.IsNull() && lit.Val.Type() == TypeText && (op == "=" || op == "!=") {
-			k, eq := lit.Val, op == "="
-			return func(rows []Row) (Value, error) {
-				lv, err := l(rows)
-				if err != nil || lv.IsNull() {
-					return Null(), err
-				}
-				if lv.Type() == TypeText {
-					return Bool((lv.Text0() == k.Text0()) == eq), nil
-				}
-				return Bool(cmpHolds(op, Compare(lv, k))), nil
-			}
-		}
 		if constR && !lit.Val.IsNull() {
 			k := lit.Val
 			return func(rows []Row) (Value, error) {
@@ -242,13 +224,7 @@ func (c *compiler) binary(x *Binary) evalFn {
 			return arith(op, lv, rv)
 		}
 	}
-	err := fmt.Errorf("relational: unknown operator %q", x.Op)
-	return func(rows []Row) (Value, error) {
-		if _, _, oerr := both(l, r, rows); oerr != nil {
-			return Value{}, oerr
-		}
-		return Value{}, err
-	}
+	return fail(fmt.Errorf("relational: unknown operator %q", x.Op)) // Parse makes none
 }
 
 // both evaluates two operands, left first.
@@ -495,31 +471,29 @@ var aggregateFuncs = map[string]bool{
 
 // hasAggregate walks an expression for aggregate calls.
 func hasAggregate(e Expr) bool {
+	return anyExpr(e, func(e Expr) bool {
+		c, ok := e.(*Call)
+		return ok && aggregateFuncs[c.Name]
+	})
+}
+
+// anyExpr reports whether pred holds for e or for any expression inside
+// it, visiting parents before children and left before right.
+func anyExpr(e Expr, pred func(Expr) bool) bool {
+	if pred(e) {
+		return true
+	}
 	switch x := e.(type) {
-	case *Call:
-		if aggregateFuncs[x.Name] {
-			return true
-		}
-		for _, a := range x.Args {
-			if hasAggregate(a) {
-				return true
-			}
-		}
 	case *Binary:
-		return hasAggregate(x.L) || hasAggregate(x.R)
+		return anyExpr(x.L, pred) || anyExpr(x.R, pred)
 	case *Unary:
-		return hasAggregate(x.X)
-	case *InExpr:
-		if hasAggregate(x.X) {
-			return true
-		}
-		for _, a := range x.List {
-			if hasAggregate(a) {
-				return true
-			}
-		}
+		return anyExpr(x.X, pred)
 	case *IsNullExpr:
-		return hasAggregate(x.X)
+		return anyExpr(x.X, pred)
+	case *InExpr:
+		return anyExpr(x.X, pred) || slices.ContainsFunc(x.List, func(e Expr) bool { return anyExpr(e, pred) })
+	case *Call:
+		return slices.ContainsFunc(x.Args, func(e Expr) bool { return anyExpr(e, pred) })
 	}
 	return false
 }

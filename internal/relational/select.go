@@ -813,48 +813,24 @@ func whereConjuncts(e Expr) []Expr {
 func conjunctMask(e Expr, sources []selSource) (uint64, bool) {
 	var mask uint64
 	resolvable := true
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case *ColumnRef:
-			found := false
-			for _, sc := range sources {
-				if x.Table != "" {
-					if strings.EqualFold(x.Table, sc.ref.Name()) {
-						if _, ok := sc.table.Schema.ColumnIndex(x.Name); ok {
-							mask |= uint64(1) << uint(sc.pos)
-							found = true
-						}
-					}
-					continue
-				}
-				if _, ok := sc.table.Schema.ColumnIndex(x.Name); ok {
-					mask |= uint64(1) << uint(sc.pos)
-					found = true
-				}
-			}
-			if !found {
-				resolvable = false
-			}
-		case *Binary:
-			walk(x.L)
-			walk(x.R)
-		case *Unary:
-			walk(x.X)
-		case *Call:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *InExpr:
-			walk(x.X)
-			for _, a := range x.List {
-				walk(a)
-			}
-		case *IsNullExpr:
-			walk(x.X)
+	anyExpr(e, func(e Expr) bool {
+		x, ok := e.(*ColumnRef)
+		if !ok {
+			return false
 		}
-	}
-	walk(e)
+		found := false
+		for _, sc := range sources {
+			if x.Table != "" && !strings.EqualFold(x.Table, sc.ref.Name()) {
+				continue
+			}
+			if _, ok := sc.table.Schema.ColumnIndex(x.Name); ok {
+				mask |= uint64(1) << uint(sc.pos)
+				found = true
+			}
+		}
+		resolvable = resolvable && found
+		return false
+	})
 	return mask, resolvable
 }
 
@@ -1073,37 +1049,15 @@ func hashJoinKeys(on Expr, joinName string, joinSchema *Schema) (probe Expr, bui
 		return pos, found
 	}
 	refersToJoin := func(e Expr) bool {
-		found := false
-		var walk func(Expr)
-		walk = func(e Expr) {
-			switch x := e.(type) {
-			case *ColumnRef:
-				if x.Table == "" || strings.EqualFold(x.Table, joinName) {
-					// Unqualified references are ambiguous; be conservative.
-					if _, in := joinSchema.ColumnIndex(x.Name); in {
-						found = true
-					}
-				}
-			case *Binary:
-				walk(x.L)
-				walk(x.R)
-			case *Unary:
-				walk(x.X)
-			case *Call:
-				for _, a := range x.Args {
-					walk(a)
-				}
-			case *InExpr:
-				walk(x.X)
-				for _, a := range x.List {
-					walk(a)
-				}
-			case *IsNullExpr:
-				walk(x.X)
+		return anyExpr(e, func(e Expr) bool {
+			x, ok := e.(*ColumnRef)
+			if !ok || (x.Table != "" && !strings.EqualFold(x.Table, joinName)) {
+				return false
 			}
-		}
-		walk(e)
-		return found
+			// Unqualified references are ambiguous; be conservative.
+			_, in := joinSchema.ColumnIndex(x.Name)
+			return in
+		})
 	}
 	if pos, isBuild := side(b.L); isBuild && !refersToJoin(b.R) {
 		return b.R, pos, true

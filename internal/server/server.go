@@ -671,7 +671,57 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request, p params) {
 		httpError(w, http.StatusBadRequest, "sql: %v", err)
 		return
 	}
-	writeJSON(w, rs)
+	writeJSONBody(w, sqlBody(rs))
+}
+
+// sqlBody encodes a SQL result byte for byte as encodeJSON encodes it
+// (HTML escaped, null for a nil slice) in one pass over its cells.
+func sqlBody(rs *sensormeta.SQLResult) []byte {
+	size := 64
+	for _, row := range rs.Rows {
+		for _, c := range row {
+			size += len(c) + 12
+		}
+	}
+	buf := append(make([]byte, 0, size), "{\n  \"Columns\": "...)
+	buf = appendJSONStrings(buf, rs.Columns, "\n  ")
+	buf = append(buf, ",\n  \"Rows\": "...)
+	switch {
+	case rs.Rows == nil:
+		buf = append(buf, "null"...)
+	case len(rs.Rows) == 0:
+		buf = append(buf, "[]"...)
+	default:
+		buf = append(buf, '[')
+		for i, row := range rs.Rows {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = appendJSONStrings(append(buf, "\n    "...), row, "\n    ")
+		}
+		buf = append(buf, "\n  ]"...)
+	}
+	return append(buf, "\n}\n"...)
+}
+
+// appendJSONStrings appends ss as encodeJSON indents a []string that
+// starts on a line indented by indent: each element on a line of its own,
+// one level deeper.
+func appendJSONStrings(buf []byte, ss []string, indent string) []byte {
+	switch {
+	case ss == nil:
+		return append(buf, "null"...)
+	case len(ss) == 0:
+		return append(buf, "[]"...)
+	}
+	buf = append(buf, '[')
+	for i, s := range ss {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendJSONString(append(append(buf, indent...), "  "...), s)
+	}
+	return append(append(buf, indent...), ']')
 }
 
 func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request, p params) {
@@ -688,22 +738,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request, p params) 
 // HTML escaped, rows null when there are none), without building those
 // copies.
 func sparqlBody(res *sparql.Results) []byte {
-	buf := []byte("{\n  \"vars\": ")
-	switch {
-	case res.Vars == nil:
-		buf = append(buf, "null"...)
-	case len(res.Vars) == 0:
-		buf = append(buf, "[]"...)
-	default:
-		buf = append(buf, '[')
-		for i, v := range res.Vars {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = appendJSONString(append(buf, "\n    "...), v)
-		}
-		buf = append(buf, "\n  ]"...)
-	}
+	buf := appendJSONStrings([]byte("{\n  \"vars\": "), res.Vars, "\n  ")
 	buf = append(buf, ",\n  \"rows\": "...)
 	if len(res.Rows) == 0 {
 		return append(buf, "null\n}\n"...)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
@@ -85,5 +86,50 @@ func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
 			}
 		}
 		check(sb.String())
+	}
+}
+
+// TestSQLBodyEncodesLikeEncodeJSON checks that the /api/sql body is byte
+// for byte what encodeJSON makes of the SQLResult, on random results whose
+// cells and column labels JSON escapes (HTML characters, the JavaScript
+// line separators, invalid UTF-8), with nil and empty columns, rows and
+// cells.
+func TestSQLBodyEncodesLikeEncodeJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	pieces := []string{"a", "<b>", "&amp;", `"`, `\`, "\u2028", "\u2029", "é", "\xff\xfe", "\x00", "\n", " "}
+	str := func() string {
+		var sb strings.Builder
+		for n := rng.Intn(4); n > 0; n-- {
+			sb.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		return sb.String()
+	}
+	strs := func(n int) []string {
+		if n < 0 {
+			return nil
+		}
+		ss := make([]string, n)
+		for i := range ss {
+			ss[i] = str()
+		}
+		return ss
+	}
+	for i := 0; i < 500; i++ {
+		rs := &sensormeta.SQLResult{Columns: strs(rng.Intn(4) - 1)}
+		switch rows := rng.Intn(6) - 1; {
+		case rows == 0:
+			rs.Rows = [][]string{}
+		case rows > 0:
+			for ; rows > 0; rows-- {
+				rs.Rows = append(rs.Rows, strs(rng.Intn(4)-1))
+			}
+		}
+		want, err := encodeJSON(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sqlBody(rs); !bytes.Equal(got, want) {
+			t.Fatalf("%q:\ngot  %s\nwant %s", rs, got, want)
+		}
 	}
 }

@@ -508,33 +508,25 @@ func (r *Repository) LinkGraph() *graph.Directed {
 // Properties lists the distinct annotation property names, sorted — the
 // source of the dynamic drop-down menus in the query interface.
 func (r *Repository) Properties() ([]string, error) {
-	rs, err := r.DB.Query("SELECT DISTINCT property FROM annotations ORDER BY property")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(rs.Rows))
-	for _, row := range rs.Rows {
-		out = append(out, row[0].Text0())
-	}
-	return out, nil
+	return r.distinctText("annotations", "property", "", "")
 }
-
-// sqlQuote renders s as a SQL string literal for the read-only queries
-// below.
-func sqlQuote(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
 
 // PropertyValues lists the distinct values of one property, sorted — the
 // second-level dynamic drop-down.
 func (r *Repository) PropertyValues(property string) ([]string, error) {
-	rs, err := r.DB.Query(fmt.Sprintf(
-		"SELECT DISTINCT value FROM annotations WHERE property = %s ORDER BY value",
-		sqlQuote(strings.ToLower(property))))
+	return r.distinctText("annotations", "value", "property", strings.ToLower(property))
+}
+
+// distinctText reads relational.DB.DistinctValues of a text column as
+// strings.
+func (r *Repository) distinctText(table, col, keyCol, key string) ([]string, error) {
+	vals, err := r.DB.DistinctValues(table, col, keyCol, relational.Text(key))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]string, 0, len(rs.Rows))
-	for _, row := range rs.Rows {
-		out = append(out, row[0].Text0())
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i] = v.Text0()
 	}
 	return out, nil
 }
@@ -586,15 +578,5 @@ func tagRow(page, tag, author string, created time.Time) relational.Row {
 
 // PageTags returns the tags of one page (sorted by tag text).
 func (r *Repository) PageTags(page string) ([]string, error) {
-	canonical := wiki.ParseTitle(page).String()
-	rs, err := r.DB.Query(fmt.Sprintf(
-		"SELECT DISTINCT tag FROM tags WHERE page = %s ORDER BY tag", sqlQuote(canonical)))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(rs.Rows))
-	for _, row := range rs.Rows {
-		out = append(out, row[0].Text0())
-	}
-	return out, nil
+	return r.distinctText("tags", "tag", "page", wiki.ParseTitle(page).String())
 }

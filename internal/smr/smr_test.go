@@ -423,3 +423,60 @@ func TestPageAndPropertyIRIHelpers(t *testing.T) {
 		t.Error("property IRIs must be lower-cased")
 	}
 }
+
+// TestTypedReadsMatchSQL checks Properties, PropertyValues and PageTags,
+// which read through relational.DB.DistinctValues, against the SQL text
+// they used to run, on titles, values and tags holding quotes, mixed case
+// and duplicates.
+func TestTypedReadsMatchSQL(t *testing.T) {
+	r := seedRepo(t)
+	for _, p := range []struct{ title, text string }{
+		{"Sensor:O'Brien-01", "[[measures::wind speed]] [[Note::it's 'quoted']] [[partOf::Deployment:Bob's]]"},
+		{"Sensor:o'brien-02", "[[Measures::Wind Speed]] [[note::It's]] [[STATUS::active]] [[note::it's 'quoted']]"},
+		{"Deployment:Bob's", "[[locatedIn::Fieldsite:D'Avos]] [[status::Active]]"},
+		{"Sensor:Plain", "[[measures::temperature]] [[measures::temperature]]"},
+	} {
+		if _, err := r.PutPage(p.title, "tester", p.text, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	titles := []string{"Sensor:O'Brien-01", "Sensor:o'brien-02", "Deployment:Bob's", "Sensor:Plain", "Sensor:Wind-01"}
+	for i, tag := range []string{"Alpine", "alpine", " ALPINE ", "it's", "Zed", "o'clock", "alpine"} {
+		if err := r.AddTag(titles[i%len(titles)], tag, "tester"); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.AddTag(titles[0], tag, "tester"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quote := func(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
+	check := func(what string, got []string, err error, sql string) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		rs, err := r.QuerySQL(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		var want []string
+		for _, row := range rs.Rows {
+			want = append(want, row[0].Text0())
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s = %q, SQL gives %q", what, got, want)
+		}
+	}
+	props, err := r.Properties()
+	check("Properties()", props, err, "SELECT DISTINCT property FROM annotations ORDER BY property")
+	for _, p := range append(props, "Measures", "NOTE", "missing", "it's") {
+		vals, err := r.PropertyValues(p)
+		check("PropertyValues("+p+")", vals, err,
+			"SELECT DISTINCT value FROM annotations WHERE property = "+quote(strings.ToLower(p))+" ORDER BY value")
+	}
+	for _, title := range append(titles, "sensor:o'Brien-01", "Sensor:Missing") {
+		tags, err := r.PageTags(title)
+		check("PageTags("+title+")", tags, err,
+			"SELECT DISTINCT tag FROM tags WHERE page = "+quote(wiki.ParseTitle(title).String())+" ORDER BY tag")
+	}
+}
