@@ -440,8 +440,8 @@ func (jn *joinNode) run(db *DB, emit emitFn) error {
 			matched = make([]bool, len(lidFlat)/lw)
 		}
 		bindLeft := func(li int32) {
-			copy(rows, lflat[int(li)*lw:])
-			copy(ids, lidFlat[int(li)*lw:])
+			copy(rows[:lw], lflat[int(li)*lw:])
+			copy(ids[:lw], lidFlat[int(li)*lw:])
 		}
 		for ri, row := range rrows {
 			v := row[jn.buildCol]
