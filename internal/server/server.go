@@ -679,6 +679,7 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request, p params) {
 func sqlBody(rs *sensormeta.SQLResult) []byte {
 	size := 64
 	for _, row := range rs.Rows {
+		size += 16
 		for _, c := range row {
 			size += len(c) + 12
 		}
