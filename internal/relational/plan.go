@@ -31,7 +31,6 @@ const (
 type planBind struct {
 	name   string
 	schema *Schema
-	table  *Table
 	srcPos int
 }
 
@@ -131,7 +130,7 @@ type scanNode struct {
 	bind    int
 	table   *Table
 	conds   []indexCond // empty => full scan; else intersected, most selective first
-	filters []evalFn    // pushed-down conjuncts over the slot's row alone; the top Filter re-checks the full WHERE
+	filters []evalFn    // pushed-down conjuncts over the slot's row alone, less those an equality lookup answers
 	en      *explain.Node
 }
 

@@ -153,7 +153,6 @@ func (db *DB) compileSelect(s *SelectStmt) (*selectPlan, error) {
 		binds[slot] = planBind{
 			name:   sources[pos].ref.Name(),
 			schema: sources[pos].table.Schema,
-			table:  sources[pos].table,
 			srcPos: pos,
 		}
 	}
