@@ -38,9 +38,9 @@ type compiler struct {
 	aggs  *aggSet
 }
 
-// fail compiles to an expression that always returns err: an unknown or
-// ambiguous column, or any other error the interpreter raised only when it
-// reached the expression, is raised at that same point and no earlier.
+// fail compiles to an expression that returns err each time it is
+// evaluated: an unknown or ambiguous column is an error only for a query
+// that reaches it, so one whose rows never evaluate it still succeeds.
 func fail(err error) evalFn {
 	return func([]Row) (Value, error) { return Value{}, err }
 }

@@ -6,13 +6,12 @@ import (
 	"strings"
 )
 
-// This file keeps the executor that Query's compiled plans replaced, as the
-// oracle TestQueryMatchesReference and FuzzParseSQL compare Query against:
-// a tree-walking interpreter that finds every column by name in the row it
-// is evaluated on (refEval), run over the written-order scan-everything
-// plan (referenceQuery) — no index access, no pushdown, no join
-// reordering, grouping over materialized member rows, sort after
-// materialization.
+// This file is the oracle TestQueryMatchesReference and FuzzParseSQL
+// compare Query against: a tree-walking interpreter that finds every
+// column by name in the row it is evaluated on (refEval), run over the
+// written-order scan-everything plan (referenceQuery) — no index access,
+// no pushdown, no join reordering, grouping over materialized member rows,
+// sort after materialization.
 
 // refBinding associates a table alias with a schema and the current row; a
 // nil row stands for the NULL-extended side of a LEFT JOIN.
