@@ -125,9 +125,6 @@ func (v Value) String() string {
 // incompatible types orders by type id so sorting stays total. It returns
 // -1, 0 or 1.
 func Compare(a, b Value) int {
-	if a.typ == TypeText && b.typ == TypeText && !a.isNull && !b.isNull {
-		return strings.Compare(a.s, b.s)
-	}
 	switch {
 	case a.isNull && b.isNull:
 		return 0
