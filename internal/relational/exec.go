@@ -198,16 +198,6 @@ func (c *compiler) binary(x *Binary) evalFn {
 			return Bool(cmpHolds(op, Compare(lv, rv))), nil
 		}
 	case "LIKE":
-		if constR && !lit.Val.IsNull() {
-			pattern := strings.ToLower(lit.Val.String())
-			return func(rows []Row) (Value, error) {
-				lv, err := l(rows)
-				if err != nil || lv.IsNull() {
-					return Null(), err
-				}
-				return Bool(likeLower(strings.ToLower(lv.String()), pattern)), nil
-			}
-		}
 		return func(rows []Row) (Value, error) {
 			lv, rv, err := both(l, r, rows)
 			if err != nil || lv.IsNull() || rv.IsNull() {
@@ -332,17 +322,12 @@ func truthy(v Value) bool {
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any single byte),
-// case-insensitive as in MySQL's default collation.
+// case-insensitive as in MySQL's default collation. It is the greedy
+// wildcard matcher: on a mismatch it only retries from the most recent %,
+// one byte further on, so a match costs O(len(s)·len(pattern)) even for
+// patterns such as '%a%a%a%b' that make naive backtracking exponential.
 func likeMatch(s, pattern string) bool {
-	return likeLower(strings.ToLower(s), strings.ToLower(pattern))
-}
-
-// likeLower is likeMatch over a lower-cased string and pattern. It is the
-// greedy wildcard matcher: on a mismatch it only retries from the most
-// recent %, one byte further on, so a match costs O(len(s)·len(pattern))
-// even for patterns such as '%a%a%a%b' that make naive backtracking
-// exponential.
-func likeLower(s, pattern string) bool {
+	s, pattern = strings.ToLower(s), strings.ToLower(pattern)
 	si, pi := 0, 0
 	star, retry := -1, 0 // position of the last % and where its run would end next
 	for si < len(s) {
