@@ -135,33 +135,33 @@ func (db *DB) ReplaceRows(key Value, sets ...RowSet) error {
 	return nil
 }
 
-// DistinctValues returns the distinct values of column col of table in
-// ascending order, NULL first, read through indexes alone: with keyCol
-// empty, the keys of col's own index; otherwise the values of col in the
-// rows whose indexed column keyCol equals key. It answers what SELECT
-// DISTINCT col FROM table [WHERE keyCol = key] ORDER BY col would, without
-// SQL text.
-func (db *DB) DistinctValues(table, col, keyCol string, key Value) ([]Value, error) {
+// IndexKeys returns the distinct values of the indexed column col of table
+// in ascending order, NULL first, read from the index alone: what SELECT
+// DISTINCT col FROM table ORDER BY col returns, without SQL text.
+func (db *DB) IndexKeys(table, col string) ([]Value, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.tables[strings.ToLower(table)]
-	if !ok {
-		return nil, fmt.Errorf("relational: no table %q", table)
+	_, idx, err := db.indexOn(table, col)
+	if err != nil {
+		return nil, err
 	}
-	if keyCol == "" {
-		idx, ok := t.Index(col)
-		if !ok {
-			return nil, fmt.Errorf("relational: DistinctValues needs an index on %s.%s", t.Name, col)
-		}
-		var out []Value
-		for p := 0; p < idx.n; p = idx.searchAfter(out[len(out)-1]) {
-			out = append(out, idx.at(p).key)
-		}
-		return out, nil
+	var out []Value
+	for p := 0; p < idx.n; p = idx.searchAfter(out[len(out)-1]) {
+		out = append(out, idx.at(p).key)
 	}
-	idx, ok := t.Index(keyCol)
-	if !ok {
-		return nil, fmt.Errorf("relational: DistinctValues needs an index on %s.%s", t.Name, keyCol)
+	return out, nil
+}
+
+// DistinctWhere returns the distinct values of column col in the rows of
+// table whose indexed column keyCol equals key, in ascending order, NULL
+// first: what SELECT DISTINCT col FROM table WHERE keyCol = key ORDER BY
+// col returns, without SQL text.
+func (db *DB) DistinctWhere(table, col, keyCol string, key Value) ([]Value, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	t, idx, err := db.indexOn(table, keyCol)
+	if err != nil {
+		return nil, err
 	}
 	pos, ok := t.Schema.ColumnIndex(col)
 	if !ok {
@@ -176,6 +176,19 @@ func (db *DB) DistinctValues(table, col, keyCol string, key Value) ([]Value, err
 	})
 	slices.SortFunc(out, Compare)
 	return slices.CompactFunc(out, func(a, b Value) bool { return Compare(a, b) == 0 }), nil
+}
+
+// indexOn finds table and its index on col. The caller holds db.mu.
+func (db *DB) indexOn(table, col string) (*Table, *Index, error) {
+	t, ok := db.tables[strings.ToLower(table)]
+	if !ok {
+		return nil, nil, fmt.Errorf("relational: no table %q", table)
+	}
+	idx, ok := t.Index(col)
+	if !ok {
+		return nil, nil, fmt.Errorf("relational: no index on %s.%s", t.Name, col)
+	}
+	return t, idx, nil
 }
 
 // Query runs a SELECT and returns its rows.

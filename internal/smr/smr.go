@@ -508,19 +508,17 @@ func (r *Repository) LinkGraph() *graph.Directed {
 // Properties lists the distinct annotation property names, sorted — the
 // source of the dynamic drop-down menus in the query interface.
 func (r *Repository) Properties() ([]string, error) {
-	return r.distinctText("annotations", "property", "", "")
+	return texts(r.DB.IndexKeys("annotations", "property"))
 }
 
 // PropertyValues lists the distinct values of one property, sorted — the
 // second-level dynamic drop-down.
 func (r *Repository) PropertyValues(property string) ([]string, error) {
-	return r.distinctText("annotations", "value", "property", strings.ToLower(property))
+	return texts(r.DB.DistinctWhere("annotations", "value", "property", relational.Text(strings.ToLower(property))))
 }
 
-// distinctText reads relational.DB.DistinctValues of a text column as
-// strings.
-func (r *Repository) distinctText(table, col, keyCol, key string) ([]string, error) {
-	vals, err := r.DB.DistinctValues(table, col, keyCol, relational.Text(key))
+// texts converts the text values of an index read to strings.
+func texts(vals []relational.Value, err error) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -578,5 +576,5 @@ func tagRow(page, tag, author string, created time.Time) relational.Row {
 
 // PageTags returns the tags of one page (sorted by tag text).
 func (r *Repository) PageTags(page string) ([]string, error) {
-	return r.distinctText("tags", "tag", "page", wiki.ParseTitle(page).String())
+	return texts(r.DB.DistinctWhere("tags", "tag", "page", relational.Text(wiki.ParseTitle(page).String())))
 }

@@ -425,9 +425,9 @@ func TestPageAndPropertyIRIHelpers(t *testing.T) {
 }
 
 // TestTypedReadsMatchSQL checks Properties, PropertyValues and PageTags,
-// which read through relational.DB.DistinctValues, against the SELECT
-// DISTINCT queries they answer, on titles, values and tags holding quotes,
-// mixed case and duplicates.
+// which read through relational.DB.IndexKeys and DistinctWhere, against the
+// SELECT DISTINCT queries they answer, on titles, values and tags holding
+// quotes, mixed case and duplicates.
 func TestTypedReadsMatchSQL(t *testing.T) {
 	r := seedRepo(t)
 	for _, p := range []struct{ title, text string }{
