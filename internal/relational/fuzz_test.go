@@ -15,6 +15,8 @@ func FuzzParseSQL(f *testing.F) {
 		`SELECT deployment, COUNT(*) AS n, AVG(altitude) FROM sensors GROUP BY deployment HAVING COUNT(*) > 1`,
 		`SELECT DISTINCT UPPER(name) FROM sensors WHERE name LIKE 't%_0%' OR id IN (1, 2) OR deployment IS NULL`,
 		`SELECT COUNT(DISTINCT deployment), -id * 2 / 0, COALESCE(NULL, 'x') FROM sensors WHERE NOT (altitude >= 2000.5)`,
+		`SELECT * FROM sensors WHERE id < 3 OR name + 1 > 0 ORDER BY id LIMIT 1 OFFSET 1`,
+		`SELECT name + 1 FROM sensors ORDER BY id DESC LIMIT 3`,
 		`DELETE FROM sensors WHERE id = 1`,
 		`INSERT INTO sensors VALUES (9, 'x', NULL, 1e3, TRUE)`,
 		`SELECT 'unterminated FROM sensors`,
