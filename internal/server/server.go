@@ -296,6 +296,12 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 	// first byte hit the wire could only produce a torn body, so the
 	// status and headers are committed only once the payload is whole.
 	body, err := encodeJSON(v)
+	writeEncoded(w, body, err)
+}
+
+// writeEncoded writes an encoded JSON body, or the 500 envelope when
+// encoding it failed.
+func writeEncoded(w http.ResponseWriter, body []byte, err error) {
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "encoding response: %v", err)
 		return
@@ -439,16 +445,23 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, p params) 
 		writeV1QueryError(w, err)
 		return
 	}
+	body, err := searchBody(res, len(facetProps) > 0, s.snippets(q.Keywords))
+	writeEncoded(w, body, err)
+}
+
+// searchBody encodes the legacy /api/search response: matched and facets
+// only when the request asked for facets.
+func searchBody(res *search.ExecResult, facets bool, snippet func(string) string) ([]byte, error) {
 	out := struct {
 		Count   int                       `json:"count"`
 		Matched int                       `json:"matched,omitempty"`
 		Results []resultItem              `json:"results"`
 		Facets  map[string]map[string]int `json:"facets,omitempty"`
-	}{Count: len(res.Results), Results: s.resultItems(res.Results, q.Keywords)}
-	if len(facetProps) > 0 {
+	}{Count: len(res.Results), Results: resultItems(res.Results, snippet)}
+	if facets {
 		out.Facets, out.Matched = res.Facets, res.Matched
 	}
-	writeJSON(w, out)
+	return encodeJSON(out)
 }
 
 func (s *Server) handleAutocomplete(w http.ResponseWriter, r *http.Request, p params) {

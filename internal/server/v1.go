@@ -74,6 +74,15 @@ func writeV1QueryError(w http.ResponseWriter, err error) {
 	writeV1Error(w, http.StatusBadRequest, "bad_request", "", err.Error())
 }
 
+// snippets returns the snippet source for keyword text: each result's
+// snippet of the page text around the terms, or nil when text is empty.
+func (s *Server) snippets(text string) func(title string) string {
+	if text == "" {
+		return nil
+	}
+	return func(title string) string { return s.sys.Engine.SnippetFor(title, text, 160) }
+}
+
 // resultItem is the JSON shape of one search result, shared by the legacy
 // /api/search response and /api/v1/query so their result arrays are
 // byte-identical for equivalent requests.
@@ -85,19 +94,42 @@ type resultItem struct {
 	Snippet   string            `json:"snippet,omitempty"`
 }
 
-// resultItems renders results, attaching snippets for the keyword terms
-// when snippetFor is non-empty. An empty result set stays nil, preserving
-// the legacy "results": null JSON shape.
-func (s *Server) resultItems(rs []search.Result, snippetFor string) []resultItem {
+// resultItems renders results, attaching snippets when snippet is not
+// nil. An empty result set stays nil, preserving the legacy
+// "results": null JSON shape.
+func resultItems(rs []search.Result, snippet func(string) string) []resultItem {
 	var out []resultItem
 	for _, r := range rs {
 		it := resultItem{Title: r.Title, Relevance: r.Relevance, Rank: r.Rank, Matched: r.Matched}
-		if snippetFor != "" {
-			it.Snippet = s.sys.Engine.SnippetFor(r.Title, snippetFor, 160)
+		if snippet != nil {
+			it.Snippet = snippet(r.Title)
 		}
 		out = append(out, it)
 	}
 	return out
+}
+
+// v1QueryBody encodes the POST /api/v1/query response: facets only when
+// the request asked for them, the plan when the result carries one.
+func v1QueryBody(res *search.ExecResult, facets bool, snippet func(string) string) ([]byte, error) {
+	out := struct {
+		Count      int                       `json:"count"`
+		Matched    int                       `json:"matched"`
+		Results    []resultItem              `json:"results"`
+		Facets     map[string]map[string]int `json:"facets,omitempty"`
+		NextCursor string                    `json:"nextCursor,omitempty"`
+		Plan       *explain.Node             `json:"plan,omitempty"`
+	}{
+		Count:      len(res.Results),
+		Matched:    res.Matched,
+		Results:    resultItems(res.Results, snippet),
+		NextCursor: res.NextCursor,
+		Plan:       res.Plan,
+	}
+	if facets {
+		out.Facets = res.Facets
+	}
+	return encodeJSON(out)
 }
 
 // v1QueryRequest is the POST /api/v1/query body.
@@ -201,28 +233,12 @@ func (s *Server) handleV1Query(w http.ResponseWriter, r *http.Request, p params)
 		writeV1QueryError(w, err)
 		return
 	}
-	snippetFor := ""
+	var snippet func(string) string
 	if in.Snippets {
-		snippetFor = keywordTexts(expr)
+		snippet = s.snippets(keywordTexts(expr))
 	}
-	out := struct {
-		Count      int                       `json:"count"`
-		Matched    int                       `json:"matched"`
-		Results    []resultItem              `json:"results"`
-		Facets     map[string]map[string]int `json:"facets,omitempty"`
-		NextCursor string                    `json:"nextCursor,omitempty"`
-		Plan       *explain.Node             `json:"plan,omitempty"`
-	}{
-		Count:      len(res.Results),
-		Matched:    res.Matched,
-		Results:    s.resultItems(res.Results, snippetFor),
-		NextCursor: res.NextCursor,
-		Plan:       res.Plan,
-	}
-	if len(facets) > 0 {
-		out.Facets = res.Facets
-	}
-	writeJSON(w, out)
+	body, err := v1QueryBody(res, len(facets) > 0, snippet)
+	writeEncoded(w, body, err)
 }
 
 // handleV1PagesBatch serves POST /api/v1/pages:batch: a slice of page
