@@ -55,6 +55,30 @@ func wantSearchBody(res *search.ExecResult, facets bool, snippet func(string) st
 	return encodeJSON(out)
 }
 
+// resultItem is the JSON shape of one search result in both search
+// routes' response structs.
+type resultItem struct {
+	Title     string            `json:"title"`
+	Relevance float64           `json:"relevance"`
+	Rank      float64           `json:"rank"`
+	Matched   map[string]string `json:"matched,omitempty"`
+	Snippet   string            `json:"snippet,omitempty"`
+}
+
+// resultItems renders results, attaching snippets when snippet is not
+// nil. An empty result set stays nil: "results": null.
+func resultItems(rs []search.Result, snippet func(string) string) []resultItem {
+	var out []resultItem
+	for _, r := range rs {
+		it := resultItem{Title: r.Title, Relevance: r.Relevance, Rank: r.Rank, Matched: r.Matched}
+		if snippet != nil {
+			it.Snippet = snippet(r.Title)
+		}
+		out = append(out, it)
+	}
+	return out
+}
+
 // resultGen draws random search results whose strings JSON escapes (HTML
 // characters, the JavaScript line separators, invalid UTF-8, control
 // bytes) and whose floats span encoding/json's 'f' and 'e' forms.
@@ -196,6 +220,36 @@ func TestResultBodiesMatchEncodeJSON(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s body %d (facets %v):\ngot  %s\nwant %s", body.name, i, facets, got, want)
 			}
+		}
+	}
+}
+
+// TestAppendJSONFloatMatchesEncodingJSON checks appendJSONFloat against
+// json.Marshal on the edges of its 'f' and 'e' forms, on random finite
+// bit patterns and on random values either side of the forms' bounds,
+// appending after existing bytes.
+func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
+	check := func(f float64) {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendJSONFloat([]byte("x"), f)
+		if err != nil || string(got) != "x"+string(want) {
+			t.Fatalf("appendJSONFloat(%v) = %s, %v; want x%s", f, got, err, want)
+		}
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 5e-324, 1e-7, 1e-6, 9.99e-7, 1e-10, 1e-100,
+		1e20, 1e21, 1.5e21, 1e100, math.MaxFloat64, 1, 0.1, 123456789.125} {
+		check(f)
+		check(-f)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for n := 0; n < 200000; {
+		if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			check(f)
+			check(rng.Float64() * math.Pow(10, float64(rng.Intn(32)-9)))
+			n++
 		}
 	}
 }

@@ -449,21 +449,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, p params) 
 	writeEncoded(w, body, err)
 }
 
-// searchBody encodes the legacy /api/search response: matched and facets
-// only when the request asked for facets.
-func searchBody(res *search.ExecResult, facets bool, snippet func(string) string) ([]byte, error) {
-	out := struct {
-		Count   int                       `json:"count"`
-		Matched int                       `json:"matched,omitempty"`
-		Results []resultItem              `json:"results"`
-		Facets  map[string]map[string]int `json:"facets,omitempty"`
-	}{Count: len(res.Results), Results: resultItems(res.Results, snippet)}
-	if facets {
-		out.Facets, out.Matched = res.Facets, res.Matched
-	}
-	return encodeJSON(out)
-}
-
 func (s *Server) handleAutocomplete(w http.ResponseWriter, r *http.Request, p params) {
 	writeJSON(w, s.sys.Autocomplete(p.str("prefix"), p.int("k")))
 }

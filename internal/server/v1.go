@@ -83,55 +83,6 @@ func (s *Server) snippets(text string) func(title string) string {
 	return func(title string) string { return s.sys.Engine.SnippetFor(title, text, 160) }
 }
 
-// resultItem is the JSON shape of one search result, shared by the legacy
-// /api/search response and /api/v1/query so their result arrays are
-// byte-identical for equivalent requests.
-type resultItem struct {
-	Title     string            `json:"title"`
-	Relevance float64           `json:"relevance"`
-	Rank      float64           `json:"rank"`
-	Matched   map[string]string `json:"matched,omitempty"`
-	Snippet   string            `json:"snippet,omitempty"`
-}
-
-// resultItems renders results, attaching snippets when snippet is not
-// nil. An empty result set stays nil, preserving the legacy
-// "results": null JSON shape.
-func resultItems(rs []search.Result, snippet func(string) string) []resultItem {
-	var out []resultItem
-	for _, r := range rs {
-		it := resultItem{Title: r.Title, Relevance: r.Relevance, Rank: r.Rank, Matched: r.Matched}
-		if snippet != nil {
-			it.Snippet = snippet(r.Title)
-		}
-		out = append(out, it)
-	}
-	return out
-}
-
-// v1QueryBody encodes the POST /api/v1/query response: facets only when
-// the request asked for them, the plan when the result carries one.
-func v1QueryBody(res *search.ExecResult, facets bool, snippet func(string) string) ([]byte, error) {
-	out := struct {
-		Count      int                       `json:"count"`
-		Matched    int                       `json:"matched"`
-		Results    []resultItem              `json:"results"`
-		Facets     map[string]map[string]int `json:"facets,omitempty"`
-		NextCursor string                    `json:"nextCursor,omitempty"`
-		Plan       *explain.Node             `json:"plan,omitempty"`
-	}{
-		Count:      len(res.Results),
-		Matched:    res.Matched,
-		Results:    resultItems(res.Results, snippet),
-		NextCursor: res.NextCursor,
-		Plan:       res.Plan,
-	}
-	if facets {
-		out.Facets = res.Facets
-	}
-	return encodeJSON(out)
-}
-
 // v1QueryRequest is the POST /api/v1/query body.
 type v1QueryRequest struct {
 	// Query is the expression in the canonical AST JSON encoding; absent
