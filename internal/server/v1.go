@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 
@@ -45,13 +46,18 @@ func writeEnvelope(w http.ResponseWriter, status int, e v1Error) {
 	}{e})
 }
 
-// decodeV1 strictly decodes a v1 request body into dst; on failure it
-// answers 400 bad_request itself and reports false.
+// decodeV1 strictly decodes a v1 request body, exactly one JSON value,
+// into dst; on failure it answers 400 bad_request itself and reports
+// false.
 func decodeV1(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		writeV1Error(w, http.StatusBadRequest, "bad_request", "", "request body: "+err.Error())
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeV1Error(w, http.StatusBadRequest, "bad_request", "", "request body: data after the JSON value")
 		return false
 	}
 	return true

@@ -371,7 +371,7 @@ func TestV1QueryAlphaValidation(t *testing.T) {
 // TestV1ErrorEnvelope checks every v1 failure mode returns the structured
 // {"error": {code, message, field}} envelope.
 func TestV1ErrorEnvelope(t *testing.T) {
-	_, ts := newTestServer(t)
+	sys, ts := newTestServer(t)
 	type errEnv struct {
 		Error struct {
 			Code    string `json:"code"`
@@ -421,6 +421,34 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	code, body = postJSON(t, ts.URL+"/api/v1/combined",
 		map[string]interface{}{"filter": json.RawMessage(`{"keyword":{"text":""}}`)})
 	check("combined bad filter", code, body, http.StatusBadRequest, "invalid_query", "keyword.text")
+
+	// A body is exactly one JSON value: anything but space after it is
+	// refused before the request does any work.
+	postRaw := func(route, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out bytes.Buffer
+		if _, err := out.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out.String()
+	}
+	for _, body := range []string{`{"limit": 1} garbage`, `{"limit": 1}{"limit": -1}`, `{"limit": 1}}`, `{"limit": 1} 2`} {
+		code, resp := postRaw("/api/v1/query", body)
+		check("query "+body, code, resp, http.StatusBadRequest, "bad_request", "")
+	}
+	if code, resp := postRaw("/api/v1/query", " {\"limit\": 1} \n\t"); code != http.StatusOK {
+		t.Errorf("query with surrounding space: %d %s", code, resp)
+	}
+	code, body = postRaw("/api/v1/pages:batch", `{"pages":[{"title":"Sensor:Trailing-1","text":"x"}]} trailing`)
+	check("batch trailing data", code, body, http.StatusBadRequest, "bad_request", "")
+	if _, ok := sys.Repo.Wiki.Get("Sensor:Trailing-1"); ok {
+		t.Error("a batch with trailing data wrote its page")
+	}
 }
 
 // TestV1CombinedFilter checks the structured filter narrows the combined
