@@ -112,37 +112,38 @@ func (g resultGen) float() float64 {
 	}
 }
 
+// matched is nil, empty or holds up to three values.
 func (g resultGen) matched() map[string]string {
-	switch n := g.rng.Intn(5) - 1; n {
-	case -1:
+	n := g.rng.Intn(5) - 1
+	if n < 0 {
 		return nil
-	default:
-		m := make(map[string]string, n)
-		for i := 0; i < n; i++ {
-			m[g.str()] = g.str()
-		}
-		return m
 	}
+	m := make(map[string]string, n)
+	for i := 0; i < n; i++ {
+		m[g.str()] = g.str()
+	}
+	return m
 }
 
+// facets is nil, empty or holds up to three properties whose counts are
+// nil, empty or hold up to three values.
 func (g resultGen) facets() map[string]map[string]int {
-	switch n := g.rng.Intn(5) - 1; n {
-	case -1:
+	n := g.rng.Intn(5) - 1
+	if n < 0 {
 		return nil
-	default:
-		fs := make(map[string]map[string]int, n)
-		for i := 0; i < n; i++ {
-			var counts map[string]int
-			if k := g.rng.Intn(5) - 1; k >= 0 {
-				counts = make(map[string]int, k)
-				for j := 0; j < k; j++ {
-					counts[g.str()] = g.rng.Intn(2000) - 10
-				}
-			}
-			fs[g.str()] = counts
-		}
-		return fs
 	}
+	fs := make(map[string]map[string]int, n)
+	for i := 0; i < n; i++ {
+		var counts map[string]int
+		if k := g.rng.Intn(5) - 1; k >= 0 {
+			counts = make(map[string]int, k)
+			for j := 0; j < k; j++ {
+				counts[g.str()] = g.rng.Intn(2000) - 10
+			}
+		}
+		fs[g.str()] = counts
+	}
+	return fs
 }
 
 func (g resultGen) plan(depth int) *explain.Node {
